@@ -23,7 +23,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
-from .entropy_kl import ConditionViolation, gaussian_reference, k2_term, k3_term
+from .entropy_kl import (
+    ConditionViolation,
+    _quadrature_terms,
+    gaussian_reference,
+    k2_term,
+    k3_term,
+)
 from .order_stats import OrderStatSpec, moment_bound_constant, round_rank
 from .reports import BoundReport
 
@@ -179,15 +185,16 @@ def quantile_mse_bound(
               "epsilon": eps, "r": r}
 
     parent_moment = parent.abs_moment(r)
-    empirical_res = _mse_quadrature_value(parent, spec, mu, tol)
+    empirical, stderr, quad_message = _mse_quadrature_value(parent, law, ref, tol)
     if math.isinf(parent_moment):
         return BoundReport(
             bound_name="quantile_mse",
             analytic_value=math.inf,
-            empirical_value=empirical_res[0],
-            stderr=empirical_res[1],
+            empirical_value=empirical,
+            stderr=stderr,
             params=params,
-            message="parent moment E|X|^r is infinite; bound vacuous",
+            message="; ".join(m for m in (
+                "parent moment E|X|^r is infinite; bound vacuous", quad_message) if m),
         )
 
     c_pe = _quantile_curvature_max(parent, p, eps)
@@ -210,19 +217,24 @@ def quantile_mse_bound(
     return BoundReport(
         bound_name="quantile_mse",
         analytic_value=analytic,
-        empirical_value=empirical_res[0],
-        stderr=empirical_res[1],
+        empirical_value=empirical,
+        stderr=stderr,
         params={**params, "curvature_const": c_pe, "tail_term": tail,
                 "main_term": main, "taylor_terms": taylor_sq + taylor_cross},
+        message=quad_message,
     )
 
 
-def _mse_quadrature_value(parent, spec, mu, tol):
-    from .entropy_kl import _mse_quadrature
-    q = _mse_quadrature(parent, spec, mu, tol)
+def _mse_quadrature_value(parent, law, ref, tol) -> tuple[float, float, str]:
+    """(value, error, message) of E[(F^{-1}(U) - F^{-1}(p))^2] by quadrature.
+
+    The message is empty unless the integral diverged or did not converge;
+    an unconverged value is kept and flagged.
+    """
+    q = _quadrature_terms(parent, law, ref, tol, ("k2",))["k2"]
     if q.diverged:
-        return math.inf, math.inf
-    return q.value, q.error
+        return math.inf, math.inf, f"quadrature diverged: {q.message}"
+    return q.value, q.error, "" if q.converged else f"quadrature did not converge: {q.message}"
 
 
 def holder_constant(q: float) -> float:

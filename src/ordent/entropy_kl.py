@@ -56,7 +56,7 @@ def uniform_order_stat_entropy_exact(n: int, k: int) -> float:
 
     Closed form T_{k-1} + T_{n-k} - T_n - H_n with T_r = log(r!) - r H_r.
     The terms grow like n log n while the result stays O(log n), so the
-    combination runs through the extended-precision caches.
+    combination runs through the extended-precision paths.
     """
     n = int(n)
     k = int(k)
@@ -137,75 +137,109 @@ def k1_term(n: int, p: float, rounding: str = "half-up") -> float:
     return base - uniform_order_stat_entropy_exact(n, k)
 
 
-def _k2_detail(
+def _term_tolerances(term: str, tol: float) -> tuple[float, float]:
+    """(tol_abs, tol_rel) of one quadrature term for a caller's ``tol``."""
+    if term == "k2":
+        # relative only: the quantile MSE scales with the parent
+        return 1e-300, max(tol, 1e-11)
+    return tol, 1e-10
+
+
+def _quadrature_terms(
     parent: ParentDistribution,
-    spec: OrderStatSpec,
-    ref: GaussianReference,
-    method: str,
-    budget: int,
-    seed: int,
+    law,
+    ref: GaussianReference | None,
     tol: float,
-) -> tuple[float, float, bool, str]:
-    """(value, error, diverged, message) for the normalized quantile MSE term."""
-    mu = ref.mu_p
-    law = spec.beta_law
-    if method == "quadrature":
-        res = _mse_quadrature(parent, spec, mu, tol)
-        if res.diverged:
-            return math.inf, math.inf, True, res.message
-        return res.value / (2.0 * ref.v_np) - 0.5, res.error / (2.0 * ref.v_np), False, ""
-    if method == "monte_carlo":
-        u = beta_sample(law, budget, seed, stream=1)
-        d2 = (np.asarray(parent.quantile(u), dtype=float) - mu) ** 2
-        if not np.isfinite(d2).all():
-            return math.inf, math.inf, True, "non-finite quantile differences sampled"
-        est = float(np.mean(d2))
-        se = float(np.std(d2, ddof=1) / math.sqrt(budget))
-        return est / (2.0 * ref.v_np) - 0.5, se / (2.0 * ref.v_np), False, ""
-    raise ValueError("method must be 'quadrature' or 'monte_carlo'")
+    terms: tuple[str, ...] = ("k2", "k3", "direct"),
+) -> dict[str, QuadResult]:
+    """The Beta expectations behind ``terms``, in one pass of the engine.
 
+    ``k2``: E[(F^{-1}(U) - mu)^2]; ``k3``: E[log f(F^{-1}(U))]; ``direct``:
+    E of the log ratio of the X_(k) density to the Gaussian one, in
+    u = F(x) coordinates.  Every node makes at most one ``quantile`` and one
+    ``log_pdf_at_quantile`` call for all columns, and the direct column takes
+    its log Beta density from the engine's extended-precision log weight,
+    the same value that weights the node.  ``ref`` is needed only for
+    ``k2`` and ``direct``.
+    """
+    need_quantile = "k2" in terms or "direct" in terms
+    need_log_pdf = "k3" in terms or "direct" in terms
 
-def _mse_quadrature(parent, spec, mu, tol) -> QuadResult:
-    law = spec.beta_law
-
-    def sq_diff(u):
+    def columns(u, logw):
         # overflow to inf is the divergence signal for explosive quantiles
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.asarray(parent.quantile(u), dtype=float) - mu) ** 2
+            col = {}
+            if need_quantile:
+                col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
+            if need_log_pdf:
+                col["k3"] = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
+            if "direct" in terms:
+                v = ref.v_np
+                col["direct"] = (logw + col["k3"] + 0.5 * math.log(2.0 * math.pi * v)
+                                 + col["k2"] / (2.0 * v))
+            return np.stack([col[t] for t in terms])
 
-    return beta_expectation(
-        sq_diff, law.alpha, law.beta, tol_abs=1e-300, tol_rel=max(tol, 1e-11),
-    )
+    tol_abs, tol_rel = zip(*(_term_tolerances(t, tol) for t in terms))
+    # the direct value is reported only when k2 and k3 are finite
+    res = beta_expectation(columns, law.alpha, law.beta,
+                           tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True,
+                           stop_on_divergence=[t == "direct" for t in terms])
+    return dict(zip(terms, res))
 
 
-def _k3_detail(
+def _quadrature_detail(
+    term: str, res: QuadResult, ref: GaussianReference, log_fp: float,
+) -> tuple[float, float, bool, str]:
+    """(value, error, diverged, message) of one term from its Beta expectation.
+
+    A finite value from an unconverged integral is kept, and the message
+    says so.
+    """
+    if res.diverged:
+        value = math.copysign(math.inf, res.value) if term == "k3" else math.inf
+        return value, math.inf, True, res.message
+    message = "" if res.converged else f"{term} did not converge: {res.message}"
+    if term == "k2":
+        scale = 2.0 * ref.v_np
+        return res.value / scale - 0.5, res.error / scale, False, message
+    if term == "k3":
+        return res.value - log_fp, res.error, False, message
+    return res.value, res.error, False, message
+
+
+def _monte_carlo_detail(
+    term: str,
     parent: ParentDistribution,
-    spec: OrderStatSpec,
-    p: float,
-    method: str,
+    law,
+    ref: GaussianReference,
+    log_fp: float,
     budget: int,
     seed: int,
-    tol: float,
 ) -> tuple[float, float, bool, str]:
-    """(value, error, diverged, message) for the log density ratio term."""
-    law = spec.beta_law
-    log_fp = float(parent.log_pdf_at_quantile(p))
-    if method == "quadrature":
-        res = beta_expectation(
-            lambda u: np.asarray(parent.log_pdf_at_quantile(u), dtype=float),
-            law.alpha, law.beta, tol_abs=tol, tol_rel=1e-10,
-        )
-        if res.diverged:
-            return math.copysign(math.inf, res.value), math.inf, True, res.message
-        return res.value - log_fp, res.error, False, ""
-    if method == "monte_carlo":
+    """(value, error, diverged, message) of k2 or k3 from Beta draws."""
+    if term == "k2":
+        u = beta_sample(law, budget, seed, stream=1)
+        vals = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
+        if not np.isfinite(vals).all():
+            return math.inf, math.inf, True, "non-finite quantile differences sampled"
+        scale, shift = 2.0 * ref.v_np, 0.5
+    else:
         u = beta_sample(law, budget, seed, stream=2)
         vals = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
         if not np.isfinite(vals).all():
             return math.inf, math.inf, True, "non-finite log densities sampled"
-        est = float(np.mean(vals)) - log_fp
-        se = float(np.std(vals, ddof=1) / math.sqrt(budget))
-        return est, se, False, ""
+        scale, shift = 1.0, log_fp
+    se = float(np.std(vals, ddof=1) / math.sqrt(budget))
+    return float(np.mean(vals)) / scale - shift, se / scale, False, ""
+
+
+def _term_detail(term, parent, spec, ref, log_fp, method, budget, seed, tol):
+    """(value, error, diverged, message) of k2 or k3 by either method."""
+    if method == "quadrature":
+        res = _quadrature_terms(parent, spec.beta_law, ref, tol, (term,))[term]
+        return _quadrature_detail(term, res, ref, log_fp)
+    if method == "monte_carlo":
+        return _monte_carlo_detail(term, parent, spec.beta_law, ref, log_fp, budget, seed)
     raise ValueError("method must be 'quadrature' or 'monte_carlo'")
 
 
@@ -221,8 +255,7 @@ def k2_term(
     """E[(F^{-1}(U_(np)) - F^{-1}(p))^2] / (2 V_np) - 1/2; inf when divergent."""
     spec = OrderStatSpec.from_fraction(n, p)
     ref = gaussian_reference(parent, n, p)
-    value, _, _, _ = _k2_detail(parent, spec, ref, method, budget, seed, tol)
-    return value
+    return _term_detail("k2", parent, spec, ref, 0.0, method, budget, seed, tol)[0]
 
 
 def k3_term(
@@ -236,11 +269,11 @@ def k3_term(
 ) -> float:
     """E[log(f(F^{-1}(U_(np))) / f(F^{-1}(p)))]; signed inf when divergent."""
     spec = OrderStatSpec.from_fraction(n, p)
-    if not math.isfinite(float(parent.log_pdf_at_quantile(p))):
+    log_fp = float(parent.log_pdf_at_quantile(p))
+    if not math.isfinite(log_fp):
         raise ConditionViolation(
             f"{parent.spec_string()} has zero density at its {p:g}-quantile")
-    value, _, _, _ = _k3_detail(parent, spec, p, method, budget, seed, tol)
-    return value
+    return _term_detail("k3", parent, spec, None, log_fp, method, budget, seed, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +288,20 @@ def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -
     singularities on (0, 1) that the panel refinement resolves.  Returns inf
     with divergence diagnostics when the integral blows up.
     """
-    res = _kl_direct_detail(parent, n, p, tol)
+    spec = OrderStatSpec.from_fraction(n, p)
+    ref = gaussian_reference(parent, n, p)
+    res = _quadrature_terms(parent, spec.beta_law, ref, tol, ("direct",))["direct"]
     if res.diverged:
         return math.inf
     return res.value
 
 
-def _kl_direct_detail(parent, n, p, tol) -> QuadResult:
-    spec = OrderStatSpec.from_fraction(n, p)
-    ref = gaussian_reference(parent, n, p)
-    law = spec.beta_law
-    mu, v = ref.mu_p, ref.v_np
-    half_log_2piv = 0.5 * math.log(2.0 * math.pi * v)
-    from .distributions import beta_log_pdf
-
-    def g(u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            logw = np.asarray(beta_log_pdf(law, u), dtype=float)
-            lfq = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
-            quant = np.asarray(parent.quantile(u), dtype=float)
-            # log of the X-density over the Gaussian density, in u coordinates
-            return logw + lfq + half_log_2piv + (quant - mu) ** 2 / (2.0 * v)
-
-    return beta_expectation(g, law.alpha, law.beta, tol_abs=tol, tol_rel=1e-10)
-
-
-@dataclass
+@dataclass(slots=True)
 class KlDecomposition:
-    """The three-term split of D(X_(np) || G_{n,p}) plus its direct value."""
+    """The three-term split of D(X_(np) || G_{n,p}) plus its direct value.
+
+    Slotted: sweeps and benchmarks keep thousands of these.
+    """
 
     n: int
     p: float
@@ -322,24 +341,40 @@ def kl_decompose(
     """Bundle k1, k2, k3, their sum, and the directly integrated divergence.
 
     Component divergence is retained as an infinite entry with a message
-    rather than aborting, so parameter sweeps can report it per point.
+    rather than aborting, so parameter sweeps can report it per point.  By
+    quadrature, k2, k3 and the direct value come from one three-column pass;
+    a term whose integral ends unconverged keeps its value and is named in
+    ``message``.
     """
     spec = OrderStatSpec.from_fraction(n, p, rounding)
     ref = gaussian_reference(parent, n, p)
     k1 = k1_term(n, p, rounding)
-    k2, k2_err, k2_div, k2_msg = _k2_detail(parent, spec, ref, method, budget, seed, tol)
-    k3, k3_err, k3_div, k3_msg = _k3_detail(parent, spec, p, method, budget, seed, tol)
+    log_fp = float(parent.log_pdf_at_quantile(p))
+    if method == "quadrature":
+        res = _quadrature_terms(parent, spec.beta_law, ref, tol)
+        k2_detail, k3_detail, direct_detail = (
+            _quadrature_detail(t, res[t], ref, log_fp) for t in ("k2", "k3", "direct"))
+    else:
+        k2_detail, k3_detail = (
+            _term_detail(t, parent, spec, ref, log_fp, method, budget, seed, tol)
+            for t in ("k2", "k3"))
+        direct_detail = None
+    k2, k2_err, k2_div, k2_msg = k2_detail
+    k3, k3_err, k3_div, k3_msg = k3_detail
     diverged = k2_div or k3_div
-    message = "; ".join(m for m in (k2_msg, k3_msg) if m)
     if diverged:
+        message = "; ".join(m for m in (k2_msg, k3_msg) if m)
         total = math.inf
         direct = math.inf
         quad_error = math.inf
     else:
+        if direct_detail is None:
+            res = _quadrature_terms(parent, spec.beta_law, ref, tol, ("direct",))
+            direct_detail = _quadrature_detail("direct", res["direct"], ref, log_fp)
+        direct, direct_err, direct_div, direct_msg = direct_detail
+        message = "; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m)
         total = k1 + k2 + k3
-        direct_res = _kl_direct_detail(parent, n, p, tol)
-        direct = math.inf if direct_res.diverged else direct_res.value
-        quad_error = k2_err + k3_err + (0.0 if direct_res.diverged else direct_res.error)
+        quad_error = k2_err + k3_err + (0.0 if direct_div else direct_err)
     return KlDecomposition(
         n=int(n), p=float(p), k=spec.k,
         k1=k1, k2=k2, k3=k3,

@@ -1,27 +1,31 @@
 """Adaptive panel quadrature with first-class divergence reporting.
 
 The integrators here serve expectations against sharply concentrated Beta
-densities and KL integrands with endpoint singularities.  Two features drive
-the design:
+densities and KL integrands with endpoint singularities.  Three features
+drive the design:
 
 * the initial partition is geometrically refined toward both endpoints (and
   toward caller-supplied breakpoints such as the Beta bulk), so that spikes
   and endpoint blow-ups are never invisible to the error estimator;
 * divergence is a result, not an exception: an integrand that overflows at
   interior nodes, or whose running integral passes ``DIVERGENCE_THRESHOLD``,
-  yields a ``QuadResult`` with ``diverged=True`` and a signed infinity.
+  yields a ``QuadResult`` with ``diverged=True`` and a signed infinity;
+* the engine is batched: every panel of a refinement level is evaluated in
+  one (chunked) integrand call, and the integrand may return stacked columns
+  that share the nodes, each column with its own tolerances and its own
+  ``QuadResult``.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .special import log_beta_extended
+from .special import beta_log_density_extended
 
-__all__ = ["QuadResult", "adaptive_quad", "beta_expectation", "DIVERGENCE_THRESHOLD"]
+__all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation",
+           "DIVERGENCE_THRESHOLD"]
 
 DIVERGENCE_THRESHOLD = 1e12
 MAX_DEPTH = 60
@@ -29,6 +33,16 @@ _ENDPOINT_LEVELS = 46  # innermost panel width 2^-46 of the span
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(15)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(31)
+# The G31/G15 pair shares its midpoint node (exactly 0 in both rules), so a
+# panel costs 45 evaluations.  Column 0 of _RULES is G31, column 1 is G15.
+_NODES = np.concatenate([_NODES_HI, _NODES_LO[_NODES_LO != 0.0]])
+_RULES = np.zeros((_NODES.size, 2))
+_RULES[:31, 0] = _WEIGHTS_HI
+_RULES[15, 1] = _WEIGHTS_LO[_NODES_LO == 0.0][0]
+_RULES[31:, 1] = _WEIGHTS_LO[_NODES_LO != 0.0]
+_PANEL_NEVAL = _NODES.size
+# nodes per integrand call: bounds the temporaries of one call to a few MB
+_CHUNK_NODES = 8192
 
 
 @dataclass
@@ -51,29 +65,76 @@ class QuadResult:
         return self.value
 
 
-def _eval_panel(f, a: float, b: float):
-    """High/low rule pair on one panel.
+class QuadResults(tuple):
+    """Per-column ``QuadResult``s of one multi-column integration.
 
-    Returns (value, error, neval, finite, sign_hint).  sign_hint matters only
-    when finite is False and tells apart +inf and -inf blow-ups.
+    ``neval`` counts the shared nodes evaluated; ``diverged`` is true when any
+    column diverged and ``converged`` when every column converged.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y_lo = np.asarray(f(mid + half * _NODES_LO), dtype=float)
-    y_hi = np.asarray(f(mid + half * _NODES_HI), dtype=float)
-    v_lo = half * float(np.dot(_WEIGHTS_LO, y_lo))
-    v_hi = half * float(np.dot(_WEIGHTS_HI, y_hi))
-    finite = bool(np.isfinite(y_lo).all() and np.isfinite(y_hi).all())
-    sign = 1.0
-    if not finite:
-        allv = np.concatenate([y_lo, y_hi])
-        has_pos = np.any(np.isposinf(allv))
-        has_neg = np.any(np.isneginf(allv))
-        if has_neg and not has_pos:
-            sign = -1.0
-        # NaN from inf*0 underflow products is treated as a positive blow-up
-        # unless the only infinities in sight are negative.
-    return v_hi, abs(v_hi - v_lo), 46, finite, sign
+
+    def __new__(cls, results, neval: int):
+        self = super().__new__(cls, results)
+        self.neval = neval
+        return self
+
+    @property
+    def diverged(self) -> bool:
+        return any(r.diverged for r in self)
+
+    @property
+    def converged(self) -> bool:
+        return all(r.converged for r in self)
+
+
+def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """The G31/G15 pair on every panel (lo[i], hi[i]), in chunked calls of ``f``.
+
+    Returns (value, error, finite, sign, stacked), the first four of shape
+    (columns, panels): the G31 value, |G31 - G15|, whether every node value
+    was finite, and the sign of a blow-up (-1 only when every infinity in
+    the panel is negative; NaN from inf * 0 underflow products counts as a
+    positive blow-up).  ``stacked`` tells whether ``f`` returned columns.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    step = max(1, _CHUNK_NODES // _PANEL_NEVAL)
+    parts = []
+    stacked = False
+    for s in range(0, lo.size, step):
+        x = (mid[s:s + step, None] + half[s:s + step, None] * _NODES).ravel()
+        y = np.asarray(f(x), dtype=float)
+        stacked = y.ndim == 2
+        if y.ndim not in (1, 2) or y.shape[-1] != x.size:
+            raise ValueError(
+                f"integrand returned shape {y.shape} for {x.size} nodes; "
+                "expected (nodes,) or (columns, nodes)")
+        y = y.reshape(-1, x.size // _PANEL_NEVAL, _PANEL_NEVAL)
+        finite = np.isfinite(y).all(axis=2)
+        sign = np.ones(finite.shape)
+        if not finite.all():
+            negative = np.isneginf(y).any(axis=2) & ~np.isposinf(y).any(axis=2)
+            sign[negative] = -1.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            pair = (y @ _RULES) * half[s:s + step, None]
+            err = np.abs(pair[..., 0] - pair[..., 1])
+        parts.append((pair[..., 0], err, finite, sign))
+    value, err, finite, sign = (np.concatenate(p, axis=1) for p in zip(*parts))
+    return value, err, finite, sign, stacked
+
+
+def _initial_grid(a: float, b: float, breakpoints) -> np.ndarray:
+    """Sorted distinct edges: a, b, a + span 2^-j and b - span 2^-j for
+    j = 1.._ENDPOINT_LEVELS, and the breakpoints inside (a, b)."""
+    steps = (b - a) * 2.0 ** -np.arange(1, _ENDPOINT_LEVELS + 1)
+    bps = np.asarray(breakpoints, dtype=float).ravel()
+    return np.unique(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
+
+
+def _panels_to_split(err: np.ndarray, excess: float) -> np.ndarray:
+    """Indices of the worst panels whose errors together reach ``excess``."""
+    order = np.argsort(-err, kind="stable")
+    count = int(np.searchsorted(np.cumsum(err[order]), excess)) + 1
+    return order[:count]
 
 
 def adaptive_quad(
@@ -81,98 +142,125 @@ def adaptive_quad(
     a: float,
     b: float,
     *,
-    tol_abs: float = 1e-9,
-    tol_rel: float = 0.0,
+    tol_abs=1e-9,
+    tol_rel=0.0,
     breakpoints=(),
     max_panels: int = 8192,
-) -> QuadResult:
+    stop_on_divergence=False,
+):
     """Globally adaptive Gauss-Legendre integration of ``f`` over (a, b).
 
-    ``f`` must accept numpy arrays.  Panels are split worst-error-first until
-    the summed error estimate drops below max(tol_abs, tol_rel * |integral|),
-    a panel reaches depth ``MAX_DEPTH``, or ``max_panels`` is exhausted.
+    ``f`` takes a 1-d array of nodes and returns either one value per node
+    (one column: the result is a ``QuadResult``) or an array of shape
+    (columns, nodes) (the result is a ``QuadResults`` with one
+    ``QuadResult`` per column; ``tol_abs`` and ``tol_rel`` may then be
+    per-column sequences).
+
+    Each refinement level evaluates all of its panels at once.  A column
+    stops when its summed error estimate drops below max(tol_abs,
+    tol_rel * |integral|), when it blows up (a non-finite node value, or a
+    running integral beyond ``DIVERGENCE_THRESHOLD``), or when a panel it
+    needs split has reached depth ``MAX_DEPTH``; the remaining columns keep
+    refining.  Otherwise the worst panels that together carry a column's
+    excess error are split, until ``max_panels`` panels exist.
+
+    Columns flagged in ``stop_on_divergence`` (one flag, or one per column)
+    stop refining as soon as another column diverges, for callers that
+    discard them in that case; they end unconverged with their current sums.
     """
     if not b > a:
         raise ValueError("adaptive_quad requires b > a")
-    span = b - a
-    edges = {a, b}
-    for j in range(1, _ENDPOINT_LEVELS + 1):
-        edges.add(a + span * 2.0 ** (-j))
-        edges.add(b - span * 2.0 ** (-j))
-    for x in breakpoints:
-        x = float(x)
-        if a < x < b:
-            edges.add(x)
-    grid = sorted(edges)
+    grid = _initial_grid(a, b, breakpoints)
+    lo, hi = grid[:-1], grid[1:]
+    depth = np.zeros(lo.size, dtype=int)
+    value, err, finite, sign, stacked = _eval_panels(f, lo, hi)
+    new_mid = 0.5 * (lo + hi)  # finite and sign describe the panels evaluated last
+    neval = lo.size * _PANEL_NEVAL
+    m = value.shape[0]
+    tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (m,))
+    tol_rel = np.broadcast_to(np.asarray(tol_rel, dtype=float), (m,))
+    stop_on_divergence = np.broadcast_to(np.asarray(stop_on_divergence, dtype=bool), (m,))
+    results: list[QuadResult | None] = [None] * m
 
-    heap: list = []
-    counter = 0
-    val_sum = 0.0
-    err_sum = 0.0
-    neval = 0
+    def done(c: int, **kwargs) -> None:
+        results[c] = QuadResult(neval=neval, **kwargs)
 
-    def divergence(sign: float, where: float) -> QuadResult:
-        return QuadResult(
-            value=sign * np.inf,
-            error=np.inf,
-            neval=neval,
-            diverged=True,
-            converged=False,
-            message=f"integrand blow-up detected near x = {where:.6g}",
-        )
-
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        v, e, ne, finite, sign = _eval_panel(f, lo, hi)
-        neval += ne
-        if not finite:
-            return divergence(sign, 0.5 * (lo + hi))
-        val_sum += v
-        err_sum += e
-        counter += 1
-        heapq.heappush(heap, (-e, counter, lo, hi, v, e, 0))
+    def diverge(c: int, value: float, message: str) -> None:
+        done(c, value=value, error=np.inf, diverged=True, converged=False, message=message)
 
     while True:
-        if abs(val_sum) > DIVERGENCE_THRESHOLD:
-            return QuadResult(
-                value=np.copysign(np.inf, val_sum),
-                error=np.inf,
-                neval=neval,
-                diverged=True,
-                converged=False,
-                message=f"running integral exceeded {DIVERGENCE_THRESHOLD:.0e}",
-            )
-        if err_sum <= max(tol_abs, tol_rel * abs(val_sum)):
-            return QuadResult(val_sum, err_sum, neval)
-        if not heap or len(heap) >= max_panels:
-            return QuadResult(
-                val_sum, err_sum, neval, converged=False,
-                message="panel budget exhausted before reaching tolerance",
-            )
-        _, _, lo, hi, v, e, depth = heapq.heappop(heap)
-        if depth >= MAX_DEPTH:
-            # A panel that still dominates the error after 60 splits signals a
-            # non-integrable singularity (slow, log-type divergences land here
-            # before the running-sum threshold does).
-            return QuadResult(
-                value=np.copysign(np.inf, val_sum) if val_sum != 0.0 else np.inf,
-                error=np.inf,
-                neval=neval,
-                diverged=True,
-                converged=False,
-                message="maximum subdivision depth reached; divergence declared",
-            )
-        mid = 0.5 * (lo + hi)
-        val_sum -= v
-        err_sum -= e
-        for plo, phi in ((lo, mid), (mid, hi)):
-            v2, e2, ne, finite, sign = _eval_panel(f, plo, phi)
-            neval += ne
-            if not finite:
-                return divergence(sign, 0.5 * (plo + phi))
-            val_sum += v2
-            err_sum += e2
-            counter += 1
-            heapq.heappush(heap, (-e2, counter, plo, phi, v2, e2, depth + 1))
+        active = [c for c in range(m) if results[c] is None]
+        for c in active:
+            if not finite[c].all():
+                where = np.flatnonzero(~finite[c])
+                j = where[np.argmin(new_mid[where])]
+                diverge(c, sign[c, j] * np.inf,
+                        f"integrand blow-up detected near x = {new_mid[j]:.6g}")
+        active = [c for c in active if results[c] is None]
+        # a column is summed only while it is active: frozen columns may
+        # hold non-finite panel values
+        val_sum = {c: float(np.sum(value[c])) for c in active}
+        err_sum = {c: float(np.sum(err[c])) for c in active}
+        for c in active:
+            if abs(val_sum[c]) > DIVERGENCE_THRESHOLD:
+                diverge(c, np.copysign(np.inf, val_sum[c]),
+                        f"running integral exceeded {DIVERGENCE_THRESHOLD:.0e}")
+            elif err_sum[c] <= max(tol_abs[c], tol_rel[c] * abs(val_sum[c])):
+                done(c, value=val_sum[c], error=err_sum[c])
+        active = [c for c in active if results[c] is None]
+        if active and lo.size >= max_panels:
+            for c in active:
+                done(c, value=val_sum[c], error=err_sum[c], converged=False,
+                     message="panel budget exhausted before reaching tolerance")
+            active = []
+        chosen = {}
+        for c in active:
+            target = max(tol_abs[c], tol_rel[c] * abs(val_sum[c]))
+            panels = _panels_to_split(err[c], err_sum[c] - target)
+            if depth[panels].max() >= MAX_DEPTH:
+                # a panel that still carries the excess error after 60 splits
+                # signals a non-integrable singularity (slow, log-type
+                # divergences land here before the running-sum threshold does)
+                diverge(c, np.copysign(np.inf, val_sum[c]) if val_sum[c] != 0.0 else np.inf,
+                        "maximum subdivision depth reached; divergence declared")
+            else:
+                chosen[c] = panels
+        if any(r is not None and r.diverged for r in results):
+            for c in [c for c in chosen if stop_on_divergence[c]]:
+                done(c, value=val_sum[c], error=err_sum[c], converged=False,
+                     message="stopped after another column diverged")
+                del chosen[c]
+        if not chosen:
+            break
+        split = np.zeros(lo.size, dtype=bool)
+        for panels in chosen.values():
+            split[panels] = True
+        idx = np.flatnonzero(split)
+        room = max_panels - lo.size
+        if idx.size > room:
+            # keep the panels carrying the largest share of some column's error
+            cols = list(chosen)
+            share = np.max(err[np.ix_(cols, idx)]
+                           / np.array([err_sum[c] for c in cols])[:, None], axis=0)
+            idx = np.sort(idx[np.argsort(-share, kind="stable")[:room]])
+        mid = 0.5 * (lo[idx] + hi[idx])
+        new_lo = np.concatenate([lo[idx], mid])
+        new_hi = np.concatenate([mid, hi[idx]])
+        child_depth = np.tile(depth[idx] + 1, 2)
+        c_value, c_err, finite, sign, _ = _eval_panels(f, new_lo, new_hi)
+        neval += new_lo.size * _PANEL_NEVAL
+        new_mid = 0.5 * (new_lo + new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[idx] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        depth = np.concatenate([depth[keep], child_depth])
+        value = np.concatenate([value[:, keep], c_value], axis=1)
+        err = np.concatenate([err[:, keep], c_err], axis=1)
+
+    if stacked:
+        return QuadResults(results, neval)
+    return results[0]
 
 
 def beta_expectation(
@@ -180,11 +268,19 @@ def beta_expectation(
     alpha: float,
     beta: float,
     *,
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-10,
+    tol_abs=1e-12,
+    tol_rel=1e-10,
     breakpoints=(),
-) -> QuadResult:
+    log_weight: bool = False,
+    stop_on_divergence=False,
+):
     """E[g(U)] for U ~ Beta(alpha, beta) by adaptive quadrature on (0, 1).
+
+    ``g`` returns one value per node or stacked columns, as in
+    ``adaptive_quad``; with ``log_weight=True`` it is called as
+    ``g(u, logw)``, where ``logw`` is the log Beta density at the nodes (the
+    same values that weight them).  ``stop_on_divergence`` is passed on to
+    ``adaptive_quad``.
 
     The weight is evaluated in log space, and breakpoints at mean +- 2^j
     standard deviations keep the concentrated bulk resolved at any parameter
@@ -194,20 +290,18 @@ def beta_expectation(
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta_expectation requires alpha, beta > 0")
-    # The log normalizer is a cancellation of terms that grow like
-    # (a+b) log(a+b); extended precision keeps the common weight bias near
-    # 1e-15 even for parameters around 1e5, where float64 log-gamma alone
-    # would bias every weight by ~1e-10.
-    lc = -log_beta_extended(alpha, beta)
-    am1 = np.longdouble(alpha - 1.0)
-    bm1 = np.longdouble(beta - 1.0)
 
     def integrand(u):
         # inf * 0 products surface as nan and are treated as blow-up evidence
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            ul = np.asarray(u, dtype=np.longdouble)
-            logw = lc + am1 * np.log(ul) + bm1 * np.log1p(-ul)
-            return np.asarray(np.exp(logw), dtype=float) * g(u)
+            # The log normalizer is a cancellation of terms that grow like
+            # (a+b) log(a+b); summing the log weight in extended precision,
+            # then rounding it once, keeps the common weight bias near 1e-15
+            # even for parameters around 1e5, where float64 log-gamma alone
+            # would bias every weight by ~1e-10.
+            logw = np.asarray(beta_log_density_extended(alpha, beta, u), dtype=float)
+            y = g(u, logw) if log_weight else g(u)
+            return np.exp(logw) * np.asarray(y, dtype=float)
 
     mean = alpha / (alpha + beta)
     sd = np.sqrt(alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1.0)))
@@ -220,4 +314,5 @@ def beta_expectation(
     return adaptive_quad(
         integrand, eps, 1.0 - eps,
         tol_abs=tol_abs, tol_rel=tol_rel, breakpoints=bps,
+        stop_on_divergence=stop_on_divergence,
     )

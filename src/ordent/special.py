@@ -1,14 +1,15 @@
 """Scalar special functions behind the entropy and bound formulas.
 
 All logarithms are natural: every entropy produced downstream is in nats.
-Harmonic numbers and log-factorials are cached in extended precision up to
-``HARMONIC_CACHE_SIZE`` because the exact order-statistic entropy is a small
-difference of terms that grow like ``n log n``; beyond the cache the standard
-asymptotic series take over.
+Harmonic numbers, and log-factorials up to ``HARMONIC_CACHE_SIZE``, are
+evaluated in extended precision because the exact order-statistic entropy is
+a small difference of terms that grow like ``n log n``; beyond that size
+float64 log-gamma takes over.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,30 +28,30 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 
-#: Largest index with exact cached values; chosen to cover every grid the
-#: experiment drivers use while keeping memory flat.
+#: Largest index with extended-precision log-factorials; chosen to cover
+#: every grid the experiment drivers use.
 HARMONIC_CACHE_SIZE = 100_000
 
-_harmonic_cache: np.ndarray | None = None  # H_r in longdouble, r = 0..CACHE
-_logfact_cache: np.ndarray | None = None   # log(r!) in longdouble
+# Below this index H_r and log(r!) are summed term by term; from it on the
+# asymptotic series, truncated after the r^-8 (H_r) and r^-9 (log r!) terms,
+# err by less than one extended-precision ulp.  Only the leading terms need
+# the extended type: the corrections are below 1e-2, and float64 carries
+# them to ~1e-19.
+_SERIES_FROM = 64
+_EULER_GAMMA_EXT = np.longdouble("0.57721566490153286060651209008240243")
+_HALF_LOG_2PI_EXT = np.longdouble("0.91893853320467274178032973640561764")
 
 
-def _caches() -> tuple[np.ndarray, np.ndarray]:
-    # Built once, read-only afterwards; cumulative sums in longdouble keep the
-    # absolute error of T_{k-1}+T_{n-k}-T_n-H_n combinations near 1e-12 even
-    # at n = 1e5, where float64 log-gamma alone would cost ~1e-10.
-    global _harmonic_cache, _logfact_cache
-    if _harmonic_cache is None:
-        r = np.arange(HARMONIC_CACHE_SIZE + 1, dtype=np.longdouble)
-        inv = np.zeros_like(r)
-        inv[1:] = 1.0 / r[1:]
-        logs = np.zeros_like(r)
-        logs[1:] = np.log(r[1:])
-        # assign the sentinel last: a racing builder redoes idempotent work,
-        # but a reader that sees the sentinel always sees both caches
-        _logfact_cache = np.cumsum(logs)
-        _harmonic_cache = np.cumsum(inv)
-    return _harmonic_cache, _logfact_cache
+# Memoized because sweeps repeat their ranks; bounded to keep memory flat.
+@functools.lru_cache(maxsize=1024)
+def _log_factorial_ext(r: int) -> np.longdouble:
+    """log(r!) in extended precision for 0 <= r <= HARMONIC_CACHE_SIZE."""
+    if r < _SERIES_FROM:
+        return np.sum(np.log(np.arange(1, r + 1, dtype=np.longdouble)), dtype=np.longdouble)
+    x = np.longdouble(r)
+    t = 1.0 / (r * r)
+    corr = (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t / 1188)))) / r
+    return (x + 0.5) * np.log(x) - x + _HALF_LOG_2PI_EXT + np.longdouble(corr)
 
 
 def _check_integer(r, name: str) -> int:
@@ -62,25 +63,24 @@ def _check_integer(r, name: str) -> int:
 def harmonic(r: int) -> float:
     """H_r = sum_{k=1}^r 1/k.
 
-    Exact (cached) for r <= HARMONIC_CACHE_SIZE; the asymptotic series
-    log r + gamma + 1/(2r) - 1/(12 r^2) + 1/(120 r^4), truncated after the
-    r^-4 term, beyond.  Absolute error below 1e-12 everywhere.
+    Summed term by term for r < 64; the asymptotic series log r + gamma +
+    1/(2r) - 1/(12 r^2) + 1/(120 r^4) - 1/(252 r^6) + 1/(240 r^8) beyond.
+    Evaluated in extended precision, so the result is H_r rounded once to float64.
     """
     r = _check_integer(r, "r")
     if r < 1:
         raise ValueError(f"harmonic requires r >= 1, got {r}")
-    if r <= HARMONIC_CACHE_SIZE:
-        return float(_caches()[0][r])
     return float(harmonic_extended(r))
 
 
+@functools.lru_cache(maxsize=1024)
 def harmonic_extended(r: int) -> np.longdouble:
     """H_r in extended precision (internal precision path)."""
-    if r <= HARMONIC_CACHE_SIZE:
-        return _caches()[0][r]
-    x = np.longdouble(r)
-    return (np.log(x) + np.longdouble(EULER_GAMMA)
-            + 0.5 / x - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x**4))
+    if r < _SERIES_FROM:
+        return np.sum(1.0 / np.arange(1, r + 1, dtype=np.longdouble), dtype=np.longdouble)
+    t = 1.0 / (r * r)
+    corr = 0.5 / r - t * (1 / 12 - t * (1 / 120 - t * (1 / 252 - t / 240)))
+    return np.log(np.longdouble(r)) + _EULER_GAMMA_EXT + np.longdouble(corr)
 
 
 def t_sequence(r: int) -> float:
@@ -92,10 +92,9 @@ def t_sequence(r: int) -> float:
 
 
 def t_sequence_extended(r: int) -> np.longdouble:
-    """T_r in extended precision where cached, log-gamma precision beyond."""
+    """T_r in extended precision up to HARMONIC_CACHE_SIZE, log-gamma precision beyond."""
     if r <= HARMONIC_CACHE_SIZE:
-        H, LF = _caches()
-        return LF[r] - np.longdouble(r) * H[r]
+        return _log_factorial_ext(r) - np.longdouble(r) * harmonic_extended(r)
     return np.longdouble(_sc.gammaln(r + 1.0)) - np.longdouble(r) * harmonic_extended(r)
 
 
@@ -128,19 +127,31 @@ def log_beta(a, b):
 
 
 def log_beta_extended(a: float, b: float) -> np.longdouble:
-    """log B(a,b) in extended precision for cached integer arguments.
+    """log B(a,b) in extended precision for integer arguments up to the cache size.
 
     The composition of float64 log-gammas carries an absolute error near
     1e-10 once the arguments reach 1e5, which biases every normalized Beta
-    weight by the same factor; integer arguments inside the cache avoid that
-    through exact log-factorials.  Non-integer or out-of-range arguments fall
-    back to the float64 composition.
+    weight by the same factor; integer arguments up to HARMONIC_CACHE_SIZE
+    avoid that through extended-precision log-factorials.  Non-integer or
+    out-of-range arguments fall back to the float64 composition.
     """
     ia, ib = int(a), int(b)
     if a == ia and b == ib and 1 <= ia and 1 <= ib and ia + ib - 1 <= HARMONIC_CACHE_SIZE:
-        _, lf = _caches()
-        return lf[ia - 1] + lf[ib - 1] - lf[ia + ib - 1]
+        lf = _log_factorial_ext
+        return lf(ia - 1) + lf(ib - 1) - lf(ia + ib - 1)
     return np.longdouble(_sc.gammaln(a) + _sc.gammaln(b) - _sc.gammaln(a + b))
+
+
+def beta_log_density_extended(a: float, b: float, u) -> np.ndarray:
+    """log of the Beta(a, b) density at u, in extended precision.
+
+    The one Beta normalizer of the package: quadrature weights and
+    ``distributions.beta_log_pdf`` both come from here, so a log density and
+    the weight it stands for never differ by the float64 log-gamma bias.
+    """
+    ul = np.asarray(u, dtype=np.longdouble)
+    return (-log_beta_extended(a, b) + np.longdouble(a - 1.0) * np.log(ul)
+            + np.longdouble(b - 1.0) * np.log1p(-ul))
 
 
 def regularized_incomplete_beta(a, b, x):

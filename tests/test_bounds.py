@@ -227,3 +227,20 @@ class TestDefaultEpsilon:
     def test_half_of_smaller_side(self):
         assert default_epsilon(0.3) == 0.15
         assert default_epsilon(0.8) == pytest.approx(0.1)
+
+
+class TestUnconvergedQuadrature:
+    def test_mse_value_flags_non_convergence(self):
+        # Cauchy, k = 9 of 10: the trimmed MSE integral exhausts the panel budget
+        from ordent.bounds import _mse_quadrature_value
+        from ordent.distributions import Cauchy
+        from ordent.entropy_kl import gaussian_reference
+
+        ref = gaussian_reference(Cauchy(), 10, 0.9)
+        value, error, message = _mse_quadrature_value(Cauchy(), BetaLaw(9.0, 2.0), ref, 1e-10)
+        assert math.isfinite(value)
+        assert "did not converge" in message
+
+    def test_converged_bound_has_no_message(self):
+        rep = quantile_mse_bound(Gaussian(), 200, 0.3)
+        assert rep.message == ""

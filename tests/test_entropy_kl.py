@@ -294,3 +294,31 @@ class TestDecomposition:
         totals = [kl_decompose(Exponential(), n, 0.5).total_decomposed for n in ns]
         slope = fitted_slope(ns, totals)
         assert slope <= -0.5 + 0.1
+
+
+class TestFusedQuadrature:
+    """kl_decompose's one three-column pass: k2, k3 and the direct KL."""
+
+    @pytest.mark.parametrize("parent", [Gaussian(), Exponential(), Uniform(), Cauchy(), F2()],
+                             ids=lambda d: d.name)
+    def test_direct_matches_decomposed_without_normalizer_bias(self, parent):
+        # the direct column takes its log Beta density from the quadrature
+        # weight itself; a float64 log-gamma normalizer left gaps near 2e-10
+        for n in (10_000, 100_000):
+            for p in (0.3, 0.5, 0.9):
+                d = kl_decompose(parent, n, p)
+                assert not d.diverged and d.message == ""
+                assert abs(d.total_direct - d.total_decomposed) <= 1e-11, (n, p)
+
+    def test_unconverged_integral_is_flagged(self):
+        # k = 9 of 10 Cauchy draws: beta = 2 makes k2 a log divergence that the
+        # trimmed domain turns into a large finite integral which the panel
+        # budget cannot resolve; the result must never look clean
+        d = kl_decompose(Cauchy(), 10, 0.9)
+        assert d.diverged or "did not converge" in d.message
+
+    def test_thin_views_agree_with_decomposition(self):
+        d = kl_decompose(Gaussian(), 2_000, 0.3, tol=1e-10)
+        assert abs(k2_term(Gaussian(), 2_000, 0.3) - d.k2) <= 1e-12
+        assert abs(k3_term(Gaussian(), 2_000, 0.3) - d.k3) <= 1e-12
+        assert abs(kl_direct(Gaussian(), 2_000, 0.3, tol=1e-10) - d.total_direct) <= 1e-12

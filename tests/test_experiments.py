@@ -104,6 +104,14 @@ class TestRateSweep:
         for da, db in zip(a.decompositions, b.decompositions):
             assert da.to_dict() == db.to_dict()
 
+    def test_jobs_do_not_change_monte_carlo_numbers(self):
+        # Beta draws come from per-(seed, n) streams, whatever thread runs them
+        grid = [100, 200, 400]
+        a = rate_sweep(Gaussian(), 0.5, grid, method="monte_carlo", budget=2_000, jobs=1)
+        b = rate_sweep(Gaussian(), 0.5, grid, method="monte_carlo", budget=2_000, jobs=3)
+        for da, db in zip(a.decompositions, b.decompositions):
+            assert da.to_dict() == db.to_dict()
+
     def test_csv_schema(self):
         report = rate_sweep(Uniform(), 0.5, [100, 200])
         buf = io.StringIO()

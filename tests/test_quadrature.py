@@ -2,11 +2,18 @@
 endpoint singularities, and divergence reporting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import betaln, digamma
 
-from ordent.quadrature import DIVERGENCE_THRESHOLD, adaptive_quad, beta_expectation
+from ordent.quadrature import (
+    DIVERGENCE_THRESHOLD,
+    QuadResults,
+    adaptive_quad,
+    beta_expectation,
+)
 
 
 class TestAdaptiveQuad:
@@ -106,3 +113,103 @@ class TestBetaExpectation:
 
     def test_threshold_constant(self):
         assert DIVERGENCE_THRESHOLD == 1e12
+
+
+class TestMultiColumn:
+    """Stacked integrands: one node set, one QuadResult per column."""
+
+    @staticmethod
+    def columns(x):
+        return np.stack([np.log(x), 1.0 / np.sqrt(x), 3.0 * x**2])
+
+    def test_columns_match_one_column_calls(self):
+        res = adaptive_quad(self.columns, 1e-300, 1.0, tol_abs=1e-10)
+        assert isinstance(res, QuadResults) and len(res) == 3
+        for j, col in enumerate(res):
+            alone = adaptive_quad(lambda x: self.columns(x)[j], 1e-300, 1.0, tol_abs=1e-10)
+            assert col.converged and alone.converged
+            assert abs(col.value - alone.value) <= col.error + alone.error + 1e-15
+        assert abs(res[0].value + 1.0) <= 1e-9
+        assert abs(res[2].value - 1.0) <= 1e-12
+
+    def test_per_column_tolerances(self):
+        res = adaptive_quad(self.columns, 1e-300, 1.0, tol_abs=[1e-6, 1e-12, 1e-12])
+        assert res.converged
+        assert res[0].error <= 1e-6 and res[1].error <= 1e-12
+
+    def test_nonfinite_column_frozen_while_sibling_converges(self):
+        def f(x):
+            blow = np.where(x > 0.5, -np.inf, 0.0)
+            return np.stack([np.exp(x), blow, -blow])
+
+        res = adaptive_quad(f, 0.0, 1.0)
+        assert res[0].converged and not res[0].diverged
+        assert abs(res[0].value - (math.e - 1.0)) <= 1e-12
+        assert res[1].diverged and res[1].value == -math.inf
+        assert res[2].diverged and res[2].value == math.inf
+        assert res.diverged and not res.converged
+
+    def test_depth_rule_in_one_column(self):
+        res = adaptive_quad(lambda x: np.stack([1.0 / x, x]), 1e-300, 1.0)
+        assert res[0].diverged and res[0].value == math.inf
+        assert "depth" in res[0].message
+        assert res[1].converged and abs(res[1].value - 0.5) <= 1e-12
+
+    def test_threshold_rule_in_one_column(self):
+        res = adaptive_quad(lambda x: np.stack([-1e20 * np.ones_like(x), x]), 0.0, 1.0)
+        assert res[0].diverged and res[0].value == -math.inf
+        assert "exceeded" in res[0].message
+        assert res[1].converged
+
+    def test_panel_budget_flags_unconverged(self):
+        res = adaptive_quad(lambda x: np.sin(1.0 / x), 1e-6, 1.0, tol_abs=1e-14, max_panels=150)
+        assert not res.converged and not res.diverged
+        assert "budget" in res.message and math.isfinite(res.value)
+
+    def test_stop_on_divergence(self):
+        def f(x):
+            return np.stack([np.where(x > 0.5, np.inf, 0.0), np.sin(1.0 / x)])
+
+        res = adaptive_quad(f, 1e-6, 1.0, tol_abs=1e-14, stop_on_divergence=[False, True])
+        assert res[0].diverged
+        assert not res[1].diverged and not res[1].converged
+        assert "another column diverged" in res[1].message
+
+    def test_neval_deterministic(self):
+        def f(x):
+            return np.stack([np.log(x), np.sin(1.0 / x)])
+
+        first = adaptive_quad(f, 1e-6, 1.0, tol_abs=1e-12)
+        for _ in range(3):
+            again = adaptive_quad(f, 1e-6, 1.0, tol_abs=1e-12)
+            assert again.neval == first.neval
+            assert [r.neval for r in again] == [r.neval for r in first]
+            assert [r.value for r in again] == [r.value for r in first]
+
+    def test_no_runtime_warning_escapes(self):
+        def f(x):
+            # +inf and -inf in one panel make the rule pair inf - inf
+            out = np.zeros((2, x.size))
+            out[0, x > 0.5] = np.inf
+            out[0, (x > 0.25) & (x < 0.5)] = -np.inf
+            out[1] = x
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = adaptive_quad(f, 0.0, 1.0)
+            beta_expectation(lambda u: np.stack([u, 1.0 / (1.0 - u) ** 3]), 3.0, 2.0)
+        assert res[0].diverged and res[1].converged
+
+    def test_beta_expectation_columns_and_log_weight(self):
+        a, b = 400.0, 601.0
+
+        def g(u, logw):
+            return np.stack([u, logw])
+
+        res = beta_expectation(g, a, b, log_weight=True)
+        assert abs(res[0].value - a / (a + b)) <= 1e-12
+        # E[log density] = -entropy of Beta(a, b)
+        entropy = (betaln(a, b) - (a - 1.0) * digamma(a) - (b - 1.0) * digamma(b)
+                   + (a + b - 2.0) * digamma(a + b))
+        assert abs(res[1].value + entropy) <= 1e-9

@@ -138,6 +138,13 @@ class TestLogBeta:
         val = special.log_beta(300.0, 701.0)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
+    def test_extended_integer_arguments_against_mpmath(self):
+        # the Beta normalizer of every quadrature weight, up to n = 1e5
+        for a, b in [(1, 1), (30, 35), (3000, 7001), (30000, 70001),
+                     (50000, 50001), (90000, 10001)]:
+            with mp.workdps(40):
+                oracle = np.longdouble(mp.nstr(mp.log(mp.beta(a, b)), 30))
+            assert abs(float(special.log_beta_extended(a, b) - oracle)) <= 3e-13
     def test_domain_error(self):
         with pytest.raises(ValueError):
             special.log_beta(0.0, 1.0)
