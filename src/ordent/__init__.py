@@ -74,13 +74,6 @@ from .order_stats import (
 )
 from .quadrature import QuadResult, QuadResults, adaptive_quad, beta_expectation
 from .reports import BoundReport
-from .special import (
-    digamma,
-    harmonic,
-    log_beta,
-    log_gamma,
-    regularized_incomplete_beta,
-    t_sequence,
-)
+from .special import harmonic, t_sequence
 
 __version__ = "0.1.0"

@@ -121,28 +121,19 @@ def _grid_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
     return cur
 
 
-def _quantile_curvature_max(parent: ParentDistribution, p: float, eps: float) -> float:
-    """max over [p-eps, p+eps] of |f'(F^{-1}(t)) / f(F^{-1}(t))^3|."""
+def _density_ratio_max(parent: ParentDistribution, p: float, eps: float, power: int) -> float:
+    """max over [p-eps, p+eps] of |f'(F^{-1}(t)) / f(F^{-1}(t))^power|.
+
+    ``power`` 3 is the quantile curvature |(F^{-1})''|; 2 is the slope of
+    log f(F^{-1}(t)).
+    """
     lo = max(p - eps, 1e-12)
     hi = min(p + eps, 1.0 - 1e-12)
 
     def fn(t):
         x = np.asarray(parent.quantile(t), dtype=float)
         dens = np.exp(np.asarray(parent.log_pdf(x), dtype=float))
-        return np.abs(np.asarray(parent.pdf_derivative(x), dtype=float)) / dens**3
-
-    return _grid_max(fn, lo, hi)
-
-
-def _log_slope_max(parent: ParentDistribution, p: float, eps: float) -> float:
-    """max over [p-eps, p+eps] of |f'(F^{-1}(u)) / f(F^{-1}(u))^2|."""
-    lo = max(p - eps, 1e-12)
-    hi = min(p + eps, 1.0 - 1e-12)
-
-    def fn(u):
-        x = np.asarray(parent.quantile(u), dtype=float)
-        dens = np.exp(np.asarray(parent.log_pdf(x), dtype=float))
-        return np.abs(np.asarray(parent.pdf_derivative(x), dtype=float)) / dens**2
+        return np.abs(np.asarray(parent.pdf_derivative(x), dtype=float)) / dens**power
 
     return _grid_max(fn, lo, hi)
 
@@ -197,7 +188,7 @@ def quantile_mse_bound(
                 "parent moment E|X|^r is infinite; bound vacuous", quad_message) if m),
         )
 
-    c_pe = _quantile_curvature_max(parent, p, eps)
+    c_pe = _density_ratio_max(parent, p, eps, 3)
     mean_u, var_u = beta_mean_var(law)
     bias = mean_u - p
     mu4 = beta_fourth_central_moment(law)
@@ -294,7 +285,7 @@ def k3_bound(
             message=f"||f||_{norm_order:g} is infinite; finite-norm condition violated",
         )
 
-    c_eps2 = _log_slope_max(parent, p, eps)
+    c_eps2 = _density_ratio_max(parent, p, eps, 2)
     mean_u, var_u = beta_mean_var(law)
     first = 2.0 * abs(log_fp) * math.exp(-2.0 * (n + 2.0) * (eps - p / (n + 1.0)) ** 2)
     middle = c_eps2 * math.sqrt(var_u + (mean_u - p) ** 2)

@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
     p_rate.add_argument("--tol", type=float, default=1e-9)
     p_rate.add_argument("--seed", type=int, default=0)
     p_rate.add_argument("--jobs", type=int, default=None,
-                        help="parallel per-n workers (default: ORDSTAT_JOBS or 1)")
+                        help="no effect: sweeps run in the calling thread "
+                             "(kept for scripts that pass it; to be removed)")
     p_rate.add_argument("--out", default=None, help="write the per-n table as CSV")
     p_rate.add_argument("--plot-data", default=None,
                         help="write two columns (n, total) for plotting")
@@ -118,8 +119,7 @@ def _cmd_kl(args) -> int:
 def _cmd_rate_fit(args) -> int:
     parent = parse_distribution(args.parent)
     grid = parse_n_grid(args.n_grid)
-    report = rate_sweep(parent, args.p, grid, tol=args.tol, seed=args.seed,
-                        jobs=args.jobs)
+    report = rate_sweep(parent, args.p, grid, tol=args.tol, seed=args.seed)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             report.write_csv(fh)

@@ -55,16 +55,14 @@ def uniform_order_stat_entropy_exact(n: int, k: int) -> float:
     """Differential entropy (nats) of U_(k) ~ Beta(k, n+1-k).
 
     Closed form T_{k-1} + T_{n-k} - T_n - H_n with T_r = log(r!) - r H_r.
-    The terms grow like n log n while the result stays O(log n), so the
-    combination runs through the extended-precision paths.
+    The terms grow like n log n while the result stays O(log n); the growing
+    parts cancel analytically in ``special.order_stat_entropy``.
     """
     n = int(n)
     k = int(k)
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    t = special.t_sequence_extended
-    h = special.harmonic_extended
-    return float(t(k - 1) + t(n - k) - t(n) - h(n))
+    return special.order_stat_entropy(n, k)
 
 
 def entropy_expansion_linear_coefficient(p: float) -> float:
@@ -300,7 +298,8 @@ def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -
 class KlDecomposition:
     """The three-term split of D(X_(np) || G_{n,p}) plus its direct value.
 
-    Slotted: sweeps and benchmarks keep thousands of these.
+    Slotted, and the total is derived rather than stored: sweeps and
+    benchmarks keep thousands of these.
     """
 
     n: int
@@ -309,11 +308,15 @@ class KlDecomposition:
     k1: float
     k2: float
     k3: float
-    total_decomposed: float
     total_direct: float
     quad_error: float
     diverged: bool = False
     message: str = ""
+
+    @property
+    def total_decomposed(self) -> float:
+        """k1 + k2 + k3; infinite once a term diverged."""
+        return math.inf if self.diverged else self.k1 + self.k2 + self.k3
 
     def to_dict(self) -> dict:
         return {
@@ -364,7 +367,6 @@ def kl_decompose(
     diverged = k2_div or k3_div
     if diverged:
         message = "; ".join(m for m in (k2_msg, k3_msg) if m)
-        total = math.inf
         direct = math.inf
         quad_error = math.inf
     else:
@@ -373,11 +375,10 @@ def kl_decompose(
             direct_detail = _quadrature_detail("direct", res["direct"], ref, log_fp)
         direct, direct_err, direct_div, direct_msg = direct_detail
         message = "; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m)
-        total = k1 + k2 + k3
         quad_error = k2_err + k3_err + (0.0 if direct_div else direct_err)
     return KlDecomposition(
         n=int(n), p=float(p), k=spec.k,
         k1=k1, k2=k2, k3=k3,
-        total_decomposed=total, total_direct=direct,
+        total_direct=direct,
         quad_error=quad_error, diverged=diverged, message=message,
     )

@@ -3,18 +3,15 @@
 A sweep evaluates the KL decomposition on an increasing n grid, fits a
 power-law decay rate on the finite totals over the top half of the grid
 (asymptotic claims must not be biased by small-n transients), and packages
-everything into a reproducible report.  Per-n evaluations may run in a
-thread pool; generator streams are keyed by (seed, n) so concurrency never
-changes any number.
+everything into a reproducible report.  Generator streams are keyed by
+(seed, n), so every n draws the same numbers whatever else is on the grid.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +150,6 @@ class ExperimentReport:
     n_grid: list[int]
     decompositions: list[KlDecomposition]
     rate_fit: RateFit | None
-    bound_reports: list = field(default_factory=list)
     seed: int = 0
     tol: float = 1e-9
     wall_time: float = 0.0
@@ -170,7 +166,6 @@ class ExperimentReport:
             "n_grid": list(self.n_grid),
             "decompositions": [d.to_dict() for d in self.decompositions],
             "rate_fit": self.rate_fit.to_dict() if self.rate_fit else None,
-            "bound_reports": [b.to_dict() for b in self.bound_reports],
             "seed": self.seed,
             "tol": self.tol,
             "wall_time": self.wall_time,
@@ -207,14 +202,6 @@ class ExperimentReport:
             writer.writerow(row)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("ORDSTAT_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def rate_sweep(
     parent: ParentDistribution,
     p: float,
@@ -224,7 +211,6 @@ def rate_sweep(
     method: str = "quadrature",
     budget: int = 100_000,
     seed: int = 0,
-    jobs: int | None = None,
 ) -> ExperimentReport:
     """KL decomposition across an n grid plus a decay-rate fit on the totals.
 
@@ -236,18 +222,9 @@ def rate_sweep(
         raise ValueError("n_grid must be strictly increasing")
     if n_grid[0] < 10:
         raise ValueError("n_grid minimum must be >= 10")
-    jobs = _default_jobs() if jobs is None else max(1, int(jobs))
     t0 = time.monotonic()
-
-    def one(n: int) -> KlDecomposition:
-        return kl_decompose(parent, n, p, method=method, budget=budget,
-                            seed=seed + n, tol=tol)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            decomps = list(pool.map(one, n_grid))
-    else:
-        decomps = [one(n) for n in n_grid]
+    decomps = [kl_decompose(parent, n, p, method=method, budget=budget, seed=seed + n, tol=tol)
+               for n in n_grid]
 
     finite_totals = [d.total_decomposed for d in decomps]
     fit = fit_rate(n_grid, finite_totals)

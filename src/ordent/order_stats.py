@@ -16,8 +16,8 @@ import numpy as np
 from scipy import special as _sc
 
 from .distributions import BetaLaw, ParentDistribution, beta_sample
-from .quadrature import beta_expectation
 from .reports import BoundReport
+from .special import beta_log_density
 
 __all__ = [
     "OrderStatSpec",
@@ -82,21 +82,14 @@ class OrderStatSpec:
         return BetaLaw(float(self.k), float(self.n + 1 - self.k))
 
 
-def _log_normalizer(n: int, k: int) -> float:
-    # log c_k = log n! - log (k-1)! - log (n-k)!
-    return _sc.gammaln(n + 1.0) - _sc.gammaln(float(k)) - _sc.gammaln(n - k + 1.0)
-
-
 def order_stat_pdf(parent: ParentDistribution, spec: OrderStatSpec, x):
     """Density of the k-th order statistic at x; zero outside the support."""
-    n, k = spec.n, spec.k
+    law = spec.beta_law
     arr = np.asarray(x, dtype=float)
     F = np.asarray(parent.cdf(arr), dtype=float)
     logf = np.asarray(parent.log_pdf(arr), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1 = np.where(k == 1, 0.0, (k - 1.0) * np.log(F))
-        t2 = np.where(k == n, 0.0, (n - k * 1.0) * np.log1p(-F))
-        logpdf = _log_normalizer(n, k) + t1 + t2 + logf
+    with np.errstate(invalid="ignore", over="ignore"):
+        logpdf = beta_log_density(law.alpha, law.beta, F) + logf
         # densities beyond float range (the unbounded parent near its origin)
         # surface as inf, which is the honest linear-space answer
         out = np.where(np.isfinite(logpdf), np.exp(logpdf), 0.0)
@@ -209,15 +202,3 @@ def quantile_envelope(parent: ParentDistribution, r: float, u: float) -> float:
         raise ValueError(
             f"quantile envelope needs a finite E|X|^{r:g} for {parent.spec_string()}")
     return (moment / min(u, 1.0 - u)) ** (1.0 / r)
-
-
-def order_stat_moment_quadrature(
-    parent: ParentDistribution, spec: OrderStatSpec, q: float, tol: float = 1e-10
-):
-    """E|X_(k)|^q by quadrature in quantile space (test oracle companion)."""
-    law = spec.beta_law
-    res = beta_expectation(
-        lambda u: np.abs(parent.quantile(u)) ** q, law.alpha, law.beta,
-        tol_abs=tol, tol_rel=1e-9,
-    )
-    return res

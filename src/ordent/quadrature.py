@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import beta_log_density_extended
+from .special import beta_log_density
 
 __all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation",
            "DIVERGENCE_THRESHOLD"]
@@ -294,12 +294,10 @@ def beta_expectation(
     def integrand(u):
         # inf * 0 products surface as nan and are treated as blow-up evidence
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            # The log normalizer is a cancellation of terms that grow like
-            # (a+b) log(a+b); summing the log weight in extended precision,
-            # then rounding it once, keeps the common weight bias near 1e-15
-            # even for parameters around 1e5, where float64 log-gamma alone
-            # would bias every weight by ~1e-10.
-            logw = np.asarray(beta_log_density_extended(alpha, beta, u), dtype=float)
+            # Loader's form keeps the log normalizer free of the (a+b) log(a+b)
+            # cancellation that biases float64 log-gamma weights by ~1e-10
+            # at parameters near 1e5
+            logw = beta_log_density(alpha, beta, u)
             y = g(u, logw) if log_weight else g(u)
             return np.exp(logw) * np.asarray(y, dtype=float)
 

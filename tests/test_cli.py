@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from ordent.cli import EXIT_BOUND_FAIL, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, cli_main
@@ -18,6 +19,14 @@ class TestEntropy:
         rec = json.loads(capsys.readouterr().out)
         assert abs(rec["exact"] - rec["expansion"]) <= 1e-5
         assert rec["p"] == 0.5
+
+    def test_large_n_against_mpmath(self, capsys):
+        n, k = 10**9, 5 * 10**8
+        assert cli_main(["entropy", "--n", str(n), "--k", str(k)]) == EXIT_OK
+        t = lambda r: mp.loggamma(r + 1) - r * mp.harmonic(r)
+        with mp.workdps(40):
+            oracle = float(t(k - 1) + t(n - k) - t(n) - mp.harmonic(n))
+        assert abs(float(capsys.readouterr().out) - oracle) <= 1e-14
 
     def test_bad_rank(self, capsys):
         assert cli_main(["entropy", "--n", "10", "--k", "11"]) == EXIT_USAGE
@@ -63,6 +72,12 @@ class TestRateFit:
         assert out.read_text().count("\n") == 4
         rows = [line.split() for line in plot.read_text().strip().splitlines()]
         assert len(rows) == 3 and all(len(r) == 2 for r in rows)
+
+    def test_jobs_flag_is_a_no_op(self, capsys, tmp_path):
+        args = ["rate-fit", "--parent", "gaussian()", "--p", "0.5", "--n-grid", "100:1000:4log"]
+        assert cli_main([*args, "--out", str(tmp_path / "plain.csv")]) == EXIT_OK
+        assert cli_main([*args, "--jobs", "2", "--out", str(tmp_path / "jobs.csv")]) == EXIT_OK
+        assert (tmp_path / "jobs.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_divergent_parent_exit_code(self, capsys, tmp_path):
         code = cli_main(["rate-fit", "--parent", "f1()", "--p", "0.5",

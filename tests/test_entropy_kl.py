@@ -7,6 +7,7 @@ and the exact-vs-direct identity that must hold to quadrature accuracy.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -73,6 +74,18 @@ class TestExactEntropy:
             k = int(rng.integers(1, n + 1))
             assert abs(uniform_order_stat_entropy_exact(n, k)
                        - beta_entropy_quadrature(n, k)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [10**6, 10**7, 10**9])
+    def test_large_n_against_mpmath(self, n):
+        # no ceiling on n: the terms grow like n log n, the entropy like log n
+        def oracle(k):
+            t = lambda r: mp.loggamma(r + 1) - r * mp.harmonic(r)
+            with mp.workdps(40):
+                return float(t(k - 1) + t(n - k) - t(n) - mp.harmonic(n))
+
+        for k, tol in [(n // 10, 1e-14), (n // 2, 1e-14), (1, 2e-14), (2, 2e-14),
+                       (15, 2e-14), (16, 2e-14), (n - 1, 2e-14), (n, 2e-14)]:
+            assert abs(uniform_order_stat_entropy_exact(n, k) - oracle(k)) <= tol, k
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -309,6 +322,13 @@ class TestFusedQuadrature:
                 d = kl_decompose(parent, n, p)
                 assert not d.diverged and d.message == ""
                 assert abs(d.total_direct - d.total_decomposed) <= 1e-11, (n, p)
+
+    @pytest.mark.parametrize("parent", [Gaussian(), Exponential()], ids=lambda d: d.name)
+    @pytest.mark.parametrize("n", [10**6, 10**7])
+    def test_identity_at_large_n(self, parent, n):
+        d = kl_decompose(parent, n, 0.5)
+        assert not d.diverged and d.message == ""
+        assert abs(d.total_direct - d.total_decomposed) <= 1e-12
 
     def test_unconverged_integral_is_flagged(self):
         # k = 9 of 10 Cauchy draws: beta = 2 makes k2 a log divergence that the

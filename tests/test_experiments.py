@@ -3,11 +3,13 @@
 import io
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from ordent.distributions import F1, F2, Cauchy, Gaussian, Uniform
+from ordent.entropy_kl import kl_decompose
 from ordent.experiments import (
     CSV_COLUMNS,
     ConditionCheck,
@@ -98,19 +100,28 @@ class TestRateSweep:
         assert json.dumps(a, default=str) == json.dumps(b, default=str)
 
     def test_jobs_do_not_change_numbers(self):
+        # a caller spreading the sweep's points over threads gets the serial numbers
         grid = [100, 200, 400]
-        a = rate_sweep(Gaussian(), 0.5, grid, jobs=1)
-        b = rate_sweep(Gaussian(), 0.5, grid, jobs=3)
-        for da, db in zip(a.decompositions, b.decompositions):
+        a = rate_sweep(Gaussian(), 0.5, grid)
+        with ThreadPoolExecutor(3) as pool:
+            b = list(pool.map(lambda n: kl_decompose(Gaussian(), n, 0.5, seed=n), grid))
+        for da, db in zip(a.decompositions, b):
             assert da.to_dict() == db.to_dict()
 
     def test_jobs_do_not_change_monte_carlo_numbers(self):
         # Beta draws come from per-(seed, n) streams, whatever thread runs them
         grid = [100, 200, 400]
-        a = rate_sweep(Gaussian(), 0.5, grid, method="monte_carlo", budget=2_000, jobs=1)
-        b = rate_sweep(Gaussian(), 0.5, grid, method="monte_carlo", budget=2_000, jobs=3)
-        for da, db in zip(a.decompositions, b.decompositions):
+        a = rate_sweep(Gaussian(), 0.5, grid, method="monte_carlo", budget=2_000)
+        with ThreadPoolExecutor(3) as pool:
+            b = list(pool.map(lambda n: kl_decompose(
+                Gaussian(), n, 0.5, method="monte_carlo", budget=2_000, seed=n), grid))
+        for da, db in zip(a.decompositions, b):
             assert da.to_dict() == db.to_dict()
+
+    def test_slope_up_to_1e7(self):
+        # the true slope is -1; the fit uses the top half of the grid, 1e5..1e7
+        report = rate_sweep(Gaussian(), 0.5, log_grid(1000, 10**7, 12, multiple_of=2))
+        assert abs(report.rate_fit.slope + 1.0) <= 0.002
 
     def test_csv_schema(self):
         report = rate_sweep(Uniform(), 0.5, [100, 200])
