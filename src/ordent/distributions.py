@@ -7,10 +7,12 @@ and ``f2`` (1/(x log^2 x) on (0, 1/e), unbounded density whose L_m norm is
 infinite for every m > 1).
 
 Each parent exposes pdf, log-pdf, cdf, quantile, the pdf derivative, the
-absolute moment E|X|^r and the L_m norm of the density.  Moment and norm
-finiteness is decided symbolically per family (quadrature cannot certify
-divergence); finite values are computed by quadrature in quantile space
-unless a closed form is trivial.
+absolute moment E|X|^r and the L_m norm of the density.  Each family
+declares how fast its quantile, log density and density grow at the ends of
+quantile space (``EndpointGrowth``), and ``power_moment_finite`` turns that
+into the finiteness of every expectation in the package (quadrature cannot
+certify divergence); finite values are computed by quadrature in quantile
+space unless a closed form is trivial.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sc
@@ -29,6 +32,8 @@ from .special import beta_log_density
 __all__ = [
     "DistributionSpecError",
     "ClampedProbabilityWarning",
+    "EndpointGrowth",
+    "power_moment_finite",
     "ParentDistribution",
     "Uniform",
     "Gaussian",
@@ -67,6 +72,30 @@ def _ret(x_in, out):
     return out
 
 
+class EndpointGrowth(NamedTuple):
+    """Tight exponents (a0, a1) with |g(u)| = O(u^-a0) as u -> 0 and
+    O((1 - u)^-a1) as u -> 1, for g = F^{-1}, log f(F^{-1}) and f(F^{-1}).
+
+    0 means bounded or logarithmic; inf means faster than every power.
+    """
+
+    quantile: tuple[float, float] = (0.0, 0.0)
+    log_pdf: tuple[float, float] = (0.0, 0.0)
+    pdf: tuple[float, float] = (0.0, 0.0)
+
+
+def power_moment_finite(growth: tuple[float, float], r: float,
+                        alpha: float = 1.0, beta: float = 1.0) -> bool:
+    """Whether E|g(U)|^r is finite for U ~ Beta(alpha, beta).
+
+    ``growth`` is g's (a0, a1) from ``EndpointGrowth``: finite iff
+    r a0 < alpha and r a1 < beta.  A zero exponent is finite at every r, an
+    infinite one only at r = 0.  The defaults make U uniform.
+    """
+    return all(a == 0.0 or (r * a < w if a < math.inf else r == 0.0)
+               for a, w in zip(growth, (alpha, beta)))
+
+
 def random_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream).
 
@@ -82,6 +111,11 @@ class ParentDistribution:
 
     name: str = "parent"
     support: tuple[float, float] = (-math.inf, math.inf)
+
+    @property
+    def growth(self) -> EndpointGrowth:
+        """Each family declares its endpoint growth as a class attribute."""
+        raise NotImplementedError
 
     # -- core surface -------------------------------------------------------
     def pdf(self, x):
@@ -130,7 +164,8 @@ class ParentDistribution:
 
     # -- moments and norms --------------------------------------------------
     def abs_moment_finite(self, r: float) -> bool:
-        raise NotImplementedError
+        """Whether E|X|^r = E|F^{-1}(U)|^r, U uniform, is finite."""
+        return power_moment_finite(self.growth.quantile, r)
 
     def abs_moment(self, r: float) -> float:
         """E|X|^r, +inf when the moment diverges.
@@ -160,7 +195,8 @@ class ParentDistribution:
         return total
 
     def norm_m_finite(self, m: float) -> bool:
-        raise NotImplementedError
+        """Whether ||f||_m is finite: int f^m dx = E[f(F^{-1}(U))^(m-1)], U uniform."""
+        return power_moment_finite(self.growth.pdf, m - 1.0)
 
     def norm_m(self, m: float) -> float:
         """L_m norm of the density, +inf when divergent; m = inf is sup f."""
@@ -193,6 +229,7 @@ class Uniform(ParentDistribution):
     """Uniform on (a, b)."""
 
     name = "uniform"
+    growth = EndpointGrowth()
 
     def __init__(self, a: float = 0.0, b: float = 1.0):
         if not b > a:
@@ -219,12 +256,6 @@ class Uniform(ParentDistribution):
     def pdf_derivative(self, x):
         return _ret(x, np.zeros_like(np.asarray(x, dtype=float)))
 
-    def abs_moment_finite(self, r):
-        return True
-
-    def norm_m_finite(self, m):
-        return True
-
     def norm_m(self, m):
         if m < 1:
             raise ValueError("norm_m requires m >= 1")
@@ -241,6 +272,7 @@ class Gaussian(ParentDistribution):
     """Normal with mean mu and standard deviation sigma."""
 
     name = "gaussian"
+    growth = EndpointGrowth()
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
         if sigma <= 0:
@@ -281,12 +313,6 @@ class Gaussian(ParentDistribution):
         dens = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
         return _ret(x, -z / self.sigma * dens)
 
-    def abs_moment_finite(self, r):
-        return True
-
-    def norm_m_finite(self, m):
-        return True
-
     def _sup_pdf(self):
         return 1.0 / (self.sigma * math.sqrt(2 * math.pi))
 
@@ -298,6 +324,7 @@ class Exponential(ParentDistribution):
     """Exponential with rate lambda on (0, inf)."""
 
     name = "exponential"
+    growth = EndpointGrowth()
 
     def __init__(self, rate: float = 1.0):
         if rate <= 0:
@@ -329,12 +356,6 @@ class Exponential(ParentDistribution):
         out = np.where(arr > 0, -self.rate**2 * np.exp(-self.rate * np.clip(arr, 0, None)), 0.0)
         return _ret(x, out)
 
-    def abs_moment_finite(self, r):
-        return True
-
-    def norm_m_finite(self, m):
-        return True
-
     def _sup_pdf(self):
         return self.rate
 
@@ -346,6 +367,7 @@ class Cauchy(ParentDistribution):
     """Cauchy with location and scale; E|X|^r is finite only for r < 1."""
 
     name = "cauchy"
+    growth = EndpointGrowth(quantile=(1.0, 1.0))
 
     def __init__(self, loc: float = 0.0, scale: float = 1.0):
         if scale <= 0:
@@ -391,12 +413,6 @@ class Cauchy(ParentDistribution):
         z = self._z(x)
         return _ret(x, -2.0 * z / (math.pi * self.scale**2 * (1.0 + z * z) ** 2))
 
-    def abs_moment_finite(self, r):
-        return r < 1.0
-
-    def norm_m_finite(self, m):
-        return True
-
     def _sup_pdf(self):
         return 1.0 / (math.pi * self.scale)
 
@@ -408,12 +424,12 @@ class F1(ParentDistribution):
     """Density 2/(x log^3 x) on (e, inf).
 
     Canonical heavy tail: E|X|^r diverges for every r > 0, while the density
-    itself is bounded with every L_m norm finite.  The quantile
-    exp(1/sqrt(1-u)) overflows to inf as u -> 1; callers treat that as the
-    too-large-to-represent signal it is.
+    itself is bounded with every L_m norm finite.
     """
 
     name = "f1"
+    # quantile exp((1-u)^-1/2), log density ~ -(1-u)^-1/2
+    growth = EndpointGrowth(quantile=(0.0, math.inf), log_pdf=(0.0, 0.5))
 
     def __init__(self):
         self.support = (math.e, math.inf)
@@ -453,12 +469,6 @@ class F1(ParentDistribution):
         lg = np.log(safe)
         return _ret(x, np.where(inside, -2.0 * (lg + 3.0) / (safe**2 * lg**4), 0.0))
 
-    def abs_moment_finite(self, r):
-        return False
-
-    def norm_m_finite(self, m):
-        return True
-
     def _sup_pdf(self):
         return 2.0 / math.e
 
@@ -471,6 +481,8 @@ class F2(ParentDistribution):
     """
 
     name = "f2"
+    # log density 1/u + 2 log u, density e^(1/u) u^2
+    growth = EndpointGrowth(log_pdf=(1.0, 0.0), pdf=(math.inf, 0.0))
 
     def __init__(self):
         self.support = (0.0, 1.0 / math.e)
@@ -511,15 +523,6 @@ class F2(ParentDistribution):
         safe = np.where(inside, arr, 0.5 / math.e)
         lg = np.log(safe)
         return _ret(x, np.where(inside, -(lg + 2.0) / (safe**2 * lg**3), 0.0))
-
-    def abs_moment_finite(self, r):
-        return True
-
-    def norm_m_finite(self, m):
-        return m == 1.0
-
-    def _sup_pdf(self):
-        return math.inf
 
 
 # ---------------------------------------------------------------------------

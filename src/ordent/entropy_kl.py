@@ -12,7 +12,8 @@ Gaussian splits exactly into three parts:
 ``kl_direct`` integrates the same divergence in one piece as a cross-check;
 the identity k1 + k2 + k3 = direct holds to quadrature accuracy whenever all
 parts converge.  Divergence (the heavy-tail parent makes k2 infinite) is a
-reported outcome, not an exception.
+reported outcome, not an exception, decided from the parent's declared
+endpoint growth before any quadrature or sampling.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .distributions import ParentDistribution, beta_sample
+from .distributions import PROB_CLAMP, ParentDistribution, beta_sample, power_moment_finite
 from .order_stats import OrderStatSpec, round_rank
 from .quadrature import QuadResult, beta_expectation
 
@@ -143,6 +144,34 @@ def _term_tolerances(term: str, tol: float) -> tuple[float, float]:
     return tol, 1e-10
 
 
+#: The expectation behind k2 and k3 as (``EndpointGrowth`` field, power, name).
+_TERM_EXPECTATION = {"k2": ("quantile", 2.0, "E[(F^-1(U) - F^-1(p))^2]"),
+                     "k3": ("log_pdf", 1.0, "E[log f(F^-1(U))]")}
+
+
+def _term_divergence(term: str, parent: ParentDistribution, law) -> tuple[float, str] | None:
+    """(infinite value, message) when the expectation behind a term is
+    infinite under ``law``, from the parent's endpoint growth, else None.
+
+    A divergent k3 has the sign of log f(F^{-1}(u)) at its diverging end
+    (the lower one if both diverge); the nonnegative direct KL is +inf with
+    k2 or k3, whose message says why.
+    """
+    if term == "direct":
+        hit = _term_divergence("k2", parent, law) or _term_divergence("k3", parent, law)
+        return None if hit is None else (math.inf, "")
+    field, power, name = _TERM_EXPECTATION[term]
+    a0, a1 = getattr(parent.growth, field)
+    if power_moment_finite((a0, a1), power, law.alpha, law.beta):
+        return None
+    value = math.inf
+    if term == "k3":
+        lower = not power_moment_finite((a0, 0.0), power, law.alpha, law.beta)
+        end = PROB_CLAMP if lower else 1.0 - PROB_CLAMP
+        value = math.copysign(value, float(parent.log_pdf_at_quantile(end)))
+    return value, f"{name} is infinite under Beta({law.alpha:g}, {law.beta:g})"
+
+
 def _quadrature_terms(
     parent: ParentDistribution,
     law,
@@ -156,33 +185,40 @@ def _quadrature_terms(
     E of the log ratio of the X_(k) density to the Gaussian one, in
     u = F(x) coordinates.  Every node makes at most one ``quantile`` and one
     ``log_pdf_at_quantile`` call for all columns, and the direct column takes
-    its log Beta density from the engine's extended-precision log weight,
-    the same value that weights the node.  ``ref`` is needed only for
-    ``k2`` and ``direct``.
+    its log Beta density from the engine's log weight, the same value that
+    weights the node.  ``ref`` is needed only for ``k2`` and ``direct``.
+    An expectation that ``_term_divergence`` finds infinite is not
+    integrated: its result is diverged, with that infinity and message.
     """
+    results = {}
+    for t in terms:
+        hit = _term_divergence(t, parent, law)
+        if hit:
+            results[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
+                                    message=hit[1])
+    terms = tuple(t for t in terms if t not in results)
+    if not terms:
+        return results
     need_quantile = "k2" in terms or "direct" in terms
     need_log_pdf = "k3" in terms or "direct" in terms
 
     def columns(u, logw):
-        # overflow to inf is the divergence signal for explosive quantiles
-        with np.errstate(over="ignore", invalid="ignore"):
-            col = {}
-            if need_quantile:
-                col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
-            if need_log_pdf:
-                col["k3"] = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
-            if "direct" in terms:
-                v = ref.v_np
-                col["direct"] = (logw + col["k3"] + 0.5 * math.log(2.0 * math.pi * v)
-                                 + col["k2"] / (2.0 * v))
-            return np.stack([col[t] for t in terms])
+        col = {}
+        if need_quantile:
+            col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
+        if need_log_pdf:
+            col["k3"] = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
+        if "direct" in terms:
+            v = ref.v_np
+            col["direct"] = (logw + col["k3"] + 0.5 * math.log(2.0 * math.pi * v)
+                             + col["k2"] / (2.0 * v))
+        return np.stack([col[t] for t in terms])
 
     tol_abs, tol_rel = zip(*(_term_tolerances(t, tol) for t in terms))
-    # the direct value is reported only when k2 and k3 are finite
     res = beta_expectation(columns, law.alpha, law.beta,
-                           tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True,
-                           stop_on_divergence=[t == "direct" for t in terms])
-    return dict(zip(terms, res))
+                           tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True)
+    results.update(zip(terms, res))
+    return results
 
 
 def _quadrature_detail(
@@ -191,11 +227,11 @@ def _quadrature_detail(
     """(value, error, diverged, message) of one term from its Beta expectation.
 
     A finite value from an unconverged integral is kept, and the message
-    says so.
+    says so.  A diverged k2 or direct KL is +inf (both are nonnegative); a
+    diverged k3 keeps the result's value, NaN after a non-finite node.
     """
     if res.diverged:
-        value = math.copysign(math.inf, res.value) if term == "k3" else math.inf
-        return value, math.inf, True, res.message
+        return res.value if term == "k3" else math.inf, math.inf, True, res.message
     message = "" if res.converged else f"{term} did not converge: {res.message}"
     if term == "k2":
         scale = 2.0 * ref.v_np
@@ -215,30 +251,31 @@ def _monte_carlo_detail(
     seed: int,
 ) -> tuple[float, float, bool, str]:
     """(value, error, diverged, message) of k2 or k3 from Beta draws."""
+    hit = _term_divergence(term, parent, law)
+    if hit:
+        return hit[0], math.inf, True, hit[1]
     if term == "k2":
         u = beta_sample(law, budget, seed, stream=1)
         vals = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
-        if not np.isfinite(vals).all():
-            return math.inf, math.inf, True, "non-finite quantile differences sampled"
         scale, shift = 2.0 * ref.v_np, 0.5
     else:
         u = beta_sample(law, budget, seed, stream=2)
         vals = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
-        if not np.isfinite(vals).all():
-            return math.inf, math.inf, True, "non-finite log densities sampled"
         scale, shift = 1.0, log_fp
     se = float(np.std(vals, ddof=1) / math.sqrt(budget))
     return float(np.mean(vals)) / scale - shift, se / scale, False, ""
 
 
-def _term_detail(term, parent, spec, ref, log_fp, method, budget, seed, tol):
-    """(value, error, diverged, message) of k2 or k3 by either method."""
-    if method == "quadrature":
-        res = _quadrature_terms(parent, spec.beta_law, ref, tol, (term,))[term]
-        return _quadrature_detail(term, res, ref, log_fp)
-    if method == "monte_carlo":
-        return _monte_carlo_detail(term, parent, spec.beta_law, ref, log_fp, budget, seed)
-    raise ValueError("method must be 'quadrature' or 'monte_carlo'")
+def _term_details(terms, parent, law, ref, log_fp, method, budget, seed, tol) -> dict:
+    """(value, error, diverged, message) of each of ``terms``: k2 and k3 by
+    ``method``, the direct KL by quadrature in either case."""
+    if method not in ("quadrature", "monte_carlo"):
+        raise ValueError("method must be 'quadrature' or 'monte_carlo'")
+    details = {t: _monte_carlo_detail(t, parent, law, ref, log_fp, budget, seed)
+               for t in terms if t != "direct" and method == "monte_carlo"}
+    res = _quadrature_terms(parent, law, ref, tol, tuple(t for t in terms if t not in details))
+    details.update((t, _quadrature_detail(t, r, ref, log_fp)) for t, r in res.items())
+    return details
 
 
 def k2_term(
@@ -253,7 +290,8 @@ def k2_term(
     """E[(F^{-1}(U_(np)) - F^{-1}(p))^2] / (2 V_np) - 1/2; inf when divergent."""
     spec = OrderStatSpec.from_fraction(n, p)
     ref = gaussian_reference(parent, n, p)
-    return _term_detail("k2", parent, spec, ref, 0.0, method, budget, seed, tol)[0]
+    details = _term_details(("k2",), parent, spec.beta_law, ref, 0.0, method, budget, seed, tol)
+    return details["k2"][0]
 
 
 def k3_term(
@@ -271,7 +309,8 @@ def k3_term(
     if not math.isfinite(log_fp):
         raise ConditionViolation(
             f"{parent.spec_string()} has zero density at its {p:g}-quantile")
-    return _term_detail("k3", parent, spec, None, log_fp, method, budget, seed, tol)[0]
+    details = _term_details(("k3",), parent, spec.beta_law, None, log_fp, method, budget, seed, tol)
+    return details["k3"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +323,12 @@ def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -
     Integrates in u = F(x) coordinates, where the order-statistic density is
     the Beta weight times f(F^{-1}(u)); unbounded supports become endpoint
     singularities on (0, 1) that the panel refinement resolves.  Returns inf
-    with divergence diagnostics when the integral blows up.
+    when k2 or k3, and so the divergence, is infinite.
     """
     spec = OrderStatSpec.from_fraction(n, p)
     ref = gaussian_reference(parent, n, p)
     res = _quadrature_terms(parent, spec.beta_law, ref, tol, ("direct",))["direct"]
-    if res.diverged:
-        return math.inf
-    return res.value
+    return math.inf if res.diverged else res.value
 
 
 @dataclass(slots=True)
@@ -343,42 +380,27 @@ def kl_decompose(
 ) -> KlDecomposition:
     """Bundle k1, k2, k3, their sum, and the directly integrated divergence.
 
-    Component divergence is retained as an infinite entry with a message
-    rather than aborting, so parameter sweeps can report it per point.  By
-    quadrature, k2, k3 and the direct value come from one three-column pass;
-    a term whose integral ends unconverged keeps its value and is named in
-    ``message``.
+    Component divergence, decided before any quadrature or sampling, is
+    retained as an infinite entry with a message rather than aborting, so
+    parameter sweeps can report it per point.  By quadrature, the finite
+    terms come from one multi-column pass; a term whose integral ends
+    unconverged keeps its value and is named in ``message``.
     """
     spec = OrderStatSpec.from_fraction(n, p, rounding)
     ref = gaussian_reference(parent, n, p)
     k1 = k1_term(n, p, rounding)
     log_fp = float(parent.log_pdf_at_quantile(p))
-    if method == "quadrature":
-        res = _quadrature_terms(parent, spec.beta_law, ref, tol)
-        k2_detail, k3_detail, direct_detail = (
-            _quadrature_detail(t, res[t], ref, log_fp) for t in ("k2", "k3", "direct"))
-    else:
-        k2_detail, k3_detail = (
-            _term_detail(t, parent, spec, ref, log_fp, method, budget, seed, tol)
-            for t in ("k2", "k3"))
-        direct_detail = None
-    k2, k2_err, k2_div, k2_msg = k2_detail
-    k3, k3_err, k3_div, k3_msg = k3_detail
+    details = _term_details(("k2", "k3", "direct"), parent, spec.beta_law, ref, log_fp,
+                            method, budget, seed, tol)
+    k2, k2_err, k2_div, k2_msg = details["k2"]
+    k3, k3_err, k3_div, k3_msg = details["k3"]
+    direct, direct_err, direct_div, direct_msg = details["direct"]
     diverged = k2_div or k3_div
-    if diverged:
-        message = "; ".join(m for m in (k2_msg, k3_msg) if m)
-        direct = math.inf
-        quad_error = math.inf
-    else:
-        if direct_detail is None:
-            res = _quadrature_terms(parent, spec.beta_law, ref, tol, ("direct",))
-            direct_detail = _quadrature_detail("direct", res["direct"], ref, log_fp)
-        direct, direct_err, direct_div, direct_msg = direct_detail
-        message = "; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m)
-        quad_error = k2_err + k3_err + (0.0 if direct_div else direct_err)
+    # a diverged k2 or k3 carries an infinite error, and so does quad_error
     return KlDecomposition(
         n=int(n), p=float(p), k=spec.k,
         k1=k1, k2=k2, k3=k3,
-        total_direct=direct,
-        quad_error=quad_error, diverged=diverged, message=message,
+        total_direct=math.inf if diverged else direct,
+        quad_error=k2_err + k3_err + (0.0 if direct_div else direct_err),
+        diverged=diverged, message="; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m),
     )

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sc
 
-from .distributions import BetaLaw, ParentDistribution, beta_sample
+from .distributions import BetaLaw, ParentDistribution, beta_sample, power_moment_finite
 from .reports import BoundReport
-from .special import beta_log_density
+from .special import beta_log_density, log_gamma_ratio
 
 __all__ = [
     "OrderStatSpec",
@@ -140,15 +140,11 @@ def moment_bound_constant(n: int, k: int, q: float, r: float) -> MomentBoundCons
     if q <= 0 or r <= 0:
         raise ValueError("need q > 0 and r > 0")
     s = q / r
-    if k > s and n - k > s - 1.0:
-        logc = (
-            _sc.gammaln(n + 1.0)
-            + _sc.gammaln(k - s)
-            + _sc.gammaln(n - k - s + 1.0)
-            - _sc.gammaln(n - 2.0 * s + 1.0)
-            - _sc.gammaln(float(k))
-            - _sc.gammaln(n - k + 1.0)
-        )
+    # C = E[(U (1 - U))^-s] under Beta(k, n + 1 - k)
+    if power_moment_finite((1.0, 1.0), s, k, n + 1 - k):
+        # Gamma(k-s)/Gamma(k) * Gamma(n-k+1-s)/Gamma(n-k+1) * Gamma(n+1)/Gamma(n+1-2s)
+        logc = (log_gamma_ratio(float(k), -s) + log_gamma_ratio(n - k + 1.0, -s)
+                - log_gamma_ratio(n + 1.0, -2.0 * s))
         value = float(np.exp(logc))
     else:
         value = math.inf

@@ -1,15 +1,16 @@
-"""Adaptive panel quadrature with first-class divergence reporting.
+"""Adaptive panel quadrature of finite integrals.
 
 The integrators here serve expectations against sharply concentrated Beta
-densities and KL integrands with endpoint singularities.  Three features
-drive the design:
+densities and KL integrands with integrable endpoint singularities.  Three
+features drive the design:
 
 * the initial partition is geometrically refined toward both endpoints (and
   toward caller-supplied breakpoints such as the Beta bulk), so that spikes
-  and endpoint blow-ups are never invisible to the error estimator;
-* divergence is a result, not an exception: an integrand that overflows at
-  interior nodes, or whose running integral passes ``DIVERGENCE_THRESHOLD``,
-  yields a ``QuadResult`` with ``diverged=True`` and a signed infinity;
+  and endpoint singularities are never invisible to the error estimator;
+* the engine does not decide whether an integral is finite: callers decide
+  that before integrating (see ``distributions.power_moment_finite``).  A
+  column that cannot reach its tolerance ends ``converged=False`` with the
+  reason, and only a non-finite node value ends it ``diverged=True``;
 * the engine is batched: every panel of a refinement level is evaluated in
   one (chunked) integrand call, and the integrand may return stacked columns
   that share the nodes, each column with its own tolerances and its own
@@ -18,16 +19,15 @@ drive the design:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .special import beta_log_density
 
-__all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation",
-           "DIVERGENCE_THRESHOLD"]
+__all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
-DIVERGENCE_THRESHOLD = 1e12
 MAX_DEPTH = 60
 _ENDPOINT_LEVELS = 46  # innermost panel width 2^-46 of the span
 
@@ -58,8 +58,6 @@ class QuadResult:
 
     def check(self) -> float:
         """Return the value, raising if the integral did not converge."""
-        if self.diverged:
-            raise ArithmeticError(f"integral diverged: {self.message}")
         if not self.converged:
             raise ArithmeticError(f"integral did not converge: {self.message}")
         return self.value
@@ -89,11 +87,9 @@ class QuadResults(tuple):
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     """The G31/G15 pair on every panel (lo[i], hi[i]), in chunked calls of ``f``.
 
-    Returns (value, error, finite, sign, stacked), the first four of shape
-    (columns, panels): the G31 value, |G31 - G15|, whether every node value
-    was finite, and the sign of a blow-up (-1 only when every infinity in
-    the panel is negative; NaN from inf * 0 underflow products counts as a
-    positive blow-up).  ``stacked`` tells whether ``f`` returned columns.
+    Returns (value, error, stacked): the G31 value and |G31 - G15|, each of
+    shape (columns, panels), and whether ``f`` returned columns.  A
+    non-finite node value makes its panel's error non-finite.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
@@ -109,17 +105,12 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
                 f"integrand returned shape {y.shape} for {x.size} nodes; "
                 "expected (nodes,) or (columns, nodes)")
         y = y.reshape(-1, x.size // _PANEL_NEVAL, _PANEL_NEVAL)
-        finite = np.isfinite(y).all(axis=2)
-        sign = np.ones(finite.shape)
-        if not finite.all():
-            negative = np.isneginf(y).any(axis=2) & ~np.isposinf(y).any(axis=2)
-            sign[negative] = -1.0
         with np.errstate(invalid="ignore", over="ignore"):
             pair = (y @ _RULES) * half[s:s + step, None]
             err = np.abs(pair[..., 0] - pair[..., 1])
-        parts.append((pair[..., 0], err, finite, sign))
-    value, err, finite, sign = (np.concatenate(p, axis=1) for p in zip(*parts))
-    return value, err, finite, sign, stacked
+        parts.append((pair[..., 0], err))
+    value, err = (np.concatenate(p, axis=1) for p in zip(*parts))
+    return value, err, stacked
 
 
 def _initial_grid(a: float, b: float, breakpoints) -> np.ndarray:
@@ -146,7 +137,6 @@ def adaptive_quad(
     tol_rel=0.0,
     breakpoints=(),
     max_panels: int = 8192,
-    stop_on_divergence=False,
 ):
     """Globally adaptive Gauss-Legendre integration of ``f`` over (a, b).
 
@@ -158,78 +148,52 @@ def adaptive_quad(
 
     Each refinement level evaluates all of its panels at once.  A column
     stops when its summed error estimate drops below max(tol_abs,
-    tol_rel * |integral|), when it blows up (a non-finite node value, or a
-    running integral beyond ``DIVERGENCE_THRESHOLD``), or when a panel it
-    needs split has reached depth ``MAX_DEPTH``; the remaining columns keep
-    refining.  Otherwise the worst panels that together carry a column's
-    excess error are split, until ``max_panels`` panels exist.
-
-    Columns flagged in ``stop_on_divergence`` (one flag, or one per column)
-    stop refining as soon as another column diverges, for callers that
-    discard them in that case; they end unconverged with their current sums.
+    tol_rel * |integral|).  It ends unconverged, keeping its sums, when a
+    panel it needs split has reached depth ``MAX_DEPTH`` or when
+    ``max_panels`` panels exist; it ends diverged, with a NaN value, at a
+    non-finite node value.  Otherwise the worst panels that together carry
+    a column's excess error are split; the remaining columns keep refining.
     """
     if not b > a:
         raise ValueError("adaptive_quad requires b > a")
     grid = _initial_grid(a, b, breakpoints)
     lo, hi = grid[:-1], grid[1:]
     depth = np.zeros(lo.size, dtype=int)
-    value, err, finite, sign, stacked = _eval_panels(f, lo, hi)
-    new_mid = 0.5 * (lo + hi)  # finite and sign describe the panels evaluated last
+    value, err, stacked = _eval_panels(f, lo, hi)
     neval = lo.size * _PANEL_NEVAL
     m = value.shape[0]
     tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (m,))
     tol_rel = np.broadcast_to(np.asarray(tol_rel, dtype=float), (m,))
-    stop_on_divergence = np.broadcast_to(np.asarray(stop_on_divergence, dtype=bool), (m,))
     results: list[QuadResult | None] = [None] * m
 
     def done(c: int, **kwargs) -> None:
         results[c] = QuadResult(neval=neval, **kwargs)
 
-    def diverge(c: int, value: float, message: str) -> None:
-        done(c, value=value, error=np.inf, diverged=True, converged=False, message=message)
-
     while True:
-        active = [c for c in range(m) if results[c] is None]
-        for c in active:
-            if not finite[c].all():
-                where = np.flatnonzero(~finite[c])
-                j = where[np.argmin(new_mid[where])]
-                diverge(c, sign[c, j] * np.inf,
-                        f"integrand blow-up detected near x = {new_mid[j]:.6g}")
-        active = [c for c in active if results[c] is None]
-        # a column is summed only while it is active: frozen columns may
-        # hold non-finite panel values
-        val_sum = {c: float(np.sum(value[c])) for c in active}
-        err_sum = {c: float(np.sum(err[c])) for c in active}
-        for c in active:
-            if abs(val_sum[c]) > DIVERGENCE_THRESHOLD:
-                diverge(c, np.copysign(np.inf, val_sum[c]),
-                        f"running integral exceeded {DIVERGENCE_THRESHOLD:.0e}")
-            elif err_sum[c] <= max(tol_abs[c], tol_rel[c] * abs(val_sum[c])):
-                done(c, value=val_sum[c], error=err_sum[c])
-        active = [c for c in active if results[c] is None]
-        if active and lo.size >= max_panels:
-            for c in active:
-                done(c, value=val_sum[c], error=err_sum[c], converged=False,
-                     message="panel budget exhausted before reaching tolerance")
-            active = []
         chosen = {}
-        for c in active:
-            target = max(tol_abs[c], tol_rel[c] * abs(val_sum[c]))
-            panels = _panels_to_split(err[c], err_sum[c] - target)
-            if depth[panels].max() >= MAX_DEPTH:
-                # a panel that still carries the excess error after 60 splits
-                # signals a non-integrable singularity (slow, log-type
-                # divergences land here before the running-sum threshold does)
-                diverge(c, np.copysign(np.inf, val_sum[c]) if val_sum[c] != 0.0 else np.inf,
-                        "maximum subdivision depth reached; divergence declared")
+        err_sum = {}
+        for c in [c for c in range(m) if results[c] is None]:
+            # only active columns are summed: others may hold inf and -inf panels
+            err_sum[c] = float(np.sum(err[c]))
+            if not math.isfinite(err_sum[c]):
+                x = lo[~np.isfinite(err[c])].min()
+                done(c, value=math.nan, error=math.inf, diverged=True, converged=False,
+                     message=f"non-finite integrand value at or above x = {x:.6g}")
+                continue
+            val_sum = float(np.sum(value[c]))
+            target = max(tol_abs[c], tol_rel[c] * abs(val_sum))
+            if err_sum[c] <= target:
+                done(c, value=val_sum, error=err_sum[c])
+            elif lo.size >= max_panels:
+                done(c, value=val_sum, error=err_sum[c], converged=False,
+                     message="panel budget exhausted before reaching tolerance")
             else:
-                chosen[c] = panels
-        if any(r is not None and r.diverged for r in results):
-            for c in [c for c in chosen if stop_on_divergence[c]]:
-                done(c, value=val_sum[c], error=err_sum[c], converged=False,
-                     message="stopped after another column diverged")
-                del chosen[c]
+                panels = _panels_to_split(err[c], err_sum[c] - target)
+                if depth[panels].max() >= MAX_DEPTH:
+                    done(c, value=val_sum, error=err_sum[c], converged=False,
+                         message="maximum subdivision depth reached before reaching tolerance")
+                else:
+                    chosen[c] = panels
         if not chosen:
             break
         split = np.zeros(lo.size, dtype=bool)
@@ -247,9 +211,8 @@ def adaptive_quad(
         new_lo = np.concatenate([lo[idx], mid])
         new_hi = np.concatenate([mid, hi[idx]])
         child_depth = np.tile(depth[idx] + 1, 2)
-        c_value, c_err, finite, sign, _ = _eval_panels(f, new_lo, new_hi)
+        c_value, c_err, _ = _eval_panels(f, new_lo, new_hi)
         neval += new_lo.size * _PANEL_NEVAL
-        new_mid = 0.5 * (new_lo + new_hi)
         keep = np.ones(lo.size, dtype=bool)
         keep[idx] = False
         lo = np.concatenate([lo[keep], new_lo])
@@ -272,27 +235,26 @@ def beta_expectation(
     tol_rel=1e-10,
     breakpoints=(),
     log_weight: bool = False,
-    stop_on_divergence=False,
 ):
     """E[g(U)] for U ~ Beta(alpha, beta) by adaptive quadrature on (0, 1).
 
     ``g`` returns one value per node or stacked columns, as in
     ``adaptive_quad``; with ``log_weight=True`` it is called as
     ``g(u, logw)``, where ``logw`` is the log Beta density at the nodes (the
-    same values that weight them).  ``stop_on_divergence`` is passed on to
-    ``adaptive_quad``.
+    same values that weight them).
 
     The weight is evaluated in log space, and breakpoints at mean +- 2^j
     standard deviations keep the concentrated bulk resolved at any parameter
-    size.  The domain is trimmed to (1e-15, 1 - 1e-15); the omitted mass is
-    below any tolerance used here for alpha, beta >= 1, and trimming does not
-    mask blow-ups, which are detected well before the trim points.
+    size.  The domain is trimmed to (1e-15, 1 - 1e-15), which omits at most
+    ~1e-15 of the Beta mass for alpha, beta >= 1.  The trim also turns a
+    divergent expectation into a finite number, so callers decide finiteness
+    before integrating (``distributions.power_moment_finite``).
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta_expectation requires alpha, beta > 0")
 
     def integrand(u):
-        # inf * 0 products surface as nan and are treated as blow-up evidence
+        # inf * 0 products surface as NaN, which ends the column diverged
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             # Loader's form keeps the log normalizer free of the (a+b) log(a+b)
             # cancellation that biases float64 log-gamma weights by ~1e-10
@@ -312,5 +274,4 @@ def beta_expectation(
     return adaptive_quad(
         integrand, eps, 1.0 - eps,
         tol_abs=tol_abs, tol_rel=tol_rel, breakpoints=bps,
-        stop_on_divergence=stop_on_divergence,
     )

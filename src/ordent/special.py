@@ -136,6 +136,24 @@ def _stirlerr(z: float) -> float:
     return shift + _odd_series(z, _STIRLING)
 
 
+def log_gamma_ratio(x: float, a: float) -> float:
+    """log Gamma(x + a) - log Gamma(x) for x, x + a > 0, from Stirling
+    remainders: no two large log-gamma values cancel."""
+    return (_stirlerr(x + a) - _stirlerr(x) + a * math.log(x)
+            + (x + a - 0.5) * math.log1p(a / x) - a)
+
+
+def log_beta_remainder(x: float, y: float) -> float:
+    """log B(x + 1, y + 1) - (x log x + y log y - m log m), m = x + y, for x, y > 0.
+
+    The part taken out scales exactly by q under (x, y) -> (q x, q y); the
+    O(log m) rest is the negated constant of Loader's Beta log density.
+    """
+    m = x + y
+    return -(math.log(m + 1.0) + _stirlerr(m) - _stirlerr(x) - _stirlerr(y)
+             + 0.5 * (math.log(m / (x * y)) - _LOG_2PI))
+
+
 def _split(a):
     """Veltkamp's split of a into hi + lo, each with at most 26 significant bits."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -189,8 +207,7 @@ def beta_log_density(a: float, b: float, u) -> np.ndarray:
     u = u.ravel()
     x, y = a - 1.0, b - 1.0
     m = x + y
-    const = (math.log(m + 1.0) + _stirlerr(m) - _stirlerr(x) - _stirlerr(y)
-             + 0.5 * (math.log(m / (x * y)) - _LOG_2PI))
+    const = -log_beta_remainder(x, y)
     # d = m u - x exactly up to one rounding (Dekker's product): rounding
     # m u first would cost d an absolute error of order eps * x
     mu = m * u

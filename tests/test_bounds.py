@@ -4,6 +4,7 @@ Beta-normalizer constant, and the decay-rate check."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -202,6 +203,18 @@ class TestStirlingConstant:
         with pytest.raises(ValueError):
             stirling_constant_check(1.5, 10.0, 2.0)
 
+    @pytest.mark.parametrize("alpha, beta, q", [
+        (2.0, 19.0, 10.0), (50.0, 51.0, 2.0), (1_000.0, 9_001.0, 1.5),
+        (5e6, 5e6 + 1.0, 2.0), (1e6, 9e6 + 1.0, 10.0), (1e6, 9e6 + 1.0, 1.5),
+    ])
+    def test_ratio_against_mpmath(self, alpha, beta, q):
+        # composed from float64 log-gamma values it would err by 5.4e-9 at n = 1e7
+        with mp.workdps(40):
+            a, b, qq = mp.mpf(alpha), mp.mpf(beta), mp.mpf(q)
+            want = mp.beta(qq * (a - 1) + 1, qq * (b - 1) + 1) ** (1 / qq) / mp.beta(a, b)
+        rep = stirling_constant_check(alpha, beta, q)
+        assert abs(rep.empirical_value / float(want) - 1.0) <= 1e-13
+
 
 class TestCorollary1:
     def test_uniform_passes(self):
@@ -231,13 +244,14 @@ class TestDefaultEpsilon:
 
 class TestUnconvergedQuadrature:
     def test_mse_value_flags_non_convergence(self):
-        # Cauchy, k = 9 of 10: the trimmed MSE integral exhausts the panel budget
+        # Cauchy under Beta(9, 2.05): the MSE integrand decays like
+        # (1 - u)^-0.95, finite but too slowly for the panel budget
         from ordent.bounds import _mse_quadrature_value
         from ordent.distributions import Cauchy
         from ordent.entropy_kl import gaussian_reference
 
         ref = gaussian_reference(Cauchy(), 10, 0.9)
-        value, error, message = _mse_quadrature_value(Cauchy(), BetaLaw(9.0, 2.0), ref, 1e-10)
+        value, error, message = _mse_quadrature_value(Cauchy(), BetaLaw(9.0, 2.05), ref, 1e-10)
         assert math.isfinite(value)
         assert "did not converge" in message
 

@@ -16,8 +16,10 @@ from ordent.distributions import (
     Cauchy,
     ClampedProbabilityWarning,
     DistributionSpecError,
+    EndpointGrowth,
     Exponential,
     Gaussian,
+    ParentDistribution,
     Uniform,
     beta_fourth_central_moment,
     beta_log_pdf,
@@ -25,6 +27,7 @@ from ordent.distributions import (
     beta_sample,
     make_parent,
     parse_distribution,
+    power_moment_finite,
     random_stream,
 )
 
@@ -107,6 +110,62 @@ class TestPdfDerivative:
             fd = (parent.pdf(x + h) - parent.pdf(x - h)) / (2 * h)
             d = parent.pdf_derivative(x)
             assert abs(d - fd) <= max(1e-6, 1e-4 * abs(d))
+
+
+class TestEndpointGrowth:
+    """The declared growth exponents against each parent's own functions."""
+
+    TAILS = np.array([1e-6, 1e-9, 1e-12])
+
+    @staticmethod
+    def log_size(parent, field, u):
+        """log(1 + |g(u)|); the density's comes from its log, so it cannot overflow."""
+        if field == "quantile":
+            with np.errstate(over="ignore"):
+                return np.log1p(np.abs(parent.quantile(u)))
+        log_pdf = parent.log_pdf_at_quantile(u)
+        return np.log1p(np.abs(log_pdf)) if field == "log_pdf" else np.logaddexp(0.0, log_pdf)
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda d: d.name)
+    def test_declared_exponents_match_log_log_slopes(self, parent):
+        # |g(u)| ~ u^-a makes log(1 + |g|) rise by a per unit of log(1/u)
+        run = np.diff(-np.log(self.TAILS))
+        for field in EndpointGrowth._fields:
+            for end, u in ((0, self.TAILS), (1, 1.0 - self.TAILS)):
+                a = getattr(parent.growth, field)[end]
+                size = self.log_size(parent, field, u)
+                where = f"{field} at u -> {end}"
+                if a == math.inf:
+                    # faster than every power; an overflow to inf counts
+                    assert np.all(size[1:] >= size[:-1] + 10.0 * run), where
+                elif a == 0.0:
+                    # bounded or logarithmic
+                    assert np.all(size[1:] - size[:-1] <= 0.1 * run), where
+                else:
+                    assert np.all(np.abs((size[1:] - size[:-1]) / run - a) <= 0.05), where
+
+    def test_flags_keep_the_answers_of_the_per_family_rules(self):
+        moment = {"uniform": lambda r: True, "gaussian": lambda r: True,
+                  "exponential": lambda r: True, "cauchy": lambda r: r < 1.0,
+                  "f1": lambda r: False, "f2": lambda r: True}
+        norm = {name: (lambda m: m == 1.0) if name == "f2" else (lambda m: True)
+                for name in moment}
+        for parent in ALL_PARENTS:
+            for v in (0.5, 0.99, 1.0, 1.5, 2.0, 4.0, math.inf):
+                assert parent.abs_moment_finite(v) == moment[parent.name](v), (parent, v)
+                assert parent.norm_m_finite(v) == norm[parent.name](v), (parent, v)
+
+    def test_predicate_boundaries(self):
+        # E|g(U)|^r under Beta(alpha, beta) for g ~ u^-1 at 0: finite iff r < alpha
+        assert power_moment_finite((1.0, 0.0), 2.0, 2.5, 1.0)
+        assert not power_moment_finite((1.0, 0.0), 2.0, 2.0, 1.0)
+        assert not power_moment_finite((0.0, 0.5), 4.0, 50.0, 2.0)
+        assert power_moment_finite((0.0, math.inf), 0.0)
+        assert not power_moment_finite((0.0, math.inf), 1e-9, 1e9, 1e9)
+
+    def test_undeclared_parent_raises(self):
+        with pytest.raises(NotImplementedError):
+            ParentDistribution().abs_moment_finite(1.0)
 
 
 class TestMomentAndNormFlags:

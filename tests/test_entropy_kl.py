@@ -332,13 +332,64 @@ class TestFusedQuadrature:
 
     def test_unconverged_integral_is_flagged(self):
         # k = 9 of 10 Cauchy draws: beta = 2 makes k2 a log divergence that the
-        # trimmed domain turns into a large finite integral which the panel
-        # budget cannot resolve; the result must never look clean
+        # trimmed domain would turn into a large finite integral; the
+        # declared quantile growth flags it before any quadrature
         d = kl_decompose(Cauchy(), 10, 0.9)
-        assert d.diverged or "did not converge" in d.message
+        assert d.diverged and d.k2 == math.inf
 
     def test_thin_views_agree_with_decomposition(self):
         d = kl_decompose(Gaussian(), 2_000, 0.3, tol=1e-10)
         assert abs(k2_term(Gaussian(), 2_000, 0.3) - d.k2) <= 1e-12
         assert abs(k3_term(Gaussian(), 2_000, 0.3) - d.k3) <= 1e-12
         assert abs(kl_direct(Gaussian(), 2_000, 0.3, tol=1e-10) - d.total_direct) <= 1e-12
+
+
+class TestDeclaredDivergence:
+    """Divergence decided from the parents' endpoint growth, before any
+    quadrature or sampling.  In each case the 1e-15 trim of the quadrature
+    domain, or a finite sample, would turn the divergent integral into a
+    plausible finite number."""
+
+    # (parent, n, p, divergent term): Cauchy with alpha = 2 (k = 2) or
+    # beta = 2 (k = n - 1) has an infinite quantile MSE; f2 with k = 1 has
+    # E[1/U] = inf under Beta(1, n) inside its log density
+    CASES = [
+        (Cauchy(), 10, 0.15, "k2"),
+        (Cauchy(), 20, 0.1, "k2"),
+        (Cauchy(), 40, 0.05, "k2"),
+        (Cauchy(), 10, 0.9, "k2"),
+        (F2(), 10, 0.05, "k3"),
+        (F2(), 100, 0.005, "k3"),
+    ]
+
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    @pytest.mark.parametrize("parent, n, p, term", CASES,
+                             ids=lambda v: getattr(v, "name", str(v)))
+    def test_flagged_infinite(self, parent, n, p, term, method):
+        d = kl_decompose(parent, n, p, method=method, budget=2_000, seed=3)
+        assert d.diverged
+        # k2 >= 0 always; f2's log density grows to +inf at u -> 0
+        assert getattr(d, term) == math.inf
+        assert d.total_decomposed == math.inf and d.total_direct == math.inf
+        assert d.message
+
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    def test_thin_views(self, method):
+        assert k2_term(Cauchy(), 10, 0.15, method=method, budget=2_000) == math.inf
+        assert k3_term(F2(), 10, 0.05, method=method, budget=2_000) == math.inf
+        assert kl_direct(Cauchy(), 10, 0.9) == math.inf
+        assert kl_direct(F2(), 100, 0.005) == math.inf
+
+    def test_finite_neighbours_stay_finite(self):
+        # one rank further in, each expectation is finite again
+        for parent, n, p in [(Cauchy(), 20, 0.15), (Cauchy(), 20, 0.9), (F2(), 10, 0.15)]:
+            d = kl_decompose(parent, n, p)
+            assert not d.diverged and d.message == ""
+            assert abs(d.total_direct - d.total_decomposed) <= 1e-8
+
+    def test_quantile_mse_bound_reports_infinite_value(self):
+        from ordent.bounds import quantile_mse_bound
+
+        rep = quantile_mse_bound(Cauchy(), 10, 0.15)
+        assert rep.empirical_value == math.inf
+        assert "infinite" in rep.message

@@ -40,3 +40,39 @@ def test_decomposition_identity(family, n, p):
     assert math.isfinite(d.total_direct)
     # f2 at small ranks has totals near 1e8, where 2e-8 is below one ulp
     assert abs(d.total_direct - d.total_decomposed) <= max(2e-8, 4.0 * math.ulp(d.total_decomposed))
+
+
+@st.composite
+def ranked_cases(draw):
+    """(n, p, k) with k = round_rank(n, p), reaching k in {1, 2, n-1, n} often.
+
+    n stays below 300 so that f2's density at its p-quantile, e^(1/p) p^2,
+    fits in a float at k = 1."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    boundary = {"1": 1, "2": min(2, n), "n-1": max(n - 1, 1), "n": n}
+    rank = draw(st.sampled_from([*boundary, "any"]))
+    k = boundary[rank] if rank in boundary else draw(st.integers(min_value=1, max_value=n))
+    # half-up rounding maps n p = k - 1/2 + t, 0 < t < 1/2, to rank k
+    p = (k - 0.5 + draw(st.floats(min_value=0.05, max_value=0.45))) / n
+    return n, p, k
+
+
+@PROPERTY_SETTINGS
+@given(family=st.sampled_from(["cauchy", "f1", "f2", "gaussian"]), case=ranked_cases())
+def test_divergence_matches_the_moment_conditions(family, case):
+    n, p, k = case
+    d = kl_decompose(make_parent(family), n, p)
+    assert d.k == k
+    alpha, beta = k, n + 1 - k
+    expected = {
+        "f1": True,  # E[F^-1(U)^2] with F^-1(u) = exp((1-u)^-1/2)
+        "cauchy": alpha <= 2 or beta <= 2,  # F^-1(u) ~ -1/(pi u) and 1/(pi (1-u))
+        "f2": k == 1,  # log f(F^-1(u)) = 1/u + 2 log u
+        "gaussian": False,
+    }[family]
+    assert d.diverged == expected
+    if expected:
+        assert d.total_decomposed == math.inf and d.total_direct == math.inf
+    else:
+        assert d.message == ""
+        assert abs(d.total_direct - d.total_decomposed) <= max(2e-8, 4.0 * math.ulp(d.total_decomposed))
