@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sc
 
 from .quadrature import adaptive_quad
-from .special import beta_log_density
+from .special import beta_log_density, ndtri
 
 __all__ = [
     "DistributionSpecError",
@@ -293,25 +292,44 @@ class Gaussian(ParentDistribution):
         return _ret(x, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi))
 
     def cdf(self, x):
-        return _ret(x, _sc.ndtr(self._z(x)))
+        from scipy.special import ndtr  # scipy loads only where it is needed
+
+        return _ret(x, ndtr(self._z(x)))
 
     def _quantile(self, u):
-        return self.mu + self.sigma * _sc.ndtri(u)
+        return self.mu + self.sigma * ndtri(u)
 
     def log_pdf_at_quantile(self, u):
-        z = _sc.ndtri(np.asarray(u, dtype=float))
+        z = ndtri(u)
         return _ret(u, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi))
 
     def _quantile_lower_tail(self, s):
-        return self.mu + self.sigma * _sc.ndtri(np.asarray(s, dtype=float))
+        return self.mu + self.sigma * ndtri(s)
 
     def _quantile_upper_tail(self, s):
-        return self.mu - self.sigma * _sc.ndtri(np.asarray(s, dtype=float))
+        return self.mu - self.sigma * ndtri(s)
 
     def pdf_derivative(self, x):
         z = self._z(x)
         dens = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
         return _ret(x, -z / self.sigma * dens)
+
+    def abs_moment(self, r):
+        if self.mu != 0.0:
+            return super().abs_moment(r)
+        if r <= 0:
+            raise ValueError("abs_moment requires r > 0")
+        # E|sigma Z|^r = sigma^r 2^(r/2) Gamma((r + 1)/2) / sqrt(pi)
+        return math.exp(r * math.log(self.sigma) + 0.5 * r * math.log(2.0)
+                        + math.lgamma(0.5 * (r + 1.0)) - 0.5 * math.log(math.pi))
+
+    def norm_m(self, m):
+        # int f^m dx = (2 pi sigma^2)^((1 - m)/2) / sqrt(m)
+        if m < 1:
+            raise ValueError("norm_m requires m >= 1")
+        if math.isinf(m):
+            return self._sup_pdf()
+        return ((2 * math.pi * self.sigma**2) ** ((1.0 - m) / 2.0) / math.sqrt(m)) ** (1.0 / m)
 
     def _sup_pdf(self):
         return 1.0 / (self.sigma * math.sqrt(2 * math.pi))
@@ -575,8 +593,10 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    from scipy.special import betaincinv  # scipy loads only where it is needed
+
     u = random_stream(seed, stream).random(int(count))
-    x = _sc.betaincinv(law.alpha, law.beta, u)
+    x = betaincinv(law.alpha, law.beta, u)
     return np.clip(x, 1e-300, 1.0 - 1e-16)
 
 

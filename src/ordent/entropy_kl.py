@@ -100,12 +100,16 @@ def uniform_order_stat_entropy_expansion(n: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianReference:
-    """Limiting Gaussian: mean F^{-1}(p), variance p(1-p)/(n f(F^{-1}(p))^2)."""
+    """Limiting Gaussian: mean F^{-1}(p), variance p(1-p)/(n f(F^{-1}(p))^2).
+
+    ``log_f_p`` is log f(F^{-1}(p)).
+    """
 
     mu_p: float
     v_np: float
     n: int
     p: float
+    log_f_p: float
 
     @property
     def scaled_variance(self) -> float:
@@ -117,12 +121,14 @@ def gaussian_reference(parent: ParentDistribution, n: int, p: float) -> Gaussian
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     mu = float(parent.quantile(p))
-    fq = math.exp(float(parent.log_pdf_at_quantile(p)))
+    log_fq = float(parent.log_pdf_at_quantile(p))
+    fq = math.exp(log_fq)
     if not (fq > 0.0 and math.isfinite(fq)):
         raise ConditionViolation(
             f"{parent.spec_string()} has density {fq:g} at its {p:g}-quantile; "
             "the Gaussian limit needs a positive finite density there")
-    return GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (n * fq * fq), n=int(n), p=float(p))
+    return GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (n * fq * fq), n=int(n), p=float(p),
+                             log_f_p=log_fq)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +395,7 @@ def kl_decompose(
     spec = OrderStatSpec.from_fraction(n, p, rounding)
     ref = gaussian_reference(parent, n, p)
     k1 = k1_term(n, p, rounding)
-    log_fp = float(parent.log_pdf_at_quantile(p))
-    details = _term_details(("k2", "k3", "direct"), parent, spec.beta_law, ref, log_fp,
+    details = _term_details(("k2", "k3", "direct"), parent, spec.beta_law, ref, ref.log_f_p,
                             method, budget, seed, tol)
     k2, k2_err, k2_div, k2_msg = details["k2"]
     k3, k3_err, k3_div, k3_msg = details["k3"]

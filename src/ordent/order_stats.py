@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sc
 
 from .distributions import BetaLaw, ParentDistribution, beta_sample, power_moment_finite
 from .reports import BoundReport
@@ -100,8 +99,10 @@ def order_stat_pdf(parent: ParentDistribution, spec: OrderStatSpec, x):
 
 def order_stat_cdf(parent: ParentDistribution, spec: OrderStatSpec, x):
     """P(X_(k) <= x) = I_{F(x)}(k, n+1-k)."""
+    from scipy.special import betainc  # scipy loads only where it is needed
+
     F = np.asarray(parent.cdf(np.asarray(x, dtype=float)), dtype=float)
-    out = _sc.betainc(float(spec.k), float(spec.n + 1 - spec.k), F)
+    out = betainc(float(spec.k), float(spec.n + 1 - spec.k), F)
     if np.ndim(x) == 0:
         return float(out)
     return out

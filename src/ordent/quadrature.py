@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import beta_log_density
+from .special import beta_log_density, beta_log_density_direct
 
 __all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
@@ -43,6 +43,8 @@ _RULES[31:, 1] = _WEIGHTS_LO[_NODES_LO != 0.0]
 _PANEL_NEVAL = _NODES.size
 # nodes per integrand call: bounds the temporaries of one call to a few MB
 _CHUNK_NODES = 8192
+# exp(x) rounds to 0 in float64 below about x = log(2^-1075)
+_EXP_UNDERFLOW = -745.13
 
 
 @dataclass
@@ -113,10 +115,10 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     return value, err, stacked
 
 
-def _initial_grid(a: float, b: float, breakpoints) -> np.ndarray:
+def _initial_grid(a: float, b: float, breakpoints, levels: int = _ENDPOINT_LEVELS) -> np.ndarray:
     """Sorted distinct edges: a, b, a + span 2^-j and b - span 2^-j for
-    j = 1.._ENDPOINT_LEVELS, and the breakpoints inside (a, b)."""
-    steps = (b - a) * 2.0 ** -np.arange(1, _ENDPOINT_LEVELS + 1)
+    j = 1..levels, and the breakpoints inside (a, b)."""
+    steps = (b - a) * 2.0 ** -np.arange(1, levels + 1)
     bps = np.asarray(breakpoints, dtype=float).ravel()
     return np.unique(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
 
@@ -136,6 +138,7 @@ def adaptive_quad(
     tol_abs=1e-9,
     tol_rel=0.0,
     breakpoints=(),
+    endpoint_levels: int = _ENDPOINT_LEVELS,
     max_panels: int = 8192,
 ):
     """Globally adaptive Gauss-Legendre integration of ``f`` over (a, b).
@@ -146,6 +149,9 @@ def adaptive_quad(
     ``QuadResult`` per column; ``tol_abs`` and ``tol_rel`` may then be
     per-column sequences).
 
+    The initial panels lie between a, b, the breakpoints inside (a, b) and
+    ``endpoint_levels`` geometric levels toward each endpoint; a caller that
+    passes every edge of its own partition as breakpoints sets it to 0.
     Each refinement level evaluates all of its panels at once.  A column
     stops when its summed error estimate drops below max(tol_abs,
     tol_rel * |integral|).  It ends unconverged, keeping its sums, when a
@@ -156,7 +162,7 @@ def adaptive_quad(
     """
     if not b > a:
         raise ValueError("adaptive_quad requires b > a")
-    grid = _initial_grid(a, b, breakpoints)
+    grid = _initial_grid(a, b, breakpoints, endpoint_levels)
     lo, hi = grid[:-1], grid[1:]
     depth = np.zeros(lo.size, dtype=int)
     value, err, stacked = _eval_panels(f, lo, hi)
@@ -248,7 +254,9 @@ def beta_expectation(
     size.  The domain is trimmed to (1e-15, 1 - 1e-15), which omits at most
     ~1e-15 of the Beta mass for alpha, beta >= 1.  The trim also turns a
     divergent expectation into a finite number, so callers decide finiteness
-    before integrating (``distributions.power_moment_finite``).
+    before integrating (``distributions.power_moment_finite``).  Of the
+    initial panels, those beyond the mode whose inner edge weighs exactly 0
+    in float64 are never evaluated: the weight is 0 at every node there.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta_expectation requires alpha, beta > 0")
@@ -271,7 +279,45 @@ def beta_expectation(
         bps.append(mean + scale * sd)
     bps.append(mean)
     eps = 1e-15
-    return adaptive_quad(
-        integrand, eps, 1.0 - eps,
-        tol_abs=tol_abs, tol_rel=tol_rel, breakpoints=bps,
-    )
+    grid = _drop_zero_weight_panels(_initial_grid(eps, 1.0 - eps, bps), alpha, beta)
+    return adaptive_quad(integrand, grid[0], grid[-1], tol_abs=tol_abs, tol_rel=tol_rel,
+                         breakpoints=grid[1:-1], endpoint_levels=0)
+
+
+def _drop_zero_weight_panels(grid: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """``grid`` without its leading and trailing panels that lie beyond the
+    Beta mode and whose inner edge has a float64 weight of exactly 0.
+
+    The density rises from 0 to the mode when alpha > 1 and falls from the
+    mode to 1 when beta > 1, so every node of such a panel weighs 0 as well:
+    the panel adds exactly 0 to any finite integrand.
+    """
+    # Loader's form costs ~75 us on the ~100 edges against ~10 us for the
+    # direct form, so the direct form sorts the edges first and Loader
+    # decides only those within ``slack`` of the float64 underflow of exp.
+    # The direct form is within eps (a + b) (2 log(a + b) + 40) of Loader's
+    # on the trimmed domain (at most 0.83 of it, measured for a + b from 1e2
+    # to 2^53); the slack is four times that, plus 1.
+    m = alpha + beta
+    slack = 1.0 + 4.0 * np.finfo(float).eps * m * (2.0 * math.log(m) + 40.0)
+    direct = beta_log_density_direct(alpha, beta, grid)
+    zero = direct < _EXP_UNDERFLOW - slack
+    near = ~zero & (direct <= _EXP_UNDERFLOW + slack)
+    if near.any():
+        with np.errstate(under="ignore"):
+            zero[near] = np.exp(beta_log_density(alpha, beta, grid[near])) == 0.0
+    if alpha > 1.0 and beta > 1.0:
+        mode = (alpha - 1.0) / (alpha + beta - 2.0)
+    else:
+        mode = 1.0 if alpha > 1.0 else 0.0
+    start, stop = 0, grid.size
+    if alpha > 1.0:
+        start = max(_leading_run(zero & (grid <= mode)) - 1, 0)
+    if beta > 1.0:
+        stop = grid.size - max(_leading_run((zero & (grid >= mode))[::-1]) - 1, 0)
+    return grid[start:stop] if stop - start >= 2 else grid
+
+
+def _leading_run(flags: np.ndarray) -> int:
+    """Number of leading True entries."""
+    return flags.size if flags.all() else int(np.argmin(flags))

@@ -11,7 +11,8 @@ that a naive evaluation would suffer are taken out analytically:
   Accurate Computation of Binomial Probabilities", 2000): a constant made of
   Stirling remainders, minus a deviance term on each side of the mode.
 
-Below r = 16 the sums run term by term.
+Below r = 16 the sums run term by term.  The normal quantile ``ndtri`` is
+Wichura's AS241, so the package needs no scipy to start.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sc
 
 __all__ = [
     "EULER_GAMMA",
     "harmonic",
+    "ndtri",
     "t_sequence",
 ]
 
@@ -182,6 +183,25 @@ def _deviance(x: float, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def beta_log_density_direct(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """(a - 1) log u + (b - 1) log(1 - u) - log B(a, b), for a, b > 0.
+
+    log B(a, b) = lgamma(s) - log_gamma_ratio(l, s) for s = min(a, b) and
+    l = max(a, b).  A zero exponent drops its term, so 0 log 0 = 0 at the
+    ends where a = 1 or b = 1.  Within 1e-13 relative while min(a, b) <= 2,
+    where ``beta_log_density`` uses it; beyond, its large terms cancel, and
+    the error grows like eps (a + b) |log u|.
+    """
+    small, large = min(a, b), max(a, b)
+    out = np.full(u.shape, log_gamma_ratio(large, small) - math.lgamma(small))
+    with np.errstate(divide="ignore"):
+        if a != 1.0:
+            out += (a - 1.0) * np.log(u)
+        if b != 1.0:
+            out += (b - 1.0) * np.log1p(-u)
+    return out
+
+
 def beta_log_density(a: float, b: float, u) -> np.ndarray:
     """log of the Beta(a, b) density at u in [0, 1], in float64.
 
@@ -194,15 +214,15 @@ def beta_log_density(a: float, b: float, u) -> np.ndarray:
             - bd0(x, m u) - bd0(y, m (1 - u))
 
     whose large parts cancel analytically, so it stays accurate to a few
-    ulp of the deviance at any a + b.  Smaller parameters use the direct
-    form with ``scipy.special.betaln``.
+    ulp of the deviance at any a + b.  If a or b is at most 2 it is
+    ``beta_log_density_direct``, whose normalizer lgamma(s) -
+    log_gamma_ratio(l, s) then has no two large log-gammas to cancel.
     """
     u = np.asarray(u, dtype=float)
     if not (a > 0.0 and b > 0.0):
         raise ValueError("beta_log_density requires a, b > 0")
     if a <= _LOADER_FROM or b <= _LOADER_FROM:
-        with np.errstate(divide="ignore"):
-            return _sc.xlogy(a - 1.0, u) + _sc.xlog1py(b - 1.0, -u) - _sc.betaln(a, b)
+        return beta_log_density_direct(a, b, u)
     shape = u.shape
     u = u.ravel()
     x, y = a - 1.0, b - 1.0
@@ -215,3 +235,122 @@ def beta_log_density(a: float, b: float, u) -> np.ndarray:
     u_hi, u_lo = _split(u)
     d = (mu - x) + (((m_hi * u_hi - mu) + m_hi * u_lo + m_lo * u_hi) + m_lo * u_lo)
     return (const - _deviance(x, mu, d) - _deviance(y, m * (1.0 - u), -d)).reshape(shape)
+
+
+# Wichura's AS241 (PPND16; Applied Statistics 37, 1988): for each of its
+# three rational functions, the numerator and denominator coefficients,
+# highest power first: in x = r - 5 where r = sqrt(-log s) > 5 for
+# s = min(p, 1 - p), in x = r - 1.6 where r <= 5 and s < 0.075, and in
+# x = 0.180625 - (p - 1/2)^2 where s >= 0.075, that is |p - 1/2| <= 0.425.
+_FAR, _TAIL, _CENTRAL = 0, 1, 2
+_AS241 = (
+    ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+      2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+      5.4637849111641143699e+0, 6.6579046435011037772e+0),
+     (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+      7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+      5.9983220655588793769e-1, 1.0)),
+    ((7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+      1.2704582524523683826e+0, 3.6478483247632045281e+0, 5.7694972214606914055e+0,
+      4.6303378461565452959e+0, 1.4234371107496835773e+0),
+     (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+      1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+      2.0531916266377588219e+0, 1.0)),
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+)
+# nodes per pass: bounds the temporaries whatever the input size
+_NDTRI_CHUNK = 8192
+
+
+def _horner(coef, x: np.ndarray) -> np.ndarray:
+    """sum coef[i] x^(7 - i) by Horner's rule."""
+    acc = coef[0] * x
+    for c in coef[1:-1]:
+        acc += c
+        acc *= x
+    acc += coef[-1]
+    return acc
+
+
+def _horner_compensated(coef, x: np.ndarray) -> np.ndarray:
+    """``_horner`` as if in twice the working precision (Graillat, Langlois
+    and Louvet, 2005): the rounding error of every product (Dekker's, on
+    ``_split`` halves) and of every sum (Knuth's TwoSum) is carried in a
+    second Horner sum and added at the end."""
+    x_hi, x_lo = _split(x)
+    s = np.full_like(x, coef[0])
+    e = np.zeros_like(x)
+    for c in coef[1:]:
+        prod = s * x
+        s_hi, s_lo = _split(s)
+        prod_err = ((s_hi * x_hi - prod) + s_hi * x_lo + s_lo * x_hi) + s_lo * x_lo
+        s = prod + c
+        z = s - prod
+        sum_err = (prod - (s - z)) + (c - z)
+        e *= x
+        e += prod_err + sum_err
+    return s + e
+
+
+def _as241_rational(branch: int, x: np.ndarray) -> np.ndarray:
+    """num(x) / den(x) of one AS241 branch.
+
+    The far branch, where x reaches 22, sums by compensated Horner: plain
+    Horner loses up to 6 ulp of the quantile there, and 3 elsewhere.
+    """
+    num, den = _AS241[branch]
+    if branch == _FAR:
+        return _horner_compensated(num, x) / _horner_compensated(den, x)
+    n = _horner(num, x)
+    return np.divide(n, _horner(den, x), out=n)
+
+
+def _ndtri_chunk(p: np.ndarray, out: np.ndarray) -> None:
+    """AS241 on a 1-d chunk, written into ``out``: each branch on its own nodes."""
+    s = np.subtract(1.0, p)
+    np.minimum(p, s, out=s)  # min(p, 1 - p), exact
+    bad = None
+    if not s.min() > 0.0:  # p = 0, p = 1, p outside [0, 1] or NaN
+        bad = ~(s > 0.0)
+        given = p[bad]
+        p = np.where(bad, 0.5, p)
+        s[bad] = 0.5
+    q = p - 0.5
+    tail = s < 0.075
+    if tail.any():
+        central = np.flatnonzero(~tail)
+        tail = np.flatnonzero(tail)
+        qc = q[central]
+        out[central] = _as241_rational(_CENTRAL, 0.180625 - qc * qc) * qc
+        r = np.sqrt(-np.log(s[tail]))
+        far = r > 5.0
+        i = tail[~far]
+        out[i] = np.copysign(_as241_rational(_TAIL, r[~far] - 1.6), q[i])
+        if far.any():
+            i = tail[far]
+            out[i] = np.copysign(_as241_rational(_FAR, r[far] - 5.0), q[i])
+    else:
+        np.multiply(_as241_rational(_CENTRAL, 0.180625 - q * q), q, out=out)
+    if bad is not None:
+        out[bad] = np.where(given == 0.0, -np.inf, np.where(given == 1.0, np.inf, np.nan))
+
+
+def ndtri(p):
+    """Standard normal quantile Phi^{-1}(p), elementwise in float64.
+
+    Wichura's AS241, with the far tail (p or 1 - p below e^-25) summed by
+    compensated Horner.  p = 0 and p = 1 give -inf and +inf; p outside
+    [0, 1] or NaN gives NaN.  Arrays are done in fixed-size chunks, so the
+    temporaries do not grow with the input; a scalar is a one-node chunk.
+    """
+    arr = np.asarray(p, dtype=float)
+    flat = arr.ravel()
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, _NDTRI_CHUNK):
+        _ndtri_chunk(flat[s:s + _NDTRI_CHUNK], out[s:s + _NDTRI_CHUNK])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

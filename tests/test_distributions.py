@@ -208,14 +208,23 @@ class TestMomentAndNormFlags:
 
     def test_gaussian_moments_and_norms(self):
         g = Gaussian()
-        # E|X|^r = 2^{r/2} Gamma((r+1)/2) / sqrt(pi)
+        # E|X|^r = 2^{r/2} Gamma((r+1)/2) / sqrt(pi), in closed form and by
+        # the quantile-space quadrature that families without one use
         for r in (1.0, 2.0, 4.0):
             oracle = 2 ** (r / 2) * math.gamma((r + 1) / 2) / math.sqrt(math.pi)
-            assert abs(g.abs_moment(r) - oracle) <= 1e-9 * oracle
-        # ||f||_m = ((2 pi)^{(1-m)/2} m^{-1/2})^{1/m}
+            assert abs(g.abs_moment(r) - oracle) <= 1e-15 * oracle
+            assert abs(ParentDistribution.abs_moment(g, r) - oracle) <= 1e-9 * oracle
+        # off-centre: E X^2 = mu^2 + sigma^2, E X^4 = mu^4 + 6 mu^2 sigma^2 + 3 sigma^4
+        shifted = Gaussian(mu=1.5, sigma=0.5)
+        assert abs(shifted.abs_moment(2.0) - 2.5) <= 1e-9
+        assert abs(shifted.abs_moment(4.0) - (1.5**4 + 6 * 1.5**2 * 0.25 + 3 * 0.5**4)) <= 1e-9
+        # ||f||_m = ((2 pi)^{(1-m)/2} m^{-1/2})^{1/m}, in closed form and by
+        # the quantile-space quadrature that families without one use
         for m in (2.0, 3.0):
             oracle = ((2 * math.pi) ** ((1 - m) / 2) / math.sqrt(m)) ** (1 / m)
-            assert abs(g.norm_m(m) - oracle) <= 1e-9
+            assert abs(g.norm_m(m) - oracle) <= 1e-15
+            assert abs(Gaussian(mu=3.0, sigma=2.0).norm_m(m) - oracle * 2.0 ** (1 / m - 1)) <= 1e-15
+            assert abs(ParentDistribution.norm_m(g, m) - oracle) <= 1e-9
         assert abs(g.norm_m(math.inf) - 1 / math.sqrt(2 * math.pi)) <= 1e-15
 
     def test_uniform_moment(self):

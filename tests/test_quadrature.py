@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import betaln, digamma
 
+from ordent import entropy_kl, quadrature
+from ordent.distributions import make_parent
 from ordent.quadrature import QuadResults, adaptive_quad, beta_expectation
+from ordent.special import beta_log_density
 
 
 class TestAdaptiveQuad:
@@ -91,6 +94,83 @@ class TestBetaExpectation:
         res = beta_expectation(explosive, 50.0, 51.0)
         assert res.diverged and not res.converged
         assert math.isnan(res.value) and res.error == math.inf
+
+
+class TestZeroWeightPanels:
+    """``beta_expectation`` skips the initial panels that weigh exactly 0."""
+
+    LAWS = [(3.0, 98.0), (50.0, 51.0), (300.0, 701.0), (30_000.0, 70_001.0),
+            (90_000.0, 10_001.0), (1.0, 1e5), (2.0, 1e4), (1e5, 1.0), (0.5, 3.0)]
+
+    @staticmethod
+    def evaluated_grids(monkeypatch):
+        grids = []
+        real = quadrature.adaptive_quad
+
+        def spy(f, a, b, **kwargs):
+            assert kwargs["endpoint_levels"] == 0
+            grids.append(np.concatenate([[a], kwargs["breakpoints"], [b]]))
+            return real(f, a, b, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", spy)
+        return grids
+
+    def test_no_zero_weight_panel_beyond_the_mode(self, monkeypatch):
+        grids = self.evaluated_grids(monkeypatch)
+        for a, b in self.LAWS:
+            res = beta_expectation(lambda u: u, a, b)
+            # the trim to (1e-15, 1 - 1e-15) drops up to ~(a + b) 1e-15 of mass
+            assert res.converged and abs(res.value - a / (a + b)) <= 1e-12 + (a + b) * 1e-15
+            w = np.exp(beta_log_density(a, b, grids[-1]))
+            lo, hi = grids[-1][:-1], grids[-1][1:]
+            mode = (a - 1.0) / (a + b - 2.0) if a > 1.0 and b > 1.0 else (1.0 if a > 1.0 else 0.0)
+            # the inner edge of every panel beyond the mode weighs more than 0
+            if a > 1.0:
+                assert np.all(w[1:][hi <= mode] > 0.0), (a, b)
+            if b > 1.0:
+                assert np.all(w[:-1][lo >= mode] > 0.0), (a, b)
+        # and the concentrated laws lost most of their 46 endpoint levels a side
+        assert grids[3].size < 60 and grids[4].size < 60
+
+    # up to a + b = 2^53, beyond which n + 1 = a + b is no longer exact
+    LARGE = [(3e8, 7e8 + 1), (5e12, 5e12 + 1), (9e14, 1e14 + 1),
+             (2.0 ** 52, 2.0 ** 52), (0.3 * 2.0 ** 53, 0.7 * 2.0 ** 53)]
+
+    def test_same_panels_as_loader_alone(self):
+        # edges placed where the log weight crosses the float64 underflow,
+        # the band in which the direct form defers to Loader's
+        for a, b in self.LAWS[:6] + self.LARGE:
+            mean, sd = a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+            u = np.linspace(max(mean - 60 * sd, 1e-15), min(mean + 60 * sd, 1 - 1e-15), 200_001)
+            logw = beta_log_density(a, b, u)
+            band = u[(logw > -745.6) & (logw < -744.6)]
+            grid = np.unique(np.concatenate([quadrature._initial_grid(1e-15, 1 - 1e-15, [mean]), band]))
+            zero = np.exp(beta_log_density(a, b, grid)) == 0.0
+            mode = (a - 1.0) / (a + b - 2.0) if b > 1.0 else 1.0
+            below, above = zero & (grid <= mode), zero & (grid >= mode)
+            start = np.argmin(below) - 1 if a > 1.0 and below[0] else 0
+            stop = grid.size - (np.argmin(above[::-1]) - 1 if b > 1.0 and above[-1] else 0)
+            got = quadrature._drop_zero_weight_panels(grid, a, b)
+            assert np.array_equal(got, grid[max(start, 0):stop]), (a, b)
+
+    def test_kl_decompose_evaluations(self, monkeypatch):
+        # the 5 parents x 4 n x 3 p of the benchmark's kl_grid workload
+        nevals = []
+        real = entropy_kl.beta_expectation
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            nevals.append(res.neval)
+            return res
+
+        monkeypatch.setattr(entropy_kl, "beta_expectation", counting)
+        for family in ("gaussian", "exponential", "uniform", "cauchy", "f2"):
+            for n in (100, 1_000, 10_000, 100_000):
+                for p in (0.3, 0.5, 0.9):
+                    d = entropy_kl.kl_decompose(make_parent(family), n, p)
+                    assert not d.diverged and d.message == ""
+        assert len(nevals) == 60
+        assert sum(nevals) / 60 <= 3843
 
 
 class TestMultiColumn:

@@ -1,8 +1,8 @@
 """Special-function contracts against independent oracles.
 
 Oracles: direct summation (math.fsum), arbitrary precision (mpmath), closed
-forms, and scipy's digamma; none shares code with the implementation under
-test.
+forms, and scipy's digamma, Beta terms and normal quantile; none shares code
+with the implementation under test.
 """
 
 import math
@@ -10,9 +10,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import digamma
+from scipy.special import betaln, digamma, xlog1py, xlogy
+from scipy.special import ndtri as scipy_ndtri
+from scipy.stats import norm
 
 from ordent import special
+from ordent.distributions import Gaussian
 
 mp.mp.dps = 40
 
@@ -129,3 +132,75 @@ class TestLogBeta:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             special.beta_log_density(0.0, 1.0, 0.5)
+
+    def test_small_parameters_against_mpmath(self):
+        # min(a, b) <= 2: lgamma of the small one less log_gamma_ratio, with
+        # no betaln; through the bulk and out to 1e-10 of either end
+        for a, b in [(1, 1e5), (2, 1e4), (0.5, 0.5), (1.5, 3), (2, 2.05), (1e5, 1), (0.3, 1e6)]:
+            u = np.unique(np.concatenate([np.clip(_bulk(a, b), 1e-10, 1 - 1e-10),
+                                          [1e-10, 0.25, 0.5, 0.75, 1 - 1e-10]]))
+            ref = np.array([_mp_beta_log_density(a, b, x) for x in u])
+            got = special.beta_log_density(a, b, u)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, (a, b)
+
+    def test_zero_exponent_at_the_ends(self):
+        # 0 log 0 = 0 where a = 1 or b = 1, as scipy's xlogy and xlog1py give
+        ends = np.array([0.0, 1.0])
+        for a, b in [(1, 3), (3, 1), (1, 1), (1, 0.5), (0.5, 1), (2, 1), (1, 2)]:
+            with np.errstate(divide="ignore"):
+                want = xlogy(a - 1, ends) + xlog1py(b - 1, -ends) - betaln(a, b)
+            got = special.beta_log_density(a, b, ends)
+            assert not np.isnan(got).any(), (a, b)
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0), (a, b)
+
+
+def _mp_ndtri(p: float) -> float:
+    """Phi^{-1}(p) to 40 digits: Newton on mpmath's normal CDF from scipy's value."""
+    lower = p <= 0.5
+    t = mp.mpf(p) if lower else 1 - mp.mpf(p)
+    z = mp.mpf(scipy_ndtri(float(t)))
+    for _ in range(4):
+        z -= (mp.ncdf(z) - t) / mp.npdf(z)
+    return float(z if lower else -z)
+
+
+class TestNdtri:
+    """``special.ndtri``: Wichura's AS241 in numpy."""
+
+    # log-spaced p down to 1e-300 and the mirror 1 - 2^-j
+    P = np.concatenate([np.logspace(-300, math.log10(0.5), 3000), 1.0 - 2.0 ** -np.arange(1, 54)])
+
+    def test_against_mpmath(self):
+        ref = np.array([_mp_ndtri(p) for p in self.P])
+        ulps = np.abs(special.ndtri(self.P) - ref) / np.spacing(np.abs(ref))
+        # 3 ulp at worst on this grid; plain Horner in the far tail read 6,
+        # as does CPython's statistics.NormalDist.inv_cdf there
+        assert ulps.max() <= 4.0
+        assert np.median(ulps) <= 1.0
+
+    def test_scalar_equals_vector(self):
+        rng = np.random.default_rng(0)
+        p = np.concatenate([rng.random(8000), 10.0 ** rng.uniform(-320, -1, 8000),
+                            [0.075, 0.925, math.exp(-25.0), np.nextafter(0.075, 0.0),
+                             np.nextafter(math.exp(-25.0), 1.0), 0.5, 5e-324]])
+        vector = special.ndtri(p)  # more than one chunk, every branch in each
+        for i in np.r_[rng.choice(p.size - 7, 200, replace=False), p.size - 7:p.size]:
+            assert special.ndtri(float(p[i])) == special.ndtri(p[i:i + 1])[0] == vector[i], p[i]
+
+    def test_edges(self):
+        assert special.ndtri(0.0) == -math.inf and special.ndtri(1.0) == math.inf
+        assert special.ndtri(0.5) == 0.0
+        for bad in (-1e-300, -0.5, 1.0 + 2e-16, 2.0, math.nan, math.inf):
+            assert math.isnan(special.ndtri(bad))
+        got = special.ndtri(np.array([[0.0, 1.0, -0.5], [1.5, math.nan, 0.5]]))
+        assert got.shape == (2, 3)
+        assert got[0, 0] == -math.inf and got[0, 1] == math.inf and got[1, 2] == 0.0
+        assert np.isnan(got[0, 2]) and np.isnan(got[1, 0]) and np.isnan(got[1, 1])
+        assert special.ndtri(np.empty(0)).shape == (0,)
+
+    def test_gaussian_quantile_against_scipy(self):
+        p = np.logspace(-15, math.log10(0.5), 2000)
+        p = np.concatenate([p, 1.0 - p])
+        want = norm.ppf(p)
+        got = Gaussian().quantile(p)
+        assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 8.0
