@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
 from .entropy_kl import (
     ConditionViolation,
-    _quadrature_terms,
+    _term_results,
     gaussian_reference,
     k2_term,
     k3_term,
@@ -222,7 +222,7 @@ def _mse_quadrature_value(parent, law, ref, tol) -> tuple[float, float, str]:
     The message is empty unless the integral diverged or did not converge;
     an unconverged value is kept and flagged.
     """
-    q = _quadrature_terms(parent, law, ref, tol, ("k2",))["k2"]
+    q = _term_results(("k2",), parent, law, ref, tol)["k2"]
     if q.diverged:
         return math.inf, math.inf, q.message
     return q.value, q.error, "" if q.converged else f"quadrature did not converge: {q.message}"

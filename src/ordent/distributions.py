@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import adaptive_quad
+from .quadrature import _CHUNK_NODES, QuadResult, QuadResults, adaptive_quad, beta_expectation
 from .special import beta_log_density, ndtri
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "beta_fourth_central_moment",
     "beta_log_pdf",
     "beta_sample",
+    "beta_sample_mean",
     "random_stream",
     "make_parent",
     "parse_distribution",
@@ -187,9 +188,12 @@ class ParentDistribution:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.abs(self._quantile_upper_tail(0.5 * t**8)) ** r * 4.0 * t**7
 
+        # geometric levels toward t = 0 only: toward t = 1 both sides are smooth
+        levels = 1e-12 + (1.0 - 1e-12) * 2.0 ** -np.arange(1, 47)
         total = 0.0
         for side in (left, right):
-            res = adaptive_quad(side, 1e-12, 1.0, tol_abs=1e-11, tol_rel=1e-10)
+            res = adaptive_quad(side, 1e-12, 1.0, tol_abs=1e-11, tol_rel=1e-10,
+                                breakpoints=levels, endpoint_levels=0)
             total += res.check()
         return total
 
@@ -207,11 +211,8 @@ class ParentDistribution:
             return self._sup_pdf()
         if m == 1:
             return 1.0
-        # int f^m dx = int_0^1 f(F^{-1}(u))^{m-1} du
-        res = adaptive_quad(
-            lambda u: np.exp((m - 1.0) * self.log_pdf_at_quantile(u)),
-            PROB_CLAMP, 1.0 - PROB_CLAMP, tol_abs=1e-12, tol_rel=1e-10,
-        )
+        # int f^m dx = E[f(F^{-1}(U))^{m-1}], U uniform
+        res = beta_expectation(lambda u: np.exp((m - 1.0) * self.log_pdf_at_quantile(u)), 1.0, 1.0)
         return res.check() ** (1.0 / m)
 
     def _sup_pdf(self) -> float:
@@ -598,6 +599,33 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
     u = random_stream(seed, stream).random(int(count))
     x = betaincinv(law.alpha, law.beta, u)
     return np.clip(x, 1e-300, 1.0 - 1e-16)
+
+
+def beta_sample_mean(g, law: BetaLaw, count: int, seed: int, stream: int = 0):
+    """E[g(U)] for U ~ ``law`` as the mean over one ``beta_sample`` draw.
+
+    The Monte Carlo twin of ``quadrature.beta_expectation``, with the same
+    integrands and results: ``g`` returns one value per draw or stacked
+    columns, and is called on chunks of the draw.  ``error`` is the standard
+    error of the mean, which needs two draws, and ``neval`` is ``count``.
+    """
+    if count < 2:
+        raise ValueError("beta_sample_mean needs count >= 2 for a standard error")
+    u = beta_sample(law, count, seed, stream)
+    y = None
+    for s in range(0, count, _CHUNK_NODES):
+        part = np.asarray(g(u[s:s + _CHUNK_NODES]), dtype=float)
+        size = min(_CHUNK_NODES, count - s)
+        if part.ndim not in (1, 2) or part.shape[-1] != size:
+            raise ValueError(f"g returned shape {part.shape} for {size} draws")
+        if y is None:
+            y = np.empty(part.shape[:-1] + (count,))
+        y[..., s:s + size] = part
+    # row by row, without the draw: the statistics' temporaries stay one row
+    del u, part
+    results = [QuadResult(float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(count)), count)
+               for row in np.atleast_2d(y)]
+    return results[0] if y.ndim == 1 else QuadResults(results, count)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .distributions import PROB_CLAMP, ParentDistribution, beta_sample, power_moment_finite
+from .distributions import PROB_CLAMP, ParentDistribution, beta_sample_mean, power_moment_finite
 from .order_stats import OrderStatSpec, round_rank
 from .quadrature import QuadResult, beta_expectation
 
@@ -178,41 +178,19 @@ def _term_divergence(term: str, parent: ParentDistribution, law) -> tuple[float,
     return value, f"{name} is infinite under Beta({law.alpha:g}, {law.beta:g})"
 
 
-def _quadrature_terms(
-    parent: ParentDistribution,
-    law,
-    ref: GaussianReference | None,
-    tol: float,
-    terms: tuple[str, ...] = ("k2", "k3", "direct"),
-) -> dict[str, QuadResult]:
-    """The Beta expectations behind ``terms``, in one pass of the engine.
+def _term_columns(parent: ParentDistribution, ref: GaussianReference, terms: tuple[str, ...]):
+    """The integrand ``columns(u, logw=None)`` of ``terms``, one row per term.
 
-    ``k2``: E[(F^{-1}(U) - mu)^2]; ``k3``: E[log f(F^{-1}(U))]; ``direct``:
-    E of the log ratio of the X_(k) density to the Gaussian one, in
-    u = F(x) coordinates.  Every node makes at most one ``quantile`` and one
-    ``log_pdf_at_quantile`` call for all columns, and the direct column takes
-    its log Beta density from the engine's log weight, the same value that
-    weights the node.  ``ref`` is needed only for ``k2`` and ``direct``.
-    An expectation that ``_term_divergence`` finds infinite is not
-    integrated: its result is diverged, with that infinity and message.
+    ``k2``: (F^{-1}(u) - mu)^2; ``k3``: log f(F^{-1}(u)); ``direct``: the log
+    ratio of the X_(k) density to the Gaussian one in u = F(x) coordinates,
+    with the log Beta density ``logw`` that weights the quadrature node.
+    Each call makes at most one ``quantile`` and one ``log_pdf_at_quantile`` call.
     """
-    results = {}
-    for t in terms:
-        hit = _term_divergence(t, parent, law)
-        if hit:
-            results[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
-                                    message=hit[1])
-    terms = tuple(t for t in terms if t not in results)
-    if not terms:
-        return results
-    need_quantile = "k2" in terms or "direct" in terms
-    need_log_pdf = "k3" in terms or "direct" in terms
-
-    def columns(u, logw):
+    def columns(u, logw=None):
         col = {}
-        if need_quantile:
+        if "k2" in terms or "direct" in terms:
             col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
-        if need_log_pdf:
+        if "k3" in terms or "direct" in terms:
             col["k3"] = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
         if "direct" in terms:
             v = ref.v_np
@@ -220,17 +198,11 @@ def _quadrature_terms(
                              + col["k2"] / (2.0 * v))
         return np.stack([col[t] for t in terms])
 
-    tol_abs, tol_rel = zip(*(_term_tolerances(t, tol) for t in terms))
-    res = beta_expectation(columns, law.alpha, law.beta,
-                           tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True)
-    results.update(zip(terms, res))
-    return results
+    return columns
 
 
-def _quadrature_detail(
-    term: str, res: QuadResult, ref: GaussianReference, log_fp: float,
-) -> tuple[float, float, bool, str]:
-    """(value, error, diverged, message) of one term from its Beta expectation.
+def _term_detail(term: str, res: QuadResult, ref: GaussianReference) -> tuple:
+    """(value, error, diverged, message) of one term from either estimator's result.
 
     A finite value from an unconverged integral is kept, and the message
     says so.  A diverged k2 or direct KL is +inf (both are nonnegative); a
@@ -243,45 +215,47 @@ def _quadrature_detail(
         scale = 2.0 * ref.v_np
         return res.value / scale - 0.5, res.error / scale, False, message
     if term == "k3":
-        return res.value - log_fp, res.error, False, message
+        return res.value - ref.log_f_p, res.error, False, message
     return res.value, res.error, False, message
 
 
-def _monte_carlo_detail(
-    term: str,
-    parent: ParentDistribution,
-    law,
-    ref: GaussianReference,
-    log_fp: float,
-    budget: int,
-    seed: int,
-) -> tuple[float, float, bool, str]:
-    """(value, error, diverged, message) of k2 or k3 from Beta draws."""
-    hit = _term_divergence(term, parent, law)
-    if hit:
-        return hit[0], math.inf, True, hit[1]
-    if term == "k2":
-        u = beta_sample(law, budget, seed, stream=1)
-        vals = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
-        scale, shift = 2.0 * ref.v_np, 0.5
-    else:
-        u = beta_sample(law, budget, seed, stream=2)
-        vals = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
-        scale, shift = 1.0, log_fp
-    se = float(np.std(vals, ddof=1) / math.sqrt(budget))
-    return float(np.mean(vals)) / scale - shift, se / scale, False, ""
+def _term_results(terms, parent, law, ref, tol, method="quadrature", budget=0, seed=0) -> dict:
+    """The Beta expectation behind each of ``terms``, by ``method``.
 
-
-def _term_details(terms, parent, law, ref, log_fp, method, budget, seed, tol) -> dict:
-    """(value, error, diverged, message) of each of ``terms``: k2 and k3 by
-    ``method``, the direct KL by quadrature in either case."""
+    k2 and k3 are one multi-column quadrature pass, or by Monte Carlo the
+    mean over one ``budget``-draw sample from (``seed``, stream 1) that both
+    share; the direct KL is integrated by either method.  An expectation
+    that ``_term_divergence`` finds infinite is neither integrated nor
+    sampled: its result is diverged, with that infinity and message.
+    """
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
-    details = {t: _monte_carlo_detail(t, parent, law, ref, log_fp, budget, seed)
-               for t in terms if t != "direct" and method == "monte_carlo"}
-    res = _quadrature_terms(parent, law, ref, tol, tuple(t for t in terms if t not in details))
-    details.update((t, _quadrature_detail(t, r, ref, log_fp)) for t, r in res.items())
-    return details
+    results = {}
+    for t in terms:
+        hit = _term_divergence(t, parent, law)
+        if hit:
+            results[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
+                                    message=hit[1])
+    sampled = tuple(t for t in terms if t not in results and t != "direct"
+                    and method == "monte_carlo")
+    integrated = tuple(t for t in terms if t not in results and t not in sampled)
+    if sampled:
+        res = beta_sample_mean(_term_columns(parent, ref, sampled), law, budget, seed, stream=1)
+        results.update(zip(sampled, res))
+    if integrated:
+        tol_abs, tol_rel = zip(*(_term_tolerances(t, tol) for t in integrated))
+        res = beta_expectation(_term_columns(parent, ref, integrated), law.alpha, law.beta,
+                               tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True)
+        results.update(zip(integrated, res))
+    return results
+
+
+def _term_value(term, parent, n, p, tol, method="quadrature", budget=0, seed=0) -> float:
+    """One term at (n, p) alone, with the value ``kl_decompose`` reports for it."""
+    ref = gaussian_reference(parent, n, p)
+    law = OrderStatSpec.from_fraction(n, p).beta_law
+    res = _term_results((term,), parent, law, ref, tol, method, budget, seed)[term]
+    return _term_detail(term, res, ref)[0]
 
 
 def k2_term(
@@ -294,10 +268,7 @@ def k2_term(
     tol: float = 1e-10,
 ) -> float:
     """E[(F^{-1}(U_(np)) - F^{-1}(p))^2] / (2 V_np) - 1/2; inf when divergent."""
-    spec = OrderStatSpec.from_fraction(n, p)
-    ref = gaussian_reference(parent, n, p)
-    details = _term_details(("k2",), parent, spec.beta_law, ref, 0.0, method, budget, seed, tol)
-    return details["k2"][0]
+    return _term_value("k2", parent, n, p, tol, method, budget, seed)
 
 
 def k3_term(
@@ -309,14 +280,11 @@ def k3_term(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> float:
-    """E[log(f(F^{-1}(U_(np))) / f(F^{-1}(p)))]; signed inf when divergent."""
-    spec = OrderStatSpec.from_fraction(n, p)
-    log_fp = float(parent.log_pdf_at_quantile(p))
-    if not math.isfinite(log_fp):
-        raise ConditionViolation(
-            f"{parent.spec_string()} has zero density at its {p:g}-quantile")
-    details = _term_details(("k3",), parent, spec.beta_law, None, log_fp, method, budget, seed, tol)
-    return details["k3"][0]
+    """E[log(f(F^{-1}(U_(np))) / f(F^{-1}(p)))]; signed inf when divergent.
+
+    By Monte Carlo it averages the draw that ``kl_decompose`` shares with k2.
+    """
+    return _term_value("k3", parent, n, p, tol, method, budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +299,15 @@ def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -
     singularities on (0, 1) that the panel refinement resolves.  Returns inf
     when k2 or k3, and so the divergence, is infinite.
     """
-    spec = OrderStatSpec.from_fraction(n, p)
-    ref = gaussian_reference(parent, n, p)
-    res = _quadrature_terms(parent, spec.beta_law, ref, tol, ("direct",))["direct"]
-    return math.inf if res.diverged else res.value
+    return _term_value("direct", parent, n, p, tol)
 
 
 @dataclass(slots=True)
 class KlDecomposition:
     """The three-term split of D(X_(np) || G_{n,p}) plus its direct value.
 
-    Slotted, and the total is derived rather than stored: sweeps and
+    ``quad_error`` sums the terms' errors, standard errors for Monte Carlo
+    terms.  Slotted, and the total is derived rather than stored: sweeps and
     benchmarks keep thousands of these.
     """
 
@@ -390,16 +356,18 @@ def kl_decompose(
     retained as an infinite entry with a message rather than aborting, so
     parameter sweeps can report it per point.  By quadrature, the finite
     terms come from one multi-column pass; a term whose integral ends
-    unconverged keeps its value and is named in ``message``.
+    unconverged keeps its value and is named in ``message``.  By Monte Carlo,
+    k2 and k3 average the same integrand over one ``budget``-draw sample
+    (``budget`` >= 2, from ``seed``'s stream 1); the direct KL is integrated.
     """
     spec = OrderStatSpec.from_fraction(n, p, rounding)
     ref = gaussian_reference(parent, n, p)
     k1 = k1_term(n, p, rounding)
-    details = _term_details(("k2", "k3", "direct"), parent, spec.beta_law, ref, ref.log_f_p,
-                            method, budget, seed, tol)
-    k2, k2_err, k2_div, k2_msg = details["k2"]
-    k3, k3_err, k3_div, k3_msg = details["k3"]
-    direct, direct_err, direct_div, direct_msg = details["direct"]
+    results = _term_results(("k2", "k3", "direct"), parent, spec.beta_law, ref, tol,
+                            method, budget, seed)
+    k2, k2_err, k2_div, k2_msg = _term_detail("k2", results["k2"], ref)
+    k3, k3_err, k3_div, k3_msg = _term_detail("k3", results["k3"], ref)
+    direct, direct_err, direct_div, direct_msg = _term_detail("direct", results["direct"], ref)
     diverged = k2_div or k3_div
     # a diverged k2 or k3 carries an infinite error, and so does quad_error
     return KlDecomposition(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaLaw, ParentDistribution, beta_sample, power_moment_finite
+from .distributions import (BetaLaw, ParentDistribution, beta_sample, beta_sample_mean,
+                            power_moment_finite)
 from .reports import BoundReport
 from .special import beta_log_density, log_gamma_ratio
 
@@ -163,8 +164,9 @@ def verify_moment_bound(
 ) -> BoundReport:
     """Monte Carlo check of E|X_(k)|^q <= C_{n,k,q,r} (E|X|^r)^{q/r}.
 
-    The verdict allows 3 standard errors of slack; an infinite parent moment
-    or an infinite constant makes the bound vacuous rather than an error.
+    E|X_(k)|^q is a ``beta_sample_mean`` over ``mc_count`` >= 2 draws; the
+    verdict allows 3 standard errors of slack.  An infinite parent moment or
+    an infinite constant makes the bound vacuous rather than an error.
     """
     params = {"n": spec.n, "k": spec.k, "q": q, "r": r,
               "mc_count": mc_count, "seed": seed, "parent": parent.spec_string()}
@@ -177,14 +179,13 @@ def verify_moment_bound(
     else:
         analytic = const.value * parent_moment ** (q / r)
         message = ""
-    draws = np.abs(sample_order_stat(parent, spec, mc_count, seed, stream)) ** q
-    emp = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(mc_count))
+    res = beta_sample_mean(lambda u: np.abs(parent.quantile(u)) ** q, spec.beta_law,
+                           mc_count, seed, stream)
     return BoundReport(
         bound_name="order_stat_moment",
         analytic_value=analytic,
-        empirical_value=emp,
-        stderr=stderr,
+        empirical_value=res.value,
+        stderr=res.error,
         params=params,
         message=message,
     )

@@ -49,7 +49,9 @@ _EXP_UNDERFLOW = -745.13
 
 @dataclass
 class QuadResult:
-    """Outcome of one adaptive integration."""
+    """Outcome of one adaptive integral, or of one sample mean
+    (``distributions.beta_sample_mean``), whose ``error`` is its standard
+    error and whose ``neval`` counts its draws."""
 
     value: float
     error: float

@@ -25,6 +25,7 @@ from ordent.distributions import (
     beta_log_pdf,
     beta_mean_var,
     beta_sample,
+    beta_sample_mean,
     make_parent,
     parse_distribution,
     power_moment_finite,
@@ -232,6 +233,26 @@ class TestMomentAndNormFlags:
         assert abs(u.abs_moment(1.0) - 0.5) <= 1e-10
         assert abs(u.abs_moment(2.0) - 1.0 / 3.0) <= 1e-10
 
+    @pytest.mark.parametrize("parent,r,most", [(Uniform(), 2.0, 2205), (Exponential(), 1.0, 2205),
+                                               (Gaussian(mu=1.0), 4.0, 2205), (Cauchy(), 0.5, 3735)],
+                             ids=lambda v: getattr(v, "name", v))
+    def test_abs_moment_refines_toward_zero_only(self, monkeypatch, parent, r, most):
+        # geometric levels toward t = 1 of u = t^8 / 2 would double the nodes
+        # (4140 per side) where every integrand is smooth
+        import ordent.distributions as dist
+
+        nevals = []
+
+        def spy(*args, **kwargs):
+            res = engine(*args, **kwargs)
+            nevals.append(res.neval)
+            return res
+
+        engine = dist.adaptive_quad
+        monkeypatch.setattr(dist, "adaptive_quad", spy)
+        assert math.isfinite(ParentDistribution.abs_moment(parent, r))
+        assert len(nevals) == 2 and max(nevals) <= most, nevals
+
 
 class TestSpecExamples:
     def test_uniform_identity_quantile(self):
@@ -336,6 +357,32 @@ class TestBetaSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             beta_sample(BetaLaw(1, 1), 0, seed=0)
+
+    def test_sample_mean_is_the_mean_of_one_draw(self):
+        # 20000 draws span three chunks; the stacked columns share the draw
+        law, count = BetaLaw(30.0, 71.0), 20_000
+        calls = []
+
+        def g(u):
+            calls.append(u.size)
+            return np.stack([u, np.log(u)])
+
+        res = beta_sample_mean(g, law, count, seed=5, stream=3)
+        u = beta_sample(law, count, seed=5, stream=3)
+        assert max(calls) <= 8192 and sum(calls) == count
+        assert len(res) == 2 and res.neval == count
+        for r, col in zip(res, (u, np.log(u))):
+            assert r.value == float(np.mean(col)) and r.neval == count
+            assert r.error == float(np.std(col, ddof=1) / math.sqrt(count))
+        one = beta_sample_mean(lambda u: u, law, count, seed=5, stream=3)
+        assert (one.value, one.error) == (res[0].value, res[0].error)
+
+    def test_sample_mean_needs_two_draws(self):
+        for count in (0, 1):
+            with pytest.raises(ValueError, match="count >= 2"):
+                beta_sample_mean(lambda u: u, BetaLaw(2, 2), count, seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            beta_sample_mean(lambda u: u[:-1], BetaLaw(2, 2), 10, seed=0)
 
     def test_random_stream_reproducible(self):
         g1 = random_stream(3, 5).random(4)

@@ -13,7 +13,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betaincinv, gammaln
 
-from ordent.distributions import F1, F2, Cauchy, Exponential, Gaussian, Uniform
+import ordent.distributions
+from ordent.distributions import F1, F2, BetaLaw, Cauchy, Exponential, Gaussian, Uniform, beta_sample
 from ordent.entropy_kl import (
     ConditionViolation,
     entropy_expansion_linear_coefficient,
@@ -342,6 +343,37 @@ class TestFusedQuadrature:
         assert abs(k2_term(Gaussian(), 2_000, 0.3) - d.k2) <= 1e-12
         assert abs(k3_term(Gaussian(), 2_000, 0.3) - d.k3) <= 1e-12
         assert abs(kl_direct(Gaussian(), 2_000, 0.3, tol=1e-10) - d.total_direct) <= 1e-12
+
+
+class TestMonteCarlo:
+    def test_one_draw_per_decomposition(self, monkeypatch):
+        calls = []
+
+        def spy(law, count, seed, stream=0):
+            calls.append((count, stream))
+            return beta_sample(law, count, seed, stream)
+
+        monkeypatch.setattr(ordent.distributions, "beta_sample", spy)
+        d = kl_decompose(Exponential(), 200, 0.3, method="monte_carlo", budget=5_000, seed=4)
+        assert calls == [(5_000, 1)]
+        assert k2_term(Exponential(), 200, 0.3, method="monte_carlo", budget=5_000, seed=4) == d.k2
+        assert k3_term(Exponential(), 200, 0.3, method="monte_carlo", budget=5_000, seed=4) == d.k3
+
+    def test_terms_are_means_over_stream_one(self):
+        # bit-equal to the mean over the draw taken directly; 20000 draws
+        # cross the estimator's chunk boundaries
+        parent, n, p, budget, seed = Exponential(), 200, 0.3, 20_000, 9
+        d = kl_decompose(parent, n, p, method="monte_carlo", budget=budget, seed=seed)
+        ref = gaussian_reference(parent, n, p)
+        u = beta_sample(BetaLaw(d.k, n + 1 - d.k), budget, seed, stream=1)
+        mse = float(np.mean((parent.quantile(u) - ref.mu_p) ** 2))
+        assert d.k2 == mse / (2.0 * ref.v_np) - 0.5
+        assert d.k3 == float(np.mean(parent.log_pdf_at_quantile(u))) - ref.log_f_p
+
+    def test_one_draw_is_rejected(self):
+        # one draw has no standard error (quad_error would be NaN)
+        with pytest.raises(ValueError):
+            kl_decompose(Exponential(), 200, 0.3, method="monte_carlo", budget=1)
 
 
 class TestDeclaredDivergence:

@@ -210,6 +210,19 @@ class TestVerifyMomentBound:
         assert report.verdict == "vacuous"
         assert report.analytic_value == math.inf
 
+    def test_mean_and_stderr_of_the_sampled_order_statistic(self):
+        # bit-equal to the mean and standard error of |X_(k)|^q drawn directly
+        parent, spec, count = Gaussian(), OrderStatSpec(n=100, k=30), 20_000
+        report = verify_moment_bound(parent, spec, q=3.0, r=4.0, mc_count=count, seed=5, stream=2)
+        draws = np.abs(sample_order_stat(parent, spec, count, seed=5, stream=2)) ** 3.0
+        assert report.empirical_value == float(np.mean(draws))
+        assert report.stderr == float(np.std(draws, ddof=1) / math.sqrt(count))
+
+    def test_one_draw_is_rejected(self):
+        # one draw has no standard error (NaN, and a false "fail")
+        with pytest.raises(ValueError):
+            verify_moment_bound(Uniform(), OrderStatSpec(n=20, k=10), q=2.0, r=2.0, mc_count=1)
+
     def test_vacuous_when_parent_moment_infinite(self):
         report = verify_moment_bound(F1(), OrderStatSpec(n=10, k=5), q=1.0, r=0.5,
                                      mc_count=1_000, seed=4)
