@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
-from .entropy_kl import (
-    ConditionViolation,
-    _term_results,
-    gaussian_reference,
-    k2_term,
-    k3_term,
-)
+from .entropy_kl import ConditionViolation, _term_at, _term_results, gaussian_reference
 from .order_stats import OrderStatSpec, moment_bound_constant, round_rank
 from .reports import BoundReport
 from .special import log_beta_remainder
@@ -252,7 +246,8 @@ def k3_bound(
 
     Requires the conjugate norm ||f||_{r+1} with 1/q + 1/r = 1; when that
     norm is infinite (the unbounded-density parent for any q < inf member of
-    the pair) the bound is vacuous and flagged.
+    the pair) the bound is vacuous and flagged.  ``stderr`` is the quadrature
+    error of k3, and ``message`` says when that integral did not converge.
     """
     if q < 1:
         raise ValueError("q must lie in [1, inf]")
@@ -271,7 +266,7 @@ def k3_bound(
     norm_order = 2.0 if math.isinf(q) else r + 1.0
     norm = parent.norm_m(norm_order)
 
-    empirical = k3_term(parent, n, p, tol=tol)
+    empirical, stderr, _, quad_message = _term_at("k3", parent, n, p, tol)
     params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
               "epsilon": eps, "q": q, "norm_order": norm_order}
 
@@ -280,9 +275,11 @@ def k3_bound(
             bound_name="log_density_ratio",
             analytic_value=math.inf,
             empirical_value=empirical,
-            stderr=0.0,
+            stderr=stderr,
             params=params,
-            message=f"||f||_{norm_order:g} is infinite; finite-norm condition violated",
+            message="; ".join(m for m in (
+                f"||f||_{norm_order:g} is infinite; finite-norm condition violated",
+                quad_message) if m),
         )
 
     c_eps2 = _density_ratio_max(parent, p, eps, 2)
@@ -303,8 +300,9 @@ def k3_bound(
         bound_name="log_density_ratio",
         analytic_value=analytic,
         empirical_value=empirical,
-        stderr=0.0,
+        stderr=stderr,
         params={**params, "slope_const": c_eps2, "terms": (first, middle, third)},
+        message=quad_message,
     )
 
 
@@ -347,14 +345,20 @@ def corollary1_check(
 
     Fits the log-log slope of |k2(n)| * sqrt(n) over the top decade of the
     grid; pass means no growth trend (slope <= slope_slack).  A divergent k2
-    anywhere on the grid fails outright.
+    anywhere on the grid fails outright; ``message`` names each n whose k2
+    did not converge.
     """
     n_grid = [int(n) for n in n_grid]
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be increasing with at least 3 points")
-    values = []
+    values, unconverged = [], []
     for n in n_grid:
-        values.append(k2_term(parent, n, p, tol=tol))
+        value, _, diverged, message = _term_at("k2", parent, n, p, tol)
+        values.append(value)
+        if message and not diverged:
+            unconverged.append(n)
+    quad_message = (f"k2 did not converge at n = {', '.join(map(str, unconverged))}"
+                    if unconverged else "")
     values = np.asarray(values, dtype=float)
     params = {"parent": parent.spec_string(), "p": p, "r": r,
               "n_grid": list(n_grid), "k2_values": values.tolist()}
@@ -365,7 +369,7 @@ def corollary1_check(
             empirical_value=math.inf,
             stderr=0.0,
             params=params,
-            message="k2 diverged on the grid",
+            message="; ".join(m for m in ("k2 diverged on the grid", quad_message) if m),
         )
     scaled = np.abs(values) * np.sqrt(np.asarray(n_grid, dtype=float))
     top = [i for i, n in enumerate(n_grid) if n >= max(n_grid) / 10.0]
@@ -378,4 +382,5 @@ def corollary1_check(
         empirical_value=slope,
         stderr=0.0,
         params={**params, "scaled_values": scaled.tolist()},
+        message=quad_message,
     )

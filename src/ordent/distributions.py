@@ -585,19 +585,91 @@ def beta_log_pdf(law: BetaLaw, u):
     return _ret(u, beta_log_density(law.alpha, law.beta, u))
 
 
-def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Deterministic Beta draws by the quantile method.
+#: ``beta_sample``'s inverse-CDF table: nodes z = -_TABLE_Z + j h, h =
+#: 2 _TABLE_Z / _TABLE_STEPS (a power of two, so z / h is exact), j = 0.._TABLE_STEPS.
+_TABLE_Z = 8.0
+_TABLE_STEPS = 4096
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-    Exactly one uniform is consumed per variate (inverse regularized
-    incomplete beta), so the mapping from (seed, stream) to output does not
-    depend on the Beta parameters.
+
+def _logit_quantile(a: float, b: float, z: np.ndarray) -> tuple:
+    """(y, dy/dz) of y = logit(x), x the Beta(a, b) quantile at Phi(z).
+
+    dy/dz = phi(z) / (f(x) x (1 - x)).  x comes from ``betaincinv`` and
+    keeps its precision where x <= 1/2; the caller mirrors the law beyond.
+    """
+    from scipy.special import betaincinv, ndtr
+
+    x = betaincinv(a, b, ndtr(z))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_x, log_1mx = np.log(x), np.log1p(-x)
+        slope = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - beta_log_density(a, b, x) - log_x - log_1mx)
+    return log_x - log_1mx, slope
+
+
+def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Deterministic Beta draws by the quantile method, through one table per call.
+
+    Exactly one uniform u is consumed per variate, so the mapping from
+    (seed, stream) to output does not depend on the Beta parameters, and
+    draw i depends only on u_i and the law: any prefix of a draw is the
+    same bit for bit.  ``betaincinv`` runs only at the nodes of a table of
+    y = logit(x) of the Beta quantile x at u = Phi(z), on a uniform grid of
+    4097 nodes over |z| <= 8; nodes where x > 1/2 take 1 - x from the
+    mirrored law, so that it keeps its precision.  A draw is the cubic
+    Hermite interpolant of y at z = ndtri(u), with the exact slopes; a draw
+    beyond the table, or in a cell where x rounds to 0 or 1, is
+    ``betaincinv`` itself.
+
+    Accuracy contract: each draw lies within 1e-12 min(x, 1 - x) + 2^-52
+    of ``betaincinv(alpha, beta, u)`` when alpha, beta >= 1 (1e-10 for the
+    tested laws with a parameter down to 0.1; the error grows as a
+    parameter shrinks further), and draws are nondecreasing in u; the tests
+    check this from Beta(1, 1) to Beta(3e6, 7e6 + 1).  Draws are clipped to
+    [1e-300, 1 - 1e-16].
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    from scipy.special import betaincinv  # scipy loads only where it is needed
+    # scipy loads only where it is needed; its ndtri (which shadows
+    # special.ndtri here) takes 2/3 of the time on the draws
+    from scipy.special import betainc, betaincinv, expit, ndtri
+
+    a, b = law.alpha, law.beta
+    half = _TABLE_STEPS // 2
+    h = 2.0 * _TABLE_Z / _TABLE_STEPS
+    z = h * np.arange(-half, half + 1)
+    low = z <= ndtri(betainc(a, b, 0.5))  # x <= 1/2
+    y, dy = np.empty_like(z), np.empty_like(z)
+    y[low], dy[low] = _logit_quantile(a, b, z[low])
+    y[~low], dy[~low] = _logit_quantile(b, a, -z[~low])  # logit(1 - x)
+    y[~low] *= -1.0
+    dy *= h
+    # cubic Hermite coefficients of each cell in powers of its offset t in
+    # [0, 1), one row per cell; NaN where x rounds to 0 or 1 at either node
+    with np.errstate(invalid="ignore"):
+        step = np.diff(y)
+        coef = np.stack([y[:-1], dy[:-1], 3.0 * step - 2.0 * dy[:-1] - dy[1:],
+                         dy[:-1] + dy[1:] - 2.0 * step], axis=1)
+    coef[~np.isfinite(coef).all(axis=1)] = np.nan
 
     u = random_stream(seed, stream).random(int(count))
-    x = betaincinv(law.alpha, law.beta, u)
+    x = np.empty_like(u)
+    for s in range(0, u.size, _CHUNK_NODES):
+        part = u[s:s + _CHUNK_NODES]
+        zp = ndtri(part)
+        inside = np.abs(zp) < _TABLE_Z
+        pos = np.where(inside, zp, 0.0) / h
+        cell = np.floor(pos)
+        t = pos - cell
+        c = np.take(coef, cell.astype(np.intp) + half, axis=0)
+        yp = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * c[:, 3]))
+        # the smaller of x and 1 - x from the logistic, the other by one subtraction
+        xp = expit(-np.abs(yp))
+        np.subtract(1.0, xp, out=xp, where=yp > 0.0)
+        far = np.isnan(yp) | ~inside
+        if far.any():
+            xp[far] = betaincinv(a, b, part[far])
+        x[s:s + _CHUNK_NODES] = xp
     return np.clip(x, 1e-300, 1.0 - 1e-16)
 
 

@@ -250,12 +250,13 @@ def _term_results(terms, parent, law, ref, tol, method="quadrature", budget=0, s
     return results
 
 
-def _term_value(term, parent, n, p, tol, method="quadrature", budget=0, seed=0) -> float:
-    """One term at (n, p) alone, with the value ``kl_decompose`` reports for it."""
+def _term_at(term, parent, n, p, tol, method="quadrature", budget=0, seed=0) -> tuple:
+    """``_term_detail`` of one term at (n, p) alone: the value ``kl_decompose``
+    reports for it, with its error, divergence flag and message."""
     ref = gaussian_reference(parent, n, p)
     law = OrderStatSpec.from_fraction(n, p).beta_law
     res = _term_results((term,), parent, law, ref, tol, method, budget, seed)[term]
-    return _term_detail(term, res, ref)[0]
+    return _term_detail(term, res, ref)
 
 
 def k2_term(
@@ -268,7 +269,7 @@ def k2_term(
     tol: float = 1e-10,
 ) -> float:
     """E[(F^{-1}(U_(np)) - F^{-1}(p))^2] / (2 V_np) - 1/2; inf when divergent."""
-    return _term_value("k2", parent, n, p, tol, method, budget, seed)
+    return _term_at("k2", parent, n, p, tol, method, budget, seed)[0]
 
 
 def k3_term(
@@ -284,7 +285,7 @@ def k3_term(
 
     By Monte Carlo it averages the draw that ``kl_decompose`` shares with k2.
     """
-    return _term_value("k3", parent, n, p, tol, method, budget, seed)
+    return _term_at("k3", parent, n, p, tol, method, budget, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -
     singularities on (0, 1) that the panel refinement resolves.  Returns inf
     when k2 or k3, and so the divergence, is infinite.
     """
-    return _term_value("direct", parent, n, p, tol)
+    return _term_at("direct", parent, n, p, tol)[0]
 
 
 @dataclass(slots=True)

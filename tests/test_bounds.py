@@ -258,3 +258,49 @@ class TestUnconvergedQuadrature:
     def test_converged_bound_has_no_message(self):
         rep = quantile_mse_bound(Gaussian(), 200, 0.3)
         assert rep.message == ""
+
+    @staticmethod
+    def _unconverged_at(monkeypatch, n=None):
+        """Mark every term result (or those of one n) unconverged, values kept."""
+        import dataclasses
+
+        import ordent.entropy_kl as ek
+
+        real = ek._term_results
+
+        def patched(terms, parent, law, ref, *args, **kwargs):
+            res = real(terms, parent, law, ref, *args, **kwargs)
+            if n is not None and ref.n != n:
+                return res
+            return {t: dataclasses.replace(r, converged=False, message="depth 60 reached")
+                    for t, r in res.items()}
+
+        monkeypatch.setattr(ek, "_term_results", patched)
+
+    def test_k3_bound_reports_its_quadrature_error(self):
+        from ordent.entropy_kl import _term_at
+
+        rep = k3_bound(Gaussian(), 200, 0.3, q=2.0)
+        value, error, diverged, message = _term_at("k3", Gaussian(), 200, 0.3, 1e-10)
+        assert (rep.empirical_value, rep.stderr) == (value, error)
+        assert 0.0 < rep.stderr < 1e-9 and not diverged and message == rep.message == ""
+
+    @pytest.mark.parametrize("parent", [Gaussian(), F2()])
+    def test_k3_bound_names_an_unconverged_integral(self, monkeypatch, parent):
+        before = k3_bound(parent, 1_000, 0.5, q=2.0)
+        self._unconverged_at(monkeypatch)
+        after = k3_bound(parent, 1_000, 0.5, q=2.0)
+        assert (after.empirical_value, after.stderr, after.analytic_value, after.verdict) == (
+            before.empirical_value, before.stderr, before.analytic_value, before.verdict)
+        assert "k3 did not converge: depth 60 reached" in after.message
+        assert before.message in after.message
+
+    def test_corollary1_names_each_unconverged_n(self, monkeypatch):
+        grid = [100, 316, 1_000, 3_162, 10_000]
+        before = corollary1_check(Gaussian(), 0.5, 2.0, grid)
+        assert before.message == ""
+        self._unconverged_at(monkeypatch, n=316)
+        after = corollary1_check(Gaussian(), 0.5, 2.0, grid)
+        assert after.params == before.params
+        assert (after.empirical_value, after.verdict) == (before.empirical_value, before.verdict)
+        assert after.message == "k2 did not converge at n = 316"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import betaincinv, ndtri
 
 from ordent.distributions import (
     F1,
@@ -357,6 +358,42 @@ class TestBetaSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             beta_sample(BetaLaw(1, 1), 0, seed=0)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1, 1), (2, 2), (5, 5), (30, 71), (60, 141), (140, 1861), (1, 100), (2, 99),
+        (100, 1), (3, 2.1), (5e4, 5e4 + 1), (3e6, 7e6 + 1), (0.5, 0.5), (0.1, 3),
+    ])
+    def test_table_accuracy_contract(self, alpha, beta):
+        # within 1e-12 min(x, 1 - x) + 2^-52 of the exact inversion (1e-10 with
+        # a parameter below 1), nondecreasing in u, and prefix-stable
+        law, count = BetaLaw(alpha, beta), 100_000
+        x = beta_sample(law, count, seed=29, stream=4)
+        u = random_stream(29, 4).random(count)
+        ref = betaincinv(alpha, beta, u)
+        rel = 1e-10 if min(alpha, beta) < 1 else 1e-12
+        assert np.all(np.abs(x - ref) <= rel * np.minimum(ref, 1.0 - ref) + 2.0**-52)
+        assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+        assert np.array_equal(beta_sample(law, 100, seed=29, stream=4),
+                              beta_sample(law, 20_000, seed=29, stream=4)[:100])
+
+    @pytest.mark.parametrize("count", [1_000, 100_000])
+    def test_inverts_only_at_table_nodes(self, monkeypatch, count):
+        # betaincinv runs at the table's nodes and at draws beyond |z| < 8
+        import scipy.special
+
+        from ordent.distributions import _TABLE_STEPS, _TABLE_Z
+
+        inverted = []
+        real = scipy.special.betaincinv
+
+        def spy(a, b, u):
+            inverted.append(np.size(u))
+            return real(a, b, u)
+
+        monkeypatch.setattr(scipy.special, "betaincinv", spy)
+        beta_sample(BetaLaw(30, 71), count, seed=3, stream=1)
+        beyond = int(np.sum(~(np.abs(ndtri(random_stream(3, 1).random(count))) < _TABLE_Z)))
+        assert sum(inverted) <= _TABLE_STEPS + 1 + beyond
 
     def test_sample_mean_is_the_mean_of_one_draw(self):
         # 20000 draws span three chunks; the stacked columns share the draw

@@ -69,7 +69,9 @@ def test_no_scipy_until_a_function_needs_it():
     # the lazily imported functions give the values that scipy gives directly
     got = run["values"]
     u = random_stream(11, 3).random(64)
-    assert got["beta_sample"] == np.clip(betaincinv(30.0, 71.0, u), 1e-300, 1.0 - 1e-16).tolist()
+    ref = betaincinv(30.0, 71.0, u)  # beta_sample's accuracy contract
+    assert np.all(np.abs(np.array(got["beta_sample"]) - ref)
+                  <= 1e-12 * np.minimum(ref, 1.0 - ref) + 2.0**-52)
     assert got["order_stat_cdf"] == betainc(30.0, 71.0, ndtr(np.array(X))).tolist()
     assert got["gaussian_cdf"] == ndtr(np.array(X)).tolist()
     # and the same in this process, where scipy is already loaded
