@@ -41,6 +41,7 @@ from .entropy_kl import (
     ConditionViolation,
     GaussianReference,
     KlDecomposition,
+    KlDecompositions,
     entropy_expansion_linear_coefficient,
     gaussian_reference,
     k1_term,

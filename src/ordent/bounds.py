@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
-from .entropy_kl import ConditionViolation, _term_at, _term_results, gaussian_reference
+from .entropy_kl import (ConditionViolation, _term_at, _term_detail, _term_grid, _term_results,
+                         gaussian_reference)
 from .order_stats import OrderStatSpec, moment_bound_constant, round_rank
 from .reports import BoundReport
 from .special import log_beta_remainder
@@ -216,7 +217,7 @@ def _mse_quadrature_value(parent, law, ref, tol) -> tuple[float, float, str]:
     The message is empty unless the integral diverged or did not converge;
     an unconverged value is kept and flagged.
     """
-    q = _term_results(("k2",), parent, law, ref, tol)["k2"]
+    q = _term_results(("k2",), parent, [law], [ref], tol)[0][0]["k2"]
     if q.diverged:
         return math.inf, math.inf, q.message
     return q.value, q.error, "" if q.converged else f"quadrature did not converge: {q.message}"
@@ -352,8 +353,9 @@ def corollary1_check(
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be increasing with at least 3 points")
     values, unconverged = [], []
-    for n in n_grid:
-        value, _, diverged, message = _term_at("k2", parent, n, p, tol)
+    _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, tol)
+    for n, ref, res in zip(n_grid, refs, results):
+        value, _, diverged, message = _term_detail("k2", res["k2"], ref)
         values.append(value)
         if message and not diverged:
             unconverged.append(n)

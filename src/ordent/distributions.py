@@ -130,16 +130,20 @@ class ParentDistribution:
 
     def quantile(self, u):
         arr = np.asarray(u, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("quantile argument must lie in [0, 1]")
-        clipped = np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        if np.any(clipped != arr):
-            warnings.warn(
-                f"quantile argument clamped to [{PROB_CLAMP:g}, 1-{PROB_CLAMP:g}]",
-                ClampedProbabilityWarning,
-                stacklevel=2,
-            )
-        return _ret(u, self._quantile(clipped))
+        # two reductions clear the common case, every point already inside
+        # the clamp (quadrature nodes always are); NaN fails them
+        if not (arr.min(initial=0.5) >= PROB_CLAMP and arr.max(initial=0.5) <= 1.0 - PROB_CLAMP):
+            if np.any((arr < 0.0) | (arr > 1.0)):
+                raise ValueError("quantile argument must lie in [0, 1]")
+            clipped = np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
+            if np.any(clipped != arr):
+                warnings.warn(
+                    f"quantile argument clamped to [{PROB_CLAMP:g}, 1-{PROB_CLAMP:g}]",
+                    ClampedProbabilityWarning,
+                    stacklevel=2,
+                )
+            arr = clipped
+        return _ret(u, self._quantile(arr))
 
     def _quantile(self, u):
         raise NotImplementedError

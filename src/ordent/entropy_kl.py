@@ -41,6 +41,7 @@ __all__ = [
     "kl_direct",
     "kl_decompose",
     "KlDecomposition",
+    "KlDecompositions",
 ]
 
 
@@ -118,6 +119,12 @@ class GaussianReference:
 
 
 def gaussian_reference(parent: ParentDistribution, n: int, p: float) -> GaussianReference:
+    return _references(parent, [n], p)[0]
+
+
+def _references(parent: ParentDistribution, ns, p: float) -> list[GaussianReference]:
+    """``gaussian_reference`` at each n of ``ns``, from one evaluation of the
+    parent's quantile and density at p."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     mu = float(parent.quantile(p))
@@ -127,8 +134,8 @@ def gaussian_reference(parent: ParentDistribution, n: int, p: float) -> Gaussian
         raise ConditionViolation(
             f"{parent.spec_string()} has density {fq:g} at its {p:g}-quantile; "
             "the Gaussian limit needs a positive finite density there")
-    return GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (n * fq * fq), n=int(n), p=float(p),
-                             log_f_p=log_fq)
+    return [GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (n * fq * fq), n=int(n), p=float(p),
+                              log_f_p=log_fq) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +185,28 @@ def _term_divergence(term: str, parent: ParentDistribution, law) -> tuple[float,
     return value, f"{name} is infinite under Beta({law.alpha:g}, {law.beta:g})"
 
 
-def _term_columns(parent: ParentDistribution, ref: GaussianReference, terms: tuple[str, ...]):
-    """The integrand ``columns(u, logw=None)`` of ``terms``, one row per term.
+def _term_columns(parent: ParentDistribution, refs, terms: tuple[str, ...]):
+    """The integrand ``columns(u, logw=None, problem=0)`` of ``terms``, one
+    row per term, for a batch whose problem i has the reference ``refs[i]``.
 
     ``k2``: (F^{-1}(u) - mu)^2; ``k3``: log f(F^{-1}(u)); ``direct``: the log
     ratio of the X_(k) density to the Gaussian one in u = F(x) coordinates,
-    with the log Beta density ``logw`` that weights the quadrature node.
-    Each call makes at most one ``quantile`` and one ``log_pdf_at_quantile`` call.
+    with the log Beta density ``logw`` that weights the quadrature node;
+    ``problem`` is each node's problem index.  Each call makes at most one
+    ``quantile`` and one ``log_pdf_at_quantile`` call.
     """
-    def columns(u, logw=None):
+    mu = np.array([ref.mu_p for ref in refs])
+    two_v = np.array([2.0 * ref.v_np for ref in refs])
+    log_norm = np.array([0.5 * math.log(2.0 * math.pi * ref.v_np) for ref in refs])
+
+    def columns(u, logw=None, problem=0):
         col = {}
         if "k2" in terms or "direct" in terms:
-            col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - ref.mu_p) ** 2
+            col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - mu[problem]) ** 2
         if "k3" in terms or "direct" in terms:
             col["k3"] = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
         if "direct" in terms:
-            v = ref.v_np
-            col["direct"] = (logw + col["k3"] + 0.5 * math.log(2.0 * math.pi * v)
-                             + col["k2"] / (2.0 * v))
+            col["direct"] = logw + col["k3"] + log_norm[problem] + col["k2"] / two_v[problem]
         return np.stack([col[t] for t in terms])
 
     return columns
@@ -219,44 +230,73 @@ def _term_detail(term: str, res: QuadResult, ref: GaussianReference) -> tuple:
     return res.value, res.error, False, message
 
 
-def _term_results(terms, parent, law, ref, tol, method="quadrature", budget=0, seed=0) -> dict:
-    """The Beta expectation behind each of ``terms``, by ``method``.
+def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
+                  seeds=0) -> tuple[list, dict]:
+    """The Beta expectation behind each of ``terms`` at each point of a
+    batch, point i with law ``laws[i]`` and reference ``refs[i]``: one
+    {term: result} dict per point, and the quadrature pass's cost (its
+    integrand nodes, integrand calls and refinement levels).
 
-    k2 and k3 are one multi-column quadrature pass, or by Monte Carlo the
-    mean over one ``budget``-draw sample from (``seed``, stream 1) that both
-    share; the direct KL is integrated by either method.  An expectation
-    that ``_term_divergence`` finds infinite is neither integrated nor
-    sampled: its result is diverged, with that infinity and message.
+    By quadrature, every point's terms are one batched multi-column pass.
+    By Monte Carlo, each point's k2 and k3 are the mean over one
+    ``budget``-draw sample from (``seeds[i]``, stream 1) that both share,
+    and the direct KL is integrated.  An expectation that
+    ``_term_divergence`` finds infinite is neither integrated nor sampled:
+    its result is diverged, with that infinity and message.  A column that
+    only other points need is integrated to an infinite tolerance and
+    dropped.
     """
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
-    results = {}
-    for t in terms:
-        hit = _term_divergence(t, parent, law)
-        if hit:
-            results[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
+    seeds = [seeds] * len(laws) if np.ndim(seeds) == 0 else list(seeds)
+    if len(seeds) != len(laws):
+        raise ValueError(f"{len(seeds)} seeds for {len(laws)} points")
+    results = [{} for _ in laws]
+    for res, law in zip(results, laws):
+        for t in terms:
+            hit = _term_divergence(t, parent, law)
+            if hit:
+                res[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
                                     message=hit[1])
-    sampled = tuple(t for t in terms if t not in results and t != "direct"
-                    and method == "monte_carlo")
-    integrated = tuple(t for t in terms if t not in results and t not in sampled)
-    if sampled:
-        res = beta_sample_mean(_term_columns(parent, ref, sampled), law, budget, seed, stream=1)
-        results.update(zip(sampled, res))
-    if integrated:
-        tol_abs, tol_rel = zip(*(_term_tolerances(t, tol) for t in integrated))
-        res = beta_expectation(_term_columns(parent, ref, integrated), law.alpha, law.beta,
-                               tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True)
-        results.update(zip(integrated, res))
-    return results
+    sampled = tuple(t for t in terms if t != "direct" and method == "monte_carlo")
+    for res, law, ref, seed in zip(results, laws, refs, seeds):
+        todo = tuple(t for t in sampled if t not in res)
+        if todo:
+            res.update(zip(todo, beta_sample_mean(_term_columns(parent, [ref], todo), law,
+                                                  budget, seed, stream=1)))
+    points = [i for i, res in enumerate(results) if any(t not in res for t in terms)]
+    cost = {"nodes": 0, "integrand_calls": 0, "levels": 0}
+    if points:
+        integrated = tuple(t for t in terms if any(t not in results[i] for i in points))
+        tols = [[_term_tolerances(t, tol) if t not in results[i] else (math.inf, 0.0)
+                 for t in integrated] for i in points]
+        batch = beta_expectation(_term_columns(parent, [refs[i] for i in points], integrated),
+                                 [laws[i].alpha for i in points], [laws[i].beta for i in points],
+                                 tol_abs=[[t[0] for t in row] for row in tols],
+                                 tol_rel=[[t[1] for t in row] for row in tols],
+                                 log_weight=True)
+        for i, res in zip(points, batch):
+            results[i].update((t, r) for t, r in zip(integrated, res) if t not in results[i])
+        cost = {"nodes": batch.neval, "integrand_calls": batch.calls, "levels": batch.levels}
+    return results, cost
+
+
+def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0, seeds=0,
+               rounding="half-up") -> tuple[list, list, list, dict]:
+    """(specs, refs, results, cost) at each n of ``ns``: the order statistic,
+    the Gaussian reference and ``_term_results`` of every point, in one batch."""
+    specs = [OrderStatSpec.from_fraction(n, p, rounding) for n in ns]
+    refs = _references(parent, ns, p)
+    results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs, tol,
+                                  method, budget, seeds)
+    return specs, refs, results, cost
 
 
 def _term_at(term, parent, n, p, tol, method="quadrature", budget=0, seed=0) -> tuple:
     """``_term_detail`` of one term at (n, p) alone: the value ``kl_decompose``
     reports for it, with its error, divergence flag and message."""
-    ref = gaussian_reference(parent, n, p)
-    law = OrderStatSpec.from_fraction(n, p).beta_law
-    res = _term_results((term,), parent, law, ref, tol, method, budget, seed)[term]
-    return _term_detail(term, res, ref)
+    _, (ref,), (res,), _ = _term_grid((term,), parent, [n], p, tol, method, budget, seed)
+    return _term_detail(term, res[term], ref)
 
 
 def k2_term(
@@ -340,17 +380,28 @@ class KlDecomposition:
         }
 
 
+class KlDecompositions(list):
+    """``kl_decompose``'s result for a sequence of n: one ``KlDecomposition``
+    per n, and ``cost``, the machine-independent cost of the quadrature pass
+    that integrated them: its integrand nodes, integrand calls and
+    refinement levels."""
+
+    def __init__(self, decompositions, cost: dict):
+        super().__init__(decompositions)
+        self.cost = cost
+
+
 def kl_decompose(
     parent: ParentDistribution,
-    n: int,
+    n,
     p: float,
     *,
     method: str = "quadrature",
     budget: int = 100_000,
-    seed: int = 0,
+    seed=0,
     tol: float = 1e-9,
     rounding: str = "half-up",
-) -> KlDecomposition:
+):
     """Bundle k1, k2, k3, their sum, and the directly integrated divergence.
 
     Component divergence, decided before any quadrature or sampling, is
@@ -360,20 +411,35 @@ def kl_decompose(
     unconverged keeps its value and is named in ``message``.  By Monte Carlo,
     k2 and k3 average the same integrand over one ``budget``-draw sample
     (``budget`` >= 2, from ``seed``'s stream 1); the direct KL is integrated.
+
+    ``n`` may be an increasing sequence: the result is then a
+    ``KlDecompositions`` list with one ``KlDecomposition`` per n, each equal
+    to the one that n gives alone (with ``seed`` a matching sequence, or one
+    seed for every n).  The reference quantile and density at p are
+    evaluated once, and the integrals of all points share one batched
+    quadrature pass, whose cost the list reports.
     """
-    spec = OrderStatSpec.from_fraction(n, p, rounding)
-    ref = gaussian_reference(parent, n, p)
-    k1 = k1_term(n, p, rounding)
-    results = _term_results(("k2", "k3", "direct"), parent, spec.beta_law, ref, tol,
-                            method, budget, seed)
+    single = np.ndim(n) == 0
+    ns = [int(n)] if single else [int(m) for m in n]
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n must be an int or a nonempty increasing sequence")
+    specs, refs, results, cost = _term_grid(("k2", "k3", "direct"), parent, ns, p, tol, method,
+                                            budget, seed, rounding)
+    out = [_decomposition(spec, ref, res, rounding) for spec, ref, res in zip(specs, refs, results)]
+    return out[0] if single else KlDecompositions(out, cost)
+
+
+def _decomposition(spec: OrderStatSpec, ref: GaussianReference, results: dict,
+                   rounding: str) -> KlDecomposition:
+    """The ``KlDecomposition`` of one point from its term results."""
     k2, k2_err, k2_div, k2_msg = _term_detail("k2", results["k2"], ref)
     k3, k3_err, k3_div, k3_msg = _term_detail("k3", results["k3"], ref)
     direct, direct_err, direct_div, direct_msg = _term_detail("direct", results["direct"], ref)
     diverged = k2_div or k3_div
     # a diverged k2 or k3 carries an infinite error, and so does quad_error
     return KlDecomposition(
-        n=int(n), p=float(p), k=spec.k,
-        k1=k1, k2=k2, k3=k3,
+        n=spec.n, p=float(ref.p), k=spec.k,
+        k1=k1_term(spec.n, ref.p, rounding), k2=k2, k3=k3,
         total_direct=math.inf if diverged else direct,
         quad_error=k2_err + k3_err + (0.0 if direct_div else direct_err),
         diverged=diverged, message="; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m),

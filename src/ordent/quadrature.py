@@ -1,7 +1,7 @@
 """Adaptive panel quadrature of finite integrals.
 
 The integrators here serve expectations against sharply concentrated Beta
-densities and KL integrands with integrable endpoint singularities.  Three
+densities and KL integrands with integrable endpoint singularities.  Four
 features drive the design:
 
 * the initial partition is geometrically refined toward both endpoints (and
@@ -14,17 +14,27 @@ features drive the design:
 * the engine is batched: every panel of a refinement level is evaluated in
   one (chunked) integrand call, and the integrand may return stacked columns
   that share the nodes, each column with its own tolerances and its own
-  ``QuadResult``.
+  ``QuadResult``;
+* it also integrates a batch of independent problems (intervals, or Beta
+  laws for ``beta_expectation``) in shared integrand calls of at most
+  ``_CHUNK_NODES`` nodes.  Panels carry their problem's index, and every
+  (problem, column) pair keeps its own sums, tolerance, panel budget,
+  depths and stop reason, summed in the order a lone run keeps them, so
+  each result is bit-identical to integrating its problem alone.  One
+  problem is a batch of one.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special import beta_log_density, beta_log_density_direct
+from .special import (beta_log_densities, beta_log_density, beta_log_density_direct,
+                      log_gamma_ratio)
 
 __all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
@@ -45,6 +55,7 @@ _PANEL_NEVAL = _NODES.size
 _CHUNK_NODES = 8192
 # exp(x) rounds to 0 in float64 below about x = log(2^-1075)
 _EXP_UNDERFLOW = -745.13
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -68,15 +79,21 @@ class QuadResult:
 
 
 class QuadResults(tuple):
-    """Per-column ``QuadResult``s of one multi-column integration.
+    """Per-column ``QuadResult``s of one multi-column integration, or the
+    per-problem results of one batch.
 
-    ``neval`` counts the shared nodes evaluated; ``diverged`` is true when any
-    column diverged and ``converged`` when every column converged.
+    ``neval`` counts the shared nodes evaluated (a batch's total);
+    ``diverged`` is true when any result diverged and ``converged`` when
+    every result converged.  A batch's result also gives ``calls``, the
+    integrand calls of the whole pass, and ``levels``, the refinement
+    levels it evaluated (the initial partition is level 1).
     """
 
-    def __new__(cls, results, neval: int):
+    def __new__(cls, results, neval: int, calls: int | None = None, levels: int | None = None):
         self = super().__new__(cls, results)
         self.neval = neval
+        self.calls = calls
+        self.levels = levels
         return self
 
     @property
@@ -88,41 +105,113 @@ class QuadResults(tuple):
         return all(r.converged for r in self)
 
 
-def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """The G31/G15 pair on every panel (lo[i], hi[i]), in chunked calls of ``f``.
+def _is_batch(x) -> bool:
+    """Whether ``x`` holds one value per problem rather than one value."""
+    return isinstance(x, (list, tuple)) or np.ndim(x) > 0
 
-    Returns (value, error, stacked): the G31 value and |G31 - G15|, each of
-    shape (columns, panels), and whether ``f`` returned columns.  A
-    non-finite node value makes its panel's error non-finite.
+
+def _eval_panels(f, los, his, problems):
+    """The G31/G15 pair on every panel of each problem, in chunked calls of ``f``.
+
+    ``los[j]`` and ``his[j]`` are the panels of problem ``problems[j]``.
+    The panels of all problems are evaluated in calls of at most
+    ``_CHUNK_NODES`` nodes, each call ``f(x, problem)``: ``problem`` is the
+    problem index of every node, or one index when all of the call's nodes
+    belong to one problem.  The rule pair is applied to each problem's
+    panels in the runs of ``step`` panels that a lone evaluation of that
+    problem would make, so every value is bit-identical to evaluating the
+    problem alone (a BLAS product of a row depends on the rows around it).
+
+    Returns (parts, stacked, calls): per problem, the G31 value and
+    |G31 - G15|, each of shape (columns, panels); whether ``f`` returned
+    columns; and the number of calls made.  A non-finite node value makes
+    its panel's error non-finite.
     """
+    step = max(1, _CHUNK_NODES // _PANEL_NEVAL)
+    starts = [0, *itertools.accumulate(lo.size for lo in los)]
+    total = starts[-1]
+    lo, hi = np.concatenate(los), np.concatenate(his)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    step = max(1, _CHUNK_NODES // _PANEL_NEVAL)
-    parts = []
+    # the runs: each problem's panels cut every ``step`` panels
+    cuts = [c for s, e in zip(starts, starts[1:]) for c in range(s, e, step)] + [total]
+    owner = None
+    value = err = carry = None
     stacked = False
-    for s in range(0, lo.size, step):
-        x = (mid[s:s + step, None] + half[s:s + step, None] * _NODES).ravel()
-        y = np.asarray(f(x), dtype=float)
+    run = 0
+    for s in range(0, total, step):
+        e = min(s + step, total)
+        x = (mid[s:e, None] + half[s:e, None] * _NODES).ravel()
+        first = bisect.bisect_right(starts, s) - 1
+        if e <= starts[first + 1]:
+            problem = problems[first]
+        else:
+            if owner is None:
+                owner = np.repeat(problems, np.diff(starts))
+            problem = np.repeat(owner[s:e], _PANEL_NEVAL)
+        y = np.asarray(f(x, problem), dtype=float)
         stacked = y.ndim == 2
         if y.ndim not in (1, 2) or y.shape[-1] != x.size:
             raise ValueError(
                 f"integrand returned shape {y.shape} for {x.size} nodes; "
                 "expected (nodes,) or (columns, nodes)")
-        y = y.reshape(-1, x.size // _PANEL_NEVAL, _PANEL_NEVAL)
+        y = y.reshape(-1, e - s, _PANEL_NEVAL)
+        if value is None:
+            value = np.empty((y.shape[0], total))
+            err = np.empty_like(value)
         with np.errstate(invalid="ignore", over="ignore"):
-            pair = (y @ _RULES) * half[s:s + step, None]
-            err = np.abs(pair[..., 0] - pair[..., 1])
-        parts.append((pair[..., 0], err))
-    value, err = (np.concatenate(p, axis=1) for p in zip(*parts))
-    return value, err, stacked
+            while cuts[run] < e:
+                a, b = cuts[run], cuts[run + 1]
+                part = y[:, max(a, s) - s:min(b, e) - s]
+                if a < s:  # the run began in the previous call
+                    part = np.concatenate([carry, part], axis=1)
+                if b > e:  # and it continues in the next one
+                    carry = part
+                    break
+                pair = (part @ _RULES) * half[a:b, None]
+                err[:, a:b] = np.abs(pair[..., 0] - pair[..., 1])
+                value[:, a:b] = pair[..., 0]
+                run += 1
+    parts = [(value[:, s:e], err[:, s:e]) for s, e in zip(starts, starts[1:])]
+    return parts, stacked, -(-total // step)
 
 
-def _initial_grid(a: float, b: float, breakpoints, levels: int = _ENDPOINT_LEVELS) -> np.ndarray:
+def _initial_grid(a, b, breakpoints, levels: int = _ENDPOINT_LEVELS):
     """Sorted distinct edges: a, b, a + span 2^-j and b - span 2^-j for
-    j = 1..levels, and the breakpoints inside (a, b)."""
+    j = 1..levels, and the breakpoints inside (a, b).
+
+    For a batch (``a`` and ``b`` sequences, ``breakpoints`` one sequence per
+    problem) a list of grids, one per problem, from one sort; a batch of one
+    takes the one-problem path, which is faster for a single row.
+    """
+    if not _is_batch(a):
+        steps = (b - a) * 2.0 ** -np.arange(1, levels + 1)
+        bps = np.asarray(breakpoints, dtype=float).ravel()
+        return np.unique(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
+    if len(a) == 1:
+        return [_initial_grid(a[0], b[0], breakpoints[0], levels)]
+    a = np.array(a, dtype=float)[:, None]
+    b = np.array(b, dtype=float)[:, None]
+    # a breakpoint outside (a, b), NaN or padding becomes a or b, a duplicate
+    bps = _padded([np.ravel(bp) for bp in breakpoints], b[:, 0])
+    np.fmin(bps, b, out=bps)
+    np.fmax(bps, a, out=bps)
     steps = (b - a) * 2.0 ** -np.arange(1, levels + 1)
-    bps = np.asarray(breakpoints, dtype=float).ravel()
-    return np.unique(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
+    edges = np.concatenate([a, b, a + steps, b - steps, bps], axis=1)
+    edges.sort(axis=1, kind="stable")  # a and b stay first among their duplicates
+    keep = np.empty(edges.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
+    return [row[k] for row, k in zip(edges, keep)]
+
+
+def _padded(rows, fill) -> np.ndarray:
+    """Ragged 1-d arrays as the rows of one array, each padded with its ``fill``."""
+    out = np.empty((len(rows), max(row.size for row in rows)))
+    for padded, row, value in zip(out, rows, fill):
+        padded[:row.size] = row
+        padded[row.size:] = value
+    return out
 
 
 def _panels_to_split(err: np.ndarray, excess: float) -> np.ndarray:
@@ -132,16 +221,64 @@ def _panels_to_split(err: np.ndarray, excess: float) -> np.ndarray:
     return order[:count]
 
 
+def _refine(value, err, lo, depth, tol_abs, tol_rel, max_panels, results, neval):
+    """One level of one problem: store a ``QuadResult`` in ``results`` for
+    each column that stops here, and return the sorted indices of the panels
+    to split, or None when every column has stopped."""
+    chosen = {}
+    err_sum = {}
+
+    def done(c: int, **kwargs) -> None:
+        results[c] = QuadResult(neval=neval, **kwargs)
+
+    for c in [c for c in range(len(results)) if results[c] is None]:
+        # only active columns are summed: others may hold inf and -inf panels
+        err_sum[c] = float(err[c].sum())
+        if not math.isfinite(err_sum[c]):
+            x = lo[~np.isfinite(err[c])].min()
+            done(c, value=math.nan, error=math.inf, diverged=True, converged=False,
+                 message=f"non-finite integrand value at or above x = {x:.6g}")
+            continue
+        val_sum = float(value[c].sum())
+        target = max(tol_abs[c], tol_rel[c] * abs(val_sum))
+        if err_sum[c] <= target:
+            done(c, value=val_sum, error=err_sum[c])
+        elif lo.size >= max_panels:
+            done(c, value=val_sum, error=err_sum[c], converged=False,
+                 message="panel budget exhausted before reaching tolerance")
+        else:
+            panels = _panels_to_split(err[c], err_sum[c] - target)
+            if depth[panels].max() >= MAX_DEPTH:
+                done(c, value=val_sum, error=err_sum[c], converged=False,
+                     message="maximum subdivision depth reached before reaching tolerance")
+            else:
+                chosen[c] = panels
+    if not chosen:
+        return None
+    split = np.zeros(lo.size, dtype=bool)
+    for panels in chosen.values():
+        split[panels] = True
+    idx = np.flatnonzero(split)
+    room = max_panels - lo.size
+    if idx.size > room:
+        # keep the panels carrying the largest share of some column's error
+        cols = list(chosen)
+        share = np.max(err[np.ix_(cols, idx)]
+                       / np.array([err_sum[c] for c in cols])[:, None], axis=0)
+        idx = np.sort(idx[np.argsort(-share, kind="stable")[:room]])
+    return idx
+
+
 def adaptive_quad(
     f,
-    a: float,
-    b: float,
+    a,
+    b,
     *,
     tol_abs=1e-9,
     tol_rel=0.0,
     breakpoints=(),
     endpoint_levels: int = _ENDPOINT_LEVELS,
-    max_panels: int = 8192,
+    max_panels=8192,
 ):
     """Globally adaptive Gauss-Legendre integration of ``f`` over (a, b).
 
@@ -151,93 +288,94 @@ def adaptive_quad(
     ``QuadResult`` per column; ``tol_abs`` and ``tol_rel`` may then be
     per-column sequences).
 
+    For a batch of problems, ``a`` and ``b`` are equal-length sequences (one
+    interval per problem), ``breakpoints`` is empty or holds one sequence per
+    problem, and ``f`` is called as ``f(x, problem)``, where ``problem``
+    gives each node's problem index.  The result is then a ``QuadResults``
+    of the per-problem results, whose ``neval`` is the batch total.  The
+    tolerances broadcast against (problems, columns) and ``max_panels``
+    against (problems,).  Each (problem, column) pair keeps its own sums,
+    tolerance, panel budget, depths and stop reason, and its result is
+    bit-identical to integrating that problem alone: only the integrand
+    calls are shared.  An infinite tolerance accepts a column's first sums,
+    for a column that some problems of a batch do not need.
+
     The initial panels lie between a, b, the breakpoints inside (a, b) and
     ``endpoint_levels`` geometric levels toward each endpoint; a caller that
     passes every edge of its own partition as breakpoints sets it to 0.
-    Each refinement level evaluates all of its panels at once.  A column
-    stops when its summed error estimate drops below max(tol_abs,
+    Each refinement level evaluates the panels of all problems at once.  A
+    column stops when its summed error estimate drops below max(tol_abs,
     tol_rel * |integral|).  It ends unconverged, keeping its sums, when a
     panel it needs split has reached depth ``MAX_DEPTH`` or when
     ``max_panels`` panels exist; it ends diverged, with a NaN value, at a
     non-finite node value.  Otherwise the worst panels that together carry
     a column's excess error are split; the remaining columns keep refining.
     """
-    if not b > a:
+    batch = _is_batch(a)
+    if not batch:
+        # one problem is a batch of one
+        one, a, b, breakpoints = f, [a], [b], [breakpoints]
+
+        def f(x, problem):
+            return one(x)
+    elif len(breakpoints) == 0:
+        breakpoints = [()] * len(a)
+    if not len(a) == len(b) == len(breakpoints) > 0:
+        raise ValueError("a batch needs one a, b and breakpoint sequence per problem")
+    if not all(bi > ai for ai, bi in zip(a, b)):
         raise ValueError("adaptive_quad requires b > a")
-    grid = _initial_grid(a, b, breakpoints, endpoint_levels)
-    lo, hi = grid[:-1], grid[1:]
-    depth = np.zeros(lo.size, dtype=int)
-    value, err, stacked = _eval_panels(f, lo, hi)
-    neval = lo.size * _PANEL_NEVAL
-    m = value.shape[0]
-    tol_abs = np.broadcast_to(np.asarray(tol_abs, dtype=float), (m,))
-    tol_rel = np.broadcast_to(np.asarray(tol_rel, dtype=float), (m,))
-    results: list[QuadResult | None] = [None] * m
-
-    def done(c: int, **kwargs) -> None:
-        results[c] = QuadResult(neval=neval, **kwargs)
-
-    while True:
-        chosen = {}
-        err_sum = {}
-        for c in [c for c in range(m) if results[c] is None]:
-            # only active columns are summed: others may hold inf and -inf panels
-            err_sum[c] = float(np.sum(err[c]))
-            if not math.isfinite(err_sum[c]):
-                x = lo[~np.isfinite(err[c])].min()
-                done(c, value=math.nan, error=math.inf, diverged=True, converged=False,
-                     message=f"non-finite integrand value at or above x = {x:.6g}")
-                continue
-            val_sum = float(np.sum(value[c]))
-            target = max(tol_abs[c], tol_rel[c] * abs(val_sum))
-            if err_sum[c] <= target:
-                done(c, value=val_sum, error=err_sum[c])
-            elif lo.size >= max_panels:
-                done(c, value=val_sum, error=err_sum[c], converged=False,
-                     message="panel budget exhausted before reaching tolerance")
+    count = len(a)
+    grids = _initial_grid(a, b, breakpoints, endpoint_levels)
+    lo, hi = [g[:-1] for g in grids], [g[1:] for g in grids]
+    depth = [np.zeros(g.size - 1, dtype=int) for g in grids]
+    budget = (np.zeros(count, dtype=int) + max_panels).tolist()
+    value, err = [None] * count, [None] * count
+    neval = [0] * count
+    results = None
+    calls = levels = 0
+    new = list(zip(range(count), lo, hi))  # (problem, panels to evaluate)
+    while new:
+        problems, new_lo, new_hi = zip(*new)
+        parts, stacked, made = _eval_panels(f, new_lo, new_hi, problems)
+        calls += made
+        levels += 1
+        for i, (c_value, c_err) in zip(problems, parts):
+            neval[i] += c_value.shape[1] * _PANEL_NEVAL
+            if value[i] is None:
+                value[i], err[i] = c_value, c_err
             else:
-                panels = _panels_to_split(err[c], err_sum[c] - target)
-                if depth[panels].max() >= MAX_DEPTH:
-                    done(c, value=val_sum, error=err_sum[c], converged=False,
-                         message="maximum subdivision depth reached before reaching tolerance")
-                else:
-                    chosen[c] = panels
-        if not chosen:
-            break
-        split = np.zeros(lo.size, dtype=bool)
-        for panels in chosen.values():
-            split[panels] = True
-        idx = np.flatnonzero(split)
-        room = max_panels - lo.size
-        if idx.size > room:
-            # keep the panels carrying the largest share of some column's error
-            cols = list(chosen)
-            share = np.max(err[np.ix_(cols, idx)]
-                           / np.array([err_sum[c] for c in cols])[:, None], axis=0)
-            idx = np.sort(idx[np.argsort(-share, kind="stable")[:room]])
-        mid = 0.5 * (lo[idx] + hi[idx])
-        new_lo = np.concatenate([lo[idx], mid])
-        new_hi = np.concatenate([mid, hi[idx]])
-        child_depth = np.tile(depth[idx] + 1, 2)
-        c_value, c_err, _ = _eval_panels(f, new_lo, new_hi)
-        neval += new_lo.size * _PANEL_NEVAL
-        keep = np.ones(lo.size, dtype=bool)
-        keep[idx] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        depth = np.concatenate([depth[keep], child_depth])
-        value = np.concatenate([value[:, keep], c_value], axis=1)
-        err = np.concatenate([err[:, keep], c_err], axis=1)
+                value[i] = np.concatenate([value[i], c_value], axis=1)
+                err[i] = np.concatenate([err[i], c_err], axis=1)
+        if results is None:
+            m = value[0].shape[0]
+            tol_abs = (np.zeros((count, m)) + tol_abs).tolist()
+            tol_rel = (np.zeros((count, m)) + tol_rel).tolist()
+            results = [[None] * m for _ in range(count)]
+        new = []
+        for i in range(count):
+            if all(r is not None for r in results[i]):
+                continue
+            idx = _refine(value[i], err[i], lo[i], depth[i], tol_abs[i], tol_rel[i],
+                          budget[i], results[i], neval[i])
+            if idx is None:
+                continue
+            mid = 0.5 * (lo[i][idx] + hi[i][idx])
+            new.append((i, np.concatenate([lo[i][idx], mid]), np.concatenate([mid, hi[i][idx]])))
+            keep = np.ones(lo[i].size, dtype=bool)
+            keep[idx] = False
+            lo[i] = np.concatenate([lo[i][keep], new[-1][1]])
+            hi[i] = np.concatenate([hi[i][keep], new[-1][2]])
+            depth[i] = np.concatenate([depth[i][keep], np.tile(depth[i][idx] + 1, 2)])
+            value[i], err[i] = value[i][:, keep], err[i][:, keep]
 
-    if stacked:
-        return QuadResults(results, neval)
-    return results[0]
+    per_problem = [QuadResults(r, n) if stacked else r[0] for r, n in zip(results, neval)]
+    return QuadResults(per_problem, sum(neval), calls, levels) if batch else per_problem[0]
 
 
 def beta_expectation(
     g,
-    alpha: float,
-    beta: float,
+    alpha,
+    beta,
     *,
     tol_abs=1e-12,
     tol_rel=1e-10,
@@ -251,6 +389,13 @@ def beta_expectation(
     ``g(u, logw)``, where ``logw`` is the log Beta density at the nodes (the
     same values that weight them).
 
+    A batch of expectations: ``alpha`` and ``beta`` are equal-length
+    sequences, one law per problem, ``breakpoints`` is empty or holds one
+    sequence per problem, and ``g`` gets each node's problem index as its
+    last argument, ``g(u, problem)`` or ``g(u, logw, problem)``.  The result
+    is ``adaptive_quad``'s batch result: every expectation is integrated as
+    if alone, in shared integrand calls.
+
     The weight is evaluated in log space, and breakpoints at mean +- 2^j
     standard deviations keep the concentrated bulk resolved at any parameter
     size.  The domain is trimmed to (1e-15, 1 - 1e-15), which omits at most
@@ -260,39 +405,63 @@ def beta_expectation(
     initial panels, those beyond the mode whose inner edge weighs exactly 0
     in float64 are never evaluated: the weight is 0 at every node there.
     """
-    if alpha <= 0 or beta <= 0:
+    batch = _is_batch(alpha)
+    if not batch:
+        alpha, beta, breakpoints = [alpha], [beta], [breakpoints]
+    elif len(breakpoints) == 0:
+        breakpoints = [()] * len(alpha)
+    alphas, betas = [float(a) for a in alpha], [float(b) for b in beta]
+    if not len(alphas) == len(betas) == len(breakpoints) > 0:
+        raise ValueError("a batch needs one alpha, beta and breakpoint sequence per problem")
+    if not all(a > 0 and b > 0 for a, b in zip(alphas, betas)):
         raise ValueError("beta_expectation requires alpha, beta > 0")
 
-    def integrand(u):
+    log_density = beta_log_densities(alphas, betas)
+
+    def integrand(u, problem=0):
         # inf * 0 products surface as NaN, which ends the column diverged
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             # Loader's form keeps the log normalizer free of the (a+b) log(a+b)
             # cancellation that biases float64 log-gamma weights by ~1e-10
             # at parameters near 1e5
-            logw = beta_log_density(alpha, beta, u)
-            y = g(u, logw) if log_weight else g(u)
+            logw = log_density(u, problem)
+            args = (u, logw, problem) if log_weight else (u, problem)
+            y = g(*args) if batch else g(*args[:-1])
             return np.exp(logw) * np.asarray(y, dtype=float)
 
-    mean = alpha / (alpha + beta)
-    sd = np.sqrt(alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1.0)))
-    bps = list(breakpoints)
-    for scale in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-        bps.append(mean - scale * sd)
-        bps.append(mean + scale * sd)
-    bps.append(mean)
+    bps = []
+    for a, b, extra in zip(alphas, betas, breakpoints):
+        mean = a / (a + b)
+        sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+        row = list(np.ravel(extra)) if len(extra) else []
+        for scale in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
+            row.append(mean - scale * sd)
+            row.append(mean + scale * sd)
+        row.append(mean)
+        bps.append(row)
     eps = 1e-15
-    grid = _drop_zero_weight_panels(_initial_grid(eps, 1.0 - eps, bps), alpha, beta)
-    return adaptive_quad(integrand, grid[0], grid[-1], tol_abs=tol_abs, tol_rel=tol_rel,
-                         breakpoints=grid[1:-1], endpoint_levels=0)
+    count = len(alphas)
+    grids = _drop_zero_weight_panels(
+        _initial_grid([eps] * count, [1.0 - eps] * count, bps), alphas, betas)
+    lows = [grid[0] for grid in grids]
+    highs = [grid[-1] for grid in grids]
+    inner = [grid[1:-1] for grid in grids]
+    if not batch:
+        lows, highs, inner = lows[0], highs[0], inner[0]
+    return adaptive_quad(integrand, lows, highs, tol_abs=tol_abs, tol_rel=tol_rel,
+                         breakpoints=inner, endpoint_levels=0)
 
 
-def _drop_zero_weight_panels(grid: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _drop_zero_weight_panels(grid, alpha, beta):
     """``grid`` without its leading and trailing panels that lie beyond the
     Beta mode and whose inner edge has a float64 weight of exactly 0.
 
     The density rises from 0 to the mode when alpha > 1 and falls from the
     mode to 1 when beta > 1, so every node of such a panel weighs 0 as well:
-    the panel adds exactly 0 to any finite integrand.
+    the panel adds exactly 0 to any finite integrand.  For a batch
+    (``grid`` a list of grids, ``alpha`` and ``beta`` sequences) a list of
+    grids, with the weights of all their edges from one pass; a batch of one
+    takes the one-problem path, which is faster for a single row.
     """
     # Loader's form costs ~75 us on the ~100 edges against ~10 us for the
     # direct form, so the direct form sorts the edges first and Loader
@@ -300,14 +469,38 @@ def _drop_zero_weight_panels(grid: np.ndarray, alpha: float, beta: float) -> np.
     # The direct form is within eps (a + b) (2 log(a + b) + 40) of Loader's
     # on the trimmed domain (at most 0.83 of it, measured for a + b from 1e2
     # to 2^53); the slack is four times that, plus 1.
-    m = alpha + beta
-    slack = 1.0 + 4.0 * np.finfo(float).eps * m * (2.0 * math.log(m) + 40.0)
-    direct = beta_log_density_direct(alpha, beta, grid)
+    if not _is_batch(alpha):
+        slack = 1.0 + 4.0 * _EPS * (alpha + beta) * (2.0 * math.log(alpha + beta) + 40.0)
+        direct = beta_log_density_direct(alpha, beta, grid)
+        zero = direct < _EXP_UNDERFLOW - slack
+        near = ~zero & (direct <= _EXP_UNDERFLOW + slack)
+        if near.any():
+            with np.errstate(under="ignore"):
+                zero[near] = np.exp(beta_log_density(alpha, beta, grid[near])) == 0.0
+        return _trim_zero_weight(grid, zero, alpha, beta)
+    if len(alpha) == 1:
+        return [_drop_zero_weight_panels(grid[0], alpha[0], beta[0])]
+    edges = _padded(grid, [g[-1] for g in grid])
+    # per law: the slack, the direct form's normalizer and its exponents
+    law = np.array([(1.0 + 4.0 * _EPS * (a + b) * (2.0 * math.log(a + b) + 40.0),
+                     log_gamma_ratio(max(a, b), min(a, b)) - math.lgamma(min(a, b)),
+                     a - 1.0, b - 1.0) for a, b in zip(alpha, beta)]).T[:, :, None]
+    slack, norm, a1, b1 = law
+    # ``beta_log_density_direct`` row by row; a zero exponent adds a zero
+    direct = norm + a1 * np.log(edges) + b1 * np.log1p(-edges)
     zero = direct < _EXP_UNDERFLOW - slack
     near = ~zero & (direct <= _EXP_UNDERFLOW + slack)
     if near.any():
+        rows, cols = np.nonzero(near)
         with np.errstate(under="ignore"):
-            zero[near] = np.exp(beta_log_density(alpha, beta, grid[near])) == 0.0
+            logw = beta_log_densities(alpha, beta)(edges[rows, cols], rows)
+            zero[rows, cols] = np.exp(logw) == 0.0
+    return [_trim_zero_weight(g, z[:g.size], a, b) for g, z, a, b in zip(grid, zero, alpha, beta)]
+
+
+def _trim_zero_weight(grid: np.ndarray, zero: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """``grid`` without the leading and trailing panels beyond the mode whose
+    inner edge is ``zero``."""
     if alpha > 1.0 and beta > 1.0:
         mode = (alpha - 1.0) / (alpha + beta - 2.0)
     else:

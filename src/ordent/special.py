@@ -162,24 +162,40 @@ def _split(a):
     return hi, a - hi
 
 
-def _deviance(x: float, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Loader's bd0: x log(x / mu) + mu - x, for x > 0 and d = mu - x.
+def _deviance(x, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Loader's bd0: x log(x / mu) + mu - x, for x > 0 and d = mu - x; x is
+    a scalar or one value per node.
 
     Where |d| < x / 5 it is the series in v = d / (2x + d),
     -x v (2 sum_{j>=1} v^2j / (2j+1) - d / x), free of the cancellation
-    between its two leading terms.
+    between its two leading terms.  Computed in place, with each product
+    and sum of the plain expressions, so few node-sized temporaries live.
     """
     with np.errstate(divide="ignore"):
-        out = x * np.log(x / mu) + d
+        out = np.divide(x, mu)
+        np.log(out, out=out)
+    out *= x
+    out += d
     near = np.abs(d) < 0.2 * x
     if near.any():
-        t = d[near] / x
-        v = t / (2.0 + t)
+        if isinstance(x, np.ndarray):
+            x = x[near]
+        t = d[near]
+        t /= x
+        v = t + 2.0
+        np.divide(t, v, out=v)
         w = v * v
-        s = 0.0
-        for j in range(8, 0, -1):
-            s = s * w + 1.0 / (2 * j + 1)
-        out[near] = x * v * (t - 2.0 * w * s)
+        # x v (t - 2 w s) with s = sum_{j=1..8} w^(j-1) / (2j + 1) by Horner's rule
+        s = np.full(w.shape, 1.0 / 17.0)
+        for j in range(7, 0, -1):
+            s *= w
+            s += 1.0 / (2 * j + 1)
+        w *= 2.0
+        s *= w
+        np.subtract(t, s, out=s)
+        v *= x
+        s *= v
+        out[near] = s
     return out
 
 
@@ -199,6 +215,37 @@ def beta_log_density_direct(a: float, b: float, u: np.ndarray) -> np.ndarray:
             out += (a - 1.0) * np.log(u)
         if b != 1.0:
             out += (b - 1.0) * np.log1p(-u)
+    return out
+
+
+def _loader_parameters(a: float, b: float) -> tuple[float, float, float, float]:
+    """(x, y, m, const) of Loader's form: x = a - 1, y = b - 1, m = x + y."""
+    x, y = a - 1.0, b - 1.0
+    return x, y, x + y, -log_beta_remainder(x, y)
+
+
+def _loader_log_density(x, y, m, const, u: np.ndarray) -> np.ndarray:
+    """Loader's form at the 1-d nodes u; each parameter is a scalar or one
+    value per node, with the same result at every node either way."""
+    # d = m u - x exactly up to one rounding (Dekker's product): rounding
+    # m u first would cost d an absolute error of order eps * x
+    mu = m * u
+    m_hi, m_lo = _split(m)
+    u_hi, u_lo = _split(u)
+    d = m_hi * u_hi
+    d -= mu
+    d += m_hi * u_lo
+    d += m_lo * u_hi
+    d += m_lo * u_lo
+    del m_hi, m_lo, u_hi, u_lo
+    d += mu - x
+    out = _deviance(x, mu, d)
+    del mu
+    np.subtract(const, out, out=out)
+    mu = np.subtract(1.0, u)
+    mu *= m
+    np.negative(d, out=d)
+    out -= _deviance(y, mu, d)
     return out
 
 
@@ -223,18 +270,40 @@ def beta_log_density(a: float, b: float, u) -> np.ndarray:
         raise ValueError("beta_log_density requires a, b > 0")
     if a <= _LOADER_FROM or b <= _LOADER_FROM:
         return beta_log_density_direct(a, b, u)
-    shape = u.shape
-    u = u.ravel()
-    x, y = a - 1.0, b - 1.0
-    m = x + y
-    const = -log_beta_remainder(x, y)
-    # d = m u - x exactly up to one rounding (Dekker's product): rounding
-    # m u first would cost d an absolute error of order eps * x
-    mu = m * u
-    m_hi, m_lo = _split(m)
-    u_hi, u_lo = _split(u)
-    d = (mu - x) + (((m_hi * u_hi - mu) + m_hi * u_lo + m_lo * u_hi) + m_lo * u_lo)
-    return (const - _deviance(x, mu, d) - _deviance(y, m * (1.0 - u), -d)).reshape(shape)
+    return _loader_log_density(*_loader_parameters(a, b), u.ravel()).reshape(u.shape)
+
+
+def beta_log_densities(a, b):
+    """The function ``(u, problem) -> logw`` with ``logw[j] =
+    beta_log_density(a[i], b[i], u[j])`` for i = ``problem[j]``, bit for
+    bit, for sequences of a, b > 0; ``problem`` is one index per node, or
+    one index for all nodes.
+
+    The nodes of all Loader-form laws are one vectorized pass with
+    per-node parameters, set up on the first call that mixes laws; the
+    other laws go law by law.
+    """
+    loader = params = None
+
+    def log_density(u: np.ndarray, problem) -> np.ndarray:
+        nonlocal loader, params
+        if not isinstance(problem, np.ndarray):  # one law, its parameters as scalars
+            return beta_log_density(a[problem], b[problem], u)
+        if loader is None:
+            loader = np.array([ai > _LOADER_FROM and bi > _LOADER_FROM for ai, bi in zip(a, b)])
+            params = np.array([_loader_parameters(ai, bi) if use else (1.0,) * 4
+                               for ai, bi, use in zip(a, b, loader)]).T
+        out = np.empty(u.shape)
+        on = loader[problem]
+        if on.any():
+            at = problem[on]
+            out[on] = _loader_log_density(*(col[at] for col in params), u[on])
+        for i in set(problem[~on].tolist()):
+            at = problem == i
+            out[at] = beta_log_density_direct(a[i], b[i], u[at])
+        return out
+
+    return log_density
 
 
 # Wichura's AS241 (PPND16; Applied Statistics 37, 1988): for each of its

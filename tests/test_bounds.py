@@ -268,12 +268,12 @@ class TestUnconvergedQuadrature:
 
         real = ek._term_results
 
-        def patched(terms, parent, law, ref, *args, **kwargs):
-            res = real(terms, parent, law, ref, *args, **kwargs)
-            if n is not None and ref.n != n:
-                return res
-            return {t: dataclasses.replace(r, converged=False, message="depth 60 reached")
-                    for t, r in res.items()}
+        def patched(terms, parent, laws, refs, *args, **kwargs):
+            results, cost = real(terms, parent, laws, refs, *args, **kwargs)
+            return [res if n is not None and ref.n != n else
+                    {t: dataclasses.replace(r, converged=False, message="depth 60 reached")
+                     for t, r in res.items()}
+                    for ref, res in zip(refs, results)], cost
 
         monkeypatch.setattr(ek, "_term_results", patched)
 
@@ -304,3 +304,13 @@ class TestUnconvergedQuadrature:
         assert after.params == before.params
         assert (after.empirical_value, after.verdict) == (before.empirical_value, before.verdict)
         assert after.message == "k2 did not converge at n = 316"
+
+
+def test_corollary1_batch_matches_each_n_alone():
+    from ordent.entropy_kl import _term_at
+
+    for parent, p in ((Gaussian(), 0.5), (F2(), 0.9)):
+        grid = [20, 100, 316, 1_000, 3_162, 10_000]
+        rep = corollary1_check(parent, p, 2.0, grid)
+        alone = [_term_at("k2", parent, n, p, 1e-10)[0] for n in grid]
+        assert rep.params["k2_values"] == alone

@@ -165,3 +165,107 @@ class TestConditionCheck:
         d = chk.to_dict()
         assert d["all_hold"] is True
         json.dumps(d)
+
+
+class TestOneBatchPerSweep:
+    """A sweep is one ``kl_decompose`` call whose integrals share one
+    quadrature pass; every row is still the decomposition its n gives alone."""
+
+    @staticmethod
+    def assert_rows_alone(report, parent, p, **kwargs):
+        seed = kwargs.pop("seed", 0)
+        for d in report.decompositions:
+            alone = kl_decompose(parent, d.n, p, seed=seed + d.n, **kwargs)
+            assert d.to_dict() == alone.to_dict(), d.n
+
+    @pytest.mark.parametrize("parent, p, grid, tol", [
+        # every point converges on the first level
+        (Gaussian(), 0.5, log_grid(104, 99_652, 12, multiple_of=2), 1e-9),
+        # a tight tolerance: points refine, each to its own depth
+        (F2(), 0.3, [10, 11, 13, 20, 57, 400, 3_000], 1e-13),
+        # Beta(alpha, beta) with beta <= 2: only k2 is declared divergent
+        (Cauchy(), 0.9, [10, 11, 12, 20, 40, 100], 1e-9),
+        # every point divergent: nothing is integrated
+        (F1(), 0.5, [100, 316, 1_000], 1e-9),
+    ])
+    def test_rows_equal_lone_decompositions(self, parent, p, grid, tol):
+        report = rate_sweep(parent, p, grid, tol=tol, seed=7)
+        self.assert_rows_alone(report, parent, p, tol=tol, seed=7)
+
+    def test_cauchy_grid_mixes_divergent_and_finite_k2(self):
+        report = rate_sweep(Cauchy(), 0.9, [10, 11, 12, 20, 40, 100])
+        k2_div = [math.isinf(d.k2) for d in report.decompositions]
+        assert any(k2_div) and not all(k2_div)
+        assert all(math.isfinite(d.k3) for d in report.decompositions)
+
+    def test_monte_carlo_rows_equal_lone_decompositions(self):
+        for parent, p in ((Gaussian(), 0.3), (Cauchy(), 0.9)):
+            report = rate_sweep(parent, p, [10, 12, 50, 200], method="monte_carlo",
+                                budget=2_000, seed=11)
+            self.assert_rows_alone(report, parent, p, method="monte_carlo", budget=2_000,
+                                   seed=11)
+
+    def test_same_n_on_two_grids(self):
+        a = rate_sweep(F2(), 0.3, [50, 400, 3_000], tol=1e-13, seed=3)
+        b = rate_sweep(F2(), 0.3, [20, 400, 90_000], tol=1e-13, seed=3)
+        assert a.decompositions[1].to_dict() == b.decompositions[1].to_dict()
+
+    def test_one_engine_pass_and_its_cost(self, monkeypatch):
+        from ordent import entropy_kl
+
+        passes = []
+        real = entropy_kl.beta_expectation
+
+        def counting(*args, **kwargs):
+            passes.append(real(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(entropy_kl, "beta_expectation", counting)
+        grid = log_grid(104, 99_652, 12, multiple_of=2)
+        report = rate_sweep(Gaussian(), 0.5, grid)
+        (batch,) = passes
+        assert len(batch) == len(grid)
+        cost = report.to_dict()["quadrature_cost"]
+        assert cost == {"nodes": batch.neval, "integrand_calls": batch.calls,
+                        "levels": batch.levels}
+        assert cost["nodes"] == sum(r.neval for r in batch)
+        assert cost["levels"] == 1 and cost["integrand_calls"] == math.ceil(cost["nodes"] / 8192)
+        assert json.loads(report.to_json())["quadrature_cost"] == cost
+
+    def test_csv_unchanged_by_cost(self):
+        report = rate_sweep(Uniform(), 0.5, [100, 200])
+        buf = io.StringIO()
+        report.write_csv(buf)
+        assert buf.getvalue().splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert all("cost" not in c for c in CSV_COLUMNS)
+
+    def test_parent_calls_per_level(self):
+        # node-array quantile calls: ceil(nodes / 8192) per level; plus the
+        # one scalar call for the reference at p
+        class Counting(Gaussian):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def quantile(self, u):
+                self.sizes.append(np.size(u))
+                return super().quantile(u)
+
+        parent = Counting()
+        report = rate_sweep(parent, 0.5, parse_n_grid("104:99652:12log"))
+        cost = report.quadrature_cost
+        assert cost["levels"] == 1
+        assert parent.sizes.count(1) == 1
+        assert len(parent.sizes) - 1 == math.ceil(cost["nodes"] / 8192) == 2
+        assert sum(parent.sizes) - 1 == cost["nodes"]
+
+    def test_sequence_validation(self):
+        with pytest.raises(ValueError):
+            kl_decompose(Gaussian(), [200, 100], 0.5)
+        with pytest.raises(ValueError):
+            kl_decompose(Gaussian(), [], 0.5)
+        with pytest.raises(ValueError):
+            kl_decompose(Gaussian(), [100, 200], 0.5, seed=[1, 2, 3])
+        single = kl_decompose(Gaussian(), 200, 0.5)
+        (listed,) = kl_decompose(Gaussian(), [200], 0.5)
+        assert listed.to_dict() == single.to_dict()

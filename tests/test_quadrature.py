@@ -274,3 +274,94 @@ class TestMultiColumn:
         entropy = (betaln(a, b) - (a - 1.0) * digamma(a) - (b - 1.0) * digamma(b)
                    + (a + b - 2.0) * digamma(a + b))
         assert abs(res[1].value + entropy) <= 1e-9
+
+
+class TestBatch:
+    """A batch of problems shares integrand calls; each result is the lone one."""
+
+    @staticmethod
+    def lone_and_batch(funcs, intervals, **kwargs):
+        lone = [adaptive_quad(f, a, b, **kwargs) for f, (a, b) in zip(funcs, intervals)]
+        calls = []
+
+        def batched(x, problem):
+            calls.append(np.size(problem))
+            idx = np.broadcast_to(problem, x.shape)
+            out = np.empty((2, x.size))
+            for i, f in enumerate(funcs):
+                at = idx == i
+                if at.any():
+                    out[:, at] = f(x[at])
+            return out
+
+        batch = adaptive_quad(batched, [a for a, _ in intervals], [b for _, b in intervals],
+                              **kwargs)
+        return lone, batch, calls
+
+    def test_bit_identical_to_lone_problems(self):
+        # problems that stop on the first level, refine for several levels
+        # (more than one call's worth of panels), hit the panel budget, and
+        # diverge: each batch entry equals its lone run in every field
+        funcs = [
+            lambda x: np.stack([3.0 * x**2, np.exp(x)]),
+            lambda x: np.stack([np.sin(1.0 / x), np.log(x)]),
+            lambda x: np.stack([1.0 / np.sqrt(x), x]),
+            lambda x: np.stack([np.where(x > 0.5, np.inf, x), x * x]),
+            lambda x: np.stack([np.cos(40.0 / x), 1.0 / x]),
+            lambda x: np.stack([np.sin(1.0 / x), x]),
+        ]
+        intervals = [(0.0, 1.0), (1e-4, 1.0), (1e-300, 1.0), (0.0, 1.0), (1e-3, 2.0), (1e-6, 1.0)]
+        lone, batch, calls = self.lone_and_batch(funcs, intervals, tol_abs=1e-13,
+                                                 max_panels=3_000)
+        assert isinstance(batch, QuadResults) and len(batch) == len(funcs)
+        assert batch.neval == sum(r.neval for r in lone)
+        assert batch.levels > 3 and batch.calls == len(calls) > batch.levels
+        for alone, res in zip(lone, batch):
+            assert res.neval == alone.neval
+            assert list(res) == list(alone)
+        assert not lone[5].converged and "budget" in lone[5][0].message
+        assert lone[3][0].diverged and lone[3][1].converged
+
+    def test_problem_tolerances_and_budgets(self):
+        f = lambda x, problem: np.sin(1.0 / x)  # noqa: E731
+        batch = adaptive_quad(f, [1e-3, 1e-3, 1e-3], [1.0, 1.0, 1.0],
+                              tol_abs=[[1e-4], [1e-12], [1e-12]], max_panels=[8192, 8192, 120])
+        for res, (tol, budget) in zip(batch, [(1e-4, 8192), (1e-12, 8192), (1e-12, 120)]):
+            alone = adaptive_quad(lambda x: np.sin(1.0 / x), 1e-3, 1.0, tol_abs=tol,
+                                  max_panels=budget)
+            assert res == alone
+        assert batch[0].neval < batch[1].neval and not batch[2].converged
+
+    def test_one_problem_per_call_gets_its_index(self):
+        seen = []
+
+        def f(x, problem):
+            seen.append(problem)
+            return x
+
+        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0], endpoint_levels=10)
+        # 20 initial panels each: one call holds both problems
+        assert len(seen) == 1 and np.array_equal(seen[0], np.repeat([0, 1], 20 * 45))
+        seen.clear()
+        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0])
+        # 93 each: the first call holds all of problem 0 and some of problem 1,
+        # the second only problem 1
+        assert len(seen) == 2 and seen[0][0] == 0 and seen[1] == 1
+
+    def test_beta_expectation_batch(self):
+        laws = [(3.0, 98.0), (1.0, 1e5), (0.5, 3.0), (30_000.0, 70_001.0), (2.0, 2.0)]
+
+        def g(u, logw):
+            return np.stack([u, logw, np.log(u)])
+
+        lone = [beta_expectation(g, a, b, log_weight=True) for a, b in laws]
+        batch = beta_expectation(lambda u, logw, problem: g(u, logw), [a for a, _ in laws],
+                                 [b for _, b in laws], log_weight=True)
+        for alone, res in zip(lone, batch):
+            assert res.neval == alone.neval and list(res) == list(alone)
+
+    def test_batch_validation(self):
+        with pytest.raises(ValueError):
+            adaptive_quad(lambda x, problem: x, [0.0, 0.0], [1.0])
+        with pytest.raises(ValueError):
+            beta_expectation(lambda u, problem: u, [1.0, -1.0], [1.0, 1.0])

@@ -204,3 +204,19 @@ class TestNdtri:
         want = norm.ppf(p)
         got = Gaussian().quantile(p)
         assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 8.0
+
+
+def test_beta_log_densities_match_each_law():
+    """Many laws at once, each node bit-identical to its law's own call."""
+    rng = np.random.default_rng(5)
+    a = [3.0, 1.0, 5e4, 0.5, 2.0, 7e5, 1.5]
+    b = [98.0, 1e5, 5e4 + 1.0, 3.0, 2.0, 3e5 + 1.0, 0.7]
+    problem = np.repeat(np.arange(len(a)), rng.integers(1, 400, len(a)))
+    mean = (np.array(a) / (np.array(a) + np.array(b)))[problem]
+    u = np.clip(mean + rng.normal(0.0, 0.05, problem.size), 1e-15, 1.0 - 1e-15)
+    got = special.beta_log_densities(a, b)(u, problem)
+    for i in range(len(a)):
+        at = problem == i
+        assert np.array_equal(got[at], special.beta_log_density(a[i], b[i], u[at]))
+    assert np.array_equal(special.beta_log_densities(a, b)(u, 3),
+                          special.beta_log_density(a[3], b[3], u))
