@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (beta_log_densities, beta_log_density, beta_log_density_direct,
-                      log_gamma_ratio)
+from .special import beta_log_densities, beta_log_density, beta_log_density_direct
 
 __all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
@@ -55,7 +54,6 @@ _PANEL_NEVAL = _NODES.size
 _CHUNK_NODES = 8192
 # exp(x) rounds to 0 in float64 below about x = log(2^-1075)
 _EXP_UNDERFLOW = -745.13
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -176,42 +174,23 @@ def _eval_panels(f, los, his, problems):
     return parts, stacked, -(-total // step)
 
 
-def _initial_grid(a, b, breakpoints, levels: int = _ENDPOINT_LEVELS):
+def _initial_grid(a: float, b: float, breakpoints, levels: int = _ENDPOINT_LEVELS) -> np.ndarray:
     """Sorted distinct edges: a, b, a + span 2^-j and b - span 2^-j for
-    j = 1..levels, and the breakpoints inside (a, b).
-
-    For a batch (``a`` and ``b`` sequences, ``breakpoints`` one sequence per
-    problem) a list of grids, one per problem, from one sort; a batch of one
-    takes the one-problem path, which is faster for a single row.
-    """
-    if not _is_batch(a):
-        steps = (b - a) * 2.0 ** -np.arange(1, levels + 1)
-        bps = np.asarray(breakpoints, dtype=float).ravel()
-        return np.unique(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
-    if len(a) == 1:
-        return [_initial_grid(a[0], b[0], breakpoints[0], levels)]
-    a = np.array(a, dtype=float)[:, None]
-    b = np.array(b, dtype=float)[:, None]
-    # a breakpoint outside (a, b), NaN or padding becomes a or b, a duplicate
-    bps = _padded([np.ravel(bp) for bp in breakpoints], b[:, 0])
-    np.fmin(bps, b, out=bps)
-    np.fmax(bps, a, out=bps)
+    j = 1..levels, and the breakpoints inside (a, b)."""
     steps = (b - a) * 2.0 ** -np.arange(1, levels + 1)
-    edges = np.concatenate([a, b, a + steps, b - steps, bps], axis=1)
-    edges.sort(axis=1, kind="stable")  # a and b stay first among their duplicates
-    keep = np.empty(edges.shape, dtype=bool)
-    keep[:, 0] = True
-    np.not_equal(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
-    return [row[k] for row, k in zip(edges, keep)]
+    bps = np.asarray(breakpoints, dtype=float).ravel()
+    edges = np.sort(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
+    # np.unique's first use would import numpy.ma, ~1 MB resident
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
-def _padded(rows, fill) -> np.ndarray:
-    """Ragged 1-d arrays as the rows of one array, each padded with its ``fill``."""
-    out = np.empty((len(rows), max(row.size for row in rows)))
-    for padded, row, value in zip(out, rows, fill):
-        padded[:row.size] = row
-        padded[row.size:] = value
-    return out
+def _spread(x, shape: tuple) -> list:
+    """``x`` broadcast to ``shape``, as nested lists; raises ``ValueError``
+    when its shape does not broadcast to ``shape``."""
+    out = np.zeros(shape, dtype=int) + x
+    if out.shape != shape:
+        raise ValueError(f"shape {np.shape(x)} does not broadcast to {shape}")
+    return out.tolist()
 
 
 def _panels_to_split(err: np.ndarray, excess: float) -> np.ndarray:
@@ -294,11 +273,14 @@ def adaptive_quad(
     gives each node's problem index.  The result is then a ``QuadResults``
     of the per-problem results, whose ``neval`` is the batch total.  The
     tolerances broadcast against (problems, columns) and ``max_panels``
-    against (problems,).  Each (problem, column) pair keeps its own sums,
-    tolerance, panel budget, depths and stop reason, and its result is
-    bit-identical to integrating that problem alone: only the integrand
-    calls are shared.  An infinite tolerance accepts a column's first sums,
-    for a column that some problems of a batch do not need.
+    against (problems,), as numpy broadcasts: a 1-d tolerance holds one
+    value per column, per-problem tolerances have shape (problems, 1), and
+    a shape that does not broadcast raises ``ValueError``.  Each (problem,
+    column) pair keeps its own sums, tolerance, panel budget, depths and
+    stop reason, and its result is bit-identical to integrating that
+    problem alone: only the integrand calls are shared.  An infinite
+    tolerance accepts a column's first sums, for a column that some
+    problems of a batch do not need.
 
     The initial panels lie between a, b, the breakpoints inside (a, b) and
     ``endpoint_levels`` geometric levels toward each endpoint; a caller that
@@ -325,10 +307,10 @@ def adaptive_quad(
     if not all(bi > ai for ai, bi in zip(a, b)):
         raise ValueError("adaptive_quad requires b > a")
     count = len(a)
-    grids = _initial_grid(a, b, breakpoints, endpoint_levels)
+    grids = [_initial_grid(ai, bi, bp, endpoint_levels) for ai, bi, bp in zip(a, b, breakpoints)]
     lo, hi = [g[:-1] for g in grids], [g[1:] for g in grids]
     depth = [np.zeros(g.size - 1, dtype=int) for g in grids]
-    budget = (np.zeros(count, dtype=int) + max_panels).tolist()
+    budget = _spread(max_panels, (count,))
     value, err = [None] * count, [None] * count
     neval = [0] * count
     results = None
@@ -348,8 +330,8 @@ def adaptive_quad(
                 err[i] = np.concatenate([err[i], c_err], axis=1)
         if results is None:
             m = value[0].shape[0]
-            tol_abs = (np.zeros((count, m)) + tol_abs).tolist()
-            tol_rel = (np.zeros((count, m)) + tol_rel).tolist()
+            tol_abs = _spread(tol_abs, (count, m))
+            tol_rel = _spread(tol_rel, (count, m))
             results = [[None] * m for _ in range(count)]
         new = []
         for i in range(count):
@@ -440,9 +422,8 @@ def beta_expectation(
         row.append(mean)
         bps.append(row)
     eps = 1e-15
-    count = len(alphas)
-    grids = _drop_zero_weight_panels(
-        _initial_grid([eps] * count, [1.0 - eps] * count, bps), alphas, betas)
+    grids = [_drop_zero_weight_panels(_initial_grid(eps, 1.0 - eps, row), a, b)
+             for a, b, row in zip(alphas, betas, bps)]
     lows = [grid[0] for grid in grids]
     highs = [grid[-1] for grid in grids]
     inner = [grid[1:-1] for grid in grids]
@@ -452,16 +433,13 @@ def beta_expectation(
                          breakpoints=inner, endpoint_levels=0)
 
 
-def _drop_zero_weight_panels(grid, alpha, beta):
+def _drop_zero_weight_panels(grid: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """``grid`` without its leading and trailing panels that lie beyond the
     Beta mode and whose inner edge has a float64 weight of exactly 0.
 
     The density rises from 0 to the mode when alpha > 1 and falls from the
     mode to 1 when beta > 1, so every node of such a panel weighs 0 as well:
-    the panel adds exactly 0 to any finite integrand.  For a batch
-    (``grid`` a list of grids, ``alpha`` and ``beta`` sequences) a list of
-    grids, with the weights of all their edges from one pass; a batch of one
-    takes the one-problem path, which is faster for a single row.
+    the panel adds exactly 0 to any finite integrand.
     """
     # Loader's form costs ~75 us on the ~100 edges against ~10 us for the
     # direct form, so the direct form sorts the edges first and Loader
@@ -469,38 +447,14 @@ def _drop_zero_weight_panels(grid, alpha, beta):
     # The direct form is within eps (a + b) (2 log(a + b) + 40) of Loader's
     # on the trimmed domain (at most 0.83 of it, measured for a + b from 1e2
     # to 2^53); the slack is four times that, plus 1.
-    if not _is_batch(alpha):
-        slack = 1.0 + 4.0 * _EPS * (alpha + beta) * (2.0 * math.log(alpha + beta) + 40.0)
-        direct = beta_log_density_direct(alpha, beta, grid)
-        zero = direct < _EXP_UNDERFLOW - slack
-        near = ~zero & (direct <= _EXP_UNDERFLOW + slack)
-        if near.any():
-            with np.errstate(under="ignore"):
-                zero[near] = np.exp(beta_log_density(alpha, beta, grid[near])) == 0.0
-        return _trim_zero_weight(grid, zero, alpha, beta)
-    if len(alpha) == 1:
-        return [_drop_zero_weight_panels(grid[0], alpha[0], beta[0])]
-    edges = _padded(grid, [g[-1] for g in grid])
-    # per law: the slack, the direct form's normalizer and its exponents
-    law = np.array([(1.0 + 4.0 * _EPS * (a + b) * (2.0 * math.log(a + b) + 40.0),
-                     log_gamma_ratio(max(a, b), min(a, b)) - math.lgamma(min(a, b)),
-                     a - 1.0, b - 1.0) for a, b in zip(alpha, beta)]).T[:, :, None]
-    slack, norm, a1, b1 = law
-    # ``beta_log_density_direct`` row by row; a zero exponent adds a zero
-    direct = norm + a1 * np.log(edges) + b1 * np.log1p(-edges)
+    m = alpha + beta
+    slack = 1.0 + 4.0 * np.finfo(float).eps * m * (2.0 * math.log(m) + 40.0)
+    direct = beta_log_density_direct(alpha, beta, grid)
     zero = direct < _EXP_UNDERFLOW - slack
     near = ~zero & (direct <= _EXP_UNDERFLOW + slack)
     if near.any():
-        rows, cols = np.nonzero(near)
         with np.errstate(under="ignore"):
-            logw = beta_log_densities(alpha, beta)(edges[rows, cols], rows)
-            zero[rows, cols] = np.exp(logw) == 0.0
-    return [_trim_zero_weight(g, z[:g.size], a, b) for g, z, a, b in zip(grid, zero, alpha, beta)]
-
-
-def _trim_zero_weight(grid: np.ndarray, zero: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """``grid`` without the leading and trailing panels beyond the mode whose
-    inner edge is ``zero``."""
+            zero[near] = np.exp(beta_log_density(alpha, beta, grid[near])) == 0.0
     if alpha > 1.0 and beta > 1.0:
         mode = (alpha - 1.0) / (alpha + beta - 2.0)
     else:

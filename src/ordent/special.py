@@ -162,9 +162,8 @@ def _split(a):
     return hi, a - hi
 
 
-def _deviance(x, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Loader's bd0: x log(x / mu) + mu - x, for x > 0 and d = mu - x; x is
-    a scalar or one value per node.
+def _deviance(x: float, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Loader's bd0: x log(x / mu) + mu - x, for x > 0 and d = mu - x.
 
     Where |d| < x / 5 it is the series in v = d / (2x + d),
     -x v (2 sum_{j>=1} v^2j / (2j+1) - d / x), free of the cancellation
@@ -178,8 +177,6 @@ def _deviance(x, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
     out += d
     near = np.abs(d) < 0.2 * x
     if near.any():
-        if isinstance(x, np.ndarray):
-            x = x[near]
         t = d[near]
         t /= x
         v = t + 2.0
@@ -218,37 +215,6 @@ def beta_log_density_direct(a: float, b: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loader_parameters(a: float, b: float) -> tuple[float, float, float, float]:
-    """(x, y, m, const) of Loader's form: x = a - 1, y = b - 1, m = x + y."""
-    x, y = a - 1.0, b - 1.0
-    return x, y, x + y, -log_beta_remainder(x, y)
-
-
-def _loader_log_density(x, y, m, const, u: np.ndarray) -> np.ndarray:
-    """Loader's form at the 1-d nodes u; each parameter is a scalar or one
-    value per node, with the same result at every node either way."""
-    # d = m u - x exactly up to one rounding (Dekker's product): rounding
-    # m u first would cost d an absolute error of order eps * x
-    mu = m * u
-    m_hi, m_lo = _split(m)
-    u_hi, u_lo = _split(u)
-    d = m_hi * u_hi
-    d -= mu
-    d += m_hi * u_lo
-    d += m_lo * u_hi
-    d += m_lo * u_lo
-    del m_hi, m_lo, u_hi, u_lo
-    d += mu - x
-    out = _deviance(x, mu, d)
-    del mu
-    np.subtract(const, out, out=out)
-    mu = np.subtract(1.0, u)
-    mu *= m
-    np.negative(d, out=d)
-    out -= _deviance(y, mu, d)
-    return out
-
-
 def beta_log_density(a: float, b: float, u) -> np.ndarray:
     """log of the Beta(a, b) density at u in [0, 1], in float64.
 
@@ -270,37 +236,46 @@ def beta_log_density(a: float, b: float, u) -> np.ndarray:
         raise ValueError("beta_log_density requires a, b > 0")
     if a <= _LOADER_FROM or b <= _LOADER_FROM:
         return beta_log_density_direct(a, b, u)
-    return _loader_log_density(*_loader_parameters(a, b), u.ravel()).reshape(u.shape)
+    shape = u.shape
+    u = u.ravel()
+    x, y = a - 1.0, b - 1.0
+    m = x + y
+    # d = m u - x exactly up to one rounding (Dekker's product): rounding
+    # m u first would cost d an absolute error of order eps * x
+    mu = m * u
+    m_hi, m_lo = _split(m)
+    u_hi, u_lo = _split(u)
+    d = m_hi * u_hi
+    d -= mu
+    d += m_hi * u_lo
+    d += m_lo * u_hi
+    d += m_lo * u_lo
+    del u_hi, u_lo
+    d += mu - x
+    out = _deviance(x, mu, d)
+    del mu
+    np.subtract(-log_beta_remainder(x, y), out, out=out)
+    mu = np.subtract(1.0, u)
+    mu *= m
+    np.negative(d, out=d)
+    out -= _deviance(y, mu, d)
+    return out.reshape(shape)
 
 
 def beta_log_densities(a, b):
     """The function ``(u, problem) -> logw`` with ``logw[j] =
-    beta_log_density(a[i], b[i], u[j])`` for i = ``problem[j]``, bit for
-    bit, for sequences of a, b > 0; ``problem`` is one index per node, or
-    one index for all nodes.
-
-    The nodes of all Loader-form laws are one vectorized pass with
-    per-node parameters, set up on the first call that mixes laws; the
-    other laws go law by law.
+    beta_log_density(a[i], b[i], u[j])`` for i = ``problem[j]``, for
+    sequences of a, b > 0; ``problem`` is one index per node, or one index
+    for all nodes.  Each law's nodes go through ``beta_log_density``.
     """
-    loader = params = None
-
     def log_density(u: np.ndarray, problem) -> np.ndarray:
-        nonlocal loader, params
-        if not isinstance(problem, np.ndarray):  # one law, its parameters as scalars
+        if not isinstance(problem, np.ndarray):
             return beta_log_density(a[problem], b[problem], u)
-        if loader is None:
-            loader = np.array([ai > _LOADER_FROM and bi > _LOADER_FROM for ai, bi in zip(a, b)])
-            params = np.array([_loader_parameters(ai, bi) if use else (1.0,) * 4
-                               for ai, bi, use in zip(a, b, loader)]).T
         out = np.empty(u.shape)
-        on = loader[problem]
-        if on.any():
-            at = problem[on]
-            out[on] = _loader_log_density(*(col[at] for col in params), u[on])
-        for i in set(problem[~on].tolist()):
+        # the laws present, without np.unique, whose first use imports numpy.ma
+        for i in np.flatnonzero(np.bincount(problem)):
             at = problem == i
-            out[at] = beta_log_density_direct(a[i], b[i], u[at])
+            out[at] = beta_log_density(a[i], b[i], u[at])
         return out
 
     return log_density

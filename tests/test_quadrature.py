@@ -332,6 +332,15 @@ class TestBatch:
             assert res == alone
         assert batch[0].neval < batch[1].neval and not batch[2].converged
 
+    def test_tolerance_shape_must_broadcast(self):
+        f = lambda x, problem: np.sin(1.0 / x)  # noqa: E731
+        with pytest.raises(ValueError):  # two tolerances for one column
+            adaptive_quad(lambda x: np.sin(1.0 / x), 1e-3, 1.0, tol_abs=[1e-3, 1e-9])
+        with pytest.raises(ValueError):  # one tolerance per problem is shape (3, 1)
+            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, tol_abs=[1e-4, 1e-12, 1e-12])
+        with pytest.raises(ValueError):
+            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, max_panels=[8192, 120])
+
     def test_one_problem_per_call_gets_its_index(self):
         seen = []
 
