@@ -589,26 +589,40 @@ def beta_log_pdf(law: BetaLaw, u):
     return _ret(u, beta_log_density(law.alpha, law.beta, u))
 
 
-#: ``beta_sample``'s inverse-CDF table: nodes z = -_TABLE_Z + j h, h =
-#: 2 _TABLE_Z / _TABLE_STEPS (a power of two, so z / h is exact), j = 0.._TABLE_STEPS.
-_TABLE_Z = 8.0
-_TABLE_STEPS = 4096
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+#: ``beta_sample``'s inverse-CDF table: nodes w = -_TABLE_W + j h in w = logit(u),
+#: h = 2 _TABLE_W / _TABLE_STEPS = 75 / 2048 (so every node is exact), j =
+#: 0.._TABLE_STEPS.  |w| <= 53 log 2 < _TABLE_W for every nonzero u that
+#: ``Generator.random`` returns.
+_TABLE_W = 37.5
+_TABLE_STEPS = 2048
 
 
-def _logit_quantile(a: float, b: float, z: np.ndarray) -> tuple:
-    """(y, dy/dz) of y = logit(x), x the Beta(a, b) quantile at Phi(z).
+def _logit_quantile(a: float, b: float, w: np.ndarray) -> np.ndarray:
+    """Rows y, dy/dw and d2y/dw2 of y = logit(x), x the Beta(a, b) quantile at u = expit(w).
 
-    dy/dz = phi(z) / (f(x) x (1 - x)).  x comes from ``betaincinv`` and
-    keeps its precision where x <= 1/2; the caller mirrors the law beyond.
+    The smaller of u and 1 - u is e / (1 + e) with e = exp(-|w|); x is
+    ``betaincinv`` at u where w <= 0 and ``betainccinv`` at 1 - u beyond, so
+    1 - u is never rounded near 1.  With log u + log(1 - u) = -|w| -
+    2 log(1 + e) and f the Beta density,
+
+        dy/dw = u (1 - u) / (f(x) x (1 - x)),
+        d2y/dw2 = dy/dw ((1 - 2u) + dy/dw (b x - a (1 - x))).
+
+    x keeps its precision where x <= 1/2; the caller mirrors the law beyond.
     """
-    from scipy.special import betaincinv, ndtr
+    from scipy.special import betainccinv, betaincinv
 
-    x = betaincinv(a, b, ndtr(z))
+    e = np.exp(-np.abs(w))
+    small = e / (1.0 + e)
+    low = w <= 0.0
+    x = np.empty_like(w)
+    x[low] = betaincinv(a, b, small[low])
+    x[~low] = betainccinv(a, b, small[~low])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_x, log_1mx = np.log(x), np.log1p(-x)
-        slope = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - beta_log_density(a, b, x) - log_x - log_1mx)
-    return log_x - log_1mx, slope
+        slope = np.exp(-np.abs(w) - 2.0 * np.log1p(e) - beta_log_density(a, b, x) - log_x - log_1mx)
+        curvature = slope * (np.tanh(-0.5 * w) + slope * (b * x - a * (1.0 - x)))
+    return np.array([log_x - log_1mx, slope, curvature])
 
 
 def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -617,64 +631,98 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
     Exactly one uniform u is consumed per variate, so the mapping from
     (seed, stream) to output does not depend on the Beta parameters, and
     draw i depends only on u_i and the law: any prefix of a draw is the
-    same bit for bit.  ``betaincinv`` runs only at the nodes of a table of
-    y = logit(x) of the Beta quantile x at u = Phi(z), on a uniform grid of
-    4097 nodes over |z| <= 8; nodes where x > 1/2 take 1 - x from the
-    mirrored law, so that it keeps its precision.  A draw is the cubic
-    Hermite interpolant of y at z = ndtri(u), with the exact slopes; a draw
-    beyond the table, or in a cell where x rounds to 0 or 1, is
-    ``betaincinv`` itself.
+    same bit for bit.  A draw is y = logit(x) of the Beta quantile x,
+    interpolated in w = logit(u) on a uniform grid of 2049 nodes over
+    |w| <= 37.5: one quintic Hermite per cell, from y and its first two
+    derivatives at both ends.  A first pass over the draws marks the cells
+    they land in, and ``betaincinv`` runs only at those cells' nodes; a
+    cell's quintic depends only on its two nodes, so the draws do not
+    depend on ``count``.  Nodes where u > 1/2 take x from the complementary
+    inverse ``betainccinv`` at 1 - u, and nodes where x > 1/2 take 1 - x
+    from the mirrored law, so that neither 1 - u nor 1 - x is rounded.  A
+    draw at u = 0, or in a cell where x rounds to 0 or 1, is ``betaincinv``
+    itself.
 
     Accuracy contract: each draw lies within 1e-12 min(x, 1 - x) + 2^-52
     of ``betaincinv(alpha, beta, u)`` when alpha, beta >= 1 (1e-10 for the
     tested laws with a parameter down to 0.1; the error grows as a
     parameter shrinks further), and draws are nondecreasing in u; the tests
-    check this from Beta(1, 1) to Beta(3e6, 7e6 + 1).  Draws are clipped to
-    [1e-300, 1 - 1e-16].
+    check this from Beta(0.1, 0.1) to Beta(3e6, 7e6 + 1).  For skewed laws
+    with parameters above ~1e5, ``betaincinv`` itself can be ~2e-12
+    relative off; the nodes inherit that, and a draw can then miss the
+    bound by up to ~2x.
+    Draws are clipped to [1e-300, 1 - 1e-16].
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    # scipy loads only where it is needed; its ndtri (which shadows
-    # special.ndtri here) takes 2/3 of the time on the draws
-    from scipy.special import betainc, betaincinv, expit, ndtri
+    # scipy loads only where it is needed
+    from scipy.special import betainc, betaincc, betaincinv
 
     a, b = law.alpha, law.beta
-    half = _TABLE_STEPS // 2
-    h = 2.0 * _TABLE_Z / _TABLE_STEPS
-    z = h * np.arange(-half, half + 1)
-    low = z <= ndtri(betainc(a, b, 0.5))  # x <= 1/2
-    y, dy = np.empty_like(z), np.empty_like(z)
-    y[low], dy[low] = _logit_quantile(a, b, z[low])
-    y[~low], dy[~low] = _logit_quantile(b, a, -z[~low])  # logit(1 - x)
-    y[~low] *= -1.0
-    dy *= h
-    # cubic Hermite coefficients of each cell in powers of its offset t in
-    # [0, 1), one row per cell; NaN where x rounds to 0 or 1 at either node
+    steps = _TABLE_STEPS
+    h = 2.0 * _TABLE_W / steps
+    u = random_stream(seed, stream).random(int(count))
+    # first pass: x holds each draw's position (w + _TABLE_W) / h; a draw
+    # beyond the table goes to position `steps`, whose row of `coef` is NaN
+    x = np.empty_like(u)
+    reached = np.zeros(steps + 1, dtype=bool)
+    with np.errstate(divide="ignore"):
+        for s in range(0, u.size, _CHUNK_NODES):
+            part, pos = u[s:s + _CHUNK_NODES], x[s:s + _CHUNK_NODES]
+            np.subtract(1.0, part, out=pos)  # exact: u is a multiple of 2^-53
+            np.divide(part, pos, out=pos)
+            np.log(pos, out=pos)
+            pos += _TABLE_W
+            pos /= h
+            pos[~((pos >= 0.0) & (pos < steps))] = steps
+            reached[pos.astype(np.intp)] = True
+    reached[steps] = False
+    cells = np.flatnonzero(reached)
+    reached[1:] |= reached[:-1]  # the right-hand node of each cell
+    nodes = np.flatnonzero(reached)
+
+    # y, h y' and h^2 y'' at the nodes; nodes where x > 1/2, beyond w =
+    # logit(F(1/2)), take y(w) = -y_m(-w), y'(w) = y_m'(-w), y''(w) = -y_m''(-w)
+    # from the mirrored law
+    w = nodes * h - _TABLE_W
+    with np.errstate(divide="ignore"):
+        low = w <= np.log(betainc(a, b, 0.5)) - np.log(betaincc(a, b, 0.5))
+    table = np.full((3, steps + 1), np.nan)
+    table[:, nodes[low]] = _logit_quantile(a, b, w[low])
+    table[:, nodes[~low]] = _logit_quantile(b, a, -w[~low]) * [[-1.0], [1.0], [-1.0]]
+    table *= [[1.0], [h], [h * h]]
+    # quintic Hermite coefficients of each reached cell in powers of its
+    # offset t in [0, 1), one row per cell; NaN where x rounds to 0 or 1 at
+    # either node, and in the rows of cells no draw reached
+    (y0, d0, s0), (y1, d1, s1) = table[:, cells], table[:, cells + 1]
+    coef = np.full((steps + 1, 6), np.nan)
     with np.errstate(invalid="ignore"):
-        step = np.diff(y)
-        coef = np.stack([y[:-1], dy[:-1], 3.0 * step - 2.0 * dy[:-1] - dy[1:],
-                         dy[:-1] + dy[1:] - 2.0 * step], axis=1)
+        dy, dd, ds = y1 - y0 - d0 - 0.5 * s0, d1 - d0 - s0, s1 - s0
+        coef[cells] = np.stack([y0, d0, 0.5 * s0, 10.0 * dy - 4.0 * dd + 0.5 * ds,
+                                7.0 * dd - 15.0 * dy - ds, 6.0 * dy - 3.0 * dd + 0.5 * ds], axis=1)
     coef[~np.isfinite(coef).all(axis=1)] = np.nan
 
-    u = random_stream(seed, stream).random(int(count))
-    x = np.empty_like(u)
+    # second pass: each draw from its cell's quintic, in place of its position
     for s in range(0, u.size, _CHUNK_NODES):
-        part = u[s:s + _CHUNK_NODES]
-        zp = ndtri(part)
-        inside = np.abs(zp) < _TABLE_Z
-        pos = np.where(inside, zp, 0.0) / h
+        pos = x[s:s + _CHUNK_NODES]
         cell = np.floor(pos)
-        t = pos - cell
-        c = np.take(coef, cell.astype(np.intp) + half, axis=0)
-        yp = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * c[:, 3]))
+        np.subtract(pos, cell, out=pos)
+        c = np.take(coef, cell.astype(np.intp), axis=0)
+        y = c[:, 5] * pos
+        for k in (4, 3, 2, 1):
+            y += c[:, k]
+            y *= pos
+        y += c[:, 0]
         # the smaller of x and 1 - x from the logistic, the other by one subtraction
-        xp = expit(-np.abs(yp))
-        np.subtract(1.0, xp, out=xp, where=yp > 0.0)
-        far = np.isnan(yp) | ~inside
+        np.abs(y, out=pos)
+        np.negative(pos, out=pos)
+        np.exp(pos, out=pos)
+        np.divide(pos, 1.0 + pos, out=pos)
+        np.subtract(1.0, pos, out=pos, where=y > 0.0)
+        far = np.isnan(y)
         if far.any():
-            xp[far] = betaincinv(a, b, part[far])
-        x[s:s + _CHUNK_NODES] = xp
-    return np.clip(x, 1e-300, 1.0 - 1e-16)
+            pos[far] = betaincinv(a, b, u[s:s + _CHUNK_NODES][far])
+    return np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
 
 
 def beta_sample_mean(g, law: BetaLaw, count: int, seed: int, stream: int = 0):

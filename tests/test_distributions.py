@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import betaincinv, ndtri
+from scipy.special import betaincinv, logit
 
 from ordent.distributions import (
     F1,
@@ -361,7 +361,7 @@ class TestBetaSampling:
 
     @pytest.mark.parametrize("alpha, beta", [
         (1, 1), (2, 2), (5, 5), (30, 71), (60, 141), (140, 1861), (1, 100), (2, 99),
-        (100, 1), (3, 2.1), (5e4, 5e4 + 1), (3e6, 7e6 + 1), (0.5, 0.5), (0.1, 3),
+        (100, 1), (3, 2.1), (5e4, 5e4 + 1), (3e6, 7e6 + 1), (0.5, 0.5), (0.1, 3), (0.1, 0.1),
     ])
     def test_table_accuracy_contract(self, alpha, beta):
         # within 1e-12 min(x, 1 - x) + 2^-52 of the exact inversion (1e-10 with
@@ -376,12 +376,22 @@ class TestBetaSampling:
         assert np.array_equal(beta_sample(law, 100, seed=29, stream=4),
                               beta_sample(law, 20_000, seed=29, stream=4)[:100])
 
+    @pytest.mark.parametrize("alpha, beta, seed", [(100, 1, 1), (1, 100, 17), (2, 99, 17)])
+    def test_tail_heavy_laws_meet_the_contract(self, alpha, beta, seed):
+        # laws whose quantile lies far from 1/2 on the other side of the
+        # median of u, where inverting a rounded u near 1 missed the contract
+        # by up to 15x at these seeds
+        count = 100_000
+        x = beta_sample(BetaLaw(alpha, beta), count, seed=seed)
+        ref = betaincinv(alpha, beta, random_stream(seed, 0).random(count))
+        assert np.all(np.abs(x - ref) <= 1e-12 * np.minimum(ref, 1.0 - ref) + 2.0**-52)
+
     @pytest.mark.parametrize("count", [1_000, 100_000])
     def test_inverts_only_at_table_nodes(self, monkeypatch, count):
-        # betaincinv runs at the table's nodes and at draws beyond |z| < 8
+        # betaincinv runs at the table's nodes and at draws beyond |logit(u)| < 37.5
         import scipy.special
 
-        from ordent.distributions import _TABLE_STEPS, _TABLE_Z
+        from ordent.distributions import _TABLE_STEPS, _TABLE_W
 
         inverted = []
         real = scipy.special.betaincinv
@@ -392,8 +402,29 @@ class TestBetaSampling:
 
         monkeypatch.setattr(scipy.special, "betaincinv", spy)
         beta_sample(BetaLaw(30, 71), count, seed=3, stream=1)
-        beyond = int(np.sum(~(np.abs(ndtri(random_stream(3, 1).random(count))) < _TABLE_Z)))
+        beyond = int(np.sum(~(np.abs(logit(random_stream(3, 1).random(count))) < _TABLE_W)))
         assert sum(inverted) <= _TABLE_STEPS + 1 + beyond
+
+    def test_inverts_only_where_draws_land(self, monkeypatch):
+        # 100 draws reach at most 100 cells, so at most 200 nodes are inverted,
+        # by betaincinv or by the complementary betainccinv
+        import scipy.special
+
+        from ordent.distributions import _TABLE_W
+
+        count, inverted = 100, []
+
+        def spy(real):
+            def inverse(a, b, u):
+                inverted.append(np.size(u))
+                return real(a, b, u)
+            return inverse
+
+        for name in ("betaincinv", "betainccinv"):
+            monkeypatch.setattr(scipy.special, name, spy(getattr(scipy.special, name)))
+        beta_sample(BetaLaw(30, 71), count, seed=3, stream=1)
+        beyond = int(np.sum(~(np.abs(logit(random_stream(3, 1).random(count))) < _TABLE_W)))
+        assert 0 < sum(inverted) <= 2 * count + beyond
 
     def test_sample_mean_is_the_mean_of_one_draw(self):
         # 20000 draws span three chunks; the stacked columns share the draw

@@ -1,4 +1,5 @@
-"""Property tests of the fused quadrature pass over random (parent, n, p).
+"""Property tests of the fused quadrature pass over random (parent, n, p),
+and of the Beta sampler's table over random laws and streams.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -6,10 +7,12 @@ runs the same cases every time.
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import betaincinv
 
-from ordent.distributions import make_parent
+from ordent.distributions import BetaLaw, beta_sample, make_parent, random_stream
 from ordent.entropy_kl import kl_decompose
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -76,3 +79,23 @@ def test_divergence_matches_the_moment_conditions(family, case):
     else:
         assert d.message == ""
         assert abs(d.total_direct - d.total_decomposed) <= max(2e-8, 4.0 * math.ulp(d.total_decomposed))
+
+
+log_uniform_parameters = st.floats(min_value=0.0, max_value=7.0).map(lambda e: 10.0**e)
+
+
+@PROPERTY_SETTINGS
+@given(alpha=log_uniform_parameters, beta=log_uniform_parameters,
+       seed=st.integers(min_value=0, max_value=2**32 - 1), stream=st.integers(min_value=0, max_value=1000))
+def test_beta_sample_contract(alpha, beta, seed, stream):
+    # within 1e-12 min(x, 1 - x) + 2^-52 of the exact inversion, nondecreasing
+    # in u, and prefix-stable, for laws with alpha, beta in [1, 1e7]; rare
+    # skewed laws above ~1e5, where betaincinv itself errs by ~2e-12
+    # relative, can miss the first (see the beta_sample docstring)
+    law, count = BetaLaw(alpha, beta), 20_000
+    x = beta_sample(law, count, seed, stream)
+    u = random_stream(seed, stream).random(count)
+    ref = betaincinv(alpha, beta, u)
+    assert np.all(np.abs(x - ref) <= 1e-12 * np.minimum(ref, 1.0 - ref) + 2.0**-52)
+    assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+    assert np.array_equal(beta_sample(law, 100, seed, stream), x[:100])
