@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import beta_log_densities, beta_log_density, beta_log_density_direct
+from .special import _direct, _direct_constant, beta_log_densities
 
 __all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
@@ -54,6 +54,10 @@ _PANEL_NEVAL = _NODES.size
 _CHUNK_NODES = 8192
 # exp(x) rounds to 0 in float64 below about x = log(2^-1075)
 _EXP_UNDERFLOW = -745.13
+_EPS = float(np.finfo(float).eps)
+# beta_expectation's bulk breakpoints: mean + s sd for these s
+_BULK_SCALES = np.array([-1.0, 1.0, -2.0, 2.0, -4.0, 4.0, -8.0, 8.0, -16.0, 16.0,
+                         -32.0, 32.0, -64.0, 64.0, 0.0])
 
 
 @dataclass
@@ -105,7 +109,7 @@ class QuadResults(tuple):
 
 def _is_batch(x) -> bool:
     """Whether ``x`` holds one value per problem rather than one value."""
-    return isinstance(x, (list, tuple)) or np.ndim(x) > 0
+    return isinstance(x, (list, tuple)) or (not isinstance(x, (float, int)) and np.ndim(x) > 0)
 
 
 def _eval_panels(f, los, his, problems):
@@ -174,19 +178,56 @@ def _eval_panels(f, los, his, problems):
     return parts, stacked, -(-total // step)
 
 
-def _initial_grid(a: float, b: float, breakpoints, levels: int = _ENDPOINT_LEVELS) -> np.ndarray:
+def _initial_grid(a, b, breakpoints, levels: int = _ENDPOINT_LEVELS) -> np.ndarray:
     """Sorted distinct edges: a, b, a + span 2^-j and b - span 2^-j for
-    j = 1..levels, and the breakpoints inside (a, b)."""
-    steps = (b - a) * 2.0 ** -np.arange(1, levels + 1)
-    bps = np.asarray(breakpoints, dtype=float).ravel()
-    edges = np.sort(np.concatenate([[a, b], a + steps, b - steps, bps[(bps > a) & (bps < b)]]))
+    j = 1..levels, and the breakpoints inside (a, b); NaN breakpoints and
+    those outside are dropped.
+
+    A 2-d ``breakpoints`` holds one row per problem, and ``a`` and ``b``
+    one value per row: the result has one row of edges per problem, each
+    followed by NaN up to the longest row.
+    """
+    bps = np.asarray(breakpoints, dtype=float)
+    rows = bps.ndim == 2
+    bps = bps.reshape(len(bps) if rows else 1, -1)
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    parts = [a, b]
+    if levels:
+        steps = np.ldexp(b - a, np.arange(-1, -levels - 1, -1))
+        parts += [a + steps, b - steps]
+    edges = np.concatenate([*parts, np.where((bps > a) & (bps < b), bps, np.nan)], axis=1)
+    edges.sort(axis=1)
     # np.unique's first use would import numpy.ma, ~1 MB resident
-    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+    repeat = edges[:, 1:] == edges[:, :-1]
+    if np.count_nonzero(repeat):
+        edges[:, 1:][repeat] = np.nan
+        edges.sort(axis=1)
+    return edges if rows else edges[0, :np.count_nonzero(edges == edges)]
+
+
+# beta_expectation's domain (1e-15, 1 - 1e-15) and its geometric endpoint levels
+_TRIM_EDGES = _initial_grid(1e-15, 1.0 - 1e-15, ())
+
+
+def _padded(rows) -> np.ndarray:
+    """The sequences ``rows`` as one 2-d array, each row NaN-padded to the longest."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows
+    rows = [np.asarray(r, dtype=float).ravel() for r in rows]
+    out = np.empty((len(rows), max(r.size for r in rows)))
+    out.fill(np.nan)
+    for row, r in zip(out, rows):
+        row[:r.size] = r
+    return out
 
 
 def _spread(x, shape: tuple) -> list:
-    """``x`` broadcast to ``shape``, as nested lists; raises ``ValueError``
-    when its shape does not broadcast to ``shape``."""
+    """``x`` broadcast to a 1-d or 2-d ``shape``, as nested lists; raises
+    ``ValueError`` when its shape does not broadcast to ``shape``."""
+    if isinstance(x, (int, float)):
+        row = [x] * shape[-1]
+        return row if len(shape) == 1 else [list(row) for _ in range(shape[0])]
     out = np.zeros(shape, dtype=int) + x
     if out.shape != shape:
         raise ValueError(f"shape {np.shape(x)} does not broadcast to {shape}")
@@ -285,6 +326,9 @@ def adaptive_quad(
     The initial panels lie between a, b, the breakpoints inside (a, b) and
     ``endpoint_levels`` geometric levels toward each endpoint; a caller that
     passes every edge of its own partition as breakpoints sets it to 0.
+    NaN breakpoints are ignored, so a 2-d array of NaN-padded rows may hold
+    a batch's breakpoints; the partitions of all problems are built in one
+    padded pass.
     Each refinement level evaluates the panels of all problems at once.  A
     column stops when its summed error estimate drops below max(tol_abs,
     tol_rel * |integral|).  It ends unconverged, keeping its sums, when a
@@ -296,7 +340,8 @@ def adaptive_quad(
     batch = _is_batch(a)
     if not batch:
         # one problem is a batch of one
-        one, a, b, breakpoints = f, [a], [b], [breakpoints]
+        one, a, b = f, [a], [b]
+        breakpoints = np.asarray(breakpoints, dtype=float).reshape(1, -1)
 
         def f(x, problem):
             return one(x)
@@ -307,9 +352,11 @@ def adaptive_quad(
     if not all(bi > ai for ai, bi in zip(a, b)):
         raise ValueError("adaptive_quad requires b > a")
     count = len(a)
-    grids = [_initial_grid(ai, bi, bp, endpoint_levels) for ai, bi, bp in zip(a, b, breakpoints)]
-    lo, hi = [g[:-1] for g in grids], [g[1:] for g in grids]
-    depth = [np.zeros(g.size - 1, dtype=int) for g in grids]
+    grid = _initial_grid(a, b, _padded(breakpoints), endpoint_levels)
+    edges = (grid == grid).sum(axis=1).tolist()
+    lo = [row[:e - 1] for row, e in zip(grid, edges)]
+    hi = [row[1:e] for row, e in zip(grid, edges)]
+    depth = [np.zeros(e - 1, dtype=int) for e in edges]
     budget = _spread(max_panels, (count,))
     value, err = [None] * count, [None] * count
     neval = [0] * count
@@ -376,7 +423,10 @@ def beta_expectation(
     sequence per problem, and ``g`` gets each node's problem index as its
     last argument, ``g(u, problem)`` or ``g(u, logw, problem)``.  The result
     is ``adaptive_quad``'s batch result: every expectation is integrated as
-    if alone, in shared integrand calls.
+    if alone, in shared integrand calls.  The initial partitions of all laws
+    are built, sorted and trimmed as one (laws x edges) array, and each
+    integrand call evaluates the log weights of all its laws in one pass
+    (``special.beta_log_densities``); one law is a batch of one.
 
     The weight is evaluated in log space, and breakpoints at mean +- 2^j
     standard deviations keep the concentrated bulk resolved at any parameter
@@ -386,6 +436,7 @@ def beta_expectation(
     before integrating (``distributions.power_moment_finite``).  Of the
     initial panels, those beyond the mode whose inner edge weighs exactly 0
     in float64 are never evaluated: the weight is 0 at every node there.
+    Parameters that are not positive and finite raise ``ValueError``.
     """
     batch = _is_batch(alpha)
     if not batch:
@@ -395,8 +446,8 @@ def beta_expectation(
     alphas, betas = [float(a) for a in alpha], [float(b) for b in beta]
     if not len(alphas) == len(betas) == len(breakpoints) > 0:
         raise ValueError("a batch needs one alpha, beta and breakpoint sequence per problem")
-    if not all(a > 0 and b > 0 for a, b in zip(alphas, betas)):
-        raise ValueError("beta_expectation requires alpha, beta > 0")
+    if not all(0.0 < v < math.inf for v in (*alphas, *betas)):
+        raise ValueError("beta_expectation requires finite alpha, beta > 0")
 
     log_density = beta_log_densities(alphas, betas)
 
@@ -411,62 +462,99 @@ def beta_expectation(
             y = g(*args) if batch else g(*args[:-1])
             return np.exp(logw) * np.asarray(y, dtype=float)
 
-    bps = []
-    for a, b, extra in zip(alphas, betas, breakpoints):
-        mean = a / (a + b)
-        sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-        row = list(np.ravel(extra)) if len(extra) else []
-        for scale in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-            row.append(mean - scale * sd)
-            row.append(mean + scale * sd)
-        row.append(mean)
-        bps.append(row)
-    eps = 1e-15
-    grids = [_drop_zero_weight_panels(_initial_grid(eps, 1.0 - eps, row), a, b)
-             for a, b, row in zip(alphas, betas, bps)]
-    lows = [grid[0] for grid in grids]
-    highs = [grid[-1] for grid in grids]
-    inner = [grid[1:-1] for grid in grids]
+    # each law's initial edges, in one row: the trimmed domain and its
+    # endpoint levels, the bulk breakpoints mean + s sd and the caller's
+    mean_sd = np.array([(a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0))))
+                        for a, b in zip(alphas, betas)])
+    edges = np.empty((len(alphas), _TRIM_EDGES.size + _BULK_SCALES.size))
+    edges[:, :_TRIM_EDGES.size] = _TRIM_EDGES
+    bulk = edges[:, _TRIM_EDGES.size:]
+    np.multiply(mean_sd[:, 1:], _BULK_SCALES, out=bulk)
+    bulk += mean_sd[:, :1]
+    if any(len(row) for row in breakpoints):
+        edges = np.concatenate([edges, _padded(breakpoints)], axis=1)
+    grid = _initial_grid(edges[:, 0], edges[:, _TRIM_EDGES.size - 1], edges, 0)
+    grids = _drop_zero_weight_panels(grid, alphas, betas)
+    lows, highs, inner = zip(*[(g[0], g[-1], g[1:-1]) for g in grids])
     if not batch:
         lows, highs, inner = lows[0], highs[0], inner[0]
     return adaptive_quad(integrand, lows, highs, tol_abs=tol_abs, tol_rel=tol_rel,
                          breakpoints=inner, endpoint_levels=0)
 
 
-def _drop_zero_weight_panels(grid: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _trim_constants(a: float, b: float) -> tuple:
+    """Beta(a, b)'s direct form (x, y, c), its thresholds (below, above)
+    and its bounds (lower, upper) for ``_drop_zero_weight_panels``.
+
+    An edge whose direct form is below ``below`` weighs 0, and one up to
+    ``above`` is checked against Loader's form.  The direct form is within
+    eps (a + b) (2 log(a + b) + 40) of Loader's on the trimmed domain (at
+    most 0.83 of it, measured for a + b from 1e2 to 2^53); the slack on
+    either side of the underflow is four times that, plus 1.  Edges up to
+    ``lower`` and from ``upper`` on lie beyond the mode, on a side where
+    the density is monotone: -inf and inf where there is no such side.
+    """
+    slack = 1.0 + 4.0 * _EPS * (a + b) * (2.0 * math.log(a + b) + 40.0)
+    if a > 1.0 and b > 1.0:
+        mode = (a - 1.0) / (a + b - 2.0)
+    else:
+        mode = 1.0 if a > 1.0 else 0.0
+    return (a - 1.0, b - 1.0, _direct_constant(a, b), _EXP_UNDERFLOW - slack,
+            _EXP_UNDERFLOW + slack, mode if a > 1.0 else -math.inf, mode if b > 1.0 else math.inf)
+
+
+def _drop_zero_weight_panels(grid: np.ndarray, alpha, beta):
     """``grid`` without its leading and trailing panels that lie beyond the
     Beta mode and whose inner edge has a float64 weight of exactly 0.
 
     The density rises from 0 to the mode when alpha > 1 and falls from the
     mode to 1 when beta > 1, so every node of such a panel weighs 0 as well:
-    the panel adds exactly 0 to any finite integrand.
+    the panel adds exactly 0 to any finite integrand.  A 2-d ``grid`` holds
+    one NaN-padded row of edges per law of the sequences ``alpha`` and
+    ``beta``; all rows are decided in one pass, and the result is the list
+    of their trimmed rows.
     """
-    # Loader's form costs ~75 us on the ~100 edges against ~10 us for the
-    # direct form, so the direct form sorts the edges first and Loader
-    # decides only those within ``slack`` of the float64 underflow of exp.
-    # The direct form is within eps (a + b) (2 log(a + b) + 40) of Loader's
-    # on the trimmed domain (at most 0.83 of it, measured for a + b from 1e2
-    # to 2^53); the slack is four times that, plus 1.
-    m = alpha + beta
-    slack = 1.0 + 4.0 * np.finfo(float).eps * m * (2.0 * math.log(m) + 40.0)
-    direct = beta_log_density_direct(alpha, beta, grid)
-    zero = direct < _EXP_UNDERFLOW - slack
-    near = ~zero & (direct <= _EXP_UNDERFLOW + slack)
-    if near.any():
+    if grid.ndim == 1:
+        return _drop_zero_weight_panels(grid[None], [alpha], [beta])[0]
+    # Loader's form has a fixed cost of ~60 numpy calls against ~10 for the
+    # direct form, so the direct form sorts the edges of every law in one
+    # pass and Loader decides only those near the float64 underflow of exp,
+    # in one gathered call
+    table = [_trim_constants(a, b) for a, b in zip(alpha, beta)]
+    # each quantity as a column of per-law values, or as one value for one law
+    x, y, c, below, above, lower, upper = table[0] if len(table) == 1 else np.array(table).T[..., None]
+    direct = _direct(x, y, c, grid)
+    zero = direct < below
+    near = direct <= above
+    near ^= zero
+    if np.count_nonzero(near):
+        # Loader's form over the laws with such edges, each edge indexed
+        # among them; one law's edges take its scalar path
+        laws = near.any(axis=1)
+        at = np.flatnonzero(laws).tolist()
+        exact = beta_log_densities([alpha[i] for i in at], [beta[i] for i in at])
+        problem = (laws.cumsum() - 1)[near.nonzero()[0]] if len(at) > 1 else 0
         with np.errstate(under="ignore"):
-            zero[near] = np.exp(beta_log_density(alpha, beta, grid[near])) == 0.0
-    if alpha > 1.0 and beta > 1.0:
-        mode = (alpha - 1.0) / (alpha + beta - 2.0)
-    else:
-        mode = 1.0 if alpha > 1.0 else 0.0
-    start, stop = 0, grid.size
-    if alpha > 1.0:
-        start = max(_leading_run(zero & (grid <= mode)) - 1, 0)
-    if beta > 1.0:
-        stop = grid.size - max(_leading_run((zero & (grid >= mode))[::-1]) - 1, 0)
-    return grid[start:stop] if stop - start >= 2 else grid
-
-
-def _leading_run(flags: np.ndarray) -> int:
-    """Number of leading True entries."""
-    return flags.size if flags.all() else int(np.argmin(flags))
+            zero[near] = np.exp(exact(grid[near], problem)) == 0.0
+    # the runs of droppable edges at either end of each row, which ``runs``
+    # frames with a False column on both sides; a row's first NaN, or its
+    # end, gives its edge count
+    size = grid.shape[1]
+    runs = np.zeros((grid.shape[0], size + 2), dtype=bool)
+    flags = runs[:, 1:-1]
+    np.less_equal(grid, lower, out=flags)
+    flags &= zero
+    leading = runs[:, 1:].argmin(axis=1).tolist()
+    pad = np.ones((grid.shape[0], size + 1), dtype=bool)
+    np.not_equal(grid, grid, out=pad[:, :-1])
+    count = pad.argmax(axis=1).tolist()
+    np.greater_equal(grid, upper, out=flags)
+    flags &= zero
+    flags |= pad[:, :-1]
+    trailing = runs[:, size::-1].argmin(axis=1).tolist()
+    rows = []
+    for row, n, lead, trail in zip(grid, count, leading, trailing):
+        # the trailing run counts the row's size - n padding entries
+        start, stop = max(lead - 1, 0), n - max(trail - (size - n) - 1, 0)
+        rows.append(row[start:stop] if stop - start >= 2 else row[:n])
+    return rows

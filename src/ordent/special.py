@@ -162,57 +162,131 @@ def _split(a):
     return hi, a - hi
 
 
-def _deviance(x: float, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Loader's bd0: x log(x / mu) + mu - x, for x > 0 and d = mu - x.
-
-    Where |d| < x / 5 it is the series in v = d / (2x + d),
-    -x v (2 sum_{j>=1} v^2j / (2j+1) - d / x), free of the cancellation
-    between its two leading terms.  Computed in place, with each product
-    and sum of the plain expressions, so few node-sized temporaries live.
-    """
+def _deviance(x, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Loader's bd0, x log(x / mu) + mu - x, for x > 0 and d = mu - x, by its
+    plain expression x log(x / mu) + d; x is one value or one per node.
+    Computed in place, so few node-sized temporaries live."""
     with np.errstate(divide="ignore"):
         out = np.divide(x, mu)
         np.log(out, out=out)
     out *= x
     out += d
-    near = np.abs(d) < 0.2 * x
-    if near.any():
-        t = d[near]
-        t /= x
-        v = t + 2.0
-        np.divide(t, v, out=v)
-        w = v * v
-        # x v (t - 2 w s) with s = sum_{j=1..8} w^(j-1) / (2j + 1) by Horner's rule
-        s = np.full(w.shape, 1.0 / 17.0)
-        for j in range(7, 0, -1):
-            s *= w
-            s += 1.0 / (2 * j + 1)
-        w *= 2.0
+    return out
+
+
+def _deviance_series(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """bd0 where |d| < x / 5, one x per entry: the series in v = d / (2x + d),
+    -x v (2 sum_{j>=1} v^2j / (2j+1) - d / x), free of the cancellation
+    between the two leading terms of the plain expression."""
+    t = d / x
+    v = t + 2.0
+    np.divide(t, v, out=v)
+    w = v * v
+    # x v (t - 2 w s) with s = sum_{j=1..8} w^(j-1) / (2j + 1) by Horner's rule
+    s = np.full(w.shape, 1.0 / 17.0)
+    for j in range(7, 0, -1):
         s *= w
-        np.subtract(t, s, out=s)
-        v *= x
-        s *= v
-        out[near] = s
-    return out
+        s += 1.0 / (2 * j + 1)
+    w *= 2.0
+    s *= w
+    np.subtract(t, s, out=s)
+    v *= x
+    s *= v
+    return s
 
 
-def beta_log_density_direct(a: float, b: float, u: np.ndarray) -> np.ndarray:
-    """(a - 1) log u + (b - 1) log(1 - u) - log B(a, b), for a, b > 0.
+def _loader(x, y, c, u: np.ndarray) -> np.ndarray:
+    """Loader's form c - bd0(x, m u) - bd0(y, m (1 - u)) at the 1-d nodes u,
+    for m = x + y and the constant c = -log_beta_remainder(x, y); x, y and c
+    are one law's values or one value per node.
 
-    log B(a, b) = lgamma(s) - log_gamma_ratio(l, s) for s = min(a, b) and
-    l = max(a, b).  A zero exponent drops its term, so 0 log 0 = 0 at the
-    ends where a = 1 or b = 1.  Within 1e-13 relative while min(a, b) <= 2,
-    where ``beta_log_density`` uses it; beyond, its large terms cancel, and
-    the error grows like eps (a + b) |log u|.
+    d = m u - x is exact up to one rounding (Dekker's product): rounding
+    m u first would cost d an absolute error of order eps * x.  The series
+    nodes of both deviances (|d| < x / 5 and |d| < y / 5) go through one
+    ``_deviance_series`` pass, before the plain expressions.
     """
-    small, large = min(a, b), max(a, b)
-    out = np.full(u.shape, log_gamma_ratio(large, small) - math.lgamma(small))
-    with np.errstate(divide="ignore"):
-        if a != 1.0:
-            out += (a - 1.0) * np.log(u)
-        if b != 1.0:
-            out += (b - 1.0) * np.log1p(-u)
+    m = x + y
+    mu = m * u
+    m_hi, m_lo = _split(m)
+    u_hi, u_lo = _split(u)
+    d = m_hi * u_hi
+    d -= mu
+    d += m_hi * u_lo
+    d += m_lo * u_hi
+    d += m_lo * u_lo
+    del u_hi, u_lo
+    d += mu - x
+    dist = np.abs(d)
+    near_x, near_y = dist < 0.2 * x, dist < 0.2 * y
+    del dist
+    kx = np.count_nonzero(near_x)
+    series = np.concatenate([d[near_x], -d[near_y]])
+    if series.size:
+        side = np.empty(series.size)
+        side[:kx] = x[near_x] if isinstance(x, np.ndarray) else x
+        side[kx:] = y[near_y] if isinstance(y, np.ndarray) else y
+        series = _deviance_series(side, series)
+    out = _deviance(x, mu, d)
+    del mu
+    out[near_x] = series[:kx]
+    np.subtract(c, out, out=out)
+    mu = np.subtract(1.0, u)
+    mu *= m
+    np.negative(d, out=d)
+    other = _deviance(y, mu, d)
+    other[near_y] = series[kx:]
+    out -= other
     return out
+
+
+def _direct(x, y, c, u: np.ndarray) -> np.ndarray:
+    """The direct form c + x log u + y log(1 - u) of the Beta(x + 1, y + 1)
+    log density, c = -log B(x + 1, y + 1) from ``_direct_constant``; x, y
+    and c broadcast against u, whose shape is the result's.
+
+    A zero exponent drops its term, so 0 log 0 = 0 at the ends where
+    a = 1 or b = 1.  Within 1e-13 relative while min(a, b) <= 2, where
+    ``beta_log_density`` uses it; beyond, its large terms cancel, and the
+    error grows like eps (a + b) |log u|.
+    """
+    out = np.empty(u.shape)
+    out[...] = c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, of_one_minus in ((x, False), (y, True)):
+            keep = _nonzero(e)
+            if keep is False:
+                continue
+            t = np.log1p(-u) if of_one_minus else np.log(u)
+            t *= e
+            np.add(out, t, out=out, where=keep)
+    return out
+
+
+def _nonzero(e):
+    """Where the exponent e is nonzero: a mask, or one bool when e is one
+    value or is nowhere zero."""
+    if not isinstance(e, np.ndarray):
+        return bool(e != 0.0)
+    return bool(np.count_nonzero(e) == e.size) or e != 0.0
+
+
+def _direct_constant(a: float, b: float) -> float:
+    """-log B(a, b) as lgamma(s) - log_gamma_ratio(l, s), s = min(a, b) and
+    l = max(a, b): no two large log-gammas cancel while s <= 2."""
+    small, large = min(a, b), max(a, b)
+    return log_gamma_ratio(large, small) - math.lgamma(small)
+
+
+def _law(a: float, b: float) -> tuple:
+    """(form, x, y, c): the form of the Beta(a, b) log density, ``_loader``
+    for a, b > 2 and ``_direct`` otherwise, and its x = a - 1, y = b - 1 and
+    constant c; raises ``ValueError`` unless a and b are positive and finite."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"Beta parameters must be positive and finite, got ({a!r}, {b!r})")
+    x, y = a - 1.0, b - 1.0
+    if a > _LOADER_FROM and b > _LOADER_FROM:
+        return _loader, x, y, -log_beta_remainder(x, y)
+    return _direct, x, y, _direct_constant(a, b)
 
 
 def beta_log_density(a: float, b: float, u) -> np.ndarray:
@@ -227,55 +301,47 @@ def beta_log_density(a: float, b: float, u) -> np.ndarray:
             - bd0(x, m u) - bd0(y, m (1 - u))
 
     whose large parts cancel analytically, so it stays accurate to a few
-    ulp of the deviance at any a + b.  If a or b is at most 2 it is
-    ``beta_log_density_direct``, whose normalizer lgamma(s) -
-    log_gamma_ratio(l, s) then has no two large log-gammas to cancel.
+    ulp of the deviance at any a + b.  If a or b is at most 2 it is the
+    direct form (a - 1) log u + (b - 1) log(1 - u) - log B(a, b), whose
+    normalizer lgamma(s) - log_gamma_ratio(l, s) for s = min(a, b) and
+    l = max(a, b) then has no two large log-gammas to cancel.
+    Parameters that are not positive and finite raise ``ValueError``.
     """
+    form, *law = _law(a, b)
     u = np.asarray(u, dtype=float)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("beta_log_density requires a, b > 0")
-    if a <= _LOADER_FROM or b <= _LOADER_FROM:
-        return beta_log_density_direct(a, b, u)
-    shape = u.shape
-    u = u.ravel()
-    x, y = a - 1.0, b - 1.0
-    m = x + y
-    # d = m u - x exactly up to one rounding (Dekker's product): rounding
-    # m u first would cost d an absolute error of order eps * x
-    mu = m * u
-    m_hi, m_lo = _split(m)
-    u_hi, u_lo = _split(u)
-    d = m_hi * u_hi
-    d -= mu
-    d += m_hi * u_lo
-    d += m_lo * u_hi
-    d += m_lo * u_lo
-    del u_hi, u_lo
-    d += mu - x
-    out = _deviance(x, mu, d)
-    del mu
-    np.subtract(-log_beta_remainder(x, y), out, out=out)
-    mu = np.subtract(1.0, u)
-    mu *= m
-    np.negative(d, out=d)
-    out -= _deviance(y, mu, d)
-    return out.reshape(shape)
+    return form(*law, u.ravel()).reshape(u.shape)
 
 
 def beta_log_densities(a, b):
     """The function ``(u, problem) -> logw`` with ``logw[j] =
     beta_log_density(a[i], b[i], u[j])`` for i = ``problem[j]``, for
-    sequences of a, b > 0; ``problem`` is one index per node, or one index
-    for all nodes.  Each law's nodes go through ``beta_log_density``.
+    sequences of positive, finite a and b; ``u`` is 1-d and ``problem`` is
+    one index per node, or one index for all nodes.
+
+    Each law's constant is computed once, here.  A call with one index
+    evaluates that law's form on scalars, as ``beta_log_density`` does; a
+    call with one index per node gathers x, y and the constant by node and
+    evaluates every node of Loader's form in one pass and every node of the
+    direct form in another, each bit-identical to its law's own call.
     """
+    laws = [_law(float(p), float(q)) for p, q in zip(a, b)]
+    by_law = []  # Loader's flag, x, y and c as arrays, made by the first call that gathers
+
     def log_density(u: np.ndarray, problem) -> np.ndarray:
         if not isinstance(problem, np.ndarray):
-            return beta_log_density(a[problem], b[problem], u)
+            form, *law = laws[problem]
+            return form(*law, u)
+        if not by_law:
+            by_law.append(np.array([law[0] is _loader for law in laws]))
+            by_law.extend(np.array([law[1:] for law in laws]).T)
+        at, *by_node = [v[problem] for v in by_law]
+        if at.all():
+            return _loader(*by_node, u)
+        if not at.any():
+            return _direct(*by_node, u)
         out = np.empty(u.shape)
-        # the laws present, without np.unique, whose first use imports numpy.ma
-        for i in np.flatnonzero(np.bincount(problem)):
-            at = problem == i
-            out[at] = beta_log_density(a[i], b[i], u[at])
+        for form, part in ((_loader, at), (_direct, ~at)):
+            out[part] = form(*(v[part] for v in by_node), u[part])
         return out
 
     return log_density

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from ordent import quadrature, special
 from ordent.distributions import F1, F2, Cauchy, Gaussian, Uniform
 from ordent.entropy_kl import kl_decompose
 from ordent.experiments import (
@@ -258,6 +259,31 @@ class TestOneBatchPerSweep:
         assert parent.sizes.count(1) == 1
         assert len(parent.sizes) - 1 == math.ceil(cost["nodes"] / 8192) == 2
         assert sum(parent.sizes) - 1 == cost["nodes"]
+
+    def test_loader_runs_per_level(self, monkeypatch):
+        # one run of Loader's form per integrand call, whatever the number
+        # of laws in it, plus at most one for the edges near the underflow
+        # of exp that the initial partitions check
+        runs, trimming = [], []
+        real_loader = special._loader
+        real_trim = quadrature._drop_zero_weight_panels
+
+        def loader(*args):
+            runs.append(args[-1].size)
+            return real_loader(*args)
+
+        def trim(*args):
+            before = len(runs)
+            grids = real_trim(*args)
+            trimming.append(len(runs) - before)
+            return grids
+
+        monkeypatch.setattr(special, "_loader", loader)
+        monkeypatch.setattr(quadrature, "_drop_zero_weight_panels", trim)
+        cost = rate_sweep(Gaussian(), 0.5, parse_n_grid("104:99652:12log")).quadrature_cost
+        assert len(trimming) == 1 and trimming[0] <= 1
+        assert len(runs) - trimming[0] == cost["integrand_calls"] == 2
+        assert sum(runs[trimming[0]:]) == cost["nodes"]
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):

@@ -358,7 +358,8 @@ class TestBatch:
         assert len(seen) == 2 and seen[0][0] == 0 and seen[1] == 1
 
     def test_beta_expectation_batch(self):
-        laws = [(3.0, 98.0), (1.0, 1e5), (0.5, 3.0), (30_000.0, 70_001.0), (2.0, 2.0)]
+        laws = [(3.0, 98.0), (1.0, 1e5), (0.5, 3.0), (30_000.0, 70_001.0), (2.0, 2.0),
+                (1e5, 1.0), (0.7, 1.0), (2.0, 2.5), (2.0**52, 2.0**52)]
 
         def g(u, logw):
             return np.stack([u, logw, np.log(u)])
@@ -374,3 +375,35 @@ class TestBatch:
             adaptive_quad(lambda x, problem: x, [0.0, 0.0], [1.0])
         with pytest.raises(ValueError):
             beta_expectation(lambda u, problem: u, [1.0, -1.0], [1.0, 1.0])
+        # a non-finite parameter is an invalid law, not a divergent expectation
+        for a, b in [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)]:
+            with pytest.raises(ValueError):
+                beta_expectation(lambda u: u, a, b)
+            with pytest.raises(ValueError):
+                beta_expectation(lambda u, problem: u, [3.0, a], [4.0, b])
+
+    def test_beta_expectation_batch_partitions(self, monkeypatch):
+        # the initial partition of each law of a batch, built in one pass
+        # over all laws, equals that of its lone call
+        laws = [(3.0, 98.0), (1.0, 1e5), (0.5, 3.0), (30_000.0, 70_001.0), (2.0, 2.0),
+                (1e5, 1.0), (0.7, 1.0), (2.0, 2.5), (2.0**52, 2.0**52), (181.0, 182.0)]
+        grids = []
+        real = quadrature.adaptive_quad
+
+        def spy(f, a, b, **kwargs):
+            assert kwargs["endpoint_levels"] == 0
+            rows = [kwargs["breakpoints"]] if np.ndim(a) == 0 else kwargs["breakpoints"]
+            for lo, hi, row in zip(np.atleast_1d(a), np.atleast_1d(b), rows):
+                row = np.asarray(row, dtype=float)
+                grids.append(np.concatenate([[lo], row[(row > lo) & (row < hi)], [hi]]))
+            return real(f, a, b, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", spy)
+        for a, b in laws:
+            beta_expectation(lambda u: u, a, b)
+        lone = grids[:]
+        grids.clear()
+        beta_expectation(lambda u, problem: u, [a for a, _ in laws], [b for _, b in laws])
+        assert len(grids) == len(lone) == len(laws)
+        for alone, got in zip(lone, grids):
+            assert np.array_equal(got, alone)

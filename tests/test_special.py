@@ -132,6 +132,9 @@ class TestLogBeta:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             special.beta_log_density(0.0, 1.0, 0.5)
+        for a, b in [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)]:
+            with pytest.raises(ValueError):
+                special.beta_log_density(a, b, 0.5)
 
     def test_small_parameters_against_mpmath(self):
         # min(a, b) <= 2: lgamma of the small one less log_gamma_ratio, with
@@ -209,8 +212,8 @@ class TestNdtri:
 def test_beta_log_densities_match_each_law():
     """Many laws at once, each node bit-identical to its law's own call."""
     rng = np.random.default_rng(5)
-    a = [3.0, 1.0, 5e4, 0.5, 2.0, 7e5, 1.5]
-    b = [98.0, 1e5, 5e4 + 1.0, 3.0, 2.0, 3e5 + 1.0, 0.7]
+    a = [3.0, 1.0, 5e4, 0.5, 2.0, 7e5, 1.5, 1e5, 0.7, 2.0, 2.0**52]
+    b = [98.0, 1e5, 5e4 + 1.0, 3.0, 2.0, 3e5 + 1.0, 0.7, 1.0, 1.0, 2.5, 2.0**52]
     problem = np.repeat(np.arange(len(a)), rng.integers(1, 400, len(a)))
     mean = (np.array(a) / (np.array(a) + np.array(b)))[problem]
     u = np.clip(mean + rng.normal(0.0, 0.05, problem.size), 1e-15, 1.0 - 1e-15)
