@@ -65,6 +65,14 @@ class ClampedProbabilityWarning(UserWarning):
     """A quantile argument was clamped away from 0 or 1."""
 
 
+def _finite(family: str, *params) -> list[float]:
+    """``params`` as floats; raises ``DistributionSpecError`` unless all are finite."""
+    values = [float(v) for v in params]
+    if not all(map(math.isfinite, values)):
+        raise DistributionSpecError(f"{family} requires finite parameters, got {values}")
+    return values
+
+
 def _ret(x_in, out):
     out = np.asarray(out)
     if np.ndim(x_in) == 0:
@@ -236,10 +244,9 @@ class Uniform(ParentDistribution):
     growth = EndpointGrowth()
 
     def __init__(self, a: float = 0.0, b: float = 1.0):
-        if not b > a:
+        self.a, self.b = _finite("uniform", a, b)
+        if not self.b > self.a:
             raise DistributionSpecError("uniform requires b > a")
-        self.a = float(a)
-        self.b = float(b)
         self.support = (self.a, self.b)
         self._w = self.b - self.a
 
@@ -279,10 +286,9 @@ class Gaussian(ParentDistribution):
     growth = EndpointGrowth()
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        if sigma <= 0:
+        self.mu, self.sigma = _finite("gaussian", mu, sigma)
+        if self.sigma <= 0:
             raise DistributionSpecError("gaussian requires sigma > 0")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
         self.support = (-math.inf, math.inf)
 
     def _z(self, x):
@@ -350,9 +356,9 @@ class Exponential(ParentDistribution):
     growth = EndpointGrowth()
 
     def __init__(self, rate: float = 1.0):
-        if rate <= 0:
+        (self.rate,) = _finite("exponential", rate)
+        if self.rate <= 0:
             raise DistributionSpecError("exponential requires rate > 0")
-        self.rate = float(rate)
         self.support = (0.0, math.inf)
 
     def pdf(self, x):
@@ -393,10 +399,9 @@ class Cauchy(ParentDistribution):
     growth = EndpointGrowth(quantile=(1.0, 1.0))
 
     def __init__(self, loc: float = 0.0, scale: float = 1.0):
-        if scale <= 0:
+        self.loc, self.scale = _finite("cauchy", loc, scale)
+        if self.scale <= 0:
             raise DistributionSpecError("cauchy requires scale > 0")
-        self.loc = float(loc)
-        self.scale = float(scale)
         self.support = (-math.inf, math.inf)
 
     def _z(self, x):

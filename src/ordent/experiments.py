@@ -304,10 +304,12 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
     if density_positive:
         # shrinking symmetric probe of f'(F^(-1)(t)) around t = p: for a
         # continuous composition the gaps scale down with the probe width,
-        # while a jump leaves them pinned at the jump size
+        # while a jump leaves them pinned at the jump size; the widest probe
+        # keeps p - h and p + h inside (0, 1)
         x0 = float(parent.quantile(p))
         d0 = float(parent.pdf_derivative(x0))
-        deltas = [1e-2, 1e-3, 1e-4, 1e-5]
+        h = min(1e-2, min(p, 1.0 - p) / 2.0)
+        deltas = [h / 10**j for j in range(4)]
         gaps = []
         for dlt in deltas:
             lo = float(parent.pdf_derivative(float(parent.quantile(p - dlt))))

@@ -10,6 +10,7 @@ sampling consumes a single Beta variate per draw rather than sorting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ class OrderStatSpec:
     p: float | None = None
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.k)):
+            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 1 <= self.k <= self.n:

@@ -408,7 +408,6 @@ def beta_expectation(
     *,
     tol_abs=1e-12,
     tol_rel=1e-10,
-    breakpoints=(),
     log_weight: bool = False,
 ):
     """E[g(U)] for U ~ Beta(alpha, beta) by adaptive quadrature on (0, 1).
@@ -419,12 +418,12 @@ def beta_expectation(
     same values that weight them).
 
     A batch of expectations: ``alpha`` and ``beta`` are equal-length
-    sequences, one law per problem, ``breakpoints`` is empty or holds one
-    sequence per problem, and ``g`` gets each node's problem index as its
-    last argument, ``g(u, problem)`` or ``g(u, logw, problem)``.  The result
-    is ``adaptive_quad``'s batch result: every expectation is integrated as
-    if alone, in shared integrand calls.  The initial partitions of all laws
-    are built, sorted and trimmed as one (laws x edges) array, and each
+    sequences, one law per problem, and ``g`` gets each node's problem index
+    as its last argument, ``g(u, problem)`` or ``g(u, logw, problem)``.  The
+    result is ``adaptive_quad``'s batch result: every expectation is
+    integrated as if alone, in shared integrand calls.  The initial edges of
+    all laws are one (laws x edges) array, which ``adaptive_quad`` sorts,
+    de-duplicates and clips to each law's bounds in one pass, and each
     integrand call evaluates the log weights of all its laws in one pass
     (``special.beta_log_densities``); one law is a batch of one.
 
@@ -433,19 +432,17 @@ def beta_expectation(
     size.  The domain is trimmed to (1e-15, 1 - 1e-15), which omits at most
     ~1e-15 of the Beta mass for alpha, beta >= 1.  The trim also turns a
     divergent expectation into a finite number, so callers decide finiteness
-    before integrating (``distributions.power_moment_finite``).  Of the
-    initial panels, those beyond the mode whose inner edge weighs exactly 0
-    in float64 are never evaluated: the weight is 0 at every node there.
-    Parameters that are not positive and finite raise ``ValueError``.
+    before integrating (``distributions.power_moment_finite``).  On each side
+    of the mode, the initial panels beyond the innermost edge that weighs
+    exactly 0 in float64 are never evaluated: the weight is 0 at every node
+    there.  Parameters that are not positive and finite raise ``ValueError``.
     """
     batch = _is_batch(alpha)
     if not batch:
-        alpha, beta, breakpoints = [alpha], [beta], [breakpoints]
-    elif len(breakpoints) == 0:
-        breakpoints = [()] * len(alpha)
+        alpha, beta = [alpha], [beta]
     alphas, betas = [float(a) for a in alpha], [float(b) for b in beta]
-    if not len(alphas) == len(betas) == len(breakpoints) > 0:
-        raise ValueError("a batch needs one alpha, beta and breakpoint sequence per problem")
+    if not len(alphas) == len(betas) > 0:
+        raise ValueError("a batch needs one alpha and one beta per problem")
     if not all(0.0 < v < math.inf for v in (*alphas, *betas)):
         raise ValueError("beta_expectation requires finite alpha, beta > 0")
 
@@ -463,7 +460,7 @@ def beta_expectation(
             return np.exp(logw) * np.asarray(y, dtype=float)
 
     # each law's initial edges, in one row: the trimmed domain and its
-    # endpoint levels, the bulk breakpoints mean + s sd and the caller's
+    # endpoint levels, and the bulk breakpoints mean + s sd clipped to it
     mean_sd = np.array([(a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0))))
                         for a, b in zip(alphas, betas)])
     edges = np.empty((len(alphas), _TRIM_EDGES.size + _BULK_SCALES.size))
@@ -471,20 +468,17 @@ def beta_expectation(
     bulk = edges[:, _TRIM_EDGES.size:]
     np.multiply(mean_sd[:, 1:], _BULK_SCALES, out=bulk)
     bulk += mean_sd[:, :1]
-    if any(len(row) for row in breakpoints):
-        edges = np.concatenate([edges, _padded(breakpoints)], axis=1)
-    grid = _initial_grid(edges[:, 0], edges[:, _TRIM_EDGES.size - 1], edges, 0)
-    grids = _drop_zero_weight_panels(grid, alphas, betas)
-    lows, highs, inner = zip(*[(g[0], g[-1], g[1:-1]) for g in grids])
+    np.clip(bulk, _TRIM_EDGES[0], _TRIM_EDGES[-1], out=bulk)
+    lows, highs = _zero_weight_bounds(edges, alphas, betas)
     if not batch:
-        lows, highs, inner = lows[0], highs[0], inner[0]
+        lows, highs, edges = lows[0], highs[0], edges[0]
     return adaptive_quad(integrand, lows, highs, tol_abs=tol_abs, tol_rel=tol_rel,
-                         breakpoints=inner, endpoint_levels=0)
+                         breakpoints=edges, endpoint_levels=0)
 
 
 def _trim_constants(a: float, b: float) -> tuple:
     """Beta(a, b)'s direct form (x, y, c), its thresholds (below, above)
-    and its bounds (lower, upper) for ``_drop_zero_weight_panels``.
+    and its bounds (lower, upper) for ``_zero_weight_bounds``.
 
     An edge whose direct form is below ``below`` weighs 0, and one up to
     ``above`` is checked against Loader's form.  The direct form is within
@@ -503,58 +497,34 @@ def _trim_constants(a: float, b: float) -> tuple:
             _EXP_UNDERFLOW + slack, mode if a > 1.0 else -math.inf, mode if b > 1.0 else math.inf)
 
 
-def _drop_zero_weight_panels(grid: np.ndarray, alpha, beta):
-    """``grid`` without its leading and trailing panels that lie beyond the
-    Beta mode and whose inner edge has a float64 weight of exactly 0.
+def _zero_weight_bounds(edges: np.ndarray, alpha, beta) -> tuple:
+    """(lows, highs): per law of the sequences ``alpha`` and ``beta``, the
+    innermost of its edges ``edges[i]`` (one unsorted row per law, within
+    the trimmed domain) that lies beyond the mode and has a float64 weight
+    of exactly 0, below the mode and above it; else the domain's own ends.
 
     The density rises from 0 to the mode when alpha > 1 and falls from the
-    mode to 1 when beta > 1, so every node of such a panel weighs 0 as well:
-    the panel adds exactly 0 to any finite integrand.  A 2-d ``grid`` holds
-    one NaN-padded row of edges per law of the sequences ``alpha`` and
-    ``beta``; all rows are decided in one pass, and the result is the list
-    of their trimmed rows.
+    mode to 1 when beta > 1, so every node beyond such an edge weighs 0 as
+    well: the panels there add exactly 0 to any finite integrand.
     """
-    if grid.ndim == 1:
-        return _drop_zero_weight_panels(grid[None], [alpha], [beta])[0]
     # Loader's form has a fixed cost of ~60 numpy calls against ~10 for the
-    # direct form, so the direct form sorts the edges of every law in one
+    # direct form, so the direct form screens the edges of every law in one
     # pass and Loader decides only those near the float64 underflow of exp,
     # in one gathered call
-    table = [_trim_constants(a, b) for a, b in zip(alpha, beta)]
-    # each quantity as a column of per-law values, or as one value for one law
-    x, y, c, below, above, lower, upper = table[0] if len(table) == 1 else np.array(table).T[..., None]
-    direct = _direct(x, y, c, grid)
+    # each quantity as a column of per-law values
+    x, y, c, below, above, lower, upper = np.array(
+        [_trim_constants(a, b) for a, b in zip(alpha, beta)]).T[..., None]
+    direct = _direct(x, y, c, edges)
     zero = direct < below
     near = direct <= above
     near ^= zero
     if np.count_nonzero(near):
-        # Loader's form over the laws with such edges, each edge indexed
-        # among them; one law's edges take its scalar path
+        # Loader's form over the laws with such edges, each edge indexed among them
         laws = near.any(axis=1)
         at = np.flatnonzero(laws).tolist()
         exact = beta_log_densities([alpha[i] for i in at], [beta[i] for i in at])
-        problem = (laws.cumsum() - 1)[near.nonzero()[0]] if len(at) > 1 else 0
         with np.errstate(under="ignore"):
-            zero[near] = np.exp(exact(grid[near], problem)) == 0.0
-    # the runs of droppable edges at either end of each row, which ``runs``
-    # frames with a False column on both sides; a row's first NaN, or its
-    # end, gives its edge count
-    size = grid.shape[1]
-    runs = np.zeros((grid.shape[0], size + 2), dtype=bool)
-    flags = runs[:, 1:-1]
-    np.less_equal(grid, lower, out=flags)
-    flags &= zero
-    leading = runs[:, 1:].argmin(axis=1).tolist()
-    pad = np.ones((grid.shape[0], size + 1), dtype=bool)
-    np.not_equal(grid, grid, out=pad[:, :-1])
-    count = pad.argmax(axis=1).tolist()
-    np.greater_equal(grid, upper, out=flags)
-    flags &= zero
-    flags |= pad[:, :-1]
-    trailing = runs[:, size::-1].argmin(axis=1).tolist()
-    rows = []
-    for row, n, lead, trail in zip(grid, count, leading, trailing):
-        # the trailing run counts the row's size - n padding entries
-        start, stop = max(lead - 1, 0), n - max(trail - (size - n) - 1, 0)
-        rows.append(row[start:stop] if stop - start >= 2 else row[:n])
-    return rows
+            zero[near] = np.exp(exact(edges[near], (laws.cumsum() - 1)[near.nonzero()[0]])) == 0.0
+    lows = np.where(zero & (edges <= lower), edges, _TRIM_EDGES[0]).max(axis=1)
+    highs = np.where(zero & (edges >= upper), edges, _TRIM_EDGES[-1]).min(axis=1)
+    return lows.tolist(), highs.tolist()

@@ -49,6 +49,11 @@ class TestKl:
     def test_bad_parent_spec(self, capsys):
         assert cli_main(["kl", "--parent", "nope()", "--n", "10", "--p", "0.5"]) == EXIT_USAGE
 
+    def test_non_finite_parent_parameter(self, capsys):
+        code = cli_main(["kl", "--parent", "gaussian(mu=inf)", "--n", "100", "--p", "0.5"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
 
 class TestRateFit:
     def test_csv_to_stdout_and_determinism(self, capsys):

@@ -494,3 +494,12 @@ class TestSpecGrammar:
             parse_distribution("gaussian(1,2)")
         with pytest.raises(DistributionSpecError):
             make_parent("gaussian", nu=3)
+
+    @pytest.mark.parametrize("text", [
+        "gaussian(mu=inf)", "gaussian(sigma=inf)", "gaussian(mu=nan)", "exponential(rate=nan)",
+        "exponential(rate=inf)", "cauchy(loc=-inf)", "cauchy(scale=nan)", "uniform(b=inf)",
+        "uniform(a=-inf)",
+    ])
+    def test_non_finite_parameters(self, text):
+        with pytest.raises(DistributionSpecError):
+            parse_distribution(text)

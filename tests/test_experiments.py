@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ordent import quadrature, special
-from ordent.distributions import F1, F2, Cauchy, Gaussian, Uniform
+from ordent.distributions import F1, F2, Cauchy, Exponential, Gaussian, Uniform
 from ordent.entropy_kl import kl_decompose
 from ordent.experiments import (
     CSV_COLUMNS,
@@ -161,6 +161,14 @@ class TestConditionCheck:
         assert chk.moment_finite
         assert chk.density_positive
 
+    @pytest.mark.parametrize("parent", [Gaussian(), Exponential()], ids=lambda d: d.name)
+    @pytest.mark.parametrize("p", [0.005, 0.995])
+    def test_probes_stay_inside_the_unit_interval(self, parent, p):
+        # the widest probe is min(p, 1 - p) / 2 away from p
+        chk = condition_check(parent, p)
+        assert chk.density_positive and chk.derivative_continuous
+        assert len(chk.details["probe_gaps"]) == 4
+
     def test_serializable(self):
         chk = condition_check(Gaussian(), 0.3)
         d = chk.to_dict()
@@ -263,23 +271,23 @@ class TestOneBatchPerSweep:
     def test_loader_runs_per_level(self, monkeypatch):
         # one run of Loader's form per integrand call, whatever the number
         # of laws in it, plus at most one for the edges near the underflow
-        # of exp that the initial partitions check
+        # of exp that the zero-weight bounds of the partitions check
         runs, trimming = [], []
         real_loader = special._loader
-        real_trim = quadrature._drop_zero_weight_panels
+        real_bounds = quadrature._zero_weight_bounds
 
         def loader(*args):
             runs.append(args[-1].size)
             return real_loader(*args)
 
-        def trim(*args):
+        def bounds(*args):
             before = len(runs)
-            grids = real_trim(*args)
+            found = real_bounds(*args)
             trimming.append(len(runs) - before)
-            return grids
+            return found
 
         monkeypatch.setattr(special, "_loader", loader)
-        monkeypatch.setattr(quadrature, "_drop_zero_weight_panels", trim)
+        monkeypatch.setattr(quadrature, "_zero_weight_bounds", bounds)
         cost = rate_sweep(Gaussian(), 0.5, parse_n_grid("104:99652:12log")).quadrature_cost
         assert len(trimming) == 1 and trimming[0] <= 1
         assert len(runs) - trimming[0] == cost["integrand_calls"] == 2

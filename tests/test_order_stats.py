@@ -45,6 +45,13 @@ class TestSpecConstruction:
             OrderStatSpec(n=10, k=11)
         with pytest.raises(ValueError):
             OrderStatSpec.from_fraction(10, 1.5)
+
+    def test_whole_n_and_k(self):
+        # Beta(k, n + 1 - k) needs whole n and k
+        for n, k in ((10.5, 3), (10, 3.0), (10.0, 3)):
+            with pytest.raises(ValueError):
+                OrderStatSpec(n=n, k=k)
+        assert OrderStatSpec(n=np.int64(10), k=3).beta_law.beta == 8.0
         with pytest.raises(ValueError):
             round_rank(10, 0.5, "stochastic")
 

@@ -108,8 +108,9 @@ class TestZeroWeightPanels:
         real = quadrature.adaptive_quad
 
         def spy(f, a, b, **kwargs):
+            # the partition as adaptive_quad builds it from the raw edges
             assert kwargs["endpoint_levels"] == 0
-            grids.append(np.concatenate([[a], kwargs["breakpoints"], [b]]))
+            grids.append(quadrature._initial_grid(a, b, kwargs["breakpoints"], 0))
             return real(f, a, b, **kwargs)
 
         monkeypatch.setattr(quadrature, "adaptive_quad", spy)
@@ -138,20 +139,42 @@ class TestZeroWeightPanels:
 
     def test_same_panels_as_loader_alone(self):
         # edges placed where the log weight crosses the float64 underflow,
-        # the band in which the direct form defers to Loader's
+        # the band in which the direct form defers to Loader's; the bounds
+        # end the leading and trailing zero-weight runs of Loader's form
+        rng = np.random.default_rng(7)
         for a, b in self.LAWS[:6] + self.LARGE:
             mean, sd = a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
             u = np.linspace(max(mean - 60 * sd, 1e-15), min(mean + 60 * sd, 1 - 1e-15), 200_001)
             logw = beta_log_density(a, b, u)
             band = u[(logw > -745.6) & (logw < -744.6)]
-            grid = np.unique(np.concatenate([quadrature._initial_grid(1e-15, 1 - 1e-15, [mean]), band]))
+            edges = np.concatenate([quadrature._initial_grid(1e-15, 1 - 1e-15, [mean]), band])
+            grid = np.unique(edges)
             zero = np.exp(beta_log_density(a, b, grid)) == 0.0
             mode = (a - 1.0) / (a + b - 2.0) if b > 1.0 else 1.0
             below, above = zero & (grid <= mode), zero & (grid >= mode)
             start = np.argmin(below) - 1 if a > 1.0 and below[0] else 0
             stop = grid.size - (np.argmin(above[::-1]) - 1 if b > 1.0 and above[-1] else 0)
-            got = quadrature._drop_zero_weight_panels(grid, a, b)
-            assert np.array_equal(got, grid[max(start, 0):stop]), (a, b)
+            # the helper takes the edges unsorted
+            (low,), (high,) = quadrature._zero_weight_bounds(rng.permutation(edges)[None], [a], [b])
+            assert (low, high) == (grid[max(start, 0)], grid[stop - 1]), (a, b)
+
+    def test_one_partition_pass_per_call(self, monkeypatch):
+        # the initial partitions are sorted, de-duplicated and clipped once,
+        # inside adaptive_quad, for a lone law and for a batch of laws
+        calls = []
+        real = quadrature._initial_grid
+
+        def counting(*args, **kwargs):
+            calls.append(np.ndim(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_initial_grid", counting)
+        beta_expectation(lambda u: u, 30.0, 71.0)
+        assert len(calls) == 1
+        calls.clear()
+        laws = self.LAWS + [(181.0, 182.0)]
+        beta_expectation(lambda u, problem: u, [a for a, _ in laws], [b for _, b in laws])
+        assert len(calls) == 1
 
     def test_kl_decompose_evaluations(self, monkeypatch):
         # the 5 parents x 4 n x 3 p of the benchmark's kl_grid workload
@@ -358,8 +381,9 @@ class TestBatch:
         assert len(seen) == 2 and seen[0][0] == 0 and seen[1] == 1
 
     def test_beta_expectation_batch(self):
+        # Beta(2^52, 1.2) has bulk breakpoints at 1.0 and a mode that rounds to 1
         laws = [(3.0, 98.0), (1.0, 1e5), (0.5, 3.0), (30_000.0, 70_001.0), (2.0, 2.0),
-                (1e5, 1.0), (0.7, 1.0), (2.0, 2.5), (2.0**52, 2.0**52)]
+                (1e5, 1.0), (0.7, 1.0), (2.0, 2.5), (2.0**52, 2.0**52), (2.0**52, 1.2)]
 
         def g(u, logw):
             return np.stack([u, logw, np.log(u)])
