@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
-from .entropy_kl import (ConditionViolation, _term_at, _term_detail, _term_grid, _term_results,
-                         gaussian_reference)
-from .order_stats import OrderStatSpec, moment_bound_constant, round_rank
+from .entropy_kl import _term_detail, _term_grid
+from .order_stats import moment_bound_constant
 from .reports import BoundReport
 from .special import log_beta_remainder
 
@@ -159,19 +158,17 @@ def quantile_mse_bound(
     win = _as_window(n, p, epsilon)
     win.validate_tail_mode()
     eps = win.epsilon
-    k = round_rank(n, p)
-    spec = OrderStatSpec(n=n, k=k, p=p)
-    law = spec.beta_law
-
-    ref = gaussian_reference(parent, n, p)  # raises if density vanishes at the quantile
-    g1 = 1.0 / math.exp(float(parent.log_pdf_at_quantile(p)))
+    # raises ConditionViolation if the density vanishes at the quantile
+    (spec,), (ref,), (res,), _ = _term_grid(("k2",), parent, [n], p, tol)
+    k, law = spec.k, spec.beta_law
+    g1 = 1.0 / math.exp(ref.log_f_p)
     mu = ref.mu_p
 
     params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
               "epsilon": eps, "r": r}
 
     parent_moment = parent.abs_moment(r)
-    empirical, stderr, quad_message = _mse_quadrature_value(parent, law, ref, tol)
+    empirical, stderr, quad_message = _mse_quadrature_value(res["k2"])
     if math.isinf(parent_moment):
         return BoundReport(
             bound_name="quantile_mse",
@@ -211,13 +208,13 @@ def quantile_mse_bound(
     )
 
 
-def _mse_quadrature_value(parent, law, ref, tol) -> tuple[float, float, str]:
-    """(value, error, message) of E[(F^{-1}(U) - F^{-1}(p))^2] by quadrature.
+def _mse_quadrature_value(q) -> tuple[float, float, str]:
+    """(value, error, message) of E[(F^{-1}(U) - F^{-1}(p))^2] from the k2
+    term's ``QuadResult`` ``q``.
 
     The message is empty unless the integral diverged or did not converge;
     an unconverged value is kept and flagged.
     """
-    q = _term_results(("k2",), parent, [law], [ref], tol)[0][0]["k2"]
     if q.diverged:
         return math.inf, math.inf, q.message
     return q.value, q.error, "" if q.converged else f"quadrature did not converge: {q.message}"
@@ -255,19 +252,16 @@ def k3_bound(
     win = _as_window(n, p, epsilon, q)
     win.validate_log_mode(q)
     eps = win.epsilon
-    k = round_rank(n, p)
-    law = OrderStatSpec(n=n, k=k, p=p).beta_law
-
-    log_fp = float(parent.log_pdf_at_quantile(p))
-    if not math.isfinite(log_fp):
-        raise ConditionViolation(
-            f"{parent.spec_string()} has zero density at its {p:g}-quantile")
+    # raises ConditionViolation if the density vanishes at the quantile
+    (spec,), (ref,), (res,), _ = _term_grid(("k3",), parent, [n], p, tol)
+    k, law = spec.k, spec.beta_law
+    log_fp = ref.log_f_p
 
     r = math.inf if q == 1.0 else q / (q - 1.0)
     norm_order = 2.0 if math.isinf(q) else r + 1.0
     norm = parent.norm_m(norm_order)
 
-    empirical, stderr, _, quad_message = _term_at("k3", parent, n, p, tol)
+    empirical, stderr, _, quad_message = _term_detail("k3", res["k3"], ref)
     params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
               "epsilon": eps, "q": q, "norm_order": norm_order}
 

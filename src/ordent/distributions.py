@@ -141,7 +141,7 @@ class ParentDistribution:
         # two reductions clear the common case, every point already inside
         # the clamp (quadrature nodes always are); NaN fails them
         if not (arr.min(initial=0.5) >= PROB_CLAMP and arr.max(initial=0.5) <= 1.0 - PROB_CLAMP):
-            if np.any((arr < 0.0) | (arr > 1.0)):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
                 raise ValueError("quantile argument must lie in [0, 1]")
             clipped = np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
             if np.any(clipped != arr):
@@ -205,7 +205,7 @@ class ParentDistribution:
         total = 0.0
         for side in (left, right):
             res = adaptive_quad(side, 1e-12, 1.0, tol_abs=1e-11, tol_rel=1e-10,
-                                breakpoints=levels, endpoint_levels=0)
+                                breakpoints=levels)
             total += res.check()
         return total
 
@@ -415,16 +415,13 @@ class Cauchy(ParentDistribution):
         return _ret(x, 0.5 + np.arctan(self._z(x)) / math.pi)
 
     def _quantile(self, u):
-        # cotangent forms stay accurate where tan(pi (u - 1/2)) would lose
-        # every digit against the pole
+        # loc -+ scale cot(pi s) in the tail mass s = min(u, 1 - u), exact
+        # above 1/2: the cotangent stays accurate where tan(pi (u - 1/2))
+        # would lose every digit against the pole
         uu = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(
-                uu < 0.5,
-                self.loc - self.scale / np.tan(math.pi * uu),
-                self.loc + self.scale / np.tan(math.pi * (1.0 - uu)),
-            )
-        return out
+            t = self.scale / np.tan(math.pi * np.minimum(uu, 1.0 - uu))
+        return np.where(uu < 0.5, self.loc - t, self.loc + t)
 
     def _quantile_lower_tail(self, s):
         return self.loc - self.scale / np.tan(math.pi * np.asarray(s, dtype=float))
@@ -433,8 +430,10 @@ class Cauchy(ParentDistribution):
         return self.loc + self.scale / np.tan(math.pi * np.asarray(s, dtype=float))
 
     def log_pdf_at_quantile(self, u):
-        # f(F^{-1}(u)) = sin^2(pi u) / (pi * scale)
-        s = np.sin(math.pi * np.asarray(u, dtype=float))
+        # f(F^{-1}(u)) = sin^2(pi s) / (pi * scale) in the tail mass
+        # s = min(u, 1 - u): sin(pi u) loses digits above the median
+        uu = np.asarray(u, dtype=float)
+        s = np.sin(math.pi * np.minimum(uu, 1.0 - uu))
         return _ret(u, 2.0 * np.log(s) - math.log(math.pi * self.scale))
 
     def pdf_derivative(self, x):
@@ -565,8 +564,9 @@ class BetaLaw:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("BetaLaw requires alpha, beta > 0")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError(f"BetaLaw requires finite alpha, beta > 0, got "
+                             f"({self.alpha!r}, {self.beta!r})")
 
 
 def beta_mean_var(law: BetaLaw) -> tuple[float, float]:

@@ -110,8 +110,9 @@ class RateFit:
 def fit_rate(n_grid, values, window: str = "top_half") -> RateFit:
     """Fit log|value| ~ slope * log(n) + intercept.
 
-    Non-positive or non-finite values are excluded (with reasons) before the
-    window is applied; ``window`` is "top_half" or "all".
+    Zero and non-finite values are excluded (with reasons) before the
+    window is applied, and negative values are fitted by their magnitude;
+    ``window`` is "top_half" or "all".
     """
     n_grid = [int(n) for n in n_grid]
     values = [float(v) for v in values]

@@ -4,9 +4,10 @@ The integrators here serve expectations against sharply concentrated Beta
 densities and KL integrands with integrable endpoint singularities.  Four
 features drive the design:
 
-* the initial partition is geometrically refined toward both endpoints (and
-  toward caller-supplied breakpoints such as the Beta bulk), so that spikes
-  and endpoint singularities are never invisible to the error estimator;
+* the initial partition is geometrically refined toward both endpoints, or
+  is the caller's own breakpoints (such as the Beta bulk and endpoint
+  levels), so that spikes and endpoint singularities are never invisible
+  to the error estimator;
 * the engine does not decide whether an integral is finite: callers decide
   that before integrating (see ``distributions.power_moment_finite``).  A
   column that cannot reach its tolerance ends ``converged=False`` with the
@@ -38,6 +39,7 @@ from .special import _direct, _direct_constant, beta_log_densities
 __all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
 MAX_DEPTH = 60
+MAX_PANELS = 8192  # the panel budget of each problem
 _ENDPOINT_LEVELS = 46  # innermost panel width 2^-46 of the span
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(15)
@@ -178,56 +180,42 @@ def _eval_panels(f, los, his, problems):
     return parts, stacked, -(-total // step)
 
 
-def _initial_grid(a, b, breakpoints, levels: int = _ENDPOINT_LEVELS) -> np.ndarray:
-    """Sorted distinct edges: a, b, a + span 2^-j and b - span 2^-j for
-    j = 1..levels, and the breakpoints inside (a, b); NaN breakpoints and
-    those outside are dropped.
-
-    A 2-d ``breakpoints`` holds one row per problem, and ``a`` and ``b``
-    one value per row: the result has one row of edges per problem, each
-    followed by NaN up to the longest row.
-    """
-    bps = np.asarray(breakpoints, dtype=float)
-    rows = bps.ndim == 2
-    bps = bps.reshape(len(bps) if rows else 1, -1)
+def _geometric_levels(a, b) -> np.ndarray:
+    """One row per problem: a + span 2^-j and b - span 2^-j for
+    j = 1.._ENDPOINT_LEVELS."""
     a = np.asarray(a, dtype=float).reshape(-1, 1)
     b = np.asarray(b, dtype=float).reshape(-1, 1)
-    parts = [a, b]
-    if levels:
-        steps = np.ldexp(b - a, np.arange(-1, -levels - 1, -1))
-        parts += [a + steps, b - steps]
-    edges = np.concatenate([*parts, np.where((bps > a) & (bps < b), bps, np.nan)], axis=1)
+    steps = np.ldexp(b - a, np.arange(-1, -_ENDPOINT_LEVELS - 1, -1))
+    return np.concatenate([a + steps, b - steps], axis=1)
+
+
+def _initial_grid(a, b, breakpoints: np.ndarray) -> np.ndarray:
+    """One row of sorted distinct edges per problem: ``a[i]``, ``b[i]`` and
+    the breakpoints of row i inside (a[i], b[i]), NaN-padded to the longest
+    row.  NaN breakpoints and those outside are dropped."""
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    edges = np.concatenate([a, b, np.where((breakpoints > a) & (breakpoints < b), breakpoints,
+                                           np.nan)], axis=1)
     edges.sort(axis=1)
     # np.unique's first use would import numpy.ma, ~1 MB resident
     repeat = edges[:, 1:] == edges[:, :-1]
     if np.count_nonzero(repeat):
         edges[:, 1:][repeat] = np.nan
         edges.sort(axis=1)
-    return edges if rows else edges[0, :np.count_nonzero(edges == edges)]
+    return edges
 
 
 # beta_expectation's domain (1e-15, 1 - 1e-15) and its geometric endpoint levels
-_TRIM_EDGES = _initial_grid(1e-15, 1.0 - 1e-15, ())
-
-
-def _padded(rows) -> np.ndarray:
-    """The sequences ``rows`` as one 2-d array, each row NaN-padded to the longest."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows
-    rows = [np.asarray(r, dtype=float).ravel() for r in rows]
-    out = np.empty((len(rows), max(r.size for r in rows)))
-    out.fill(np.nan)
-    for row, r in zip(out, rows):
-        row[:r.size] = r
-    return out
+_TRIM_EDGES = _initial_grid(1e-15, 1.0 - 1e-15, _geometric_levels(1e-15, 1.0 - 1e-15))
+_TRIM_EDGES = _TRIM_EDGES[_TRIM_EDGES == _TRIM_EDGES]  # its one row, without NaN padding
 
 
 def _spread(x, shape: tuple) -> list:
-    """``x`` broadcast to a 1-d or 2-d ``shape``, as nested lists; raises
+    """``x`` broadcast to a 2-d ``shape``, as nested lists; raises
     ``ValueError`` when its shape does not broadcast to ``shape``."""
     if isinstance(x, (int, float)):
-        row = [x] * shape[-1]
-        return row if len(shape) == 1 else [list(row) for _ in range(shape[0])]
+        return [[x] * shape[1] for _ in range(shape[0])]
     out = np.zeros(shape, dtype=int) + x
     if out.shape != shape:
         raise ValueError(f"shape {np.shape(x)} does not broadcast to {shape}")
@@ -241,7 +229,7 @@ def _panels_to_split(err: np.ndarray, excess: float) -> np.ndarray:
     return order[:count]
 
 
-def _refine(value, err, lo, depth, tol_abs, tol_rel, max_panels, results, neval):
+def _refine(value, err, lo, depth, tol_abs, tol_rel, results, neval):
     """One level of one problem: store a ``QuadResult`` in ``results`` for
     each column that stops here, and return the sorted indices of the panels
     to split, or None when every column has stopped."""
@@ -263,7 +251,7 @@ def _refine(value, err, lo, depth, tol_abs, tol_rel, max_panels, results, neval)
         target = max(tol_abs[c], tol_rel[c] * abs(val_sum))
         if err_sum[c] <= target:
             done(c, value=val_sum, error=err_sum[c])
-        elif lo.size >= max_panels:
+        elif lo.size >= MAX_PANELS:
             done(c, value=val_sum, error=err_sum[c], converged=False,
                  message="panel budget exhausted before reaching tolerance")
         else:
@@ -279,7 +267,7 @@ def _refine(value, err, lo, depth, tol_abs, tol_rel, max_panels, results, neval)
     for panels in chosen.values():
         split[panels] = True
     idx = np.flatnonzero(split)
-    room = max_panels - lo.size
+    room = MAX_PANELS - lo.size
     if idx.size > room:
         # keep the panels carrying the largest share of some column's error
         cols = list(chosen)
@@ -297,8 +285,6 @@ def adaptive_quad(
     tol_abs=1e-9,
     tol_rel=0.0,
     breakpoints=(),
-    endpoint_levels: int = _ENDPOINT_LEVELS,
-    max_panels=8192,
 ):
     """Globally adaptive Gauss-Legendre integration of ``f`` over (a, b).
 
@@ -309,31 +295,30 @@ def adaptive_quad(
     per-column sequences).
 
     For a batch of problems, ``a`` and ``b`` are equal-length sequences (one
-    interval per problem), ``breakpoints`` is empty or holds one sequence per
-    problem, and ``f`` is called as ``f(x, problem)``, where ``problem``
-    gives each node's problem index.  The result is then a ``QuadResults``
-    of the per-problem results, whose ``neval`` is the batch total.  The
-    tolerances broadcast against (problems, columns) and ``max_panels``
-    against (problems,), as numpy broadcasts: a 1-d tolerance holds one
-    value per column, per-problem tolerances have shape (problems, 1), and
-    a shape that does not broadcast raises ``ValueError``.  Each (problem,
-    column) pair keeps its own sums, tolerance, panel budget, depths and
-    stop reason, and its result is bit-identical to integrating that
-    problem alone: only the integrand calls are shared.  An infinite
-    tolerance accepts a column's first sums, for a column that some
-    problems of a batch do not need.
+    interval per problem), ``breakpoints`` is empty or a 2-d array with one
+    NaN-padded row per problem, and ``f`` is called as ``f(x, problem)``,
+    where ``problem`` gives each node's problem index.  The result is then
+    a ``QuadResults`` of the per-problem results, whose ``neval`` is the
+    batch total.  The tolerances broadcast against (problems, columns), as
+    numpy broadcasts: a 1-d tolerance holds one value per column,
+    per-problem tolerances have shape (problems, 1), and a shape that does
+    not broadcast raises ``ValueError``.  Each (problem, column) pair keeps
+    its own sums, tolerance, panel budget, depths and stop reason, and its
+    result is bit-identical to integrating that problem alone: only the
+    integrand calls are shared.  An infinite tolerance accepts a column's
+    first sums, for a column that some problems of a batch do not need.
 
-    The initial panels lie between a, b, the breakpoints inside (a, b) and
-    ``endpoint_levels`` geometric levels toward each endpoint; a caller that
-    passes every edge of its own partition as breakpoints sets it to 0.
-    NaN breakpoints are ignored, so a 2-d array of NaN-padded rows may hold
-    a batch's breakpoints; the partitions of all problems are built in one
-    padded pass.
+    Without breakpoints, the initial panels lie between a, b and
+    ``_ENDPOINT_LEVELS`` geometric levels toward each endpoint (the
+    innermost panels 2^-46 of the span wide).  With breakpoints, they lie
+    between a, b and the breakpoints inside (a, b), which are then the
+    whole partition; NaN breakpoints are ignored.  The partitions of all
+    problems are built in one padded pass.
     Each refinement level evaluates the panels of all problems at once.  A
     column stops when its summed error estimate drops below max(tol_abs,
     tol_rel * |integral|).  It ends unconverged, keeping its sums, when a
-    panel it needs split has reached depth ``MAX_DEPTH`` or when
-    ``max_panels`` panels exist; it ends diverged, with a NaN value, at a
+    panel it needs split has reached depth ``MAX_DEPTH`` or when its problem
+    has ``MAX_PANELS`` panels; it ends diverged, with a NaN value, at a
     non-finite node value.  Otherwise the worst panels that together carry
     a column's excess error are split; the remaining columns keep refining.
     """
@@ -341,23 +326,25 @@ def adaptive_quad(
     if not batch:
         # one problem is a batch of one
         one, a, b = f, [a], [b]
-        breakpoints = np.asarray(breakpoints, dtype=float).reshape(1, -1)
+        breakpoints = np.reshape(breakpoints, (1, -1))
 
         def f(x, problem):
             return one(x)
-    elif len(breakpoints) == 0:
-        breakpoints = [()] * len(a)
-    if not len(a) == len(b) == len(breakpoints) > 0:
-        raise ValueError("a batch needs one a, b and breakpoint sequence per problem")
+    if not len(a) == len(b) > 0:
+        raise ValueError("a batch needs one a and one b per problem")
     if not all(bi > ai for ai, bi in zip(a, b)):
         raise ValueError("adaptive_quad requires b > a")
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    if breakpoints.size == 0:
+        breakpoints = _geometric_levels(a, b)
+    elif breakpoints.ndim != 2 or len(breakpoints) != len(a):
+        raise ValueError("a batch needs one row of breakpoints per problem")
     count = len(a)
-    grid = _initial_grid(a, b, _padded(breakpoints), endpoint_levels)
+    grid = _initial_grid(a, b, breakpoints)
     edges = (grid == grid).sum(axis=1).tolist()
     lo = [row[:e - 1] for row, e in zip(grid, edges)]
     hi = [row[1:e] for row, e in zip(grid, edges)]
     depth = [np.zeros(e - 1, dtype=int) for e in edges]
-    budget = _spread(max_panels, (count,))
     value, err = [None] * count, [None] * count
     neval = [0] * count
     results = None
@@ -385,7 +372,7 @@ def adaptive_quad(
             if all(r is not None for r in results[i]):
                 continue
             idx = _refine(value[i], err[i], lo[i], depth[i], tol_abs[i], tol_rel[i],
-                          budget[i], results[i], neval[i])
+                          results[i], neval[i])
             if idx is None:
                 continue
             mid = 0.5 * (lo[i][idx] + hi[i][idx])
@@ -421,11 +408,13 @@ def beta_expectation(
     sequences, one law per problem, and ``g`` gets each node's problem index
     as its last argument, ``g(u, problem)`` or ``g(u, logw, problem)``.  The
     result is ``adaptive_quad``'s batch result: every expectation is
-    integrated as if alone, in shared integrand calls.  The initial edges of
-    all laws are one (laws x edges) array, which ``adaptive_quad`` sorts,
-    de-duplicates and clips to each law's bounds in one pass, and each
-    integrand call evaluates the log weights of all its laws in one pass
-    (``special.beta_log_densities``); one law is a batch of one.
+    integrated as if alone, in shared integrand calls.  Each law's initial
+    partition is the trimmed domain's endpoint levels and its bulk
+    breakpoints, passed as ``adaptive_quad``'s breakpoints: one (laws x
+    edges) array, which ``adaptive_quad`` sorts, de-duplicates and clips to
+    each law's bounds in one pass.  Each integrand call evaluates the log
+    weights of all its laws in one pass (``special.beta_log_densities``);
+    one law is a batch of one.
 
     The weight is evaluated in log space, and breakpoints at mean +- 2^j
     standard deviations keep the concentrated bulk resolved at any parameter
@@ -471,9 +460,9 @@ def beta_expectation(
     np.clip(bulk, _TRIM_EDGES[0], _TRIM_EDGES[-1], out=bulk)
     lows, highs = _zero_weight_bounds(edges, alphas, betas)
     if not batch:
-        lows, highs, edges = lows[0], highs[0], edges[0]
+        lows, highs = lows[0], highs[0]
     return adaptive_quad(integrand, lows, highs, tol_abs=tol_abs, tol_rel=tol_rel,
-                         breakpoints=edges, endpoint_levels=0)
+                         breakpoints=edges)
 
 
 def _trim_constants(a: float, b: float) -> tuple:

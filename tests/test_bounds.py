@@ -248,10 +248,13 @@ class TestUnconvergedQuadrature:
         # (1 - u)^-0.95, finite but too slowly for the panel budget
         from ordent.bounds import _mse_quadrature_value
         from ordent.distributions import Cauchy
-        from ordent.entropy_kl import gaussian_reference
+        from ordent.entropy_kl import _term_results, gaussian_reference
 
+        # Beta(9, 2.05) is the law of no integer rank: its k2 result comes
+        # from the law itself
         ref = gaussian_reference(Cauchy(), 10, 0.9)
-        value, error, message = _mse_quadrature_value(Cauchy(), BetaLaw(9.0, 2.05), ref, 1e-10)
+        (res,), _ = _term_results(("k2",), Cauchy(), [BetaLaw(9.0, 2.05)], [ref], 1e-10)
+        value, error, message = _mse_quadrature_value(res["k2"])
         assert math.isfinite(value)
         assert "did not converge" in message
 

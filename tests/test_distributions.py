@@ -4,6 +4,7 @@ consistency, moment/norm finiteness flags, Beta moments and seeded sampling."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -98,6 +99,22 @@ class TestQuantileCdfRoundTrip:
         assert math.isfinite(v)
         with pytest.raises(ValueError):
             g.quantile(1.5)
+
+    @pytest.mark.parametrize("u", [math.nan, [0.3, math.nan]], ids=["scalar", "array"])
+    def test_nan_argument_raises(self, u):
+        # NaN is outside [0, 1], not a point to clamp
+        with pytest.raises(ValueError):
+            Gaussian().quantile(u)
+
+    def test_cauchy_upper_tail_from_tail_mass(self):
+        # sin(pi u) loses digits above the median; 1 - u is exact there
+        c = Cauchy()
+        for j in (20, 33, 43):
+            u = 1.0 - 2.0**-j
+            with mp.workdps(40):
+                want = mp.log(mp.sin(mp.pi * mp.mpf(u)) ** 2 / mp.pi)
+            assert abs(c.log_pdf_at_quantile(u) - float(want)) <= 1e-14, j
+            assert c.quantile(u) == -c.quantile(2.0**-j)
 
 
 class TestPdfDerivative:
@@ -274,6 +291,13 @@ class TestSpecExamples:
 
 
 class TestBetaLaw:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError):
+            BetaLaw(bad, 2.0)
+        with pytest.raises(ValueError):
+            BetaLaw(2.0, bad)
+
     def test_mean_var_uniform(self):
         mean, var = beta_mean_var(BetaLaw(1, 1))
         assert mean == 0.5

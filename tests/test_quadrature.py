@@ -63,6 +63,16 @@ class TestAdaptiveQuad:
         res = adaptive_quad(f, 0.0, 1.0, breakpoints=hints)
         assert abs(res.value - mass) <= 1e-12
 
+    def test_breakpoints_are_the_whole_partition(self):
+        # no endpoint levels join the breakpoints: G15 is exact on the cubic,
+        # so the two panels (0, 0.3) and (0.3, 1) are all that is evaluated
+        res = adaptive_quad(lambda x: x**3, 0.0, 1.0, breakpoints=[0.3])
+        assert res.neval == 2 * quadrature._PANEL_NEVAL
+        assert abs(res.value - 0.25) <= 1e-15
+        # without breakpoints, 46 geometric levels toward each end, which
+        # share the midpoint: 92 panels
+        assert adaptive_quad(lambda x: x**3, 0.0, 1.0).neval == 92 * quadrature._PANEL_NEVAL
+
 
 class TestBetaExpectation:
     def test_mean_small_and_large(self):
@@ -108,9 +118,10 @@ class TestZeroWeightPanels:
         real = quadrature.adaptive_quad
 
         def spy(f, a, b, **kwargs):
-            # the partition as adaptive_quad builds it from the raw edges
-            assert kwargs["endpoint_levels"] == 0
-            grids.append(quadrature._initial_grid(a, b, kwargs["breakpoints"], 0))
+            # the partition as adaptive_quad builds it from the raw edges,
+            # which are all of it
+            row = quadrature._initial_grid(a, b, np.reshape(kwargs["breakpoints"], (1, -1)))[0]
+            grids.append(row[row == row])
             return real(f, a, b, **kwargs)
 
         monkeypatch.setattr(quadrature, "adaptive_quad", spy)
@@ -147,7 +158,7 @@ class TestZeroWeightPanels:
             u = np.linspace(max(mean - 60 * sd, 1e-15), min(mean + 60 * sd, 1 - 1e-15), 200_001)
             logw = beta_log_density(a, b, u)
             band = u[(logw > -745.6) & (logw < -744.6)]
-            edges = np.concatenate([quadrature._initial_grid(1e-15, 1 - 1e-15, [mean]), band])
+            edges = np.concatenate([quadrature._TRIM_EDGES, [mean], band])
             grid = np.unique(edges)
             zero = np.exp(beta_log_density(a, b, grid)) == 0.0
             mode = (a - 1.0) / (a + b - 2.0) if b > 1.0 else 1.0
@@ -244,7 +255,7 @@ class TestMultiColumn:
         assert res[1].converged
 
     def test_panel_budget_flags_unconverged(self):
-        res = adaptive_quad(lambda x: np.sin(1.0 / x), 1e-6, 1.0, tol_abs=1e-14, max_panels=150)
+        res = adaptive_quad(lambda x: np.sin(1.0 / x), 1e-6, 1.0, tol_abs=1e-14)
         assert not res.converged and not res.diverged
         assert "budget" in res.message and math.isfinite(res.value)
 
@@ -334,8 +345,7 @@ class TestBatch:
             lambda x: np.stack([np.sin(1.0 / x), x]),
         ]
         intervals = [(0.0, 1.0), (1e-4, 1.0), (1e-300, 1.0), (0.0, 1.0), (1e-3, 2.0), (1e-6, 1.0)]
-        lone, batch, calls = self.lone_and_batch(funcs, intervals, tol_abs=1e-13,
-                                                 max_panels=3_000)
+        lone, batch, calls = self.lone_and_batch(funcs, intervals, tol_abs=1e-13)
         assert isinstance(batch, QuadResults) and len(batch) == len(funcs)
         assert batch.neval == sum(r.neval for r in lone)
         assert batch.levels > 3 and batch.calls == len(calls) > batch.levels
@@ -347,13 +357,16 @@ class TestBatch:
 
     def test_problem_tolerances_and_budgets(self):
         f = lambda x, problem: np.sin(1.0 / x)  # noqa: E731
-        batch = adaptive_quad(f, [1e-3, 1e-3, 1e-3], [1.0, 1.0, 1.0],
-                              tol_abs=[[1e-4], [1e-12], [1e-12]], max_panels=[8192, 8192, 120])
-        for res, (tol, budget) in zip(batch, [(1e-4, 8192), (1e-12, 8192), (1e-12, 120)]):
-            alone = adaptive_quad(lambda x: np.sin(1.0 / x), 1e-3, 1.0, tol_abs=tol,
-                                  max_panels=budget)
+        # the third problem spends its own panel budget; the others keep theirs
+        intervals = [(1e-3, 1.0), (1e-3, 1.0), (1e-6, 1.0)]
+        tols = [1e-4, 1e-12, 1e-14]
+        batch = adaptive_quad(f, [a for a, _ in intervals], [b for _, b in intervals],
+                              tol_abs=[[t] for t in tols])
+        for res, (a, b), tol in zip(batch, intervals, tols):
+            alone = adaptive_quad(lambda x: np.sin(1.0 / x), a, b, tol_abs=tol)
             assert res == alone
-        assert batch[0].neval < batch[1].neval and not batch[2].converged
+        assert batch[0].neval < batch[1].neval and batch[1].converged
+        assert not batch[2].converged and "budget" in batch[2].message
 
     def test_tolerance_shape_must_broadcast(self):
         f = lambda x, problem: np.sin(1.0 / x)  # noqa: E731
@@ -361,8 +374,6 @@ class TestBatch:
             adaptive_quad(lambda x: np.sin(1.0 / x), 1e-3, 1.0, tol_abs=[1e-3, 1e-9])
         with pytest.raises(ValueError):  # one tolerance per problem is shape (3, 1)
             adaptive_quad(f, [1e-3] * 3, [1.0] * 3, tol_abs=[1e-4, 1e-12, 1e-12])
-        with pytest.raises(ValueError):
-            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, max_panels=[8192, 120])
 
     def test_one_problem_per_call_gets_its_index(self):
         seen = []
@@ -371,8 +382,11 @@ class TestBatch:
             seen.append(problem)
             return x
 
-        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0], endpoint_levels=10)
-        # 20 initial panels each: one call holds both problems
+        # 10 levels toward each end of each problem (one shared at the
+        # midpoint): 20 initial panels each, so one call holds both problems
+        levels = 2.0 ** -np.arange(1, 11)
+        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0],
+                      breakpoints=np.array([[*(a + levels), *(a + 1.0 - levels)] for a in (0.0, 1.0)]))
         assert len(seen) == 1 and np.array_equal(seen[0], np.repeat([0, 1], 20 * 45))
         seen.clear()
         adaptive_quad(f, [0.0, 1.0], [1.0, 2.0])
@@ -397,6 +411,8 @@ class TestBatch:
     def test_batch_validation(self):
         with pytest.raises(ValueError):
             adaptive_quad(lambda x, problem: x, [0.0, 0.0], [1.0])
+        with pytest.raises(ValueError):  # one row of breakpoints for two problems
+            adaptive_quad(lambda x, problem: x, [0.0, 0.0], [1.0, 1.0], breakpoints=[[0.5]])
         with pytest.raises(ValueError):
             beta_expectation(lambda u, problem: u, [1.0, -1.0], [1.0, 1.0])
         # a non-finite parameter is an invalid law, not a divergent expectation
@@ -415,11 +431,9 @@ class TestBatch:
         real = quadrature.adaptive_quad
 
         def spy(f, a, b, **kwargs):
-            assert kwargs["endpoint_levels"] == 0
-            rows = [kwargs["breakpoints"]] if np.ndim(a) == 0 else kwargs["breakpoints"]
-            for lo, hi, row in zip(np.atleast_1d(a), np.atleast_1d(b), rows):
-                row = np.asarray(row, dtype=float)
-                grids.append(np.concatenate([[lo], row[(row > lo) & (row < hi)], [hi]]))
+            # each law's partition as adaptive_quad builds it from its raw edges
+            rows = np.reshape(kwargs["breakpoints"], (np.size(a), -1))
+            grids.extend(row[row == row] for row in quadrature._initial_grid(a, b, rows))
             return real(f, a, b, **kwargs)
 
         monkeypatch.setattr(quadrature, "adaptive_quad", spy)
