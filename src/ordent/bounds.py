@@ -153,7 +153,9 @@ def quantile_mse_bound(
     by the order-statistic moment bound with parent moment order r), the
     main variance term Var(U)/f(F^{-1}(p))^2 including the exact mean bias,
     and the two Taylor remainder terms carrying the quantile curvature
-    constant.  Vacuous when E|X|^r is infinite.
+    constant.  Vacuous when E|X|^r is infinite.  ``stderr`` is the
+    quadrature error of the MSE integral, and ``message`` says when that
+    integral, the k2 term's, did not converge.
     """
     win = _as_window(n, p, epsilon)
     win.validate_tail_mode()
@@ -168,7 +170,9 @@ def quantile_mse_bound(
               "epsilon": eps, "r": r}
 
     parent_moment = parent.abs_moment(r)
-    empirical, stderr, quad_message = _mse_quadrature_value(res["k2"])
+    # the raw E[(F^{-1}(U) - F^{-1}(p))^2], with the k2 term's flag and message
+    _, _, diverged, quad_message = _term_detail("k2", res["k2"], ref)
+    empirical, stderr = (math.inf, math.inf) if diverged else (res["k2"].value, res["k2"].error)
     if math.isinf(parent_moment):
         return BoundReport(
             bound_name="quantile_mse",
@@ -206,18 +210,6 @@ def quantile_mse_bound(
                 "main_term": main, "taylor_terms": taylor_sq + taylor_cross},
         message=quad_message,
     )
-
-
-def _mse_quadrature_value(q) -> tuple[float, float, str]:
-    """(value, error, message) of E[(F^{-1}(U) - F^{-1}(p))^2] from the k2
-    term's ``QuadResult`` ``q``.
-
-    The message is empty unless the integral diverged or did not converge;
-    an unconverged value is kept and flagged.
-    """
-    if q.diverged:
-        return math.inf, math.inf, q.message
-    return q.value, q.error, "" if q.converged else f"quadrature did not converge: {q.message}"
 
 
 def holder_constant(q: float) -> float:

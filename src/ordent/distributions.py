@@ -7,12 +7,15 @@ and ``f2`` (1/(x log^2 x) on (0, 1/e), unbounded density whose L_m norm is
 infinite for every m > 1).
 
 Each parent exposes pdf, log-pdf, cdf, quantile, the pdf derivative, the
-absolute moment E|X|^r and the L_m norm of the density.  Each family
-declares how fast its quantile, log density and density grow at the ends of
-quantile space (``EndpointGrowth``), and ``power_moment_finite`` turns that
-into the finiteness of every expectation in the package (quadrature cannot
-certify divergence); finite values are computed by quadrature in quantile
-space unless a closed form is trivial.
+log density at a quantile, the absolute moment E|X|^r and the L_m norm of
+the density.  ``ParentDistribution`` defines those public methods once, with
+the argument checks, the support and the scalar returns; a family supplies
+only its formulas inside the support.  Each family declares how fast its
+quantile, log density and density grow at the ends of quantile space
+(``EndpointGrowth``), and ``power_moment_finite`` turns that into the
+finiteness of every expectation in the package (quadrature cannot certify
+divergence); finite values are computed by quadrature in quantile space
+unless a closed form is trivial.
 """
 
 from __future__ import annotations
@@ -115,7 +118,32 @@ def random_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 class ParentDistribution:
-    """A continuous parent law; immutable after construction."""
+    """A continuous parent law; immutable after construction.
+
+    Every public method is defined here, once.  Each converts its argument,
+    returns a float for a scalar argument and owns the edges of its domain:
+
+    - in x, the points outside the open ``support`` get density 0, log
+      density -inf, derivative 0, and cdf 0 below the support and 1 above
+      it; NaN stays NaN;
+    - in u, ``quantile`` and ``log_pdf_at_quantile`` raise ``ValueError``
+      outside [0, 1] (NaN included) and clamp into [PROB_CLAMP,
+      1 - PROB_CLAMP] with a ``ClampedProbabilityWarning``;
+    - ``abs_moment`` and ``norm_m`` check their order and return +inf where
+      ``growth`` says the value diverges.
+
+    A family supplies formulas only:
+
+    - ``_pdf``, ``_log_pdf``, ``_cdf`` and ``_pdf_derivative``, valid inside
+      the open support;
+    - ``_quantile(u)``, which is also the quantile at lower-tail mass u, and
+      ``_quantile_upper_tail(s)`` = F^{-1}(1 - s) without rounding 1 - s;
+    - ``_log_pdf_at_quantile(u)``, only where log f(F^{-1}(u)) composed is
+      unstable;
+    - ``_sup_pdf`` where the density is bounded, and closed-form
+      ``_abs_moment`` and ``_norm_m`` where they exist;
+    - its ``growth``, and ``spec_string`` when it has parameters.
+    """
 
     name: str = "parent"
     support: tuple[float, float] = (-math.inf, math.inf)
@@ -125,54 +153,61 @@ class ParentDistribution:
         """Each family declares its endpoint growth as a class attribute."""
         raise NotImplementedError
 
-    # -- core surface -------------------------------------------------------
+    # -- x space ------------------------------------------------------------
+    def _on_support(self, x, formula, below, above):
+        """``formula`` at the points of ``x`` inside the open support, ``below``
+        at or below it and ``above`` at or above it; NaN stays NaN."""
+        arr = np.asarray(x, dtype=float)
+        lo, hi = self.support
+        # two reductions clear the common case, every point inside; NaN fails them
+        if arr.min(initial=math.inf) > lo and arr.max(initial=-math.inf) < hi:
+            return _ret(x, formula(arr))
+        out = np.where(arr <= lo, below, np.where(arr >= hi, above, np.nan))
+        inside = (arr > lo) & (arr < hi)
+        out[inside] = formula(arr[inside])
+        return _ret(x, out)
+
     def pdf(self, x):
-        raise NotImplementedError
+        return self._on_support(x, self._pdf, 0.0, 0.0)
 
     def log_pdf(self, x):
-        with np.errstate(divide="ignore"):
-            return _ret(x, np.log(self.pdf(x)))
+        return self._on_support(x, self._log_pdf, -math.inf, -math.inf)
 
     def cdf(self, x):
-        raise NotImplementedError
+        return self._on_support(x, self._cdf, 0.0, 1.0)
 
-    def quantile(self, u):
+    def pdf_derivative(self, x):
+        return self._on_support(x, self._pdf_derivative, 0.0, 0.0)
+
+    # -- quantile space -----------------------------------------------------
+    @staticmethod
+    def _probabilities(u) -> np.ndarray:
+        """``u`` as an array clamped into [PROB_CLAMP, 1 - PROB_CLAMP]."""
         arr = np.asarray(u, dtype=float)
         # two reductions clear the common case, every point already inside
         # the clamp (quadrature nodes always are); NaN fails them
-        if not (arr.min(initial=0.5) >= PROB_CLAMP and arr.max(initial=0.5) <= 1.0 - PROB_CLAMP):
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
-                raise ValueError("quantile argument must lie in [0, 1]")
-            clipped = np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
-            if np.any(clipped != arr):
-                warnings.warn(
-                    f"quantile argument clamped to [{PROB_CLAMP:g}, 1-{PROB_CLAMP:g}]",
-                    ClampedProbabilityWarning,
-                    stacklevel=2,
-                )
-            arr = clipped
-        return _ret(u, self._quantile(arr))
+        if arr.min(initial=0.5) >= PROB_CLAMP and arr.max(initial=0.5) <= 1.0 - PROB_CLAMP:
+            return arr
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+            raise ValueError("quantile argument must lie in [0, 1]")
+        clipped = np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        if np.any(clipped != arr):
+            warnings.warn(
+                f"quantile argument clamped to [{PROB_CLAMP:g}, 1-{PROB_CLAMP:g}]",
+                ClampedProbabilityWarning,
+                stacklevel=3,
+            )
+        return clipped
 
-    def _quantile(self, u):
-        raise NotImplementedError
+    def quantile(self, u):
+        return _ret(u, self._quantile(self._probabilities(u)))
 
     def log_pdf_at_quantile(self, u):
-        """log f(F^{-1}(u)), overridden where the composition is unstable."""
-        return _ret(u, self.log_pdf(self._quantile(np.clip(
-            np.asarray(u, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP))))
+        """log f(F^{-1}(u))."""
+        return _ret(u, self._log_pdf_at_quantile(self._probabilities(u)))
 
-    # Tail quantiles take the tail mass s directly, so that s below float
-    # resolution of 1-u stays meaningful; defaults fall back to the clamped
-    # quantile and are overridden where the family has a stable form.
-    def _quantile_lower_tail(self, s):
-        return self._quantile(np.clip(np.asarray(s, dtype=float), PROB_CLAMP, 0.5))
-
-    def _quantile_upper_tail(self, s):
-        return self._quantile(np.clip(1.0 - np.asarray(s, dtype=float),
-                                      0.5, 1.0 - PROB_CLAMP))
-
-    def pdf_derivative(self, x):
-        raise NotImplementedError
+    def _log_pdf_at_quantile(self, u):
+        return self._log_pdf(self._quantile(u))
 
     # -- moments and norms --------------------------------------------------
     def abs_moment_finite(self, r: float) -> bool:
@@ -180,21 +215,21 @@ class ParentDistribution:
         return power_moment_finite(self.growth.quantile, r)
 
     def abs_moment(self, r: float) -> float:
-        """E|X|^r, +inf when the moment diverges.
-
-        Finite values come from quadrature in quantile coordinates.  The
-        endpoints are reached through u = t^8 / 2 (and its mirror), which
-        turns the u^{-a} blow-up of heavy-tail quantile powers (a < 1 when
-        the moment exists) into a bounded integrand.
-        """
-        if r <= 0:
+        """E|X|^r, +inf when the moment diverges."""
+        if not r > 0:
             raise ValueError("abs_moment requires r > 0")
-        if not self.abs_moment_finite(r):
-            return math.inf
+        return self._abs_moment(r) if self.abs_moment_finite(r) else math.inf
 
+    def _abs_moment(self, r: float) -> float:
+        """A finite E|X|^r by quadrature in quantile coordinates.
+
+        The endpoints are reached through tail mass s = t^8 / 2 on each side,
+        which turns the s^{-a} blow-up of heavy-tail quantile powers (a < 1
+        when the moment exists) into a bounded integrand.
+        """
         def left(t):
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.abs(self._quantile_lower_tail(0.5 * t**8)) ** r * 4.0 * t**7
+                return np.abs(self._quantile(0.5 * t**8)) ** r * 4.0 * t**7
 
         def right(t):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -215,20 +250,19 @@ class ParentDistribution:
 
     def norm_m(self, m: float) -> float:
         """L_m norm of the density, +inf when divergent; m = inf is sup f."""
-        if m < 1:
+        if not m >= 1:
             raise ValueError("norm_m requires m >= 1")
         if not self.norm_m_finite(m):
             return math.inf
         if math.isinf(m):
             return self._sup_pdf()
-        if m == 1:
-            return 1.0
+        return 1.0 if m == 1 else self._norm_m(m)
+
+    def _norm_m(self, m: float) -> float:
+        """A finite ||f||_m, 1 < m < inf, by quadrature in quantile coordinates."""
         # int f^m dx = E[f(F^{-1}(U))^{m-1}], U uniform
         res = beta_expectation(lambda u: np.exp((m - 1.0) * self.log_pdf_at_quantile(u)), 1.0, 1.0)
         return res.check() ** (1.0 / m)
-
-    def _sup_pdf(self) -> float:
-        raise NotImplementedError
 
     def spec_string(self) -> str:
         return f"{self.name}()"
@@ -250,27 +284,26 @@ class Uniform(ParentDistribution):
         self.support = (self.a, self.b)
         self._w = self.b - self.a
 
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        return _ret(x, np.where((arr > self.a) & (arr < self.b), 1.0 / self._w, 0.0))
+    def _pdf(self, x):
+        return np.full_like(x, 1.0 / self._w)
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        return _ret(x, np.clip((arr - self.a) / self._w, 0.0, 1.0))
+    def _log_pdf(self, x):
+        return np.full_like(x, -math.log(self._w))
+
+    def _cdf(self, x):
+        return (x - self.a) / self._w
+
+    def _pdf_derivative(self, x):
+        return np.zeros_like(x)
 
     def _quantile(self, u):
         return self.a + u * self._w
 
-    def log_pdf_at_quantile(self, u):
-        return _ret(u, np.full_like(np.asarray(u, dtype=float), -math.log(self._w)))
+    def _quantile_upper_tail(self, s):
+        return self.b - s * self._w
 
-    def pdf_derivative(self, x):
-        return _ret(x, np.zeros_like(np.asarray(x, dtype=float)))
-
-    def norm_m(self, m):
-        if m < 1:
-            raise ValueError("norm_m requires m >= 1")
-        return self._w ** (1.0 / m - 1.0) if not math.isinf(m) else 1.0 / self._w
+    def _norm_m(self, m):
+        return self._w ** (1.0 / m - 1.0)
 
     def _sup_pdf(self):
         return 1.0 / self._w
@@ -289,57 +322,45 @@ class Gaussian(ParentDistribution):
         self.mu, self.sigma = _finite("gaussian", mu, sigma)
         if self.sigma <= 0:
             raise DistributionSpecError("gaussian requires sigma > 0")
-        self.support = (-math.inf, math.inf)
 
     def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        return (x - self.mu) / self.sigma
 
-    def pdf(self, x):
+    def _pdf(self, x):
         z = self._z(x)
-        return _ret(x, np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi)))
+        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
 
-    def log_pdf(self, x):
+    def _log_pdf(self, x):
         z = self._z(x)
-        return _ret(x, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi))
+        return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import ndtr  # scipy loads only where it is needed
 
-        return _ret(x, ndtr(self._z(x)))
+        return ndtr(self._z(x))
+
+    def _pdf_derivative(self, x):
+        return -self._z(x) / self.sigma * self._pdf(x)
 
     def _quantile(self, u):
         return self.mu + self.sigma * ndtri(u)
 
-    def log_pdf_at_quantile(self, u):
-        z = ndtri(u)
-        return _ret(u, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi))
-
-    def _quantile_lower_tail(self, s):
-        return self.mu + self.sigma * ndtri(s)
-
     def _quantile_upper_tail(self, s):
         return self.mu - self.sigma * ndtri(s)
 
-    def pdf_derivative(self, x):
-        z = self._z(x)
-        dens = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
-        return _ret(x, -z / self.sigma * dens)
+    def _log_pdf_at_quantile(self, u):
+        z = ndtri(u)
+        return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
 
-    def abs_moment(self, r):
+    def _abs_moment(self, r):
         if self.mu != 0.0:
-            return super().abs_moment(r)
-        if r <= 0:
-            raise ValueError("abs_moment requires r > 0")
+            return super()._abs_moment(r)
         # E|sigma Z|^r = sigma^r 2^(r/2) Gamma((r + 1)/2) / sqrt(pi)
         return math.exp(r * math.log(self.sigma) + 0.5 * r * math.log(2.0)
                         + math.lgamma(0.5 * (r + 1.0)) - 0.5 * math.log(math.pi))
 
-    def norm_m(self, m):
+    def _norm_m(self, m):
         # int f^m dx = (2 pi sigma^2)^((1 - m)/2) / sqrt(m)
-        if m < 1:
-            raise ValueError("norm_m requires m >= 1")
-        if math.isinf(m):
-            return self._sup_pdf()
         return ((2 * math.pi * self.sigma**2) ** ((1.0 - m) / 2.0) / math.sqrt(m)) ** (1.0 / m)
 
     def _sup_pdf(self):
@@ -354,36 +375,33 @@ class Exponential(ParentDistribution):
 
     name = "exponential"
     growth = EndpointGrowth()
+    support = (0.0, math.inf)
 
     def __init__(self, rate: float = 1.0):
         (self.rate,) = _finite("exponential", rate)
         if self.rate <= 0:
             raise DistributionSpecError("exponential requires rate > 0")
-        self.support = (0.0, math.inf)
 
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.where(arr > 0, self.rate * np.exp(-self.rate * np.clip(arr, 0, None)), 0.0)
-        return _ret(x, out)
+    def _pdf(self, x):
+        return self.rate * np.exp(-self.rate * x)
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        return _ret(x, np.where(arr > 0, -np.expm1(-self.rate * np.clip(arr, 0, None)), 0.0))
+    def _log_pdf(self, x):
+        return math.log(self.rate) - self.rate * x
+
+    def _cdf(self, x):
+        return -np.expm1(-self.rate * x)
+
+    def _pdf_derivative(self, x):
+        return -self.rate**2 * np.exp(-self.rate * x)
 
     def _quantile(self, u):
         return -np.log1p(-u) / self.rate
 
-    def log_pdf_at_quantile(self, u):
-        return _ret(u, math.log(self.rate) + np.log1p(-np.asarray(u, dtype=float)))
-
     def _quantile_upper_tail(self, s):
-        return -np.log(np.asarray(s, dtype=float)) / self.rate
+        return -np.log(s) / self.rate
 
-    def pdf_derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 0, -self.rate**2 * np.exp(-self.rate * np.clip(arr, 0, None)), 0.0)
-        return _ret(x, out)
+    def _log_pdf_at_quantile(self, u):
+        return math.log(self.rate) + np.log1p(-u)
 
     def _sup_pdf(self):
         return self.rate
@@ -402,43 +420,43 @@ class Cauchy(ParentDistribution):
         self.loc, self.scale = _finite("cauchy", loc, scale)
         if self.scale <= 0:
             raise DistributionSpecError("cauchy requires scale > 0")
-        self.support = (-math.inf, math.inf)
 
     def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.loc) / self.scale
+        return (x - self.loc) / self.scale
 
-    def pdf(self, x):
+    def _pdf(self, x):
         z = self._z(x)
-        return _ret(x, 1.0 / (math.pi * self.scale * (1.0 + z * z)))
+        return 1.0 / (math.pi * self.scale * (1.0 + z * z))
 
-    def cdf(self, x):
-        return _ret(x, 0.5 + np.arctan(self._z(x)) / math.pi)
+    def _log_pdf(self, x):
+        # log(1 + z^2) as logaddexp(0, 2 log|z|), which z^2 cannot overflow
+        with np.errstate(divide="ignore"):
+            log_z2 = 2.0 * np.log(np.abs(self._z(x)))
+        return -math.log(math.pi * self.scale) - np.logaddexp(0.0, log_z2)
+
+    def _cdf(self, x):
+        return 0.5 + np.arctan(self._z(x)) / math.pi
+
+    def _pdf_derivative(self, x):
+        z = self._z(x)
+        return -2.0 * z / (math.pi * self.scale**2 * (1.0 + z * z) ** 2)
 
     def _quantile(self, u):
         # loc -+ scale cot(pi s) in the tail mass s = min(u, 1 - u), exact
         # above 1/2: the cotangent stays accurate where tan(pi (u - 1/2))
         # would lose every digit against the pole
-        uu = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
-            t = self.scale / np.tan(math.pi * np.minimum(uu, 1.0 - uu))
-        return np.where(uu < 0.5, self.loc - t, self.loc + t)
-
-    def _quantile_lower_tail(self, s):
-        return self.loc - self.scale / np.tan(math.pi * np.asarray(s, dtype=float))
+            t = self.scale / np.tan(math.pi * np.minimum(u, 1.0 - u))
+        return np.where(u < 0.5, self.loc - t, self.loc + t)
 
     def _quantile_upper_tail(self, s):
-        return self.loc + self.scale / np.tan(math.pi * np.asarray(s, dtype=float))
+        return self.loc + self.scale / np.tan(math.pi * s)
 
-    def log_pdf_at_quantile(self, u):
+    def _log_pdf_at_quantile(self, u):
         # f(F^{-1}(u)) = sin^2(pi s) / (pi * scale) in the tail mass
         # s = min(u, 1 - u): sin(pi u) loses digits above the median
-        uu = np.asarray(u, dtype=float)
-        s = np.sin(math.pi * np.minimum(uu, 1.0 - uu))
-        return _ret(u, 2.0 * np.log(s) - math.log(math.pi * self.scale))
-
-    def pdf_derivative(self, x):
-        z = self._z(x)
-        return _ret(x, -2.0 * z / (math.pi * self.scale**2 * (1.0 + z * z) ** 2))
+        s = np.sin(math.pi * np.minimum(u, 1.0 - u))
+        return 2.0 * np.log(s) - math.log(math.pi * self.scale)
 
     def _sup_pdf(self):
         return 1.0 / (math.pi * self.scale)
@@ -457,44 +475,33 @@ class F1(ParentDistribution):
     name = "f1"
     # quantile exp((1-u)^-1/2), log density ~ -(1-u)^-1/2
     growth = EndpointGrowth(quantile=(0.0, math.inf), log_pdf=(0.0, 0.5))
+    support = (math.e, math.inf)
 
-    def __init__(self):
-        self.support = (math.e, math.inf)
+    def _pdf(self, x):
+        return 2.0 / (x * np.log(x) ** 3)
 
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = arr > math.e
-        safe = np.where(inside, arr, math.e * 2)
-        lg = np.log(safe)
-        return _ret(x, np.where(inside, 2.0 / (safe * lg**3), 0.0))
+    def _log_pdf(self, x):
+        lg = np.log(x)
+        return math.log(2.0) - lg - 3.0 * np.log(lg)
 
-    def log_pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = arr > math.e
-        safe = np.where(inside, arr, math.e * 2)
-        lg = np.log(safe)
-        return _ret(x, np.where(inside, math.log(2.0) - np.log(safe) - 3.0 * np.log(lg), -np.inf))
+    def _cdf(self, x):
+        return 1.0 - 1.0 / np.log(x) ** 2
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = arr > math.e
-        safe = np.where(inside, arr, math.e * 2)
-        return _ret(x, np.where(inside, 1.0 - 1.0 / np.log(safe) ** 2, 0.0))
+    def _pdf_derivative(self, x):
+        lg = np.log(x)
+        return -2.0 * (lg + 3.0) / (x**2 * lg**4)
 
     def _quantile(self, u):
         with np.errstate(over="ignore"):
             return np.exp(1.0 / np.sqrt(1.0 - u))
 
-    def log_pdf_at_quantile(self, u):
-        s = 1.0 / np.sqrt(1.0 - np.asarray(u, dtype=float))
-        return _ret(u, math.log(2.0) - s - 3.0 * np.log(s))
+    def _quantile_upper_tail(self, s):
+        with np.errstate(over="ignore"):
+            return np.exp(1.0 / np.sqrt(s))
 
-    def pdf_derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = arr > math.e
-        safe = np.where(inside, arr, math.e * 2)
-        lg = np.log(safe)
-        return _ret(x, np.where(inside, -2.0 * (lg + 3.0) / (safe**2 * lg**4), 0.0))
+    def _log_pdf_at_quantile(self, u):
+        s = 1.0 / np.sqrt(1.0 - u)
+        return math.log(2.0) - s - 3.0 * np.log(s)
 
     def _sup_pdf(self):
         return 2.0 / math.e
@@ -510,46 +517,31 @@ class F2(ParentDistribution):
     name = "f2"
     # log density 1/u + 2 log u, density e^(1/u) u^2
     growth = EndpointGrowth(log_pdf=(1.0, 0.0), pdf=(math.inf, 0.0))
+    support = (0.0, 1.0 / math.e)
 
-    def __init__(self):
-        self.support = (0.0, 1.0 / math.e)
+    def _pdf(self, x):
+        lg = np.log(x)
+        return 1.0 / (x * lg * lg)
 
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = (arr > 0.0) & (arr < 1.0 / math.e)
-        safe = np.where(inside, arr, 0.5 / math.e)
-        lg = np.log(safe)
-        return _ret(x, np.where(inside, 1.0 / (safe * lg * lg), 0.0))
+    def _log_pdf(self, x):
+        lg = np.log(x)
+        return -lg - 2.0 * np.log(-lg)
 
-    def log_pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = (arr > 0.0) & (arr < 1.0 / math.e)
-        safe = np.where(inside, arr, 0.5 / math.e)
-        lg = np.log(safe)
-        return _ret(x, np.where(inside, -np.log(safe) - 2.0 * np.log(-lg), -np.inf))
+    def _cdf(self, x):
+        return -1.0 / np.log(x)
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.empty_like(arr)
-        out[...] = np.where(arr <= 0.0, 0.0, 1.0)
-        inside = (arr > 0.0) & (arr < 1.0 / math.e)
-        safe = np.where(inside, arr, 0.5 / math.e)
-        out = np.where(inside, -1.0 / np.log(safe), out)
-        return _ret(x, out)
+    def _pdf_derivative(self, x):
+        lg = np.log(x)
+        return -(lg + 2.0) / (x**2 * lg**3)
 
     def _quantile(self, u):
         return np.exp(-1.0 / u)
 
-    def log_pdf_at_quantile(self, u):
-        uu = np.asarray(u, dtype=float)
-        return _ret(u, 1.0 / uu + 2.0 * np.log(uu))
+    def _quantile_upper_tail(self, s):
+        return np.exp(-1.0 / (1.0 - s))
 
-    def pdf_derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        inside = (arr > 0.0) & (arr < 1.0 / math.e)
-        safe = np.where(inside, arr, 0.5 / math.e)
-        lg = np.log(safe)
-        return _ret(x, np.where(inside, -(lg + 2.0) / (safe**2 * lg**3), 0.0))
+    def _log_pdf_at_quantile(self, u):
+        return 1.0 / u + 2.0 * np.log(u)
 
 
 # ---------------------------------------------------------------------------

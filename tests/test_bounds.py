@@ -246,16 +246,15 @@ class TestUnconvergedQuadrature:
     def test_mse_value_flags_non_convergence(self):
         # Cauchy under Beta(9, 2.05): the MSE integrand decays like
         # (1 - u)^-0.95, finite but too slowly for the panel budget
-        from ordent.bounds import _mse_quadrature_value
         from ordent.distributions import Cauchy
-        from ordent.entropy_kl import _term_results, gaussian_reference
+        from ordent.entropy_kl import _term_detail, _term_results, gaussian_reference
 
         # Beta(9, 2.05) is the law of no integer rank: its k2 result comes
         # from the law itself
         ref = gaussian_reference(Cauchy(), 10, 0.9)
         (res,), _ = _term_results(("k2",), Cauchy(), [BetaLaw(9.0, 2.05)], [ref], 1e-10)
-        value, error, message = _mse_quadrature_value(res["k2"])
-        assert math.isfinite(value)
+        value, error, diverged, message = _term_detail("k2", res["k2"], ref)
+        assert math.isfinite(value) and not diverged
         assert "did not converge" in message
 
     def test_converged_bound_has_no_message(self):
@@ -279,6 +278,16 @@ class TestUnconvergedQuadrature:
                     for ref, res in zip(refs, results)], cost
 
         monkeypatch.setattr(ek, "_term_results", patched)
+
+    @pytest.mark.parametrize("parent", [Gaussian(), F2()])
+    def test_mse_bound_names_an_unconverged_integral(self, monkeypatch, parent):
+        before = quantile_mse_bound(parent, 1_000, 0.5)
+        self._unconverged_at(monkeypatch)
+        after = quantile_mse_bound(parent, 1_000, 0.5)
+        assert (after.empirical_value, after.stderr, after.analytic_value, after.verdict) == (
+            before.empirical_value, before.stderr, before.analytic_value, before.verdict)
+        assert "k2 did not converge: depth 60 reached" in after.message
+        assert before.message in after.message
 
     def test_k3_bound_reports_its_quadrature_error(self):
         from ordent.entropy_kl import _term_at

@@ -1,5 +1,6 @@
 """Parent-family contracts: normalization, quantile round-trips, derivative
-consistency, moment/norm finiteness flags, Beta moments and seeded sampling."""
+consistency, the edges the base class owns, moment/norm finiteness flags,
+Beta moments and seeded sampling."""
 
 import math
 from fractions import Fraction
@@ -20,6 +21,7 @@ from ordent.distributions import (
     DistributionSpecError,
     EndpointGrowth,
     Exponential,
+    PROB_CLAMP,
     Gaussian,
     ParentDistribution,
     Uniform,
@@ -115,6 +117,51 @@ class TestQuantileCdfRoundTrip:
                 want = mp.log(mp.sin(mp.pi * mp.mpf(u)) ** 2 / mp.pi)
             assert abs(c.log_pdf_at_quantile(u) - float(want)) <= 1e-14, j
             assert c.quantile(u) == -c.quantile(2.0**-j)
+
+
+class TestFamiliesAreFormulas:
+    """``ParentDistribution`` owns the arguments, the support and the clamp."""
+
+    PUBLIC = ("pdf", "log_pdf", "cdf", "pdf_derivative", "quantile", "log_pdf_at_quantile",
+              "abs_moment", "norm_m")
+    # (outside below the support, outside above it) for each x-space method
+    EDGES = {"pdf": (0.0, 0.0), "log_pdf": (-math.inf, -math.inf), "cdf": (0.0, 1.0),
+             "pdf_derivative": (0.0, 0.0)}
+
+    def test_no_family_overrides_a_public_method(self):
+        for parent in ALL_PARENTS:
+            for name in self.PUBLIC:
+                assert getattr(type(parent), name) is getattr(ParentDistribution, name), (parent, name)
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("u", [math.nan, 1.5, -0.2, [0.3, math.nan], [0.3, 1.5], [-0.2, 0.3]],
+                             ids=["nan", "1.5", "-0.2", "array-nan", "array-1.5", "array--0.2"])
+    def test_log_pdf_at_quantile_checks_its_range(self, parent, u):
+        with pytest.raises(ValueError):
+            parent.log_pdf_at_quantile(u)
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    def test_log_pdf_at_quantile_clamps_as_quantile_does(self, parent):
+        for u, clamped in ((0.0, PROB_CLAMP), (1.0, 1.0 - PROB_CLAMP)):
+            with pytest.warns(ClampedProbabilityWarning):
+                got = parent.log_pdf_at_quantile(u)
+            assert got == parent.log_pdf_at_quantile(clamped)
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    def test_nan_and_infinite_points(self, parent):
+        x = float(parent.quantile(0.5))
+        for name, (below, above) in self.EDGES.items():
+            f = getattr(parent, name)
+            assert math.isnan(f(math.nan)), name
+            assert (f(-math.inf), f(math.inf)) == (below, above), name
+            got = f(np.array([-math.inf, math.nan, x, math.inf]))
+            assert got[0] == below and math.isnan(got[1]) and got[3] == above, name
+            assert got[2] == f(x), name
+
+    def test_log_pdf_does_not_underflow(self):
+        # log(pdf) is -inf at both points; mpmath: -log(pi (1 + 1e400))
+        assert Exponential().log_pdf(800.0) == -800.0
+        assert abs(Cauchy().log_pdf(1e200) + 922.17876708346767372) <= 1e-15 * 922.2
 
 
 class TestPdfDerivative:
@@ -232,7 +279,7 @@ class TestMomentAndNormFlags:
         for r in (1.0, 2.0, 4.0):
             oracle = 2 ** (r / 2) * math.gamma((r + 1) / 2) / math.sqrt(math.pi)
             assert abs(g.abs_moment(r) - oracle) <= 1e-15 * oracle
-            assert abs(ParentDistribution.abs_moment(g, r) - oracle) <= 1e-9 * oracle
+            assert abs(ParentDistribution._abs_moment(g, r) - oracle) <= 1e-9 * oracle
         # off-centre: E X^2 = mu^2 + sigma^2, E X^4 = mu^4 + 6 mu^2 sigma^2 + 3 sigma^4
         shifted = Gaussian(mu=1.5, sigma=0.5)
         assert abs(shifted.abs_moment(2.0) - 2.5) <= 1e-9
@@ -243,7 +290,7 @@ class TestMomentAndNormFlags:
             oracle = ((2 * math.pi) ** ((1 - m) / 2) / math.sqrt(m)) ** (1 / m)
             assert abs(g.norm_m(m) - oracle) <= 1e-15
             assert abs(Gaussian(mu=3.0, sigma=2.0).norm_m(m) - oracle * 2.0 ** (1 / m - 1)) <= 1e-15
-            assert abs(ParentDistribution.norm_m(g, m) - oracle) <= 1e-9
+            assert abs(ParentDistribution._norm_m(g, m) - oracle) <= 1e-9
         assert abs(g.norm_m(math.inf) - 1 / math.sqrt(2 * math.pi)) <= 1e-15
 
     def test_uniform_moment(self):
