@@ -87,5 +87,5 @@ for (alpha, beta, q) in [(500.0, 501.0, 2.0), (50.0, 451.0, 4.0)]:
 rep = stirling_constant_check(2.4, 22.6, 10.0)  # n = 24, p = 0.1
 print(f"  alpha=2.4 beta=22.6 q=10: ratio {rep.empirical_value:.3f} vs "
       f"{rep.analytic_value:.3f} [{rep.verdict}]  <- genuine violation: the"
-      " claimed constant is too small on this corner (about n in 16..44 at"
-      " p=0.1, q=10); everywhere else the sweep passes")
+      " claimed constant is too small on this corner (n = 20..32 at p=0.1,"
+      " q=10, worst 10% over at n = 20); everywhere else the sweep passes")

@@ -12,6 +12,13 @@ placeholders) so that it can be evaluated and checked at any concrete n:
 * ``stirling_constant_check``: the Beta-normalizer ratio against
   C_q n^{(1-1/q)/2};
 * ``corollary1_check``: decay-rate fit of the normalized quantile MSE term.
+
+Each verifier returns one ``BoundReport``.  A bound whose condition fails
+(an infinite parent moment or density norm) is vacuous: its analytic side is
++inf and its message gives the reason, joined with the quadrature message of
+the term it checks.  ``epsilon``, the half-width of the central event, is a
+number or None (``default_epsilon``) and is checked against the bound's own
+(n, p).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
 from .entropy_kl import _term_detail, _term_grid
+from .experiments import fit_rate
 from .order_stats import moment_bound_constant
 from .reports import BoundReport
 from .special import log_beta_remainder
@@ -37,6 +45,10 @@ __all__ = [
     "stirling_constant_check",
     "corollary1_check",
 ]
+
+#: corollary1_check passes when the fitted log-log slope of |k2| sqrt(n) is
+#: at most this: no growth trend beyond fit noise
+SLOPE_SLACK = 0.1
 
 
 def default_epsilon(p: float) -> float:
@@ -60,11 +72,10 @@ class EpsilonWindow:
     p: float
     n: int
     epsilon: float
-    q: float | None = None
 
     @classmethod
-    def default(cls, p: float, n: int, q: float | None = None) -> "EpsilonWindow":
-        return cls(p=p, n=n, epsilon=default_epsilon(p), q=q)
+    def default(cls, p: float, n: int) -> "EpsilonWindow":
+        return cls(p=p, n=n, epsilon=default_epsilon(p))
 
     def validate_tail_mode(self) -> None:
         lo = self.p / (self.n + 1.0)
@@ -87,15 +98,19 @@ class EpsilonWindow:
                 f"|(q-2)p-q+1|/(q(n-1)+2) = {floor:.3g}, got {self.epsilon:.3g}")
 
 
-def _as_window(n: int, p: float, epsilon, q: float | None = None) -> EpsilonWindow:
-    if isinstance(epsilon, EpsilonWindow):
-        return epsilon
+def _as_window(n: int, p: float, epsilon: float | None) -> EpsilonWindow:
+    """The bound's window at (n, p); ``epsilon`` is a number or None."""
     if epsilon is None:
-        return EpsilonWindow.default(p, n, q)
-    return EpsilonWindow(p=p, n=n, epsilon=float(epsilon), q=q)
+        return EpsilonWindow.default(p, n)
+    return EpsilonWindow(p=p, n=n, epsilon=float(epsilon))
 
 
-def beta_tail_bound(n: int, p: float, epsilon=None) -> float:
+def _joined(*messages: str) -> str:
+    """The non-empty messages, joined by "; "."""
+    return "; ".join(m for m in messages if m)
+
+
+def beta_tail_bound(n: int, p: float, epsilon: float | None = None) -> float:
     """Upper bound 2 exp(-2 (n+2) (eps - p/(n+1))^2) on P(|U_(np) - p| > eps)."""
     win = _as_window(n, p, epsilon)
     win.validate_tail_mode()
@@ -142,7 +157,7 @@ def quantile_mse_bound(
     parent: ParentDistribution,
     n: int,
     p: float,
-    epsilon=None,
+    epsilon: float | None = None,
     r: float = 2.0,
     *,
     tol: float = 1e-10,
@@ -169,47 +184,35 @@ def quantile_mse_bound(
     params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
               "epsilon": eps, "r": r}
 
-    parent_moment = parent.abs_moment(r)
     # the raw E[(F^{-1}(U) - F^{-1}(p))^2], with the k2 term's flag and message
     _, _, diverged, quad_message = _term_detail("k2", res["k2"], ref)
     empirical, stderr = (math.inf, math.inf) if diverged else (res["k2"].value, res["k2"].error)
-    if math.isinf(parent_moment):
-        return BoundReport(
-            bound_name="quantile_mse",
-            analytic_value=math.inf,
-            empirical_value=empirical,
-            stderr=stderr,
-            params=params,
-            message="; ".join(m for m in (
-                "parent moment E|X|^r is infinite; bound vacuous", quad_message) if m),
-        )
 
-    c_pe = _density_ratio_max(parent, p, eps, 3)
-    mean_u, var_u = beta_mean_var(law)
-    bias = mean_u - p
-    mu4 = beta_fourth_central_moment(law)
-    mu3 = _beta_third_central_moment(law)
-    # E[(U - p)^4] from central moments; exact at any n
-    e4 = mu4 + 4.0 * mu3 * bias + 6.0 * var_u * bias**2 + bias**4
+    parent_moment = parent.abs_moment(r)
+    analytic, reason = math.inf, "parent moment E|X|^r is infinite; bound vacuous"
+    if math.isfinite(parent_moment):
+        c_pe = _density_ratio_max(parent, p, eps, 3)
+        mean_u, var_u = beta_mean_var(law)
+        bias = mean_u - p
+        mu4 = beta_fourth_central_moment(law)
+        mu3 = _beta_third_central_moment(law)
+        # E[(U - p)^4] from central moments; exact at any n
+        e4 = mu4 + 4.0 * mu3 * bias + 6.0 * var_u * bias**2 + bias**4
 
-    const = moment_bound_constant(n, k, 4.0, r)
-    fourth_moment_bound = const.value * parent_moment ** (4.0 / r)
-    tail = (4.0 * (math.sqrt(fourth_moment_bound) + mu * mu)
-            * math.exp(-(n + 2.0) * (eps - p / (n + 1.0)) ** 2))
-    main = g1 * g1 * (var_u + bias * bias)
-    taylor_sq = 2.0 * c_pe**2 * (bias**4 + mu4)
-    taylor_cross = 8.0**0.75 * c_pe * abs(g1) * e4**0.75
-    analytic = tail + main + taylor_sq + taylor_cross
+        const = moment_bound_constant(n, k, 4.0, r)
+        fourth_moment_bound = const.value * parent_moment ** (4.0 / r)
+        tail = (4.0 * (math.sqrt(fourth_moment_bound) + mu * mu)
+                * math.exp(-(n + 2.0) * (eps - p / (n + 1.0)) ** 2))
+        main = g1 * g1 * (var_u + bias * bias)
+        taylor_sq = 2.0 * c_pe**2 * (bias**4 + mu4)
+        taylor_cross = 8.0**0.75 * c_pe * abs(g1) * e4**0.75
+        analytic, reason = tail + main + taylor_sq + taylor_cross, ""
+        params.update(curvature_const=c_pe, tail_term=tail, main_term=main,
+                      taylor_terms=taylor_sq + taylor_cross)
 
-    return BoundReport(
-        bound_name="quantile_mse",
-        analytic_value=analytic,
-        empirical_value=empirical,
-        stderr=stderr,
-        params={**params, "curvature_const": c_pe, "tail_term": tail,
-                "main_term": main, "taylor_terms": taylor_sq + taylor_cross},
-        message=quad_message,
-    )
+    return BoundReport(bound_name="quantile_mse", analytic_value=analytic,
+                       empirical_value=empirical, stderr=stderr, params=params,
+                       message=_joined(reason, quad_message))
 
 
 def holder_constant(q: float) -> float:
@@ -228,7 +231,7 @@ def k3_bound(
     n: int,
     p: float,
     q: float = 2.0,
-    epsilon=None,
+    epsilon: float | None = None,
     *,
     tol: float = 1e-10,
 ) -> BoundReport:
@@ -241,7 +244,7 @@ def k3_bound(
     """
     if q < 1:
         raise ValueError("q must lie in [1, inf]")
-    win = _as_window(n, p, epsilon, q)
+    win = _as_window(n, p, epsilon)
     win.validate_log_mode(q)
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
@@ -257,40 +260,27 @@ def k3_bound(
     params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
               "epsilon": eps, "q": q, "norm_order": norm_order}
 
-    if math.isinf(norm):
-        return BoundReport(
-            bound_name="log_density_ratio",
-            analytic_value=math.inf,
-            empirical_value=empirical,
-            stderr=stderr,
-            params=params,
-            message="; ".join(m for m in (
-                f"||f||_{norm_order:g} is infinite; finite-norm condition violated",
-                quad_message) if m),
-        )
+    analytic = math.inf
+    reason = f"||f||_{norm_order:g} is infinite; finite-norm condition violated"
+    if math.isfinite(norm):
+        c_eps2 = _density_ratio_max(parent, p, eps, 2)
+        mean_u, var_u = beta_mean_var(law)
+        first = 2.0 * abs(log_fp) * math.exp(-2.0 * (n + 2.0) * (eps - p / (n + 1.0)) ** 2)
+        middle = c_eps2 * math.sqrt(var_u + (mean_u - p) ** 2)
+        if math.isinf(q):
+            growth = math.sqrt(n)
+            norm_power = norm * norm  # (r+1)/r = 2 at r = 1
+        else:
+            growth = n ** (0.5 * (1.0 - 1.0 / q))
+            norm_power = norm ** ((r + 1.0) / r)
+        third = (2.0 * holder_constant(q) * norm_power * growth
+                 * math.exp(-2.0 * (n + 2.0) * (eps - win.log_mode_floor(q)) ** 2))
+        analytic, reason = first + middle + third, ""
+        params.update(slope_const=c_eps2, terms=(first, middle, third))
 
-    c_eps2 = _density_ratio_max(parent, p, eps, 2)
-    mean_u, var_u = beta_mean_var(law)
-    first = 2.0 * abs(log_fp) * math.exp(-2.0 * (n + 2.0) * (eps - p / (n + 1.0)) ** 2)
-    middle = c_eps2 * math.sqrt(var_u + (mean_u - p) ** 2)
-    if math.isinf(q):
-        growth = math.sqrt(n)
-        norm_power = norm * norm  # (r+1)/r = 2 at r = 1
-    else:
-        growth = n ** (0.5 * (1.0 - 1.0 / q))
-        norm_power = norm ** ((r + 1.0) / r)
-    third = (2.0 * holder_constant(q) * norm_power * growth
-             * math.exp(-2.0 * (n + 2.0) * (eps - win.log_mode_floor(q)) ** 2))
-    analytic = first + middle + third
-
-    return BoundReport(
-        bound_name="log_density_ratio",
-        analytic_value=analytic,
-        empirical_value=empirical,
-        stderr=stderr,
-        params={**params, "slope_const": c_eps2, "terms": (first, middle, third)},
-        message=quad_message,
-    )
+    return BoundReport(bound_name="log_density_ratio", analytic_value=analytic,
+                       empirical_value=empirical, stderr=stderr, params=params,
+                       message=_joined(reason, quad_message))
 
 
 def stirling_constant_check(alpha: float, beta: float, q: float) -> BoundReport:
@@ -326,18 +316,23 @@ def corollary1_check(
     n_grid,
     *,
     tol: float = 1e-10,
-    slope_slack: float = 0.1,
 ) -> BoundReport:
     """Test that the normalized quantile MSE term decays at least like 1/sqrt(n).
 
-    Fits the log-log slope of |k2(n)| * sqrt(n) over the top decade of the
-    grid; pass means no growth trend (slope <= slope_slack).  A divergent k2
-    anywhere on the grid fails outright; ``message`` names each n whose k2
-    did not converge.
+    Fits the log-log slope of |k2(n)| * sqrt(n) with ``fit_rate`` over the
+    top decade of the grid (n >= max(n_grid)/10), which must hold at least
+    two distinct grid points; pass means no growth trend (slope <=
+    ``SLOPE_SLACK``).  A divergent k2 anywhere on the grid fails outright;
+    ``message`` names each n whose k2 did not converge.  ``r`` is recorded in
+    ``params`` and not used by the check.
     """
     n_grid = [int(n) for n in n_grid]
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be increasing with at least 3 points")
+    top = [n for n in n_grid if n >= n_grid[-1] / 10.0]
+    if len(set(top)) < 2:
+        raise ValueError(f"n_grid needs at least 2 distinct points in its top decade "
+                         f"n >= {n_grid[-1] / 10.0:g}, got {top}")
     values, unconverged = [], []
     _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, tol)
     for n, ref, res in zip(n_grid, refs, results):
@@ -350,25 +345,11 @@ def corollary1_check(
     values = np.asarray(values, dtype=float)
     params = {"parent": parent.spec_string(), "p": p, "r": r,
               "n_grid": list(n_grid), "k2_values": values.tolist()}
-    if not np.isfinite(values).all():
-        return BoundReport(
-            bound_name="quantile_mse_rate",
-            analytic_value=slope_slack,
-            empirical_value=math.inf,
-            stderr=0.0,
-            params=params,
-            message="; ".join(m for m in ("k2 diverged on the grid", quad_message) if m),
-        )
-    scaled = np.abs(values) * np.sqrt(np.asarray(n_grid, dtype=float))
-    top = [i for i, n in enumerate(n_grid) if n >= max(n_grid) / 10.0]
-    x = np.log(np.asarray([n_grid[i] for i in top], dtype=float))
-    y = np.log(np.maximum(scaled[top], 1e-300))
-    slope = float(np.polyfit(x, y, 1)[0]) if len(top) >= 2 else 0.0
-    return BoundReport(
-        bound_name="quantile_mse_rate",
-        analytic_value=slope_slack,
-        empirical_value=slope,
-        stderr=0.0,
-        params={**params, "scaled_values": scaled.tolist()},
-        message=quad_message,
-    )
+    slope, reason = math.inf, "k2 diverged on the grid"
+    if np.isfinite(values).all():
+        scaled = np.abs(values) * np.sqrt(np.asarray(n_grid, dtype=float))
+        slope, reason = fit_rate(top, scaled[-len(top):], window="all").slope, ""
+        params["scaled_values"] = scaled.tolist()
+    return BoundReport(bound_name="quantile_mse_rate", analytic_value=SLOPE_SLACK,
+                       empirical_value=slope, stderr=0.0, params=params,
+                       message=_joined(reason, quad_message))

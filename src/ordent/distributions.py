@@ -135,7 +135,8 @@ class ParentDistribution:
     A family supplies formulas only:
 
     - ``_pdf``, ``_log_pdf``, ``_cdf`` and ``_pdf_derivative``, valid inside
-      the open support;
+      the open support, where they may overflow (without a warning) only to
+      the right limit;
     - ``_quantile(u)``, which is also the quantile at lower-tail mass u, and
       ``_quantile_upper_tail(s)`` = F^{-1}(1 - s) without rounding 1 - s;
     - ``_log_pdf_at_quantile(u)``, only where log f(F^{-1}(u)) composed is
@@ -159,12 +160,13 @@ class ParentDistribution:
         at or below it and ``above`` at or above it; NaN stays NaN."""
         arr = np.asarray(x, dtype=float)
         lo, hi = self.support
-        # two reductions clear the common case, every point inside; NaN fails them
-        if arr.min(initial=math.inf) > lo and arr.max(initial=-math.inf) < hi:
-            return _ret(x, formula(arr))
-        out = np.where(arr <= lo, below, np.where(arr >= hi, above, np.nan))
-        inside = (arr > lo) & (arr < hi)
-        out[inside] = formula(arr[inside])
+        with np.errstate(over="ignore"):
+            # two reductions clear the common case, every point inside; NaN fails them
+            if arr.min(initial=math.inf) > lo and arr.max(initial=-math.inf) < hi:
+                return _ret(x, formula(arr))
+            out = np.where(arr <= lo, below, np.where(arr >= hi, above, np.nan))
+            inside = (arr > lo) & (arr < hi)
+            out[inside] = formula(arr[inside])
         return _ret(x, out)
 
     def pdf(self, x):
@@ -281,8 +283,10 @@ class Uniform(ParentDistribution):
         self.a, self.b = _finite("uniform", a, b)
         if not self.b > self.a:
             raise DistributionSpecError("uniform requires b > a")
-        self.support = (self.a, self.b)
         self._w = self.b - self.a
+        if not math.isfinite(self._w):
+            raise DistributionSpecError(f"uniform requires a finite width b - a, got {self._w}")
+        self.support = (self.a, self.b)
 
     def _pdf(self, x):
         return np.full_like(x, 1.0 / self._w)
@@ -340,7 +344,9 @@ class Gaussian(ParentDistribution):
         return ndtr(self._z(x))
 
     def _pdf_derivative(self, x):
-        return -self._z(x) / self.sigma * self._pdf(x)
+        # the density is 0 in float64 beyond |z| = 40: clipping z there keeps
+        # -z/sigma finite where z overflows and changes no value
+        return -np.clip(self._z(x), -40.0, 40.0) / self.sigma * self._pdf(x)
 
     def _quantile(self, u):
         return self.mu + self.sigma * ndtri(u)
@@ -429,17 +435,25 @@ class Cauchy(ParentDistribution):
         return 1.0 / (math.pi * self.scale * (1.0 + z * z))
 
     def _log_pdf(self, x):
-        # log(1 + z^2) as logaddexp(0, 2 log|z|), which z^2 cannot overflow
+        # log(1 + z^2) as logaddexp(0, 2 log|z|), which z^2 cannot overflow;
+        # where z itself overflows, log|z| is log|x/2 - loc/2| + log 2 - log(scale)
+        z = self._z(x)
         with np.errstate(divide="ignore"):
-            log_z2 = 2.0 * np.log(np.abs(self._z(x)))
-        return -math.log(math.pi * self.scale) - np.logaddexp(0.0, log_z2)
+            log_z = np.where(np.isinf(z), np.log(np.abs(0.5 * x - 0.5 * self.loc))
+                             + (math.log(2.0) - math.log(self.scale)), np.log(np.abs(z)))
+        return -math.log(math.pi * self.scale) - np.logaddexp(0.0, 2.0 * log_z)
 
     def _cdf(self, x):
         return 0.5 + np.arctan(self._z(x)) / math.pi
 
     def _pdf_derivative(self, x):
+        # (1 + z^2)^2 overflows beyond |z| = 1e77, where the derivative is
+        # -2/(pi scale^2 z^3) to 150 digits, evaluated so that it underflows
         z = self._z(x)
-        return -2.0 * z / (math.pi * self.scale**2 * (1.0 + z * z) ** 2)
+        far = np.abs(z) > 1e77
+        near_z, far_z = np.where(far, 0.0, z), np.where(far, z, 1.0)
+        return np.where(far, -2.0 / (math.pi * self.scale**2 * far_z) / far_z / far_z,
+                        -2.0 * near_z / (math.pi * self.scale**2 * (1.0 + near_z * near_z) ** 2))
 
     def _quantile(self, u):
         # loc -+ scale cot(pi s) in the tail mass s = min(u, 1 - u), exact
@@ -478,7 +492,10 @@ class F1(ParentDistribution):
     support = (math.e, math.inf)
 
     def _pdf(self, x):
-        return 2.0 / (x * np.log(x) ** 3)
+        # beyond x ~ 5e299 the denominator overflows while the density is subnormal
+        lg = np.log(x)
+        den = x * lg**3
+        return np.where(np.isinf(den), 2.0 / x / lg**3, 2.0 / den)
 
     def _log_pdf(self, x):
         lg = np.log(x)

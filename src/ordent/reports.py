@@ -16,9 +16,9 @@ VERDICT_VACUOUS = "vacuous"
 class BoundReport:
     """One analytic bound against one empirical measurement.
 
-    ``stderr`` is the Monte Carlo standard error (or quadrature error bound);
-    the verdict is pass when ``empirical - 3*stderr <= analytic``, and
-    vacuous when the analytic side is infinite.
+    ``stderr`` is the Monte Carlo standard error (or quadrature error bound).
+    The verdict is always computed: pass when ``empirical - 3*stderr <=
+    analytic``, and vacuous when the analytic side is infinite.
     """
 
     bound_name: str
@@ -26,12 +26,11 @@ class BoundReport:
     empirical_value: float
     stderr: float = 0.0
     params: dict = field(default_factory=dict)
-    verdict: str = ""
+    verdict: str = field(init=False)
     message: str = ""
 
     def __post_init__(self):
-        if not self.verdict:
-            self.verdict = self._judge()
+        self.verdict = self._judge()
 
     def _judge(self) -> str:
         if math.isinf(self.analytic_value) and self.analytic_value > 0:

@@ -10,7 +10,7 @@ the mathematics dictates:
   drop below 1); the commonly quoted (p(1-p))^{+q/r} is its reciprocal and
   unreachable, so criterion 7 checks convergence to the true limit;
 * the Beta-normalizer constant bound of criterion 9 is genuinely violated on
-  a small corner of its stated domain (p=0.1, q=10, n around 16..44); the
+  a small corner of its stated domain (p=0.1, q=10, n = 20..32); the
   sweep is asserted as stated and the failure is expected and documented.
 """
 
@@ -228,8 +228,9 @@ def test_criterion_8_tail_bound_grid():
 def test_criterion_9_normalizer_constant_sweep():
     # NOTE: this criterion is expected to FAIL, honestly.  The claimed bound
     # C_q n^{(1-1/q)/2} on the Beta-normalizer ratio is violated on a small
-    # corner of its own admissible domain: p = 0.1, q = 10, n in roughly
-    # [16, 44] (worst excess ~19% near n = 24).  The underlying derivation's
+    # corner of its own admissible domain: p = 0.1, q = 10, n in [20, 32]
+    # (60-digit mpmath: ratio/bound 1.101 at n = 20, 1.003 at 32, 0.999 at
+    # 33; below the domain, 1.188 at n = 16).  The underlying derivation's
     # final step needs (np-1) n(1-p) >= n^2, which no p in (0,1) satisfies;
     # elsewhere the constant's built-in slack absorbs the gap, but not in
     # this corner.  The sweep below asserts the stated claim over the full

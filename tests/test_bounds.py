@@ -28,7 +28,7 @@ class TestEpsilonWindow:
         for p in (0.1, 0.5, 0.9):
             for n in (18, 100, 10_000):
                 for q in (1.0, 2.0, 10.0):
-                    win = EpsilonWindow.default(p, n, q)
+                    win = EpsilonWindow.default(p, n)
                     win.validate_tail_mode()
                     win.validate_log_mode(q)
 
@@ -39,8 +39,18 @@ class TestEpsilonWindow:
             EpsilonWindow(p=0.5, n=100, epsilon=0.5 / 101 * 0.9).validate_tail_mode()
 
     def test_log_mode_floor(self):
-        win = EpsilonWindow(p=0.5, n=100, epsilon=0.25, q=2.0)
+        win = EpsilonWindow(p=0.5, n=100, epsilon=0.25)
         assert abs(win.log_mode_floor(2.0) - abs(-1.0) / (2 * 99 + 2)) <= 1e-15
+
+    def test_bounds_reject_a_window_object(self):
+        # a window carries its own (n, p); a bound checks epsilon against its own
+        win = EpsilonWindow(p=0.5, n=10, epsilon=0.2)
+        with pytest.raises(TypeError):
+            quantile_mse_bound(Gaussian(), 1000, 0.05, epsilon=win)
+        with pytest.raises(TypeError):
+            k3_bound(Gaussian(), 1000, 0.05, q=2.0, epsilon=win)
+        with pytest.raises(TypeError):
+            beta_tail_bound(1000, 0.05, win)
 
 
 class TestBetaTailBound:
@@ -184,8 +194,9 @@ class TestStirlingConstant:
         assert rep.verdict == "pass"
 
     def test_violations_confined_to_known_corner(self):
-        # the claimed constant fails for a small cluster of cells around
-        # (p=0.1, q=10, n~16..44); everywhere else the sweep passes
+        # the claimed constant fails for a small cluster of cells at
+        # (p=0.1, q=10, n = 20..32 in 60-digit mpmath); everywhere else the
+        # sweep passes
         bad = []
         for n in np.unique(np.round(np.logspace(1, 5, 60)).astype(int)):
             for p in (0.1, 0.5, 0.9):
@@ -234,6 +245,11 @@ class TestCorollary1:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             corollary1_check(Uniform(), 0.5, 2.0, [100, 50, 1_000])
+
+    @pytest.mark.parametrize("grid", [[10, 20, 1_000], [100, 200, 5_000], [10, 1_000, 1_000]])
+    def test_top_decade_needs_two_points(self, grid):
+        with pytest.raises(ValueError, match="top decade"):
+            corollary1_check(Gaussian(), 0.5, 2.0, grid)
 
 
 class TestDefaultEpsilon:

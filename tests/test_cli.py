@@ -54,6 +54,11 @@ class TestKl:
         assert code == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    def test_uniform_width_overflow(self, capsys):
+        code = cli_main(["kl", "--parent", "uniform(a=-1e308,b=1e308)", "--n", "100", "--p", "0.5"])
+        assert code == EXIT_USAGE
+        assert "finite width" in capsys.readouterr().err
+
 
 class TestRateFit:
     def test_csv_to_stdout_and_determinism(self, capsys):
@@ -121,6 +126,13 @@ class TestBoundCheck:
         code = cli_main(["bound-check", "--which", "corollary1", "--parent", "f1()",
                          "--p", "0.5", "--r", "0.5", "--n-grid", "100:1000:3log"])
         assert code == EXIT_BOUND_FAIL
+
+    def test_corollary1_one_point_top_decade(self, capsys):
+        # 10:2000:3log puts only n = 2000 at or above 2000/10
+        code = cli_main(["bound-check", "--which", "corollary1", "--parent", "gaussian()",
+                         "--p", "0.5", "--n-grid", "10:2000:3log"])
+        assert code == EXIT_USAGE
+        assert "top decade" in capsys.readouterr().err
 
     def test_missing_options(self, capsys):
         code = cli_main(["bound-check", "--which", "mse", "--n", "100"])

@@ -164,6 +164,67 @@ class TestFamiliesAreFormulas:
         assert abs(Cauchy().log_pdf(1e200) + 922.17876708346767372) <= 1e-15 * 922.2
 
 
+def _mp_formulas(parent):
+    """(pdf, log_pdf, cdf, pdf_derivative) in mpmath, for the families whose
+    support reaches huge |x|: gaussian, exponential, Cauchy and f1."""
+    if isinstance(parent, Gaussian):
+        s = mp.mpf(parent.sigma)
+        z = lambda x: (x - mp.mpf(parent.mu)) / s  # noqa: E731
+        pdf = lambda x: mp.npdf(z(x)) / s  # noqa: E731
+        # mpmath's ncdf fails far out; below z = -40 the Mills ratio phi(z)/|z|
+        # is within 1e-3 of the cdf, which underflows there anyway
+        return (pdf, lambda x: -z(x) ** 2 / 2 - mp.log(s * mp.sqrt(2 * mp.pi)),
+                lambda x: mp.ncdf(z(x)) if z(x) > -40 else mp.npdf(z(x)) / -z(x),
+                lambda x: -z(x) / s * pdf(x))
+    if isinstance(parent, Exponential):
+        r = mp.mpf(parent.rate)
+        return (lambda x: r * mp.exp(-r * x), lambda x: mp.log(r) - r * x,
+                lambda x: -mp.expm1(-r * x), lambda x: -r * r * mp.exp(-r * x))
+    if isinstance(parent, Cauchy):
+        s = mp.mpf(parent.scale)
+        z = lambda x: (x - mp.mpf(parent.loc)) / s  # noqa: E731
+        return (lambda x: 1 / (mp.pi * s * (1 + z(x) ** 2)),
+                lambda x: -mp.log(mp.pi * s * (1 + z(x) ** 2)),
+                lambda x: mp.mpf(1) / 2 + mp.atan(z(x)) / mp.pi,
+                lambda x: -2 * z(x) / (mp.pi * s * s * (1 + z(x) ** 2) ** 2))
+    assert isinstance(parent, F1), parent
+    return (lambda x: 2 / (x * mp.log(x) ** 3),
+            lambda x: mp.log(2) - mp.log(x) - 3 * mp.log(mp.log(x)),
+            lambda x: 1 - 1 / mp.log(x) ** 2,
+            lambda x: -2 * (mp.log(x) + 3) / (x**2 * mp.log(x) ** 4))
+
+
+class TestHugeArguments:
+    """x-space methods at |x| where the formulas overflow: the limits, no warning."""
+
+    PARENTS = [Uniform(), Uniform(0.0, 1e-10), Gaussian(), Gaussian(sigma=1e-10),
+               Exponential(), Exponential(rate=1e10), Cauchy(), Cauchy(scale=1e-10), F1(), F2()]
+    METHODS = ("pdf", "log_pdf", "cdf", "pdf_derivative")
+    EDGES = TestFamiliesAreFormulas.EDGES
+
+    @pytest.mark.parametrize("parent", PARENTS, ids=repr)
+    @pytest.mark.parametrize("x", [1e100, -1e100, 1e200, -1e200, 1e300, -1e300])
+    def test_against_mpmath(self, parent, x):
+        # 1e100 lies where the Cauchy derivative's (1 + z^2)^2 overflows but
+        # the derivative does not underflow
+        lo, hi = parent.support
+        with mp.workdps(50):
+            for i, name in enumerate(self.METHODS):
+                got = getattr(parent, name)(x)
+                if lo < x < hi:
+                    want = float(_mp_formulas(parent)[i](mp.mpf(x)))
+                else:
+                    want = self.EDGES[name][0 if x <= lo else 1]
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, got, want)
+
+    @pytest.mark.parametrize("parent", PARENTS, ids=repr)
+    def test_arrays_match_scalars(self, parent):
+        xs = np.array([-1e300, -1e200, -1e100, 0.5, 1e100, 1e200, 1e300])
+        for name in self.METHODS:
+            f = getattr(parent, name)
+            np.testing.assert_array_equal(f(xs), [f(float(x)) for x in xs])
+
+
 class TestPdfDerivative:
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
     def test_matches_central_differences(self, parent):
@@ -574,3 +635,9 @@ class TestSpecGrammar:
     def test_non_finite_parameters(self, text):
         with pytest.raises(DistributionSpecError):
             parse_distribution(text)
+
+    def test_uniform_width_must_be_finite(self):
+        # b - a overflows although a and b are finite
+        with pytest.raises(DistributionSpecError, match="finite width"):
+            make_parent("uniform", a=-1e308, b=1e308)
+        assert Uniform(-1e307, 1e307).pdf(0.0) == 1.0 / 2e307
