@@ -73,7 +73,7 @@ from .order_stats import (
     sample_order_stat,
     verify_moment_bound,
 )
-from .quadrature import QuadResult, QuadResults, adaptive_quad, beta_expectation
+from .quadrature import NotConvergedError, QuadResult, QuadResults, adaptive_quad, beta_expectation
 from .reports import BoundReport
 from .special import harmonic, t_sequence
 

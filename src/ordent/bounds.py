@@ -33,7 +33,7 @@ from .entropy_kl import _term_detail, _term_grid
 from .experiments import fit_rate
 from .order_stats import moment_bound_constant
 from .reports import BoundReport
-from .special import log_beta_remainder
+from .special import _check_integer, log_beta_remainder
 
 __all__ = [
     "EpsilonWindow",
@@ -49,6 +49,9 @@ __all__ = [
 #: corollary1_check passes when the fitted log-log slope of |k2| sqrt(n) is
 #: at most this: no growth trend beyond fit noise
 SLOPE_SLACK = 0.1
+
+#: The quadrature ``tol`` of the term each verifier checks
+QUAD_TOL = 1e-10
 
 
 def default_epsilon(p: float) -> float:
@@ -159,8 +162,6 @@ def quantile_mse_bound(
     p: float,
     epsilon: float | None = None,
     r: float = 2.0,
-    *,
-    tol: float = 1e-10,
 ) -> BoundReport:
     """Bound E[(F^{-1}(U_(np)) - F^{-1}(p))^2] and verify it by quadrature.
 
@@ -176,7 +177,7 @@ def quantile_mse_bound(
     win.validate_tail_mode()
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
-    (spec,), (ref,), (res,), _ = _term_grid(("k2",), parent, [n], p, tol)
+    (spec,), (ref,), (res,), _ = _term_grid(("k2",), parent, [n], p, QUAD_TOL)
     k, law = spec.k, spec.beta_law
     g1 = 1.0 / math.exp(ref.log_f_p)
     mu = ref.mu_p
@@ -232,8 +233,6 @@ def k3_bound(
     p: float,
     q: float = 2.0,
     epsilon: float | None = None,
-    *,
-    tol: float = 1e-10,
 ) -> BoundReport:
     """Bound the expected log density ratio and verify it by quadrature.
 
@@ -248,7 +247,7 @@ def k3_bound(
     win.validate_log_mode(q)
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
-    (spec,), (ref,), (res,), _ = _term_grid(("k3",), parent, [n], p, tol)
+    (spec,), (ref,), (res,), _ = _term_grid(("k3",), parent, [n], p, QUAD_TOL)
     k, law = spec.k, spec.beta_law
     log_fp = ref.log_f_p
 
@@ -309,14 +308,7 @@ def stirling_constant_check(alpha: float, beta: float, q: float) -> BoundReport:
     )
 
 
-def corollary1_check(
-    parent: ParentDistribution,
-    p: float,
-    r: float,
-    n_grid,
-    *,
-    tol: float = 1e-10,
-) -> BoundReport:
+def corollary1_check(parent: ParentDistribution, p: float, r: float, n_grid) -> BoundReport:
     """Test that the normalized quantile MSE term decays at least like 1/sqrt(n).
 
     Fits the log-log slope of |k2(n)| * sqrt(n) with ``fit_rate`` over the
@@ -326,7 +318,7 @@ def corollary1_check(
     ``message`` names each n whose k2 did not converge.  ``r`` is recorded in
     ``params`` and not used by the check.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [_check_integer(n, "n") for n in n_grid]
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be increasing with at least 3 points")
     top = [n for n in n_grid if n >= n_grid[-1] / 10.0]
@@ -334,7 +326,7 @@ def corollary1_check(
         raise ValueError(f"n_grid needs at least 2 distinct points in its top decade "
                          f"n >= {n_grid[-1] / 10.0:g}, got {top}")
     values, unconverged = [], []
-    _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, tol)
+    _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, QUAD_TOL)
     for n, ref, res in zip(n_grid, refs, results):
         value, _, diverged, message = _term_detail("k2", res["k2"], ref)
         values.append(value)

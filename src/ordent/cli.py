@@ -2,7 +2,7 @@
 
 Subcommands: entropy, kl, rate-fit, bound-check, sample.  Exit codes:
 0 success / all bounds pass, 1 a bound failed, 2 divergence detected,
-3 usage or condition error.
+3 usage or condition error, or an integral that did not converge.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .entropy_kl import (
 )
 from .experiments import parse_n_grid, rate_sweep
 from .order_stats import OrderStatSpec, sample_order_stat
+from .quadrature import NotConvergedError
 from .reports import VERDICT_FAIL
 
 EXIT_OK = 0
@@ -68,7 +69,6 @@ def _build_parser() -> _Parser:
     p_rate.add_argument("--p", type=float, required=True)
     p_rate.add_argument("--n-grid", required=True, help="LO:HI:POINTS[log]")
     p_rate.add_argument("--tol", type=float, default=1e-9)
-    p_rate.add_argument("--seed", type=int, default=0)
     p_rate.add_argument("--jobs", type=int, default=None,
                         help="no effect: sweeps run in the calling thread "
                              "(kept for scripts that pass it; to be removed)")
@@ -121,7 +121,7 @@ def _cmd_kl(args) -> int:
 def _cmd_rate_fit(args) -> int:
     parent = parse_distribution(args.parent)
     grid = parse_n_grid(args.n_grid)
-    report = rate_sweep(parent, args.p, grid, tol=args.tol, seed=args.seed)
+    report = rate_sweep(parent, args.p, grid, tol=args.tol)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             report.write_csv(fh)
@@ -208,7 +208,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (DistributionSpecError, ConditionViolation, ValueError) as exc:
+    except (DistributionSpecError, ConditionViolation, ValueError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

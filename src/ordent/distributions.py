@@ -237,11 +237,13 @@ class ParentDistribution:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.abs(self._quantile_upper_tail(0.5 * t**8)) ** r * 4.0 * t**7
 
-        # geometric levels toward t = 0 only: toward t = 1 both sides are smooth
-        levels = 1e-12 + (1.0 - 1e-12) * 2.0 ** -np.arange(1, 47)
+        # geometric levels toward t = 0 only: toward t = 1 both sides are smooth.
+        # The sides start at t = 0 itself (no Gauss node lies on it): a cut at
+        # t0 would drop a tail of order t0^(8(1-a)), which near a = 1 is not small
+        levels = 2.0 ** -np.arange(1, 47)
         total = 0.0
         for side in (left, right):
-            res = adaptive_quad(side, 1e-12, 1.0, tol_abs=1e-11, tol_rel=1e-10,
+            res = adaptive_quad(side, 0.0, 1.0, tol_abs=1e-11, tol_rel=1e-10,
                                 breakpoints=levels)
             total += res.check()
         return total

@@ -60,8 +60,8 @@ def uniform_order_stat_entropy_exact(n: int, k: int) -> float:
     The terms grow like n log n while the result stays O(log n); the growing
     parts cancel analytically in ``special.order_stat_entropy``.
     """
-    n = int(n)
-    k = int(k)
+    n = special._check_integer(n, "n")
+    k = special._check_integer(k, "k")
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return special.order_stat_entropy(n, k)
@@ -142,9 +142,9 @@ def _references(parent: ParentDistribution, ns, p: float) -> list[GaussianRefere
 # The three decomposition terms
 # ---------------------------------------------------------------------------
 
-def k1_term(n: int, p: float, rounding: str = "half-up") -> float:
+def k1_term(n: int, p: float) -> float:
     """Entropy gap 1/2 log(2 pi e p(1-p)/n) - h(U_(np)); parent-free."""
-    k = round_rank(n, p, rounding)
+    k = round_rank(n, p)
     base = 0.5 * math.log(2.0 * math.pi * math.e * p * (1.0 - p) / n)
     return base - uniform_order_stat_entropy_exact(n, k)
 
@@ -231,7 +231,7 @@ def _term_detail(term: str, res: QuadResult, ref: GaussianReference) -> tuple:
 
 
 def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
-                  seeds=0) -> tuple[list, dict]:
+                  seed=0) -> tuple[list, dict]:
     """The Beta expectation behind each of ``terms`` at each point of a
     batch, point i with law ``laws[i]`` and reference ``refs[i]``: one
     {term: result} dict per point, and the quadrature pass's cost (its
@@ -239,7 +239,7 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
 
     By quadrature, every point's terms are one batched multi-column pass.
     By Monte Carlo, each point's k2 and k3 are the mean over one
-    ``budget``-draw sample from (``seeds[i]``, stream 1) that both share,
+    ``budget``-draw sample from (``seed``, stream 1) that both share,
     and the direct KL is integrated.  An expectation that
     ``_term_divergence`` finds infinite is neither integrated nor sampled:
     its result is diverged, with that infinity and message.  A column that
@@ -248,9 +248,6 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
     """
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
-    seeds = [seeds] * len(laws) if np.ndim(seeds) == 0 else list(seeds)
-    if len(seeds) != len(laws):
-        raise ValueError(f"{len(seeds)} seeds for {len(laws)} points")
     results = [{} for _ in laws]
     for res, law in zip(results, laws):
         for t in terms:
@@ -259,7 +256,7 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
                 res[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
                                     message=hit[1])
     sampled = tuple(t for t in terms if t != "direct" and method == "monte_carlo")
-    for res, law, ref, seed in zip(results, laws, refs, seeds):
+    for res, law, ref in zip(results, laws, refs):
         todo = tuple(t for t in sampled if t not in res)
         if todo:
             res.update(zip(todo, beta_sample_mean(_term_columns(parent, [ref], todo), law,
@@ -281,58 +278,45 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
     return results, cost
 
 
-def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0, seeds=0,
-               rounding="half-up") -> tuple[list, list, list, dict]:
+def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0,
+               seed=0) -> tuple[list, list, list, dict]:
     """(specs, refs, results, cost) at each n of ``ns``: the order statistic,
     the Gaussian reference and ``_term_results`` of every point, in one batch."""
-    specs = [OrderStatSpec.from_fraction(n, p, rounding) for n in ns]
+    specs = [OrderStatSpec.from_fraction(n, p) for n in ns]
     refs = _references(parent, ns, p)
     results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs, tol,
-                                  method, budget, seeds)
+                                  method, budget, seed)
     return specs, refs, results, cost
 
 
-def _term_at(term, parent, n, p, tol, method="quadrature", budget=0, seed=0) -> tuple:
-    """``_term_detail`` of one term at (n, p) alone: the value ``kl_decompose``
-    reports for it, with its error, divergence flag and message."""
-    _, (ref,), (res,), _ = _term_grid((term,), parent, [n], p, tol, method, budget, seed)
+#: The ``tol`` of each single-term view: the direct KL's is ``kl_decompose``'s
+#: default, k2's and k3's a tighter one.
+_VIEW_TOL = {"k2": 1e-10, "k3": 1e-10, "direct": 1e-9}
+
+
+def _term_at(term, parent, n, p) -> tuple:
+    """``_term_detail`` of one term at (n, p) alone, by quadrature: the value
+    ``kl_decompose`` reports for it, with its error, divergence flag and
+    message."""
+    _, (ref,), (res,), _ = _term_grid((term,), parent, [n], p, _VIEW_TOL[term])
     return _term_detail(term, res[term], ref)
 
 
-def k2_term(
-    parent: ParentDistribution,
-    n: int,
-    p: float,
-    method: str = "quadrature",
-    budget: int = 100_000,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> float:
+def k2_term(parent: ParentDistribution, n: int, p: float) -> float:
     """E[(F^{-1}(U_(np)) - F^{-1}(p))^2] / (2 V_np) - 1/2; inf when divergent."""
-    return _term_at("k2", parent, n, p, tol, method, budget, seed)[0]
+    return _term_at("k2", parent, n, p)[0]
 
 
-def k3_term(
-    parent: ParentDistribution,
-    n: int,
-    p: float,
-    method: str = "quadrature",
-    budget: int = 100_000,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> float:
-    """E[log(f(F^{-1}(U_(np))) / f(F^{-1}(p)))]; signed inf when divergent.
-
-    By Monte Carlo it averages the draw that ``kl_decompose`` shares with k2.
-    """
-    return _term_at("k3", parent, n, p, tol, method, budget, seed)[0]
+def k3_term(parent: ParentDistribution, n: int, p: float) -> float:
+    """E[log(f(F^{-1}(U_(np))) / f(F^{-1}(p)))]; signed inf when divergent."""
+    return _term_at("k3", parent, n, p)[0]
 
 
 # ---------------------------------------------------------------------------
 # Direct KL and the bundled decomposition
 # ---------------------------------------------------------------------------
 
-def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -> float:
+def kl_direct(parent: ParentDistribution, n: int, p: float) -> float:
     """KL divergence of X_(np) from its Gaussian reference by one integral.
 
     Integrates in u = F(x) coordinates, where the order-statistic density is
@@ -340,7 +324,7 @@ def kl_direct(parent: ParentDistribution, n: int, p: float, tol: float = 1e-9) -
     singularities on (0, 1) that the panel refinement resolves.  Returns inf
     when k2 or k3, and so the divergence, is infinite.
     """
-    return _term_at("direct", parent, n, p, tol)[0]
+    return _term_at("direct", parent, n, p)[0]
 
 
 @dataclass(slots=True)
@@ -398,9 +382,8 @@ def kl_decompose(
     *,
     method: str = "quadrature",
     budget: int = 100_000,
-    seed=0,
+    seed: int = 0,
     tol: float = 1e-9,
-    rounding: str = "half-up",
 ):
     """Bundle k1, k2, k3, their sum, and the directly integrated divergence.
 
@@ -414,23 +397,21 @@ def kl_decompose(
 
     ``n`` may be an increasing sequence: the result is then a
     ``KlDecompositions`` list with one ``KlDecomposition`` per n, each equal
-    to the one that n gives alone (with ``seed`` a matching sequence, or one
-    seed for every n).  The reference quantile and density at p are
-    evaluated once, and the integrals of all points share one batched
+    to the one that n gives alone.  The reference quantile and density at p
+    are evaluated once, and the integrals of all points share one batched
     quadrature pass, whose cost the list reports.
     """
     single = np.ndim(n) == 0
-    ns = [int(n)] if single else [int(m) for m in n]
+    ns = [special._check_integer(m, "n") for m in ([n] if single else n)]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n must be an int or a nonempty increasing sequence")
     specs, refs, results, cost = _term_grid(("k2", "k3", "direct"), parent, ns, p, tol, method,
-                                            budget, seed, rounding)
-    out = [_decomposition(spec, ref, res, rounding) for spec, ref, res in zip(specs, refs, results)]
+                                            budget, seed)
+    out = [_decomposition(spec, ref, res) for spec, ref, res in zip(specs, refs, results)]
     return out[0] if single else KlDecompositions(out, cost)
 
 
-def _decomposition(spec: OrderStatSpec, ref: GaussianReference, results: dict,
-                   rounding: str) -> KlDecomposition:
+def _decomposition(spec: OrderStatSpec, ref: GaussianReference, results: dict) -> KlDecomposition:
     """The ``KlDecomposition`` of one point from its term results."""
     k2, k2_err, k2_div, k2_msg = _term_detail("k2", results["k2"], ref)
     k3, k3_err, k3_div, k3_msg = _term_detail("k3", results["k3"], ref)
@@ -439,7 +420,7 @@ def _decomposition(spec: OrderStatSpec, ref: GaussianReference, results: dict,
     # a diverged k2 or k3 carries an infinite error, and so does quad_error
     return KlDecomposition(
         n=spec.n, p=float(ref.p), k=spec.k,
-        k1=k1_term(spec.n, ref.p, rounding), k2=k2, k3=k3,
+        k1=k1_term(spec.n, ref.p), k2=k2, k3=k3,
         total_direct=math.inf if diverged else direct,
         quad_error=k2_err + k3_err + (0.0 if direct_div else direct_err),
         diverged=diverged, message="; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m),

@@ -6,9 +6,8 @@ fits a power-law decay rate on the finite totals over the top half of the
 grid (asymptotic claims must not be biased by small-n transients), and
 packages everything into a reproducible report, with the pass's
 machine-independent cost.  Every point is the decomposition its n gives
-alone: the batch shares integrand calls, not sums or tolerances, and
-generator streams are keyed by (seed, n), so every n gets the same numbers
-whatever else is on the grid.
+alone: the batch shares integrand calls, not sums or tolerances, so every n
+gets the same numbers whatever else is on the grid.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 
 from .distributions import ParentDistribution
 from .entropy_kl import KlDecomposition, kl_decompose
+from .special import _check_integer
 
 __all__ = [
     "RateFit",
@@ -155,7 +155,6 @@ class ExperimentReport:
     n_grid: list[int]
     decompositions: list[KlDecomposition]
     rate_fit: RateFit | None
-    seed: int = 0
     tol: float = 1e-9
     wall_time: float = 0.0
     #: integrand nodes, integrand calls and refinement levels of the sweep's
@@ -174,7 +173,6 @@ class ExperimentReport:
             "n_grid": list(self.n_grid),
             "decompositions": [d.to_dict() for d in self.decompositions],
             "rate_fit": self.rate_fit.to_dict() if self.rate_fit else None,
-            "seed": self.seed,
             "tol": self.tol,
             "wall_time": self.wall_time,
             "quadrature_cost": dict(self.quadrature_cost),
@@ -217,38 +215,32 @@ def rate_sweep(
     n_grid,
     *,
     tol: float = 1e-9,
-    method: str = "quadrature",
-    budget: int = 100_000,
-    seed: int = 0,
 ) -> ExperimentReport:
     """KL decomposition across an n grid plus a decay-rate fit on the totals.
 
-    One ``kl_decompose`` call covers the grid, point n with seed
-    ``seed + n``, so each row equals ``kl_decompose(parent, n, p,
-    seed=seed + n)`` alone.  Divergent points are recorded per n and
-    excluded from the fit; when any point diverges the fit carries that flag
-    via the report.
+    One ``kl_decompose`` call covers the grid, so each row equals
+    ``kl_decompose(parent, n, p, tol=tol)`` alone.  Divergent points are
+    recorded per n and excluded from the fit; when any point diverges the fit
+    carries that flag via the report.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [_check_integer(n, "n") for n in n_grid]
     if n_grid != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
         raise ValueError("n_grid must be strictly increasing")
     if n_grid[0] < 10:
         raise ValueError("n_grid minimum must be >= 10")
     t0 = time.monotonic()
-    decomps = kl_decompose(parent, n_grid, p, method=method, budget=budget,
-                           seed=[seed + n for n in n_grid], tol=tol)
+    decomps = kl_decompose(parent, n_grid, p, tol=tol)
 
     finite_totals = [d.total_decomposed for d in decomps]
     fit = fit_rate(n_grid, finite_totals)
     wall = time.monotonic() - t0
     return ExperimentReport(
-        experiment_id=f"rate_sweep:{parent.spec_string()}:p={p:g}:seed={seed}",
+        experiment_id=f"rate_sweep:{parent.spec_string()}:p={p:g}",
         parent_spec=parent.spec_string(),
         p=p,
         n_grid=n_grid,
         decompositions=decomps,
         rate_fit=fit,
-        seed=seed,
         tol=tol,
         wall_time=wall,
         quadrature_cost=decomps.cost,

@@ -32,24 +32,10 @@ __all__ = [
     "quantile_envelope",
 ]
 
-_ROUNDINGS = ("half-up", "floor", "ceil")
-
-
-def round_rank(n: int, p: float, rounding: str = "half-up") -> int:
-    """Map the central fraction p to an integer rank in [1, n].
-
-    Ties at .5 round up under the default policy; the choice is exposed
-    because the asymptotics only require k/n -> p.
-    """
-    if rounding == "half-up":
-        k = math.floor(n * p + 0.5)
-    elif rounding == "floor":
-        k = math.floor(n * p)
-    elif rounding == "ceil":
-        k = math.ceil(n * p)
-    else:
-        raise ValueError(f"rounding must be one of {_ROUNDINGS}, got {rounding!r}")
-    return min(max(k, 1), n)
+def round_rank(n: int, p: float) -> int:
+    """Map the central fraction p to an integer rank in [1, n]: n p rounded
+    half-up, then clamped."""
+    return min(max(math.floor(n * p + 0.5), 1), n)
 
 
 @dataclass(frozen=True)
@@ -71,10 +57,10 @@ class OrderStatSpec:
             raise ValueError("p must lie in (0, 1)")
 
     @classmethod
-    def from_fraction(cls, n: int, p: float, rounding: str = "half-up") -> "OrderStatSpec":
+    def from_fraction(cls, n: int, p: float) -> "OrderStatSpec":
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        return cls(n=n, k=round_rank(n, p, rounding), p=p)
+        return cls(n=n, k=round_rank(n, p), p=p)
 
     @property
     def realized_fraction(self) -> float:

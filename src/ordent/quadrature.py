@@ -36,7 +36,7 @@ import numpy as np
 
 from .special import _direct, _direct_constant, beta_log_densities
 
-__all__ = ["QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
+__all__ = ["NotConvergedError", "QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
 MAX_DEPTH = 60
 MAX_PANELS = 8192  # the panel budget of each problem
@@ -62,6 +62,10 @@ _BULK_SCALES = np.array([-1.0, 1.0, -2.0, 2.0, -4.0, 4.0, -8.0, 8.0, -16.0, 16.0
                          -32.0, 32.0, -64.0, 64.0, 0.0])
 
 
+class NotConvergedError(ArithmeticError):
+    """Raised by ``QuadResult.check`` for an integral that did not converge."""
+
+
 @dataclass
 class QuadResult:
     """Outcome of one adaptive integral, or of one sample mean
@@ -78,7 +82,7 @@ class QuadResult:
     def check(self) -> float:
         """Return the value, raising if the integral did not converge."""
         if not self.converged:
-            raise ArithmeticError(f"integral did not converge: {self.message}")
+            raise NotConvergedError(f"integral did not converge: {self.message}")
         return self.value
 
 

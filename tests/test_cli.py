@@ -138,6 +138,15 @@ class TestBoundCheck:
         code = cli_main(["bound-check", "--which", "mse", "--n", "100"])
         assert code == EXIT_USAGE
 
+    def test_unconverged_moment_is_an_error(self, capsys):
+        # the analytic side needs the Cauchy E|X|^0.99, which abs_moment cannot resolve
+        code = cli_main(["bound-check", "--which", "mse", "--parent", "cauchy()",
+                         "--n", "100", "--p", "0.5", "--r", "0.99"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: integral did not converge: ")
+
 
 class TestSample:
     def test_stream_shape_and_determinism(self, capsys):

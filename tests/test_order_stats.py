@@ -26,17 +26,13 @@ ALL_PARENTS = SMOOTH_PARENTS + [Cauchy(), F1(), F2()]
 
 
 class TestSpecConstruction:
-    def test_rounding_policies(self):
-        assert round_rank(10, 0.25) == 3          # 2.5 rounds half-up
-        assert round_rank(10, 0.25, "floor") == 2
-        assert round_rank(10, 0.25, "ceil") == 3
-        assert round_rank(10, 0.01) == 1          # clamped to 1
-        assert round_rank(10, 0.999) == 10
-
     def test_from_fraction_records_both(self):
         spec = OrderStatSpec.from_fraction(100, 0.3)
         assert spec.k == 30 and spec.p == 0.3
         assert spec.realized_fraction == 0.3
+        assert OrderStatSpec.from_fraction(10, 0.25).k == round_rank(10, 0.25) == 3  # 2.5 rounds half-up
+        assert round_rank(10, 0.01) == 1          # clamped to 1
+        assert round_rank(10, 0.999) == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,8 +48,6 @@ class TestSpecConstruction:
             with pytest.raises(ValueError):
                 OrderStatSpec(n=n, k=k)
         assert OrderStatSpec(n=np.int64(10), k=3).beta_law.beta == 8.0
-        with pytest.raises(ValueError):
-            round_rank(10, 0.5, "stochastic")
 
 
 class TestOrderStatPdf:

@@ -24,12 +24,13 @@ ps = st.floats(min_value=0.05, max_value=0.95)
 @PROPERTY_SETTINGS
 @given(family=st.sampled_from(["gaussian", "uniform"]), n=ns, p=ps)
 def test_k2_reflection_symmetric_parents(family, n, p):
-    # ceil rounding maps (p, 1-p) to the mirrored ranks k and n+1-k whenever
-    # n p is not an integer; U_(n+1-k) = 1 - U_(k) in law, and F^{-1} is odd
-    # about the median, so k2 agrees on both sides
+    # half-up rounding maps a half-integer n p = k - 1/2 and n (1-p) to the
+    # mirrored ranks k and n+1-k; U_(n+1-k) = 1 - U_(k) in law, and F^{-1} is
+    # odd about the median, so k2 agrees on both sides
     parent = make_parent(family)
-    a = kl_decompose(parent, n, p, rounding="ceil")
-    b = kl_decompose(parent, n, 1.0 - p, rounding="ceil")
+    p = (math.floor(n * p) + 0.5) / n
+    a = kl_decompose(parent, n, p)
+    b = kl_decompose(parent, n, 1.0 - p)
     assume(a.k + b.k == n + 1)
     slack = a.quad_error + b.quad_error + 1e-12 * (1.0 + abs(a.k2))
     assert abs(a.k2 - b.k2) <= slack
