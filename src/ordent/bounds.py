@@ -182,7 +182,7 @@ def quantile_mse_bound(
     g1 = 1.0 / math.exp(ref.log_f_p)
     mu = ref.mu_p
 
-    params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
+    params = {"parent": parent.spec_string(), "n": spec.n, "p": p, "k": k,
               "epsilon": eps, "r": r}
 
     # the raw E[(F^{-1}(U) - F^{-1}(p))^2], with the k2 term's flag and message
@@ -256,7 +256,7 @@ def k3_bound(
     norm = parent.norm_m(norm_order)
 
     empirical, stderr, _, quad_message = _term_detail("k3", res["k3"], ref)
-    params = {"parent": parent.spec_string(), "n": n, "p": p, "k": k,
+    params = {"parent": parent.spec_string(), "n": spec.n, "p": p, "k": k,
               "epsilon": eps, "q": q, "norm_order": norm_order}
 
     analytic = math.inf

@@ -433,8 +433,11 @@ class Cauchy(ParentDistribution):
         return (x - self.loc) / self.scale
 
     def _pdf(self, x):
+        # where the denominator overflows, |z| + 1 = |z| and this order underflows gradually
         z = self._z(x)
-        return 1.0 / (math.pi * self.scale * (1.0 + z * z))
+        den = math.pi * self.scale * (1.0 + z * z)
+        a = np.abs(z) + 1.0
+        return np.where(np.isinf(den), 1.0 / (math.pi * self.scale * a) / a, 1.0 / den)
 
     def _log_pdf(self, x):
         # log(1 + z^2) as logaddexp(0, 2 log|z|), which z^2 cannot overflow;
@@ -508,7 +511,8 @@ class F1(ParentDistribution):
 
     def _pdf_derivative(self, x):
         lg = np.log(x)
-        return -2.0 * (lg + 3.0) / (x**2 * lg**4)
+        den = x**2 * lg**4
+        return np.where(np.isinf(den), -2.0 * (lg + 3.0) / (x * lg**4) / x, -2.0 * (lg + 3.0) / den)
 
     def _quantile(self, u):
         with np.errstate(over="ignore"):

@@ -9,16 +9,17 @@ Gaussian splits exactly into three parts:
 * ``k2``: the normalized quantile mean-squared error minus one half;
 * ``k3``: the expected log density ratio along the quantile flow.
 
-``kl_direct`` integrates the same divergence in one piece as a cross-check;
-the identity k1 + k2 + k3 = direct holds to quadrature accuracy whenever all
-parts converge.  Divergence (the heavy-tail parent makes k2 infinite) is a
-reported outcome, not an exception, decided from the parent's declared
-endpoint growth before any quadrature or sampling.
+``kl_direct`` integrates the same divergence in one piece as a cross-check.
+k2, k3 and the direct KL are Beta expectations E[g(U)], one ``_TERMS`` record
+each: its integrand on a node record, its endpoint growth, exact part and
+tolerances.  Divergence (the heavy-tail parent makes k2 infinite) is a
+reported outcome, decided from that growth before any quadrature or sampling.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,85 +150,96 @@ def k1_term(n: int, p: float) -> float:
     return base - uniform_order_stat_entropy_exact(n, k)
 
 
-def _term_tolerances(term: str, tol: float) -> tuple[float, float]:
-    """(tol_abs, tol_rel) of one quadrature term for a caller's ``tol``."""
-    if term == "k2":
+#: Each parent quantity of a node record, from reference arrays ``r`` and problem indices ``i``.
+_NODE = {
+    "dx": lambda parent, u, r, i: np.asarray(parent.quantile(u), dtype=float) - r["mu"][i],
+    "logf": lambda parent, u, r, i: np.asarray(parent.log_pdf_at_quantile(u), dtype=float),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class _Term:
+    """The Beta expectation E[g(U)] behind one reported term."""
+
+    reads: tuple  # what g reads: dx = x - mu, logf = log f(x), logw (a draw has none)
+    column: Callable  # g(q, r, i) on node record q, reference arrays r, problem indices i
+    growth: tuple  # (EndpointGrowth field, power) of each expectation that makes it infinite
+    name: str  # the expectation its divergence message names; "" when another's says why
+    sign: Callable | None  # sign(parent, u): a divergent term takes its sign; None when >= 0
+    exact: Callable  # exact(value, error, ref): the term and its error from the expectation's
+    tols: Callable  # tols(tol): the quadrature's (tol_abs, tol_rel) for a caller's tol
+    view_tol: float  # the tol of the term's single-term view
+
+
+#: k2: the quantile MSE over 2v, minus 1/2; k3: the log density ratio; direct:
+#: the log ratio of the X_(k) density to the Gaussian one in u = F(x).
+_TERMS = {
+    "k2": _Term(
+        reads=("dx",), column=lambda q, r, i: q["dx"] ** 2,
+        growth=(("quantile", 2.0),), name="E[(F^-1(U) - F^-1(p))^2]", sign=None,
+        exact=lambda value, error, ref: (value / (2 * ref.v_np) - 0.5, error / (2 * ref.v_np)),
         # relative only: the quantile MSE scales with the parent
-        return 1e-300, max(tol, 1e-11)
-    return tol, 1e-10
+        tols=lambda tol: (1e-300, max(tol, 1e-11)), view_tol=1e-10),
+    "k3": _Term(
+        reads=("logf",), column=lambda q, r, i: q["logf"],
+        growth=(("log_pdf", 1.0),), name="E[log f(F^-1(U))]", view_tol=1e-10,
+        sign=lambda parent, u: parent.log_pdf_at_quantile(u), tols=lambda tol: (tol, 1e-10),
+        exact=lambda value, error, ref: (value - ref.log_f_p, error)),
+    "direct": _Term(
+        reads=("dx", "logf", "logw"), view_tol=1e-9,
+        column=lambda q, r, i: (q["logw"] + q["logf"] + r["log_norm"][i]
+                                + q["dx"] ** 2 / r["two_v"][i]),
+        growth=(("quantile", 2.0), ("log_pdf", 1.0)), name="", sign=None,
+        exact=lambda value, error, ref: (value, error), tols=lambda tol: (tol, 1e-10)),
+}
 
 
-#: The expectation behind k2 and k3 as (``EndpointGrowth`` field, power, name).
-_TERM_EXPECTATION = {"k2": ("quantile", 2.0, "E[(F^-1(U) - F^-1(p))^2]"),
-                     "k3": ("log_pdf", 1.0, "E[log f(F^-1(U))]")}
-
-
-def _term_divergence(term: str, parent: ParentDistribution, law) -> tuple[float, str] | None:
-    """(infinite value, message) when the expectation behind a term is
-    infinite under ``law``, from the parent's endpoint growth, else None.
-
-    A divergent k3 has the sign of log f(F^{-1}(u)) at its diverging end
-    (the lower one if both diverge); the nonnegative direct KL is +inf with
-    k2 or k3, whose message says why.
-    """
-    if term == "direct":
-        hit = _term_divergence("k2", parent, law) or _term_divergence("k3", parent, law)
-        return None if hit is None else (math.inf, "")
-    field, power, name = _TERM_EXPECTATION[term]
-    a0, a1 = getattr(parent.growth, field)
-    if power_moment_finite((a0, a1), power, law.alpha, law.beta):
-        return None
-    value = math.inf
-    if term == "k3":
-        lower = not power_moment_finite((a0, 0.0), power, law.alpha, law.beta)
-        end = PROB_CLAMP if lower else 1.0 - PROB_CLAMP
-        value = math.copysign(value, float(parent.log_pdf_at_quantile(end)))
-    return value, f"{name} is infinite under Beta({law.alpha:g}, {law.beta:g})"
+def _term_divergence(term: str, parent: ParentDistribution, law) -> QuadResult | None:
+    """The diverged result of a term that is infinite under ``law``, from the
+    parent's endpoint growth, else None; a signed term takes its sign at the
+    diverging end, the lower one if both diverge."""
+    rec = _TERMS[term]
+    for field, power in rec.growth:
+        a0, a1 = getattr(parent.growth, field)
+        if power_moment_finite((a0, a1), power, law.alpha, law.beta):
+            continue
+        value = math.inf
+        if rec.sign is not None:
+            lower = not power_moment_finite((a0, 0.0), power, law.alpha, law.beta)
+            end = PROB_CLAMP if lower else 1.0 - PROB_CLAMP
+            value = math.copysign(value, float(rec.sign(parent, end)))
+        message = rec.name and f"{rec.name} is infinite under Beta({law.alpha:g}, {law.beta:g})"
+        return QuadResult(value, math.inf, 0, diverged=True, converged=False, message=message)
+    return None
 
 
 def _term_columns(parent: ParentDistribution, refs, terms: tuple[str, ...]):
     """The integrand ``columns(u, logw=None, problem=0)`` of ``terms``, one
     row per term, for a batch whose problem i has the reference ``refs[i]``.
-
-    ``k2``: (F^{-1}(u) - mu)^2; ``k3``: log f(F^{-1}(u)); ``direct``: the log
-    ratio of the X_(k) density to the Gaussian one in u = F(x) coordinates,
-    with the log Beta density ``logw`` that weights the quadrature node;
-    ``problem`` is each node's problem index.  Each call makes at most one
-    ``quantile`` and one ``log_pdf_at_quantile`` call.
-    """
-    mu = np.array([ref.mu_p for ref in refs])
-    two_v = np.array([2.0 * ref.v_np for ref in refs])
-    log_norm = np.array([0.5 * math.log(2.0 * math.pi * ref.v_np) for ref in refs])
+    Each call builds one node record, with one parent call per quantity read."""
+    r = {"mu": np.array([ref.mu_p for ref in refs]),
+         "two_v": np.array([2.0 * ref.v_np for ref in refs]),
+         "log_norm": np.array([0.5 * math.log(2.0 * math.pi * ref.v_np) for ref in refs])}
+    records = [_TERMS[t] for t in terms]
+    reads = [name for name in _NODE if any(name in rec.reads for rec in records)]
 
     def columns(u, logw=None, problem=0):
-        col = {}
-        if "k2" in terms or "direct" in terms:
-            col["k2"] = (np.asarray(parent.quantile(u), dtype=float) - mu[problem]) ** 2
-        if "k3" in terms or "direct" in terms:
-            col["k3"] = np.asarray(parent.log_pdf_at_quantile(u), dtype=float)
-        if "direct" in terms:
-            col["direct"] = logw + col["k3"] + log_norm[problem] + col["k2"] / two_v[problem]
-        return np.stack([col[t] for t in terms])
+        q = {name: _NODE[name](parent, u, r, problem) for name in reads}
+        q["logw"] = logw
+        return np.stack([rec.column(q, r, problem) for rec in records])
 
     return columns
 
 
 def _term_detail(term: str, res: QuadResult, ref: GaussianReference) -> tuple:
-    """(value, error, diverged, message) of one term from either estimator's result.
-
-    A finite value from an unconverged integral is kept, and the message
-    says so.  A diverged k2 or direct KL is +inf (both are nonnegative); a
-    diverged k3 keeps the result's value, NaN after a non-finite node.
-    """
+    """(value, error, diverged, message) of one term from either estimator's
+    result.  An unconverged value is kept, and the message says so; a diverged
+    term is +inf, or if signed the result's value, NaN after a non-finite node."""
+    rec = _TERMS[term]
     if res.diverged:
-        return res.value if term == "k3" else math.inf, math.inf, True, res.message
+        return res.value if rec.sign is not None else math.inf, math.inf, True, res.message
     message = "" if res.converged else f"{term} did not converge: {res.message}"
-    if term == "k2":
-        scale = 2.0 * ref.v_np
-        return res.value / scale - 0.5, res.error / scale, False, message
-    if term == "k3":
-        return res.value - ref.log_f_p, res.error, False, message
-    return res.value, res.error, False, message
+    return (*rec.exact(res.value, res.error, ref), False, message)
 
 
 def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
@@ -238,24 +250,17 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
     integrand nodes, integrand calls and refinement levels).
 
     By quadrature, every point's terms are one batched multi-column pass.
-    By Monte Carlo, each point's k2 and k3 are the mean over one
-    ``budget``-draw sample from (``seed``, stream 1) that both share,
-    and the direct KL is integrated.  An expectation that
-    ``_term_divergence`` finds infinite is neither integrated nor sampled:
-    its result is diverged, with that infinity and message.  A column that
-    only other points need is integrated to an infinite tolerance and
-    dropped.
+    By Monte Carlo, each point's sampled terms are the mean over one
+    ``budget``-draw sample from (``seed``, stream 1) that they share, and
+    the others are integrated.  A term ``_term_divergence`` finds infinite is
+    neither integrated nor sampled.  A column that only other points need is
+    integrated to an infinite tolerance and dropped.
     """
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
-    results = [{} for _ in laws]
-    for res, law in zip(results, laws):
-        for t in terms:
-            hit = _term_divergence(t, parent, law)
-            if hit:
-                res[t] = QuadResult(hit[0], math.inf, 0, diverged=True, converged=False,
-                                    message=hit[1])
-    sampled = tuple(t for t in terms if t != "direct" and method == "monte_carlo")
+    results = [{t: hit for t in terms if (hit := _term_divergence(t, parent, law))}
+               for law in laws]
+    sampled = tuple(t for t in terms if "logw" not in _TERMS[t].reads and method == "monte_carlo")
     for res, law, ref in zip(results, laws, refs):
         todo = tuple(t for t in sampled if t not in res)
         if todo:
@@ -265,7 +270,7 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
     cost = {"nodes": 0, "integrand_calls": 0, "levels": 0}
     if points:
         integrated = tuple(t for t in terms if any(t not in results[i] for i in points))
-        tols = [[_term_tolerances(t, tol) if t not in results[i] else (math.inf, 0.0)
+        tols = [[_TERMS[t].tols(tol) if t not in results[i] else (math.inf, 0.0)
                  for t in integrated] for i in points]
         batch = beta_expectation(_term_columns(parent, [refs[i] for i in points], integrated),
                                  [laws[i].alpha for i in points], [laws[i].beta for i in points],
@@ -282,6 +287,7 @@ def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0,
                seed=0) -> tuple[list, list, list, dict]:
     """(specs, refs, results, cost) at each n of ``ns``: the order statistic,
     the Gaussian reference and ``_term_results`` of every point, in one batch."""
+    ns = [special._check_integer(n, "n") for n in ns]
     specs = [OrderStatSpec.from_fraction(n, p) for n in ns]
     refs = _references(parent, ns, p)
     results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs, tol,
@@ -289,16 +295,11 @@ def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0,
     return specs, refs, results, cost
 
 
-#: The ``tol`` of each single-term view: the direct KL's is ``kl_decompose``'s
-#: default, k2's and k3's a tighter one.
-_VIEW_TOL = {"k2": 1e-10, "k3": 1e-10, "direct": 1e-9}
-
-
 def _term_at(term, parent, n, p) -> tuple:
     """``_term_detail`` of one term at (n, p) alone, by quadrature: the value
     ``kl_decompose`` reports for it, with its error, divergence flag and
     message."""
-    _, (ref,), (res,), _ = _term_grid((term,), parent, [n], p, _VIEW_TOL[term])
+    _, (ref,), (res,), _ = _term_grid((term,), parent, [n], p, _TERMS[term].view_tol)
     return _term_detail(term, res[term], ref)
 
 
@@ -402,26 +403,20 @@ def kl_decompose(
     quadrature pass, whose cost the list reports.
     """
     single = np.ndim(n) == 0
-    ns = [special._check_integer(m, "n") for m in ([n] if single else n)]
+    ns = [n] if single else list(n)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n must be an int or a nonempty increasing sequence")
-    specs, refs, results, cost = _term_grid(("k2", "k3", "direct"), parent, ns, p, tol, method,
+    specs, refs, results, cost = _term_grid(tuple(_TERMS), parent, ns, p, tol, method,
                                             budget, seed)
-    out = [_decomposition(spec, ref, res) for spec, ref, res in zip(specs, refs, results)]
+    out = []
+    for spec, ref, res in zip(specs, refs, results):
+        details = [_term_detail(t, res[t], ref) for t in _TERMS]
+        (k2, k2_err, k2_div, _), (k3, k3_err, k3_div, _), (direct, err, direct_div, _) = details
+        diverged = k2_div or k3_div
+        # a diverged k2 or k3 carries an infinite error, and so does quad_error
+        out.append(KlDecomposition(
+            n=spec.n, p=float(ref.p), k=spec.k, k1=k1_term(spec.n, ref.p), k2=k2, k3=k3,
+            total_direct=math.inf if diverged else direct,
+            quad_error=k2_err + k3_err + (0.0 if direct_div else err),
+            diverged=diverged, message="; ".join(d[3] for d in details if d[3])))
     return out[0] if single else KlDecompositions(out, cost)
-
-
-def _decomposition(spec: OrderStatSpec, ref: GaussianReference, results: dict) -> KlDecomposition:
-    """The ``KlDecomposition`` of one point from its term results."""
-    k2, k2_err, k2_div, k2_msg = _term_detail("k2", results["k2"], ref)
-    k3, k3_err, k3_div, k3_msg = _term_detail("k3", results["k3"], ref)
-    direct, direct_err, direct_div, direct_msg = _term_detail("direct", results["direct"], ref)
-    diverged = k2_div or k3_div
-    # a diverged k2 or k3 carries an infinite error, and so does quad_error
-    return KlDecomposition(
-        n=spec.n, p=float(ref.p), k=spec.k,
-        k1=k1_term(spec.n, ref.p), k2=k2, k3=k3,
-        total_direct=math.inf if diverged else direct,
-        quad_error=k2_err + k3_err + (0.0 if direct_div else direct_err),
-        diverged=diverged, message="; ".join(m for m in (k2_msg, k3_msg, direct_msg) if m),
-    )

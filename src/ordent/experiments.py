@@ -21,7 +21,6 @@ import numpy as np
 
 from .distributions import ParentDistribution
 from .entropy_kl import KlDecomposition, kl_decompose
-from .special import _check_integer
 
 __all__ = [
     "RateFit",
@@ -223,13 +222,13 @@ def rate_sweep(
     recorded per n and excluded from the fit; when any point diverges the fit
     carries that flag via the report.
     """
-    n_grid = [_check_integer(n, "n") for n in n_grid]
-    if n_grid != sorted(n_grid) or len(set(n_grid)) != len(n_grid):
-        raise ValueError("n_grid must be strictly increasing")
-    if n_grid[0] < 10:
+    n_grid = list(n_grid)
+    if min(n_grid, default=0) < 10:
         raise ValueError("n_grid minimum must be >= 10")
     t0 = time.monotonic()
+    # kl_decompose checks that the grid is whole and strictly increasing
     decomps = kl_decompose(parent, n_grid, p, tol=tol)
+    n_grid = [d.n for d in decomps]
 
     finite_totals = [d.total_decomposed for d in decomps]
     fit = fit_rate(n_grid, finite_totals)

@@ -225,6 +225,17 @@ class TestHugeArguments:
             np.testing.assert_array_equal(f(xs), [f(float(x)) for x in xs])
 
 
+@pytest.mark.parametrize("parent, method, x", [
+    (Cauchy(), "pdf", 1e155), (Cauchy(), "pdf", -1e155), (Cauchy(scale=1e-10), "pdf", 1e150),
+    (Cauchy(), "pdf_derivative", 1e103), (F1(), "pdf_derivative", 1.4e154)], ids=str)
+def test_subnormal_values_underflow_gradually(parent, method, x):
+    # the true values are subnormal, not 0: within a few subnormal spacings of mpmath
+    with mp.workdps(50):
+        want = float(_mp_formulas(parent)[TestHugeArguments.METHODS.index(method)](mp.mpf(x)))
+    assert 0.0 < abs(want) < np.finfo(float).tiny
+    assert abs(getattr(parent, method)(x) - want) <= 2 * math.ulp(0.0)
+
+
 class TestPdfDerivative:
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
     def test_matches_central_differences(self, parent):

@@ -5,6 +5,7 @@ the uniform parent, the digamma closed form for the unbounded-density parent,
 and the exact-vs-direct identity that must hold to quadrature accuracy.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -14,7 +15,19 @@ from scipy.integrate import quad
 from scipy.special import betaincinv, gammaln
 
 import ordent.distributions
-from ordent.distributions import F1, F2, BetaLaw, Cauchy, Exponential, Gaussian, Uniform, beta_sample
+import ordent.entropy_kl
+from ordent.bounds import k3_bound, quantile_mse_bound
+from ordent.distributions import (
+    F1,
+    F2,
+    BetaLaw,
+    Cauchy,
+    Exponential,
+    Gaussian,
+    ParentDistribution,
+    Uniform,
+    beta_sample,
+)
 from ordent.entropy_kl import (
     ConditionViolation,
     entropy_expansion_linear_coefficient,
@@ -27,6 +40,7 @@ from ordent.entropy_kl import (
     uniform_order_stat_entropy_exact,
     uniform_order_stat_entropy_expansion,
 )
+from ordent.order_stats import round_rank
 
 
 def beta_entropy_quadrature(n, k, epsabs=1e-12):
@@ -249,6 +263,113 @@ class TestK3:
         assert abs(mc_val - quad_val) <= 1e-2
 
 
+def _mp_beta_expectation(g, a, b):
+    """E[g(U)] for U ~ Beta(a, b) by mpmath's tanh-sinh, with breakpoints at
+    the mean and at mean +- s sd for s = 1, 2, 4, ..., 32."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    mean, sd = a / (a + b), mp.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+    log_norm = mp.log(mp.beta(a, b))
+    pts = sorted({mp.mpf(0), mean, mp.mpf(1)}
+                 | {x for s in (1, 2, 4, 8, 16, 32) for x in (mean - s * sd, mean + s * sd)
+                    if 0 < x < 1})
+    return mp.quad(lambda u: mp.exp((a - 1) * mp.log(u) + (b - 1) * mp.log1p(-u) - log_norm)
+                   * g(u), pts)
+
+
+class TestMpmathOracle:
+    """k2 and k3 of the three parents without a closed form, against Beta
+    expectations of the quantile and log density formulas in mpmath.  The
+    k1 + k2 + k3 = direct identity cannot see a wrong column: the direct
+    column is built from the same node values as k2's and k3's."""
+
+    # (quantile, log density) in mpmath; the gaussian's erfinv is
+    # slow, so its nodes are cached across the k2 and k3 integrals
+    FORMULAS = {
+        "gaussian": lambda: (functools.cache(lambda u: mp.sqrt(2) * mp.erfinv(2 * u - 1)),
+                             lambda q: -q ** 2 / 2 - mp.log(2 * mp.pi) / 2),
+        "cauchy": lambda: (lambda u: -mp.cot(mp.pi * u),
+                           lambda q: -mp.log(mp.pi * (1 + q ** 2))),
+        "f2": lambda: (lambda u: mp.exp(-1 / u), lambda q: -mp.log(q * mp.log(q) ** 2)),
+    }
+
+    # Cauchy at both points has Beta parameters > 2, where its k2 is finite
+    @pytest.mark.parametrize("family, n, p", [
+        ("gaussian", 200, 0.3), ("gaussian", 10_000, 0.9), ("cauchy", 20, 0.15),
+        ("cauchy", 1_000, 0.5), ("f2", 200, 0.3), ("f2", 5_000, 0.9)])
+    def test_k2_and_k3(self, family, n, p):
+        parent = ordent.distributions.make_parent(family)
+        k = round_rank(n, p)
+        quantile, log_f = self.FORMULAS[family]()
+        with mp.workdps(20):
+            pp = mp.mpf(p)
+            mu, log_f_p = quantile(pp), log_f(quantile(pp))
+            v = pp * (1 - pp) / (n * mp.exp(2 * log_f_p))
+            mse = _mp_beta_expectation(lambda u: (quantile(u) - mu) ** 2, k, n + 1 - k)
+            k2 = float(mse / (2 * v) - mp.mpf(1) / 2)
+            k3 = float(_mp_beta_expectation(lambda u: log_f(quantile(u)), k, n + 1 - k) - log_f_p)
+        assert abs(k2_term(parent, n, p) - k2) <= 1e-10
+        assert abs(k3_term(parent, n, p) - k3) <= 1e-10
+
+
+class TestParentCalls:
+    """One node record per integrand call: each parent quantity is computed
+    once per call, and only when a requested term reads it."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Count node-array parent calls inside the quadrature's integrand
+        calls, and list the calls made outside them as (method, ndim)."""
+        log = {"integrand_calls": 0, "quantile": 0, "log_pdf_at_quantile": 0, "outside": []}
+        inside = []
+        real = ordent.entropy_kl.beta_expectation
+
+        def expectation(g, *args, **kwargs):
+            def counted(*a):
+                log["integrand_calls"] += 1
+                inside.append(True)
+                try:
+                    return g(*a)
+                finally:
+                    inside.pop()
+
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(ordent.entropy_kl, "beta_expectation", expectation)
+        for name in ("quantile", "log_pdf_at_quantile"):
+            def method(self, u, _real=getattr(ParentDistribution, name), _name=name):
+                if inside:
+                    log[_name] += 1
+                else:
+                    log["outside"].append((_name, np.ndim(u)))
+                return _real(self, u)
+
+            monkeypatch.setattr(ParentDistribution, name, method)
+        return log
+
+    REFERENCE = [("quantile", 0), ("log_pdf_at_quantile", 0)]  # the scalar calls at p
+
+    def test_k2_reads_no_log_density(self, monkeypatch):
+        log = self._count(monkeypatch)
+        k2_term(Gaussian(), 200, 0.3)
+        assert log["quantile"] == log["integrand_calls"] > 0
+        assert log["log_pdf_at_quantile"] == 0 and log["outside"] == self.REFERENCE
+
+    @pytest.mark.parametrize("view", [k3_term, k3_bound], ids=lambda f: f.__name__)
+    def test_k3_reads_no_quantile(self, monkeypatch, view):
+        log = self._count(monkeypatch)
+        view(Gaussian(), 200, 0.3)
+        assert log["log_pdf_at_quantile"] == log["integrand_calls"] > 0
+        assert log["quantile"] == 0
+        # k3_bound's density-ratio grid calls the quantile outside the quadrature
+        assert log["outside"][:2] == self.REFERENCE
+
+    def test_direct_reads_each_once(self, monkeypatch):
+        log = self._count(monkeypatch)
+        kl_direct(Gaussian(), 200, 0.3)
+        assert log["quantile"] == log["log_pdf_at_quantile"] == log["integrand_calls"] > 0
+        assert log["outside"] == self.REFERENCE
+
+
 class TestKlDirect:
     def test_single_uniform_vs_one_dim_oracle(self):
         # U vs N(1/2, 1/4): D = -h(U) + cross entropy, one-dimensional quad
@@ -286,6 +407,14 @@ class TestDecomposition:
         for n in (100.7, [100, 200.5]):
             with pytest.raises(ValueError, match="must be an integer"):
                 kl_decompose(Gaussian(), n, 0.3)
+
+    @pytest.mark.parametrize("view", [k2_term, k3_term, kl_direct, quantile_mse_bound, k3_bound],
+                             ids=lambda f: f.__name__)
+    def test_whole_float_n_is_an_integer(self, view):
+        # every (n, p) spec takes n through one integer rule, as kl_decompose does
+        assert repr(view(Gaussian(), 100.0, 0.3)) == repr(view(Gaussian(), 100, 0.3))
+        with pytest.raises(ValueError, match="must be an integer"):
+            view(Gaussian(), 100.5, 0.3)
 
     def test_uniform_total_is_k1_plus_k2(self):
         d = kl_decompose(Uniform(), 100, 0.5)
