@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
-from .entropy_kl import _term_detail, _term_grid
+from .entropy_kl import _TERMS, _term_detail, _term_grid
 from .experiments import fit_rate
-from .order_stats import moment_bound_constant
+from .order_stats import OrderStatSpec, moment_bound_constant
 from .reports import BoundReport
-from .special import _check_integer, log_beta_remainder
+from .special import _check_fraction, log_beta_remainder
 
 __all__ = [
     "EpsilonWindow",
@@ -50,9 +50,6 @@ __all__ = [
 #: at most this: no growth trend beyond fit noise
 SLOPE_SLACK = 0.1
 
-#: The quadrature ``tol`` of the term each verifier checks
-QUAD_TOL = 1e-10
-
 
 def default_epsilon(p: float) -> float:
     """min(p, 1-p)/2.
@@ -60,6 +57,7 @@ def default_epsilon(p: float) -> float:
     Inside both windows once n >= 18 for p in [0.1, 0.9] and q in [1, 10]
     (the binding corner is small n with p near an edge and large q).
     """
+    _check_fraction(p)
     return min(p, 1.0 - p) / 2.0
 
 
@@ -69,12 +67,15 @@ class EpsilonWindow:
 
     The tail-bound mode needs p/(n+1) < epsilon < p.  The log-ratio mode
     (used by the k3 bound, with Holder exponent q) additionally needs
-    epsilon > |(q-2)p - q + 1| / (q(n-1) + 2).
+    epsilon > |(q-2)p - q + 1| / (q(n-1) + 2).  n and p must pass ``OrderStatSpec``.
     """
 
     p: float
     n: int
     epsilon: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", OrderStatSpec.from_fraction(self.n, self.p).n)
 
     @classmethod
     def default(cls, p: float, n: int) -> "EpsilonWindow":
@@ -103,9 +104,8 @@ class EpsilonWindow:
 
 def _as_window(n: int, p: float, epsilon: float | None) -> EpsilonWindow:
     """The bound's window at (n, p); ``epsilon`` is a number or None."""
-    if epsilon is None:
-        return EpsilonWindow.default(p, n)
-    return EpsilonWindow(p=p, n=n, epsilon=float(epsilon))
+    eps = default_epsilon(p) if epsilon is None else float(epsilon)
+    return EpsilonWindow(p=p, n=n, epsilon=eps)
 
 
 def _joined(*messages: str) -> str:
@@ -117,7 +117,7 @@ def beta_tail_bound(n: int, p: float, epsilon: float | None = None) -> float:
     """Upper bound 2 exp(-2 (n+2) (eps - p/(n+1))^2) on P(|U_(np) - p| > eps)."""
     win = _as_window(n, p, epsilon)
     win.validate_tail_mode()
-    return 2.0 * math.exp(-2.0 * (n + 2.0) * (win.epsilon - p / (n + 1.0)) ** 2)
+    return 2.0 * math.exp(-2.0 * (win.n + 2.0) * (win.epsilon - p / (win.n + 1.0)) ** 2)
 
 
 def _grid_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
@@ -177,8 +177,8 @@ def quantile_mse_bound(
     win.validate_tail_mode()
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
-    (spec,), (ref,), (res,), _ = _term_grid(("k2",), parent, [n], p, QUAD_TOL)
-    k, law = spec.k, spec.beta_law
+    (spec,), (ref,), (res,), _ = _term_grid(("k2",), parent, [n], p, _TERMS["k2"].view_tol)
+    n, k, law = spec.n, spec.k, spec.beta_law
     g1 = 1.0 / math.exp(ref.log_f_p)
     mu = ref.mu_p
 
@@ -247,8 +247,8 @@ def k3_bound(
     win.validate_log_mode(q)
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
-    (spec,), (ref,), (res,), _ = _term_grid(("k3",), parent, [n], p, QUAD_TOL)
-    k, law = spec.k, spec.beta_law
+    (spec,), (ref,), (res,), _ = _term_grid(("k3",), parent, [n], p, _TERMS["k3"].view_tol)
+    n, k, law = spec.n, spec.k, spec.beta_law
     log_fp = ref.log_f_p
 
     r = math.inf if q == 1.0 else q / (q - 1.0)
@@ -318,7 +318,7 @@ def corollary1_check(parent: ParentDistribution, p: float, r: float, n_grid) -> 
     ``message`` names each n whose k2 did not converge.  ``r`` is recorded in
     ``params`` and not used by the check.
     """
-    n_grid = [_check_integer(n, "n") for n in n_grid]
+    n_grid = [OrderStatSpec.from_fraction(n, p).n for n in n_grid]
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be increasing with at least 3 points")
     top = [n for n in n_grid if n >= n_grid[-1] / 10.0]
@@ -326,7 +326,7 @@ def corollary1_check(parent: ParentDistribution, p: float, r: float, n_grid) -> 
         raise ValueError(f"n_grid needs at least 2 distinct points in its top decade "
                          f"n >= {n_grid[-1] / 10.0:g}, got {top}")
     values, unconverged = [], []
-    _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, QUAD_TOL)
+    _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, _TERMS["k2"].view_tol)
     for n, ref, res in zip(n_grid, refs, results):
         value, _, diverged, message = _term_detail("k2", res["k2"], ref)
         values.append(value)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import special
 from .distributions import PROB_CLAMP, ParentDistribution, beta_sample_mean, power_moment_finite
-from .order_stats import OrderStatSpec, round_rank
+from .order_stats import OrderStatSpec
 from .quadrature import QuadResult, beta_expectation
 
 __all__ = [
@@ -61,11 +61,8 @@ def uniform_order_stat_entropy_exact(n: int, k: int) -> float:
     The terms grow like n log n while the result stays O(log n); the growing
     parts cancel analytically in ``special.order_stat_entropy``.
     """
-    n = special._check_integer(n, "n")
-    k = special._check_integer(k, "k")
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return special.order_stat_entropy(n, k)
+    spec = OrderStatSpec(n, k)
+    return special.order_stat_entropy(spec.n, spec.k)
 
 
 def entropy_expansion_linear_coefficient(p: float) -> float:
@@ -74,6 +71,7 @@ def entropy_expansion_linear_coefficient(p: float) -> float:
     Exactly zero at p = 1/2, which is why the expansion error is O(1/n^2)
     there relative to the symmetric reference.
     """
+    special._check_fraction(p)
     return (1.0 / p + 1.0 / (1.0 - p) - 4.0) / 6.0
 
 
@@ -88,8 +86,7 @@ def uniform_order_stat_entropy_expansion(n: int, p: float) -> float:
     parameter enters through k - 1; folding it into p would perturb the 1/n
     coefficient by -1/(2np) and destroy the O(1/n^2) residual.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    n = OrderStatSpec.from_fraction(n, p).n
     if n * p < 2.0:
         raise ValueError("expansion requires n*p >= 2")
     base = 0.5 * math.log(2.0 * math.pi * math.e * (p - 1.0 / n) * (1.0 - p) / n)
@@ -120,14 +117,15 @@ class GaussianReference:
 
 
 def gaussian_reference(parent: ParentDistribution, n: int, p: float) -> GaussianReference:
-    return _references(parent, [n], p)[0]
+    """The limiting Gaussian of X_(np), for n and p that pass ``OrderStatSpec``;
+    ``ConditionViolation`` unless f(F^{-1}(p)) is positive and finite."""
+    return _references(parent, [OrderStatSpec.from_fraction(n, p)])[0]
 
 
-def _references(parent: ParentDistribution, ns, p: float) -> list[GaussianReference]:
-    """``gaussian_reference`` at each n of ``ns``, from one evaluation of the
-    parent's quantile and density at p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+def _references(parent: ParentDistribution, specs) -> list[GaussianReference]:
+    """``gaussian_reference`` at each of ``specs``, which share one p, from
+    one evaluation of the parent's quantile and density at p."""
+    p = specs[0].p
     mu = float(parent.quantile(p))
     log_fq = float(parent.log_pdf_at_quantile(p))
     fq = math.exp(log_fq)
@@ -135,8 +133,8 @@ def _references(parent: ParentDistribution, ns, p: float) -> list[GaussianRefere
         raise ConditionViolation(
             f"{parent.spec_string()} has density {fq:g} at its {p:g}-quantile; "
             "the Gaussian limit needs a positive finite density there")
-    return [GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (n * fq * fq), n=int(n), p=float(p),
-                              log_f_p=log_fq) for n in ns]
+    return [GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (spec.n * fq * fq), n=spec.n,
+                              p=float(p), log_f_p=log_fq) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +143,9 @@ def _references(parent: ParentDistribution, ns, p: float) -> list[GaussianRefere
 
 def k1_term(n: int, p: float) -> float:
     """Entropy gap 1/2 log(2 pi e p(1-p)/n) - h(U_(np)); parent-free."""
-    k = round_rank(n, p)
-    base = 0.5 * math.log(2.0 * math.pi * math.e * p * (1.0 - p) / n)
-    return base - uniform_order_stat_entropy_exact(n, k)
+    spec = OrderStatSpec.from_fraction(n, p)
+    base = 0.5 * math.log(2.0 * math.pi * math.e * p * (1.0 - p) / spec.n)
+    return base - special.order_stat_entropy(spec.n, spec.k)
 
 
 #: Each parent quantity of a node record, from reference arrays ``r`` and problem indices ``i``.
@@ -287,9 +285,10 @@ def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0,
                seed=0) -> tuple[list, list, list, dict]:
     """(specs, refs, results, cost) at each n of ``ns``: the order statistic,
     the Gaussian reference and ``_term_results`` of every point, in one batch."""
-    ns = [special._check_integer(n, "n") for n in ns]
     specs = [OrderStatSpec.from_fraction(n, p) for n in ns]
-    refs = _references(parent, ns, p)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    refs = _references(parent, specs)
     results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs, tol,
                                   method, budget, seed)
     return specs, refs, results, cost
@@ -403,7 +402,7 @@ def kl_decompose(
     quadrature pass, whose cost the list reports.
     """
     single = np.ndim(n) == 0
-    ns = [n] if single else list(n)
+    ns = [OrderStatSpec.from_fraction(m, p).n for m in ([n] if single else n)]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n must be an int or a nonempty increasing sequence")
     specs, refs, results, cost = _term_grid(tuple(_TERMS), parent, ns, p, tol, method,

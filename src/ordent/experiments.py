@@ -21,6 +21,8 @@ import numpy as np
 
 from .distributions import ParentDistribution
 from .entropy_kl import KlDecomposition, kl_decompose
+from .order_stats import OrderStatSpec
+from .special import _check_fraction
 
 __all__ = [
     "RateFit",
@@ -222,16 +224,14 @@ def rate_sweep(
     recorded per n and excluded from the fit; when any point diverges the fit
     carries that flag via the report.
     """
-    n_grid = list(n_grid)
+    n_grid = [OrderStatSpec.from_fraction(n, p).n for n in n_grid]
     if min(n_grid, default=0) < 10:
         raise ValueError("n_grid minimum must be >= 10")
     t0 = time.monotonic()
-    # kl_decompose checks that the grid is whole and strictly increasing
+    # kl_decompose checks that the grid is strictly increasing
     decomps = kl_decompose(parent, n_grid, p, tol=tol)
-    n_grid = [d.n for d in decomps]
 
-    finite_totals = [d.total_decomposed for d in decomps]
-    fit = fit_rate(n_grid, finite_totals)
+    fit = fit_rate(n_grid, [d.total_decomposed for d in decomps])
     wall = time.monotonic() - t0
     return ExperimentReport(
         experiment_id=f"rate_sweep:{parent.spec_string()}:p={p:g}",
@@ -285,6 +285,7 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
     p-quantile and a numerically continuous t -> f'(F^{-1}(t)) near p.
     Condition 3: E|X|^r finite.
     """
+    _check_fraction(p)
     norm_finite = parent.norm_m_finite(m)
     moment_finite = parent.abs_moment_finite(r)
 

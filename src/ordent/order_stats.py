@@ -10,7 +10,6 @@ sampling consumes a single Beta variate per draw rather than sorting.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .distributions import (BetaLaw, ParentDistribution, beta_sample, beta_sample_mean,
                             power_moment_finite)
 from .reports import BoundReport
-from .special import beta_log_density, log_gamma_ratio
+from .special import _check_fraction, _check_integer, beta_log_density, log_gamma_ratio
 
 __all__ = [
     "OrderStatSpec",
@@ -40,26 +39,32 @@ def round_rank(n: int, p: float) -> int:
 
 @dataclass(frozen=True)
 class OrderStatSpec:
-    """Which order statistic of a sample of size n is under study."""
+    """X_(k), the k-th smallest of n draws, and the fraction p it stands for.
+
+    The package's one check of n, k and p; every entry point that takes them
+    builds a spec.  n and k are whole numbers, stored as ``int``, with 1 <= k
+    <= n, and p, if given, lies in (0, 1); anything else raises ``ValueError``.
+    """
 
     n: int
     k: int
     p: float | None = None
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.k)):
-            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"k must lie in [1, n], got k={self.k}, n={self.n}")
-        if self.p is not None and not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
+        n, k = _check_integer(self.n, "n"), _check_integer(self.k, "k")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, n], got k={k}, n={n}")
+        if self.p is not None:
+            _check_fraction(self.p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     @classmethod
     def from_fraction(cls, n: int, p: float) -> "OrderStatSpec":
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
+        """The spec of rank ``round_rank(n, p)``, taken once n and p pass."""
+        n = cls(n=n, k=1, p=p).n
         return cls(n=n, k=round_rank(n, p), p=p)
 
     @property
@@ -98,15 +103,11 @@ def order_stat_cdf(parent: ParentDistribution, spec: OrderStatSpec, x):
     return out
 
 
-def sample_order_stat(
-    parent: ParentDistribution,
-    spec: OrderStatSpec,
-    count: int,
-    seed: int,
-    stream: int = 0,
-) -> np.ndarray:
-    """Draw the order statistic as F^{-1} of one Beta variate per draw."""
-    u = beta_sample(spec.beta_law, count, seed, stream)
+def sample_order_stat(parent: ParentDistribution, spec: OrderStatSpec, count: int,
+                      seed: int) -> np.ndarray:
+    """Draw the order statistic as F^{-1} of one Beta variate per draw, from
+    ``seed``'s stream 0: the draws ``verify_moment_bound`` averages."""
+    u = beta_sample(spec.beta_law, count, seed)
     return np.asarray(parent.quantile(u), dtype=float)
 
 
@@ -126,8 +127,10 @@ class MomentBoundConstant:
 
 
 def moment_bound_constant(n: int, k: int, q: float, r: float) -> MomentBoundConstant:
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError("need n >= 1 and 1 <= k <= n")
+    """C_{n,k,q,r} = E[(U (1 - U))^(-q/r)] under Beta(k, n + 1 - k), for n and k
+    that pass ``OrderStatSpec``'s rule and positive q and r."""
+    spec = OrderStatSpec(n, k)
+    n, k = spec.n, spec.k
     if q <= 0 or r <= 0:
         raise ValueError("need q > 0 and r > 0")
     s = q / r
@@ -142,20 +145,13 @@ def moment_bound_constant(n: int, k: int, q: float, r: float) -> MomentBoundCons
     return MomentBoundConstant(n=n, k=k, q=q, r=r, value=value)
 
 
-def verify_moment_bound(
-    parent: ParentDistribution,
-    spec: OrderStatSpec,
-    q: float,
-    r: float,
-    mc_count: int = 100_000,
-    seed: int = 0,
-    stream: int = 0,
-) -> BoundReport:
+def verify_moment_bound(parent: ParentDistribution, spec: OrderStatSpec, q: float, r: float,
+                        mc_count: int = 100_000, seed: int = 0) -> BoundReport:
     """Monte Carlo check of E|X_(k)|^q <= C_{n,k,q,r} (E|X|^r)^{q/r}.
 
-    E|X_(k)|^q is a ``beta_sample_mean`` over ``mc_count`` >= 2 draws; the
-    verdict allows 3 standard errors of slack.  An infinite parent moment or
-    an infinite constant makes the bound vacuous rather than an error.
+    E|X_(k)|^q is the mean of |x|^q over the ``mc_count`` >= 2 draws of
+    ``sample_order_stat(parent, spec, mc_count, seed)``, with 3 standard errors of slack.
+    An infinite parent moment or constant makes the bound vacuous, not an error.
     """
     params = {"n": spec.n, "k": spec.k, "q": q, "r": r,
               "mc_count": mc_count, "seed": seed, "parent": parent.spec_string()}
@@ -168,8 +164,7 @@ def verify_moment_bound(
     else:
         analytic = const.value * parent_moment ** (q / r)
         message = ""
-    res = beta_sample_mean(lambda u: np.abs(parent.quantile(u)) ** q, spec.beta_law,
-                           mc_count, seed, stream)
+    res = beta_sample_mean(lambda u: np.abs(parent.quantile(u)) ** q, spec.beta_law, mc_count, seed)
     return BoundReport(
         bound_name="order_stat_moment",
         analytic_value=analytic,

@@ -436,9 +436,6 @@ def beta_expectation(
     alphas, betas = [float(a) for a in alpha], [float(b) for b in beta]
     if not len(alphas) == len(betas) > 0:
         raise ValueError("a batch needs one alpha and one beta per problem")
-    if not all(0.0 < v < math.inf for v in (*alphas, *betas)):
-        raise ValueError("beta_expectation requires finite alpha, beta > 0")
-
     log_density = beta_log_densities(alphas, betas)
 
     def integrand(u, problem=0):

@@ -59,9 +59,16 @@ def _odd_series(z: float, coef) -> float:
 
 
 def _check_integer(r, name: str) -> int:
-    if r != int(r):
+    """r as an int if it is a whole number, which NaN and +-inf are not; else ``ValueError``."""
+    if not (math.isfinite(r) and r == int(r)):
         raise ValueError(f"{name} must be an integer, got {r!r}")
     return int(r)
+
+
+def _check_fraction(p) -> None:
+    """Raises ``ValueError`` unless p lies strictly inside (0, 1) (NaN does not)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
 
 
 def _harmonic_exact(r: int) -> float:

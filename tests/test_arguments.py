@@ -1,0 +1,138 @@
+"""The argument rule: n and k are whole numbers with 1 <= k <= n, and p lies
+strictly inside (0, 1).  ``OrderStatSpec`` states the rule once; every public
+entry point that takes n, k or p applies it, so they all accept and reject the
+same values with the same messages.  Also the rule for a quadrature ``tol``."""
+
+import math
+import re
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from ordent.bounds import (
+    EpsilonWindow,
+    beta_tail_bound,
+    corollary1_check,
+    default_epsilon,
+    k3_bound,
+    quantile_mse_bound,
+)
+from ordent.cli import EXIT_USAGE, cli_main
+from ordent.distributions import Gaussian
+from ordent.entropy_kl import (
+    entropy_expansion_linear_coefficient,
+    gaussian_reference,
+    k1_term,
+    k2_term,
+    k3_term,
+    kl_decompose,
+    kl_direct,
+    uniform_order_stat_entropy_exact,
+    uniform_order_stat_entropy_expansion,
+)
+from ordent.experiments import condition_check, rate_sweep
+from ordent.order_stats import OrderStatSpec, moment_bound_constant
+
+GAUSS = Gaussian()
+VALID = {"n": 100, "k": 30, "p": 0.3}
+
+
+class Entry(NamedTuple):
+    name: str
+    takes: str  # which of n, k and p it takes
+    call: Callable  # call(n, k, p): a value whose repr shows every number it returns
+
+
+def _grid(n):
+    return [n, 2 * n, 4 * n]
+
+
+ENTRIES = [
+    Entry("OrderStatSpec", "nk", lambda n, k, p: OrderStatSpec(n, k)),
+    Entry("OrderStatSpec.from_fraction", "np", lambda n, k, p: OrderStatSpec.from_fraction(n, p)),
+    Entry("uniform_order_stat_entropy_exact", "nk",
+          lambda n, k, p: uniform_order_stat_entropy_exact(n, k)),
+    Entry("uniform_order_stat_entropy_expansion", "np",
+          lambda n, k, p: uniform_order_stat_entropy_expansion(n, p)),
+    Entry("entropy_expansion_linear_coefficient", "p",
+          lambda n, k, p: entropy_expansion_linear_coefficient(p)),
+    Entry("k1_term", "np", lambda n, k, p: k1_term(n, p)),
+    Entry("gaussian_reference", "np", lambda n, k, p: gaussian_reference(GAUSS, n, p)),
+    Entry("k2_term", "np", lambda n, k, p: k2_term(GAUSS, n, p)),
+    Entry("k3_term", "np", lambda n, k, p: k3_term(GAUSS, n, p)),
+    Entry("kl_direct", "np", lambda n, k, p: kl_direct(GAUSS, n, p)),
+    Entry("kl_decompose", "np", lambda n, k, p: kl_decompose(GAUSS, n, p)),
+    Entry("kl_decompose[grid]", "np", lambda n, k, p: list(kl_decompose(GAUSS, _grid(n), p))),
+    Entry("rate_sweep", "np",
+          lambda n, k, p: [d.to_dict() for d in rate_sweep(GAUSS, p, _grid(n)).decompositions]),
+    Entry("moment_bound_constant", "nk", lambda n, k, p: moment_bound_constant(n, k, 2.0, 2.0)),
+    Entry("EpsilonWindow", "np", lambda n, k, p: EpsilonWindow(p=p, n=n, epsilon=0.1)),
+    Entry("EpsilonWindow.default", "np", lambda n, k, p: EpsilonWindow.default(p, n)),
+    Entry("default_epsilon", "p", lambda n, k, p: default_epsilon(p)),
+    Entry("beta_tail_bound", "np", lambda n, k, p: beta_tail_bound(n, p)),
+    Entry("quantile_mse_bound", "np", lambda n, k, p: quantile_mse_bound(GAUSS, n, p).to_dict()),
+    Entry("k3_bound", "np", lambda n, k, p: k3_bound(GAUSS, n, p).to_dict()),
+    Entry("corollary1_check", "np",
+          lambda n, k, p: corollary1_check(GAUSS, p, 2.0, _grid(n)).to_dict()),
+    Entry("condition_check", "p", lambda n, k, p: condition_check(GAUSS, p).to_dict()),
+]
+
+
+def _cases(args: str) -> list:
+    """(entry, argument) for each entry and each of ``args`` it takes."""
+    return [pytest.param(e, a, id=f"{e.name}-{a}") for e in ENTRIES for a in args if a in e.takes]
+
+
+def _at(entry: Entry, **given):
+    args = {**VALID, **given}
+    return entry.call(args["n"], args["k"], args["p"])
+
+
+@pytest.mark.parametrize("entry,arg", _cases("nk"))
+@pytest.mark.parametrize("whole", [float, np.int64], ids=["float", "int64"])
+def test_whole_values_are_integers(entry, arg, whole):
+    # the repr tells 100 from 100.0 and from np.int64(100): every n and k is stored as an int
+    assert repr(_at(entry, **{arg: whole(VALID[arg])})) == repr(_at(entry))
+
+
+@pytest.mark.parametrize("entry,arg", _cases("nk"))
+@pytest.mark.parametrize("bad", [0.5, math.nan, math.inf, -math.inf],
+                         ids=["fraction", "nan", "inf", "-inf"])
+def test_non_integers_raise(entry, arg, bad):
+    value = VALID[arg] + bad if bad == 0.5 else bad
+    with pytest.raises(ValueError, match="must be an integer"):
+        _at(entry, **{arg: value})
+
+
+@pytest.mark.parametrize("entry,arg", _cases("n"))
+@pytest.mark.parametrize("n", [0, -5])
+def test_n_below_one_raises(entry, arg, n):
+    # never a ZeroDivisionError, a negative variance or a number
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        _at(entry, n=n)
+
+
+@pytest.mark.parametrize("entry,arg", _cases("p"))
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_p_outside_the_unit_interval_raises(entry, arg, p):
+    with pytest.raises(ValueError, match=re.escape("p must lie in (0, 1)")):
+        _at(entry, p=p)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tol, capsys):
+    # a NaN tol would run every column to the panel budget and end "did not converge"
+    match = "tol must be a finite number >= 0"
+    with pytest.raises(ValueError, match=match):
+        kl_decompose(GAUSS, 1000, 0.3, tol=tol)
+    with pytest.raises(ValueError, match=match):
+        rate_sweep(GAUSS, 0.5, [100, 1000], tol=tol)
+    code = cli_main(["kl", "--parent", "gaussian()", "--n", "1000", "--p", "0.3", f"--tol={tol}"])
+    assert code == EXIT_USAGE
+    assert match in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_a_tolerance():
+    d = kl_decompose(GAUSS, 100, 0.3, tol=0.0)
+    assert math.isfinite(d.total_decomposed) and not d.message

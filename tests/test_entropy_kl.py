@@ -16,7 +16,7 @@ from scipy.special import betaincinv, gammaln
 
 import ordent.distributions
 import ordent.entropy_kl
-from ordent.bounds import k3_bound, quantile_mse_bound
+from ordent.bounds import k3_bound
 from ordent.distributions import (
     F1,
     F2,
@@ -407,14 +407,6 @@ class TestDecomposition:
         for n in (100.7, [100, 200.5]):
             with pytest.raises(ValueError, match="must be an integer"):
                 kl_decompose(Gaussian(), n, 0.3)
-
-    @pytest.mark.parametrize("view", [k2_term, k3_term, kl_direct, quantile_mse_bound, k3_bound],
-                             ids=lambda f: f.__name__)
-    def test_whole_float_n_is_an_integer(self, view):
-        # every (n, p) spec takes n through one integer rule, as kl_decompose does
-        assert repr(view(Gaussian(), 100.0, 0.3)) == repr(view(Gaussian(), 100, 0.3))
-        with pytest.raises(ValueError, match="must be an integer"):
-            view(Gaussian(), 100.5, 0.3)
 
     def test_uniform_total_is_k1_plus_k2(self):
         d = kl_decompose(Uniform(), 100, 0.5)
