@@ -90,7 +90,8 @@ class EpsilonWindow:
 
     def log_mode_floor(self, q: float) -> float:
         if math.isinf(q):
-            return (1.0 - self.p) / (self.n - 1.0)
+            # at n = 1 the floor is its limit as n falls to 1: no epsilon clears it
+            return (1.0 - self.p) / (self.n - 1.0) if self.n > 1 else math.inf
         return abs((q - 2.0) * self.p - q + 1.0) / (q * (self.n - 1.0) + 2.0)
 
     def validate_log_mode(self, q: float) -> None:
@@ -143,9 +144,8 @@ def _density_ratio_max(parent: ParentDistribution, p: float, eps: float, power: 
     hi = min(p + eps, 1.0 - 1e-12)
 
     def fn(t):
-        x = np.asarray(parent.quantile(t), dtype=float)
-        dens = np.exp(np.asarray(parent.log_pdf(x), dtype=float))
-        return np.abs(np.asarray(parent.pdf_derivative(x), dtype=float)) / dens**power
+        x, log_f = parent.tail(np.minimum(t, 1.0 - t), t >= 0.5)
+        return np.abs(parent.pdf_derivative(x)) / np.exp(log_f) ** power
 
     return _grid_max(fn, lo, hi)
 
@@ -218,7 +218,7 @@ def quantile_mse_bound(
 
 def holder_constant(q: float) -> float:
     """C_q = e^{1+2/q} (sqrt(2 pi))^{1/q - 1} q^{-1/(2q)}; C_inf = e/sqrt(2 pi)."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     if math.isinf(q):
         return math.e / math.sqrt(2.0 * math.pi)
@@ -241,7 +241,7 @@ def k3_bound(
     the pair) the bound is vacuous and flagged.  ``stderr`` is the quadrature
     error of k3, and ``message`` says when that integral did not converge.
     """
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must lie in [1, inf]")
     win = _as_window(n, p, epsilon)
     win.validate_log_mode(q)
@@ -290,9 +290,9 @@ def stirling_constant_check(alpha: float, beta: float, q: float) -> BoundReport:
     The O(n) parts of the two log normalizers cancel exactly (they scale by
     q), so only their Stirling remainders are evaluated.
     """
-    if alpha < 2.0 or beta < 2.0:
+    if not (alpha >= 2.0 and beta >= 2.0):
         raise ValueError("stirling_constant_check requires alpha >= 2 and beta >= 2")
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be >= 1")
     x, y = alpha - 1.0, beta - 1.0
     n = alpha + beta - 1.0

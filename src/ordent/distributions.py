@@ -6,13 +6,14 @@ Six built-in continuous families are provided: ``uniform``, ``gaussian``,
 and ``f2`` (1/(x log^2 x) on (0, 1/e), unbounded density whose L_m norm is
 infinite for every m > 1).
 
-Each parent exposes pdf, log-pdf, cdf, quantile, the pdf derivative, the
-log density at a quantile, the absolute moment E|X|^r and the L_m norm of
-the density.  ``ParentDistribution`` defines those public methods once, with
-the argument checks, the support and the scalar returns; a family supplies
-only its formulas inside the support.  Each family declares how fast its
-quantile, log density and density grow at the ends of quantile space
-(``EndpointGrowth``), and ``power_moment_finite`` turns that into the
+Each parent exposes pdf, log-pdf, cdf, the pdf derivative, ``tail`` (x and
+log f(x) at a tail mass) with its views quantile and log density at a
+quantile, the absolute moment E|X|^r and the L_m norm of the density.
+``ParentDistribution`` defines those public methods once, with the argument
+checks, the support and the scalar returns; a family supplies only its
+formulas, one of them (``_tail``) in quantile space.  Each family declares
+how fast its quantile, log density and density grow at the ends of quantile
+space (``EndpointGrowth``), and ``power_moment_finite`` turns that into the
 finiteness of every expectation in the package (quadrature cannot certify
 divergence); finite values are computed by quadrature in quantile space
 unless a closed form is trivial.
@@ -126,9 +127,10 @@ class ParentDistribution:
     - in x, the points outside the open ``support`` get density 0, log
       density -inf, derivative 0, and cdf 0 below the support and 1 above
       it; NaN stays NaN;
-    - in u, ``quantile`` and ``log_pdf_at_quantile`` raise ``ValueError``
-      outside [0, 1] (NaN included) and clamp into [PROB_CLAMP,
-      1 - PROB_CLAMP] with a ``ClampedProbabilityWarning``;
+    - ``tail`` raises ``ValueError`` outside (0, 1/2] (NaN included);
+    - ``quantile`` and ``log_pdf_at_quantile``, views of ``tail``, raise
+      ``ValueError`` outside [0, 1] (NaN included) and clamp into
+      [PROB_CLAMP, 1 - PROB_CLAMP] with a ``ClampedProbabilityWarning``;
     - ``abs_moment`` and ``norm_m`` check their order and return +inf where
       ``growth`` says the value diverges.
 
@@ -137,10 +139,8 @@ class ParentDistribution:
     - ``_pdf``, ``_log_pdf``, ``_cdf`` and ``_pdf_derivative``, valid inside
       the open support, where they may overflow (without a warning) only to
       the right limit;
-    - ``_quantile(u)``, which is also the quantile at lower-tail mass u, and
-      ``_quantile_upper_tail(s)`` = F^{-1}(1 - s) without rounding 1 - s;
-    - ``_log_pdf_at_quantile(u)``, only where log f(F^{-1}(u)) composed is
-      unstable;
+    - ``_tail(s, upper)``, ``tail`` for an array s and a plain bool
+      ``upper``, without rounding 1 - s where that would cost digits;
     - ``_sup_pdf`` where the density is bounded, and closed-form
       ``_abs_moment`` and ``_norm_m`` where they exist;
     - its ``growth``, and ``spec_string`` when it has parameters.
@@ -197,19 +197,50 @@ class ParentDistribution:
             warnings.warn(
                 f"quantile argument clamped to [{PROB_CLAMP:g}, 1-{PROB_CLAMP:g}]",
                 ClampedProbabilityWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return clipped
 
+    def tail(self, s, upper):
+        """(x, log f(x)) at tail mass s: x = F^{-1}(s) where ``upper`` is
+        false and x = F^{-1}(1 - s) where it is true.
+
+        s lies in (0, 1/2]; a value outside, or NaN, raises ``ValueError``.
+        ``upper`` is a bool, or a bool array shaped like s.
+        """
+        arr = np.asarray(s, dtype=float)
+        # two reductions clear the common case, every s inside; NaN fails them
+        if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) <= 0.5):
+            raise ValueError("tail mass s must lie in (0, 1/2]")
+        x, log_f = self._sides(arr, np.asarray(upper, dtype=bool))
+        return _ret(s, x), _ret(s, log_f)
+
+    def _sides(self, s: np.ndarray, side: np.ndarray):
+        """``_tail`` once per side present, for tail masses s known to lie in (0, 1/2]."""
+        if side.ndim and side.shape != s.shape:
+            raise ValueError(f"upper has shape {side.shape}, s has shape {s.shape}")
+        count = np.count_nonzero(side)
+        if count in (0, side.size):  # one side: no split
+            return self._tail(s, bool(count))
+        x, log_f = np.empty_like(s), np.empty_like(s)
+        for flag, at in ((False, ~side), (True, side)):
+            x[at], log_f[at] = self._tail(s[at], flag)
+        return x, log_f
+
+    def _tail_at(self, u):
+        """``tail`` at u in [0, 1], checked and clamped: the tail mass
+        min(u, 1 - u), on the side u >= 1/2, where 1 - u is exact."""
+        arr = self._probabilities(u)
+        x, log_f = self._sides(np.minimum(arr, 1.0 - arr), arr >= 0.5)
+        return _ret(u, x), _ret(u, log_f)
+
     def quantile(self, u):
-        return _ret(u, self._quantile(self._probabilities(u)))
+        """F^{-1}(u)."""
+        return self._tail_at(u)[0]
 
     def log_pdf_at_quantile(self, u):
         """log f(F^{-1}(u))."""
-        return _ret(u, self._log_pdf_at_quantile(self._probabilities(u)))
-
-    def _log_pdf_at_quantile(self, u):
-        return self._log_pdf(self._quantile(u))
+        return self._tail_at(u)[1]
 
     # -- moments and norms --------------------------------------------------
     def abs_moment_finite(self, r: float) -> bool:
@@ -229,22 +260,18 @@ class ParentDistribution:
         which turns the s^{-a} blow-up of heavy-tail quantile powers (a < 1
         when the moment exists) into a bounded integrand.
         """
-        def left(t):
+        def side(t, upper):
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.abs(self._quantile(0.5 * t**8)) ** r * 4.0 * t**7
-
-        def right(t):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.abs(self._quantile_upper_tail(0.5 * t**8)) ** r * 4.0 * t**7
+                return np.abs(self._tail(0.5 * t**8, upper)[0]) ** r * 4.0 * t**7
 
         # geometric levels toward t = 0 only: toward t = 1 both sides are smooth.
         # The sides start at t = 0 itself (no Gauss node lies on it): a cut at
         # t0 would drop a tail of order t0^(8(1-a)), which near a = 1 is not small
         levels = 2.0 ** -np.arange(1, 47)
         total = 0.0
-        for side in (left, right):
-            res = adaptive_quad(side, 0.0, 1.0, tol_abs=1e-11, tol_rel=1e-10,
-                                breakpoints=levels)
+        for upper in (False, True):
+            res = adaptive_quad(lambda t: side(t, upper), 0.0, 1.0, tol_abs=1e-11,
+                                tol_rel=1e-10, breakpoints=levels)
             total += res.check()
         return total
 
@@ -302,11 +329,9 @@ class Uniform(ParentDistribution):
     def _pdf_derivative(self, x):
         return np.zeros_like(x)
 
-    def _quantile(self, u):
-        return self.a + u * self._w
-
-    def _quantile_upper_tail(self, s):
-        return self.b - s * self._w
+    def _tail(self, s, upper):
+        x = self.b - s * self._w if upper else self.a + s * self._w
+        return x, np.full_like(s, -math.log(self._w))
 
     def _norm_m(self, m):
         return self._w ** (1.0 / m - 1.0)
@@ -350,15 +375,10 @@ class Gaussian(ParentDistribution):
         # -z/sigma finite where z overflows and changes no value
         return -np.clip(self._z(x), -40.0, 40.0) / self.sigma * self._pdf(x)
 
-    def _quantile(self, u):
-        return self.mu + self.sigma * ndtri(u)
-
-    def _quantile_upper_tail(self, s):
-        return self.mu - self.sigma * ndtri(s)
-
-    def _log_pdf_at_quantile(self, u):
-        z = ndtri(u)
-        return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
+    def _tail(self, s, upper):
+        z = ndtri(s)  # <= 0; AS241 is odd about 1/2 to the bit: -z is the quantile at 1 - s
+        x = self.mu - self.sigma * z if upper else self.mu + self.sigma * z
+        return x, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
 
     def _abs_moment(self, r):
         if self.mu != 0.0:
@@ -402,14 +422,9 @@ class Exponential(ParentDistribution):
     def _pdf_derivative(self, x):
         return -self.rate**2 * np.exp(-self.rate * x)
 
-    def _quantile(self, u):
-        return -np.log1p(-u) / self.rate
-
-    def _quantile_upper_tail(self, s):
-        return -np.log(s) / self.rate
-
-    def _log_pdf_at_quantile(self, u):
-        return math.log(self.rate) + np.log1p(-u)
+    def _tail(self, s, upper):
+        log_sf = np.log(s) if upper else np.log1p(-s)  # log(1 - F(x))
+        return -log_sf / self.rate, math.log(self.rate) + log_sf
 
     def _sup_pdf(self):
         return self.rate
@@ -460,22 +475,13 @@ class Cauchy(ParentDistribution):
         return np.where(far, -2.0 / (math.pi * self.scale**2 * far_z) / far_z / far_z,
                         -2.0 * near_z / (math.pi * self.scale**2 * (1.0 + near_z * near_z) ** 2))
 
-    def _quantile(self, u):
-        # loc -+ scale cot(pi s) in the tail mass s = min(u, 1 - u), exact
-        # above 1/2: the cotangent stays accurate where tan(pi (u - 1/2))
-        # would lose every digit against the pole
-        with np.errstate(divide="ignore"):
-            t = self.scale / np.tan(math.pi * np.minimum(u, 1.0 - u))
-        return np.where(u < 0.5, self.loc - t, self.loc + t)
-
-    def _quantile_upper_tail(self, s):
-        return self.loc + self.scale / np.tan(math.pi * s)
-
-    def _log_pdf_at_quantile(self, u):
-        # f(F^{-1}(u)) = sin^2(pi s) / (pi * scale) in the tail mass
-        # s = min(u, 1 - u): sin(pi u) loses digits above the median
-        s = np.sin(math.pi * np.minimum(u, 1.0 - u))
-        return 2.0 * np.log(s) - math.log(math.pi * self.scale)
+    def _tail(self, s, upper):
+        # x = loc -+ scale cot(pi s), f(x) = sin^2(pi s) / (pi scale): tan(pi (u - 1/2))
+        # would lose every digit against the pole, and sin(pi u) above the median
+        with np.errstate(over="ignore"):
+            t = self.scale / np.tan(math.pi * s)
+        return (self.loc + t if upper else self.loc - t,
+                2.0 * np.log(np.sin(math.pi * s)) - math.log(math.pi * self.scale))
 
     def _sup_pdf(self):
         return 1.0 / (math.pi * self.scale)
@@ -514,17 +520,12 @@ class F1(ParentDistribution):
         den = x**2 * lg**4
         return np.where(np.isinf(den), -2.0 * (lg + 3.0) / (x * lg**4) / x, -2.0 * (lg + 3.0) / den)
 
-    def _quantile(self, u):
+    def _tail(self, s, upper):
+        # x = exp(t), t = (1 - F(x))^-1/2: log f stays finite where x overflows
+        t = 1.0 / np.sqrt(s if upper else 1.0 - s)
         with np.errstate(over="ignore"):
-            return np.exp(1.0 / np.sqrt(1.0 - u))
-
-    def _quantile_upper_tail(self, s):
-        with np.errstate(over="ignore"):
-            return np.exp(1.0 / np.sqrt(s))
-
-    def _log_pdf_at_quantile(self, u):
-        s = 1.0 / np.sqrt(1.0 - u)
-        return math.log(2.0) - s - 3.0 * np.log(s)
+            x = np.exp(t)
+        return x, math.log(2.0) - t - 3.0 * np.log(t)
 
     def _sup_pdf(self):
         return 2.0 / math.e
@@ -557,14 +558,10 @@ class F2(ParentDistribution):
         lg = np.log(x)
         return -(lg + 2.0) / (x**2 * lg**3)
 
-    def _quantile(self, u):
-        return np.exp(-1.0 / u)
-
-    def _quantile_upper_tail(self, s):
-        return np.exp(-1.0 / (1.0 - s))
-
-    def _log_pdf_at_quantile(self, u):
-        return 1.0 / u + 2.0 * np.log(u)
+    def _tail(self, s, upper):
+        # x = exp(-1/u) at u = F(x); rounding u = 1 - s costs no digit of either
+        u = 1.0 - s if upper else s
+        return np.exp(-1.0 / u), 1.0 / u + 2.0 * np.log(u)
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,9 @@ def gaussian_reference(parent: ParentDistribution, n: int, p: float) -> Gaussian
 
 def _references(parent: ParentDistribution, specs) -> list[GaussianReference]:
     """``gaussian_reference`` at each of ``specs``, which share one p, from
-    one evaluation of the parent's quantile and density at p."""
+    one ``tail`` call at p."""
     p = specs[0].p
-    mu = float(parent.quantile(p))
-    log_fq = float(parent.log_pdf_at_quantile(p))
+    mu, log_fq = parent.tail(min(p, 1.0 - p), p >= 0.5)
     fq = math.exp(log_fq)
     if not (fq > 0.0 and math.isfinite(fq)):
         raise ConditionViolation(
@@ -148,18 +147,12 @@ def k1_term(n: int, p: float) -> float:
     return base - special.order_stat_entropy(spec.n, spec.k)
 
 
-#: Each parent quantity of a node record, from reference arrays ``r`` and problem indices ``i``.
-_NODE = {
-    "dx": lambda parent, u, r, i: np.asarray(parent.quantile(u), dtype=float) - r["mu"][i],
-    "logf": lambda parent, u, r, i: np.asarray(parent.log_pdf_at_quantile(u), dtype=float),
-}
-
-
 @dataclass(frozen=True, slots=True)
 class _Term:
-    """The Beta expectation E[g(U)] behind one reported term."""
+    """The Beta expectation E[g(U)] behind one reported term.  A node record
+    holds dx = x - mu, logf = log f(x) and logw, the log Beta weight."""
 
-    reads: tuple  # what g reads: dx = x - mu, logf = log f(x), logw (a draw has none)
+    logw: bool  # whether g reads logw, which a Monte Carlo draw has not
     column: Callable  # g(q, r, i) on node record q, reference arrays r, problem indices i
     growth: tuple  # (EndpointGrowth field, power) of each expectation that makes it infinite
     name: str  # the expectation its divergence message names; "" when another's says why
@@ -173,18 +166,18 @@ class _Term:
 #: the log ratio of the X_(k) density to the Gaussian one in u = F(x).
 _TERMS = {
     "k2": _Term(
-        reads=("dx",), column=lambda q, r, i: q["dx"] ** 2,
+        logw=False, column=lambda q, r, i: q["dx"] ** 2,
         growth=(("quantile", 2.0),), name="E[(F^-1(U) - F^-1(p))^2]", sign=None,
         exact=lambda value, error, ref: (value / (2 * ref.v_np) - 0.5, error / (2 * ref.v_np)),
         # relative only: the quantile MSE scales with the parent
         tols=lambda tol: (1e-300, max(tol, 1e-11)), view_tol=1e-10),
     "k3": _Term(
-        reads=("logf",), column=lambda q, r, i: q["logf"],
+        logw=False, column=lambda q, r, i: q["logf"],
         growth=(("log_pdf", 1.0),), name="E[log f(F^-1(U))]", view_tol=1e-10,
         sign=lambda parent, u: parent.log_pdf_at_quantile(u), tols=lambda tol: (tol, 1e-10),
         exact=lambda value, error, ref: (value - ref.log_f_p, error)),
     "direct": _Term(
-        reads=("dx", "logf", "logw"), view_tol=1e-9,
+        logw=True, view_tol=1e-9,
         column=lambda q, r, i: (q["logw"] + q["logf"] + r["log_norm"][i]
                                 + q["dx"] ** 2 / r["two_v"][i]),
         growth=(("quantile", 2.0), ("log_pdf", 1.0)), name="", sign=None,
@@ -214,16 +207,16 @@ def _term_divergence(term: str, parent: ParentDistribution, law) -> QuadResult |
 def _term_columns(parent: ParentDistribution, refs, terms: tuple[str, ...]):
     """The integrand ``columns(u, logw=None, problem=0)`` of ``terms``, one
     row per term, for a batch whose problem i has the reference ``refs[i]``.
-    Each call builds one node record, with one parent call per quantity read."""
+    Each call builds one node record from one ``tail`` call: the tail mass
+    min(u, 1 - u), exact, on the side u >= 1/2."""
     r = {"mu": np.array([ref.mu_p for ref in refs]),
          "two_v": np.array([2.0 * ref.v_np for ref in refs]),
          "log_norm": np.array([0.5 * math.log(2.0 * math.pi * ref.v_np) for ref in refs])}
     records = [_TERMS[t] for t in terms]
-    reads = [name for name in _NODE if any(name in rec.reads for rec in records)]
 
     def columns(u, logw=None, problem=0):
-        q = {name: _NODE[name](parent, u, r, problem) for name in reads}
-        q["logw"] = logw
+        x, logf = parent.tail(np.minimum(u, 1.0 - u), u >= 0.5)
+        q = {"dx": x - r["mu"][problem], "logf": logf, "logw": logw}
         return np.stack([rec.column(q, r, problem) for rec in records])
 
     return columns
@@ -258,7 +251,7 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
     results = [{t: hit for t in terms if (hit := _term_divergence(t, parent, law))}
                for law in laws]
-    sampled = tuple(t for t in terms if "logw" not in _TERMS[t].reads and method == "monte_carlo")
+    sampled = tuple(t for t in terms if not _TERMS[t].logw and method == "monte_carlo")
     for res, law, ref in zip(results, laws, refs):
         todo = tuple(t for t in sampled if t not in res)
         if todo:

@@ -289,7 +289,8 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
     norm_finite = parent.norm_m_finite(m)
     moment_finite = parent.abs_moment_finite(r)
 
-    fq = math.exp(float(parent.log_pdf_at_quantile(p)))
+    x0, log_fq = parent.tail(min(p, 1.0 - p), p >= 0.5)
+    fq = math.exp(log_fq)
     density_positive = fq > 0.0 and math.isfinite(fq)
 
     derivative_continuous = False
@@ -299,7 +300,6 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
         # continuous composition the gaps scale down with the probe width,
         # while a jump leaves them pinned at the jump size; the widest probe
         # keeps p - h and p + h inside (0, 1)
-        x0 = float(parent.quantile(p))
         d0 = float(parent.pdf_derivative(x0))
         h = min(1e-2, min(p, 1.0 - p) / 2.0)
         deltas = [h / 10**j for j in range(4)]

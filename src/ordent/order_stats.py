@@ -43,7 +43,8 @@ class OrderStatSpec:
 
     The package's one check of n, k and p; every entry point that takes them
     builds a spec.  n and k are whole numbers, stored as ``int``, with 1 <= k
-    <= n, and p, if given, lies in (0, 1); anything else raises ``ValueError``.
+    <= n <= 2**53 (beyond, ranks and n + 1.0 are not exact in float64), and p,
+    if given, lies in (0, 1); anything else raises ``ValueError``.
     """
 
     n: int
@@ -54,6 +55,8 @@ class OrderStatSpec:
         n, k = _check_integer(self.n, "n"), _check_integer(self.k, "k")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n > 2**53:
+            raise ValueError(f"n is too large: ranks are exact only up to 2**53, got {n}")
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, n], got k={k}, n={n}")
         if self.p is not None:
@@ -131,7 +134,7 @@ def moment_bound_constant(n: int, k: int, q: float, r: float) -> MomentBoundCons
     that pass ``OrderStatSpec``'s rule and positive q and r."""
     spec = OrderStatSpec(n, k)
     n, k = spec.n, spec.k
-    if q <= 0 or r <= 0:
+    if not (q > 0 and r > 0):
         raise ValueError("need q > 0 and r > 0")
     s = q / r
     # C = E[(U (1 - U))^-s] under Beta(k, n + 1 - k)

@@ -60,7 +60,11 @@ def _odd_series(z: float, coef) -> float:
 
 def _check_integer(r, name: str) -> int:
     """r as an int if it is a whole number, which NaN and +-inf are not; else ``ValueError``."""
-    if not (math.isfinite(r) and r == int(r)):
+    try:
+        whole = math.isfinite(r) and r == int(r)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} is too large: it exceeds the float range") from None
+    if not whole:
         raise ValueError(f"{name} must be an integer, got {r!r}")
     return int(r)
 

@@ -113,6 +113,21 @@ def test_n_below_one_raises(entry, arg, n):
         _at(entry, n=n)
 
 
+@pytest.mark.parametrize("entry,arg", _cases("n"))
+@pytest.mark.parametrize("n", [10**400, 2**53 + 2], ids=["1e400", "2**53+2"])
+def test_n_beyond_2_53_raises(entry, arg, n):
+    # above 2**53 ranks and n + 1.0 are no longer exact; beyond the float
+    # range, never an OverflowError
+    with pytest.raises(ValueError, match="n is too large"):
+        _at(entry, n=n)
+
+
+def test_cli_rejects_n_beyond_the_float_range(capsys):
+    code = cli_main(["kl", "--parent", "gaussian()", "--n", str(10**400), "--p", "0.3"])
+    assert code == EXIT_USAGE
+    assert "n is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry,arg", _cases("p"))
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
 def test_p_outside_the_unit_interval_raises(entry, arg, p):

@@ -20,7 +20,8 @@ from ordent.bounds import (
     stirling_constant_check,
 )
 from ordent.distributions import F1, F2, BetaLaw, Exponential, Gaussian, Uniform, beta_sample
-from ordent.order_stats import round_rank
+from ordent.order_stats import (OrderStatSpec, moment_bound_constant, round_rank,
+                                 verify_moment_bound)
 
 
 class TestEpsilonWindow:
@@ -168,6 +169,29 @@ class TestK3Bound:
         # below the tail-mode floor p/(n+1) ~ 0.00495
         with pytest.raises(ValueError):
             k3_bound(Gaussian(), 100, 0.5, q=2.0, epsilon=0.004)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: moment_bound_constant(100, 30, math.nan, 2),
+    lambda: moment_bound_constant(100, 30, 2, math.nan),
+    lambda: verify_moment_bound(Gaussian(), OrderStatSpec(100, 30), math.nan, 2.0, mc_count=100),
+    lambda: stirling_constant_check(10, 10, math.nan),
+    lambda: stirling_constant_check(math.nan, 10, 2.0),
+    lambda: stirling_constant_check(10, math.nan, 2.0),
+    lambda: holder_constant(math.nan),
+    lambda: k3_bound(Gaussian(), 100, 0.5, q=math.nan),
+], ids=["moment_constant-q", "moment_constant-r", "verify_moment_bound-q", "stirling-q",
+        "stirling-alpha", "stirling-beta", "holder_constant", "k3_bound-q"])
+def test_nan_orders_raise(call):
+    # a NaN order passes a check written as q < 1 or q <= 0
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_k3_bound_at_one_draw_violates_the_window():
+    # at n = 1 the q = inf floor (1 - p)/(n - 1) is its limit, +inf
+    with pytest.raises(ValueError, match="epsilon window violated"):
+        k3_bound(Gaussian(), 1, 0.5, q=math.inf, epsilon=0.3)
 
 
 class TestHolderConstant:

@@ -119,11 +119,79 @@ class TestQuantileCdfRoundTrip:
             assert c.quantile(u) == -c.quantile(2.0**-j)
 
 
+def _mp_tail(parent, s, upper):
+    """(x, log f(x)) at tail mass s in 40-digit mpmath, for the default
+    parameters of each family."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        if parent.name == "uniform":
+            x = 1 - s if upper else s
+            return x, mp.mpf(0)
+        if parent.name == "gaussian":
+            # Phi^-1(s) <= 0 by the secant rule on log Phi, which erfc keeps
+            # exact in the far tail
+            z = mp.findroot(lambda t: mp.log(mp.ncdf(t)) - mp.log(s), -mp.sqrt(-2 * mp.log(s)))
+            x = -z if upper else z
+            return x, -x**2 / 2 - mp.log(2 * mp.pi) / 2
+        if parent.name == "exponential":
+            x = -mp.log(s) if upper else -mp.log1p(-s)
+            return x, -x
+        if parent.name == "cauchy":
+            x = mp.cot(mp.pi * s) * (1 if upper else -1)
+            return x, -mp.log(mp.pi * (1 + x**2))
+        if parent.name == "f1":
+            x = mp.exp((s if upper else 1 - s) ** mp.mpf(-0.5))
+            return x, mp.log(2) - mp.log(x) - 3 * mp.log(mp.log(x))
+        x = mp.exp(-1 / (1 - s if upper else s))  # f2
+        return x, -mp.log(x) - 2 * mp.log(-mp.log(x))
+
+
+def _agrees(got: float, want) -> bool:
+    """``got`` within a few ulp of the float of ``want``, which overflows to
+    +-inf or underflows to 0 with it."""
+    w = float(want)
+    if math.isinf(w):
+        return got == w
+    return abs(got - w) <= 1e-14 * abs(w) + 1e-16
+
+
+class TestTail:
+    """``tail(s, upper)``: the point and its log density at tail mass s."""
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("j", [1, 2, 10, 30, 52, 200, 1022])
+    def test_against_mpmath(self, parent, upper, j):
+        s = 2.0**-j
+        x, log_f = parent.tail(s, upper)
+        want_x, want_log_f = _mp_tail(parent, s, upper)
+        assert _agrees(x, want_x), (x, want_x)
+        # log f stays finite where x leaves the float range (f1's upper tail)
+        assert math.isfinite(log_f) and _agrees(log_f, want_log_f), (log_f, want_log_f)
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("s", [0.0, 0.6, -1.0, math.nan, [0.25, math.nan]],
+                             ids=["0", "0.6", "-1", "nan", "array-nan"])
+    def test_tail_mass_outside_raises(self, parent, s):
+        with pytest.raises(ValueError, match="tail mass"):
+            parent.tail(s, False)
+
+    def test_mixed_sides_match_each_side_alone(self):
+        s = np.array([0.5, 1e-300, 0.25, 2.0**-40])
+        upper = np.array([True, False, True, True])
+        for parent in ALL_PARENTS:
+            x, log_f = parent.tail(s, upper)
+            for i in range(s.size):
+                assert (x[i], log_f[i]) == parent.tail(s[i], bool(upper[i])), parent.name
+        with pytest.raises(ValueError, match="shape"):
+            Gaussian().tail(s, upper[:2])
+
+
 class TestFamiliesAreFormulas:
     """``ParentDistribution`` owns the arguments, the support and the clamp."""
 
-    PUBLIC = ("pdf", "log_pdf", "cdf", "pdf_derivative", "quantile", "log_pdf_at_quantile",
-              "abs_moment", "norm_m")
+    PUBLIC = ("pdf", "log_pdf", "cdf", "pdf_derivative", "tail", "quantile",
+              "log_pdf_at_quantile", "abs_moment", "norm_m")
     # (outside below the support, outside above it) for each x-space method
     EDGES = {"pdf": (0.0, 0.0), "log_pdf": (-math.inf, -math.inf), "cdf": (0.0, 1.0),
              "pdf_derivative": (0.0, 0.0)}

@@ -175,8 +175,9 @@ class TestGaussianReference:
 
     def test_zero_density_raises(self):
         class Flat(Uniform):
-            def log_pdf_at_quantile(self, u):
-                return -math.inf
+            def _tail(self, s, upper):
+                x, log_f = super()._tail(s, upper)
+                return x, np.full_like(log_f, -math.inf)
 
         with pytest.raises(ConditionViolation):
             gaussian_reference(Flat(), 100, 0.5)
@@ -312,14 +313,15 @@ class TestMpmathOracle:
 
 
 class TestParentCalls:
-    """One node record per integrand call: each parent quantity is computed
-    once per call, and only when a requested term reads it."""
+    """One node record per integrand call: x and log f come from one ``tail``
+    call, whichever terms are requested (k2 reads log f too, unused), and the
+    reference at p is one scalar call."""
 
     @staticmethod
     def _count(monkeypatch):
-        """Count node-array parent calls inside the quadrature's integrand
-        calls, and list the calls made outside them as (method, ndim)."""
-        log = {"integrand_calls": 0, "quantile": 0, "log_pdf_at_quantile": 0, "outside": []}
+        """Count the ``tail`` calls inside the quadrature's integrand calls,
+        and list the dimension of s of each call made outside them."""
+        log = {"integrand_calls": 0, "tail": 0, "outside": []}
         inside = []
         real = ordent.entropy_kl.beta_expectation
 
@@ -334,40 +336,27 @@ class TestParentCalls:
 
             return real(counted, *args, **kwargs)
 
-        monkeypatch.setattr(ordent.entropy_kl, "beta_expectation", expectation)
-        for name in ("quantile", "log_pdf_at_quantile"):
-            def method(self, u, _real=getattr(ParentDistribution, name), _name=name):
-                if inside:
-                    log[_name] += 1
-                else:
-                    log["outside"].append((_name, np.ndim(u)))
-                return _real(self, u)
+        def tail(self, s, upper, _real=ParentDistribution.tail):
+            if inside:
+                log["tail"] += 1
+            else:
+                log["outside"].append(np.ndim(s))
+            return _real(self, s, upper)
 
-            monkeypatch.setattr(ParentDistribution, name, method)
+        monkeypatch.setattr(ordent.entropy_kl, "beta_expectation", expectation)
+        monkeypatch.setattr(ParentDistribution, "tail", tail)
         return log
 
-    REFERENCE = [("quantile", 0), ("log_pdf_at_quantile", 0)]  # the scalar calls at p
-
-    def test_k2_reads_no_log_density(self, monkeypatch):
-        log = self._count(monkeypatch)
-        k2_term(Gaussian(), 200, 0.3)
-        assert log["quantile"] == log["integrand_calls"] > 0
-        assert log["log_pdf_at_quantile"] == 0 and log["outside"] == self.REFERENCE
-
-    @pytest.mark.parametrize("view", [k3_term, k3_bound], ids=lambda f: f.__name__)
-    def test_k3_reads_no_quantile(self, monkeypatch, view):
+    @pytest.mark.parametrize("view", [k2_term, k3_term, kl_direct, k3_bound],
+                             ids=lambda f: f.__name__)
+    def test_one_tail_call_per_integrand_call(self, monkeypatch, view):
         log = self._count(monkeypatch)
         view(Gaussian(), 200, 0.3)
-        assert log["log_pdf_at_quantile"] == log["integrand_calls"] > 0
-        assert log["quantile"] == 0
-        # k3_bound's density-ratio grid calls the quantile outside the quadrature
-        assert log["outside"][:2] == self.REFERENCE
-
-    def test_direct_reads_each_once(self, monkeypatch):
-        log = self._count(monkeypatch)
-        kl_direct(Gaussian(), 200, 0.3)
-        assert log["quantile"] == log["log_pdf_at_quantile"] == log["integrand_calls"] > 0
-        assert log["outside"] == self.REFERENCE
+        assert log["tail"] == log["integrand_calls"] > 0
+        # the scalar call at p first; k3_bound's density-ratio grid then
+        # reads the parent outside the quadrature
+        assert log["outside"][:1] == [0]
+        assert len(log["outside"]) == 1 or view is k3_bound
 
 
 class TestKlDirect:

@@ -236,16 +236,16 @@ class TestOneBatchPerSweep:
         assert all("cost" not in c for c in CSV_COLUMNS)
 
     def test_parent_calls_per_level(self):
-        # node-array quantile calls: ceil(nodes / 8192) per level; plus the
-        # one scalar call for the reference at p
+        # node-array tail calls: ceil(nodes / 8192) per level; plus the one
+        # scalar call for the reference at p
         class Counting(Gaussian):
             def __init__(self):
                 super().__init__()
                 self.sizes = []
 
-            def quantile(self, u):
-                self.sizes.append(np.size(u))
-                return super().quantile(u)
+            def tail(self, s, upper):
+                self.sizes.append(np.size(s))
+                return super().tail(s, upper)
 
         parent = Counting()
         report = rate_sweep(parent, 0.5, parse_n_grid("104:99652:12log"))

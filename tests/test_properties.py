@@ -1,5 +1,6 @@
 """Property tests of the fused quadrature pass over random (parent, n, p),
-and of the Beta sampler's table over random laws and streams.
+of the parents' quantile views over random points, and of the Beta
+sampler's table over random laws and streams.
 
 Examples are derandomized and no example database is written, so the suite
 runs the same cases every time.
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaincinv
 
-from ordent.distributions import BetaLaw, beta_sample, make_parent, random_stream
+from ordent.distributions import PROB_CLAMP, BetaLaw, beta_sample, make_parent, random_stream
 from ordent.entropy_kl import kl_decompose
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -80,6 +81,28 @@ def test_divergence_matches_the_moment_conditions(family, case):
     else:
         assert d.message == ""
         assert abs(d.total_direct - d.total_decomposed) <= max(2e-8, 4.0 * math.ulp(d.total_decomposed))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(family=st.sampled_from(["uniform", "gaussian", "exponential", "cauchy", "f1", "f2"]),
+       u=st.lists(st.floats(min_value=PROB_CLAMP, max_value=1.0 - PROB_CLAMP), min_size=1,
+                  max_size=16))
+def test_quantile_views_are_tail(family, u):
+    # quantile(u) and log_pdf_at_quantile(u) read tail at min(u, 1 - u) on the
+    # side u >= 1/2, element by element; a scalar gives the bits of an array
+    parent = make_parent(family)
+    u = np.array(u)
+    x, log_f = parent.tail(np.minimum(u, 1.0 - u), u >= 0.5)
+    assert _bits(parent.quantile(u)) == _bits(x)
+    assert _bits(parent.log_pdf_at_quantile(u)) == _bits(log_f)
+    for i, ui in enumerate(u.tolist()):
+        assert _bits(parent.quantile(ui)) == _bits(x[i])
+        assert _bits(parent.log_pdf_at_quantile(ui)) == _bits(log_f[i])
+        assert _bits(parent.tail(min(ui, 1.0 - ui), ui >= 0.5)) == _bits([x[i], log_f[i]])
 
 
 log_uniform_parameters = st.floats(min_value=0.0, max_value=7.0).map(lambda e: 10.0**e)
