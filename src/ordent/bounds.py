@@ -135,17 +135,19 @@ def _grid_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
 
 
 def _density_ratio_max(parent: ParentDistribution, p: float, eps: float, power: int) -> float:
-    """max over [p-eps, p+eps] of |f'(F^{-1}(t)) / f(F^{-1}(t))^power|.
+    """max over t in [p-eps, p+eps] of |f'/f^power| at F^{-1}(t), read along
+    the quantile flow as |L'(t)| f^(2-power), L' = ``parent.slope``.
 
-    ``power`` 3 is the quantile curvature |(F^{-1})''|; 2 is the slope of
-    log f(F^{-1}(t)).
+    ``power`` 3 is the quantile curvature |(F^{-1})''| = |L'|/f; 2 is the
+    slope |L'| of log f(F^{-1}(t)).
     """
     lo = max(p - eps, 1e-12)
     hi = min(p + eps, 1.0 - 1e-12)
 
     def fn(t):
-        x, log_f = parent.tail(np.minimum(t, 1.0 - t), t >= 0.5)
-        return np.abs(parent.pdf_derivative(x)) / np.exp(log_f) ** power
+        s, upper = np.minimum(t, 1.0 - t), t >= 0.5
+        slope = np.abs(parent.slope(s, upper))
+        return slope if power == 2 else slope * np.exp((2 - power) * parent.tail(s, upper)[1])
 
     return _grid_max(fn, lo, hi)
 

@@ -6,14 +6,15 @@ Six built-in continuous families are provided: ``uniform``, ``gaussian``,
 and ``f2`` (1/(x log^2 x) on (0, 1/e), unbounded density whose L_m norm is
 infinite for every m > 1).
 
-Each parent exposes pdf, log-pdf, cdf, the pdf derivative, ``tail`` (x and
-log f(x) at a tail mass) with its views quantile and log density at a
-quantile, the absolute moment E|X|^r and the L_m norm of the density.
-``ParentDistribution`` defines those public methods once, with the argument
-checks, the support and the scalar returns; a family supplies only its
-formulas, one of them (``_tail``) in quantile space.  Each family declares
-how fast its quantile, log density and density grow at the ends of quantile
-space (``EndpointGrowth``), and ``power_moment_finite`` turns that into the
+Each parent exposes pdf, log-pdf, cdf, ``tail`` (x and log f(x) at a tail
+mass) with its views quantile and log density at a quantile, ``slope`` (the
+derivative of log f(F^{-1}(u)) in u at a tail mass), the absolute moment
+E|X|^r and the L_m norm of the density.  ``ParentDistribution`` defines those
+public methods once, with the argument checks, the support and the scalar
+returns; a family supplies only its formulas, two of them (``_tail`` and
+``_slope``) in quantile space.  Each family declares how fast its quantile,
+log density and density grow at the ends of quantile space
+(``EndpointGrowth``), and ``power_moment_finite`` turns that into the
 finiteness of every expectation in the package (quadrature cannot certify
 divergence); finite values are computed by quadrature in quantile space
 unless a closed form is trivial.
@@ -124,23 +125,25 @@ class ParentDistribution:
     Every public method is defined here, once.  Each converts its argument,
     returns a float for a scalar argument and owns the edges of its domain:
 
-    - in x, the points outside the open ``support`` get density 0, log
-      density -inf, derivative 0, and cdf 0 below the support and 1 above
-      it; NaN stays NaN;
-    - ``tail`` raises ``ValueError`` outside (0, 1/2] (NaN included);
+    - in x, the points outside the open ``support`` get log density -inf,
+      and cdf 0 below the support and 1 above it; NaN stays NaN.  The
+      density is exp(log density), +inf where that passes the float range;
+    - ``tail`` and ``slope`` raise ``ValueError`` outside (0, 1/2] (NaN
+      included), and ``slope`` overflows to +-inf without a warning;
     - ``quantile`` and ``log_pdf_at_quantile``, views of ``tail``, raise
       ``ValueError`` outside [0, 1] (NaN included) and clamp into
       [PROB_CLAMP, 1 - PROB_CLAMP] with a ``ClampedProbabilityWarning``;
-    - ``abs_moment`` and ``norm_m`` check their order and return +inf where
-      ``growth`` says the value diverges.
+    - ``abs_moment_finite`` and ``norm_m_finite`` check their order, and
+      ``abs_moment`` and ``norm_m`` return +inf where ``growth`` says the
+      value diverges.
 
     A family supplies formulas only:
 
-    - ``_pdf``, ``_log_pdf``, ``_cdf`` and ``_pdf_derivative``, valid inside
-      the open support, where they may overflow (without a warning) only to
-      the right limit;
-    - ``_tail(s, upper)``, ``tail`` for an array s and a plain bool
-      ``upper``, without rounding 1 - s where that would cost digits;
+    - ``_log_pdf`` and ``_cdf``, valid inside the open support, where they
+      may overflow (without a warning) only to the right limit;
+    - in quantile space, ``_tail(s, upper)`` and ``_slope(s, upper)``:
+      ``tail`` and ``slope`` for an array s and a plain bool ``upper``,
+      without rounding 1 - s where that would cost digits;
     - ``_sup_pdf`` where the density is bounded, and closed-form
       ``_abs_moment`` and ``_norm_m`` where they exist;
     - its ``growth``, and ``spec_string`` when it has parameters.
@@ -170,16 +173,15 @@ class ParentDistribution:
         return _ret(x, out)
 
     def pdf(self, x):
-        return self._on_support(x, self._pdf, 0.0, 0.0)
+        # f2's density near 0 passes the float range: inf there is the limit
+        with np.errstate(over="ignore"):
+            return _ret(x, np.exp(self.log_pdf(x)))
 
     def log_pdf(self, x):
         return self._on_support(x, self._log_pdf, -math.inf, -math.inf)
 
     def cdf(self, x):
         return self._on_support(x, self._cdf, 0.0, 1.0)
-
-    def pdf_derivative(self, x):
-        return self._on_support(x, self._pdf_derivative, 0.0, 0.0)
 
     # -- quantile space -----------------------------------------------------
     @staticmethod
@@ -201,6 +203,15 @@ class ParentDistribution:
             )
         return clipped
 
+    @staticmethod
+    def _tail_masses(s) -> np.ndarray:
+        """``s`` as an array; raises ``ValueError`` outside (0, 1/2]."""
+        arr = np.asarray(s, dtype=float)
+        # two reductions clear the common case, every s inside; NaN fails them
+        if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) <= 0.5):
+            raise ValueError("tail mass s must lie in (0, 1/2]")
+        return arr
+
     def tail(self, s, upper):
         """(x, log f(x)) at tail mass s: x = F^{-1}(s) where ``upper`` is
         false and x = F^{-1}(1 - s) where it is true.
@@ -208,30 +219,41 @@ class ParentDistribution:
         s lies in (0, 1/2]; a value outside, or NaN, raises ``ValueError``.
         ``upper`` is a bool, or a bool array shaped like s.
         """
-        arr = np.asarray(s, dtype=float)
-        # two reductions clear the common case, every s inside; NaN fails them
-        if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) <= 0.5):
-            raise ValueError("tail mass s must lie in (0, 1/2]")
-        x, log_f = self._sides(arr, np.asarray(upper, dtype=bool))
+        x, log_f = self._sides(self._tail, self._tail_masses(s), upper)
         return _ret(s, x), _ret(s, log_f)
 
-    def _sides(self, s: np.ndarray, side: np.ndarray):
-        """``_tail`` once per side present, for tail masses s known to lie in (0, 1/2]."""
+    def slope(self, s, upper):
+        """L'(u) = d log f(F^{-1}(u)) / du at u = s where ``upper`` is false
+        and u = 1 - s where it is true; s and ``upper`` as in ``tail``.
+
+        Along the quantile flow f'(F^{-1}(u)) = L'(u) f^2 and
+        (F^{-1})''(u) = -L'(u) / f.  Overflows to +-inf without a warning.
+        """
+        with np.errstate(over="ignore", divide="ignore"):
+            (dlog_f,) = self._sides(lambda t, flag: (self._slope(t, flag),),
+                                    self._tail_masses(s), upper)
+        return _ret(s, dlog_f)
+
+    def _sides(self, formula, s: np.ndarray, upper):
+        """``formula(s, upper)``, a tuple of arrays shaped like s, once per
+        side present, for tail masses s known to lie in (0, 1/2]."""
+        side = np.asarray(upper, dtype=bool)
         if side.ndim and side.shape != s.shape:
             raise ValueError(f"upper has shape {side.shape}, s has shape {s.shape}")
         count = np.count_nonzero(side)
         if count in (0, side.size):  # one side: no split
-            return self._tail(s, bool(count))
-        x, log_f = np.empty_like(s), np.empty_like(s)
-        for flag, at in ((False, ~side), (True, side)):
-            x[at], log_f[at] = self._tail(s[at], flag)
-        return x, log_f
+            return formula(s, bool(count))
+        low, high = formula(s[~side], False), formula(s[side], True)
+        out = tuple(np.empty_like(s) for _ in low)
+        for column, below, above in zip(out, low, high):
+            column[~side], column[side] = below, above
+        return out
 
     def _tail_at(self, u):
         """``tail`` at u in [0, 1], checked and clamped: the tail mass
         min(u, 1 - u), on the side u >= 1/2, where 1 - u is exact."""
         arr = self._probabilities(u)
-        x, log_f = self._sides(np.minimum(arr, 1.0 - arr), arr >= 0.5)
+        x, log_f = self._sides(self._tail, np.minimum(arr, 1.0 - arr), arr >= 0.5)
         return _ret(u, x), _ret(u, log_f)
 
     def quantile(self, u):
@@ -244,13 +266,13 @@ class ParentDistribution:
 
     # -- moments and norms --------------------------------------------------
     def abs_moment_finite(self, r: float) -> bool:
-        """Whether E|X|^r = E|F^{-1}(U)|^r, U uniform, is finite."""
+        """Whether E|X|^r = E|F^{-1}(U)|^r, U uniform, is finite; r > 0."""
+        if not r > 0:
+            raise ValueError("abs_moment requires r > 0")
         return power_moment_finite(self.growth.quantile, r)
 
     def abs_moment(self, r: float) -> float:
         """E|X|^r, +inf when the moment diverges."""
-        if not r > 0:
-            raise ValueError("abs_moment requires r > 0")
         return self._abs_moment(r) if self.abs_moment_finite(r) else math.inf
 
     def _abs_moment(self, r: float) -> float:
@@ -276,13 +298,14 @@ class ParentDistribution:
         return total
 
     def norm_m_finite(self, m: float) -> bool:
-        """Whether ||f||_m is finite: int f^m dx = E[f(F^{-1}(U))^(m-1)], U uniform."""
+        """Whether ||f||_m is finite, m >= 1: int f^m dx = E[f(F^{-1}(U))^(m-1)],
+        U uniform."""
+        if not m >= 1:
+            raise ValueError("norm_m requires m >= 1")
         return power_moment_finite(self.growth.pdf, m - 1.0)
 
     def norm_m(self, m: float) -> float:
         """L_m norm of the density, +inf when divergent; m = inf is sup f."""
-        if not m >= 1:
-            raise ValueError("norm_m requires m >= 1")
         if not self.norm_m_finite(m):
             return math.inf
         if math.isinf(m):
@@ -317,21 +340,18 @@ class Uniform(ParentDistribution):
             raise DistributionSpecError(f"uniform requires a finite width b - a, got {self._w}")
         self.support = (self.a, self.b)
 
-    def _pdf(self, x):
-        return np.full_like(x, 1.0 / self._w)
-
     def _log_pdf(self, x):
         return np.full_like(x, -math.log(self._w))
 
     def _cdf(self, x):
         return (x - self.a) / self._w
 
-    def _pdf_derivative(self, x):
-        return np.zeros_like(x)
-
     def _tail(self, s, upper):
         x = self.b - s * self._w if upper else self.a + s * self._w
         return x, np.full_like(s, -math.log(self._w))
+
+    def _slope(self, s, upper):
+        return np.zeros_like(s)
 
     def _norm_m(self, m):
         return self._w ** (1.0 / m - 1.0)
@@ -357,10 +377,6 @@ class Gaussian(ParentDistribution):
     def _z(self, x):
         return (x - self.mu) / self.sigma
 
-    def _pdf(self, x):
-        z = self._z(x)
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2 * math.pi))
-
     def _log_pdf(self, x):
         z = self._z(x)
         return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
@@ -370,15 +386,15 @@ class Gaussian(ParentDistribution):
 
         return ndtr(self._z(x))
 
-    def _pdf_derivative(self, x):
-        # the density is 0 in float64 beyond |z| = 40: clipping z there keeps
-        # -z/sigma finite where z overflows and changes no value
-        return -np.clip(self._z(x), -40.0, 40.0) / self.sigma * self._pdf(x)
-
     def _tail(self, s, upper):
         z = ndtri(s)  # <= 0; AS241 is odd about 1/2 to the bit: -z is the quantile at 1 - s
         x = self.mu - self.sigma * z if upper else self.mu + self.sigma * z
         return x, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
+
+    def _slope(self, s, upper):
+        # -z / phi(z) at the quantile's z, which is ndtri(s) below and -ndtri(s) above
+        z = ndtri(s)
+        return (z if upper else -z) * math.sqrt(2 * math.pi) / np.exp(-0.5 * z * z)
 
     def _abs_moment(self, r):
         if self.mu != 0.0:
@@ -410,21 +426,18 @@ class Exponential(ParentDistribution):
         if self.rate <= 0:
             raise DistributionSpecError("exponential requires rate > 0")
 
-    def _pdf(self, x):
-        return self.rate * np.exp(-self.rate * x)
-
     def _log_pdf(self, x):
         return math.log(self.rate) - self.rate * x
 
     def _cdf(self, x):
         return -np.expm1(-self.rate * x)
 
-    def _pdf_derivative(self, x):
-        return -self.rate**2 * np.exp(-self.rate * x)
-
     def _tail(self, s, upper):
         log_sf = np.log(s) if upper else np.log1p(-s)  # log(1 - F(x))
         return -log_sf / self.rate, math.log(self.rate) + log_sf
+
+    def _slope(self, s, upper):
+        return -1.0 / (s if upper else 1.0 - s)  # -1 / (1 - u)
 
     def _sup_pdf(self):
         return self.rate
@@ -447,13 +460,6 @@ class Cauchy(ParentDistribution):
     def _z(self, x):
         return (x - self.loc) / self.scale
 
-    def _pdf(self, x):
-        # where the denominator overflows, |z| + 1 = |z| and this order underflows gradually
-        z = self._z(x)
-        den = math.pi * self.scale * (1.0 + z * z)
-        a = np.abs(z) + 1.0
-        return np.where(np.isinf(den), 1.0 / (math.pi * self.scale * a) / a, 1.0 / den)
-
     def _log_pdf(self, x):
         # log(1 + z^2) as logaddexp(0, 2 log|z|), which z^2 cannot overflow;
         # where z itself overflows, log|z| is log|x/2 - loc/2| + log 2 - log(scale)
@@ -466,15 +472,6 @@ class Cauchy(ParentDistribution):
     def _cdf(self, x):
         return 0.5 + np.arctan(self._z(x)) / math.pi
 
-    def _pdf_derivative(self, x):
-        # (1 + z^2)^2 overflows beyond |z| = 1e77, where the derivative is
-        # -2/(pi scale^2 z^3) to 150 digits, evaluated so that it underflows
-        z = self._z(x)
-        far = np.abs(z) > 1e77
-        near_z, far_z = np.where(far, 0.0, z), np.where(far, z, 1.0)
-        return np.where(far, -2.0 / (math.pi * self.scale**2 * far_z) / far_z / far_z,
-                        -2.0 * near_z / (math.pi * self.scale**2 * (1.0 + near_z * near_z) ** 2))
-
     def _tail(self, s, upper):
         # x = loc -+ scale cot(pi s), f(x) = sin^2(pi s) / (pi scale): tan(pi (u - 1/2))
         # would lose every digit against the pole, and sin(pi u) above the median
@@ -482,6 +479,11 @@ class Cauchy(ParentDistribution):
             t = self.scale / np.tan(math.pi * s)
         return (self.loc + t if upper else self.loc - t,
                 2.0 * np.log(np.sin(math.pi * s)) - math.log(math.pi * self.scale))
+
+    def _slope(self, s, upper):
+        # 2 pi cot(pi u), odd about 1/2
+        c = 2.0 * math.pi / np.tan(math.pi * s)
+        return -c if upper else c
 
     def _sup_pdf(self):
         return 1.0 / (math.pi * self.scale)
@@ -502,12 +504,6 @@ class F1(ParentDistribution):
     growth = EndpointGrowth(quantile=(0.0, math.inf), log_pdf=(0.0, 0.5))
     support = (math.e, math.inf)
 
-    def _pdf(self, x):
-        # beyond x ~ 5e299 the denominator overflows while the density is subnormal
-        lg = np.log(x)
-        den = x * lg**3
-        return np.where(np.isinf(den), 2.0 / x / lg**3, 2.0 / den)
-
     def _log_pdf(self, x):
         lg = np.log(x)
         return math.log(2.0) - lg - 3.0 * np.log(lg)
@@ -515,17 +511,16 @@ class F1(ParentDistribution):
     def _cdf(self, x):
         return 1.0 - 1.0 / np.log(x) ** 2
 
-    def _pdf_derivative(self, x):
-        lg = np.log(x)
-        den = x**2 * lg**4
-        return np.where(np.isinf(den), -2.0 * (lg + 3.0) / (x * lg**4) / x, -2.0 * (lg + 3.0) / den)
-
     def _tail(self, s, upper):
         # x = exp(t), t = (1 - F(x))^-1/2: log f stays finite where x overflows
         t = 1.0 / np.sqrt(s if upper else 1.0 - s)
         with np.errstate(over="ignore"):
             x = np.exp(t)
         return x, math.log(2.0) - t - 3.0 * np.log(t)
+
+    def _slope(self, s, upper):
+        t = 1.0 / np.sqrt(s if upper else 1.0 - s)  # dt/du = t^3 / 2
+        return -0.5 * t**3 - 1.5 * t**2
 
     def _sup_pdf(self):
         return 2.0 / math.e
@@ -543,10 +538,6 @@ class F2(ParentDistribution):
     growth = EndpointGrowth(log_pdf=(1.0, 0.0), pdf=(math.inf, 0.0))
     support = (0.0, 1.0 / math.e)
 
-    def _pdf(self, x):
-        lg = np.log(x)
-        return 1.0 / (x * lg * lg)
-
     def _log_pdf(self, x):
         lg = np.log(x)
         return -lg - 2.0 * np.log(-lg)
@@ -554,14 +545,14 @@ class F2(ParentDistribution):
     def _cdf(self, x):
         return -1.0 / np.log(x)
 
-    def _pdf_derivative(self, x):
-        lg = np.log(x)
-        return -(lg + 2.0) / (x**2 * lg**3)
-
     def _tail(self, s, upper):
         # x = exp(-1/u) at u = F(x); rounding u = 1 - s costs no digit of either
         u = 1.0 - s if upper else s
         return np.exp(-1.0 / u), 1.0 / u + 2.0 * np.log(u)
+
+    def _slope(self, s, upper):
+        u = 1.0 - s if upper else s
+        return (2.0 * u - 1.0) / (u * u)
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,13 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
     norm_finite = parent.norm_m_finite(m)
     moment_finite = parent.abs_moment_finite(r)
 
-    x0, log_fq = parent.tail(min(p, 1.0 - p), p >= 0.5)
-    fq = math.exp(log_fq)
+    def derivative(t):
+        """f'(F^{-1}(t)) = L'(t) f(F^{-1}(t))^2, read along the quantile flow."""
+        s, upper = min(t, 1.0 - t), t >= 0.5
+        with np.errstate(over="ignore"):
+            return float(parent.slope(s, upper) * np.exp(2.0 * parent.tail(s, upper)[1]))
+
+    fq = math.exp(parent.tail(min(p, 1.0 - p), p >= 0.5)[1])
     density_positive = fq > 0.0 and math.isfinite(fq)
 
     derivative_continuous = False
@@ -300,13 +305,12 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
         # continuous composition the gaps scale down with the probe width,
         # while a jump leaves them pinned at the jump size; the widest probe
         # keeps p - h and p + h inside (0, 1)
-        d0 = float(parent.pdf_derivative(x0))
+        d0 = derivative(p)
         h = min(1e-2, min(p, 1.0 - p) / 2.0)
         deltas = [h / 10**j for j in range(4)]
         gaps = []
         for dlt in deltas:
-            lo = float(parent.pdf_derivative(float(parent.quantile(p - dlt))))
-            hi = float(parent.pdf_derivative(float(parent.quantile(p + dlt))))
+            lo, hi = derivative(p - dlt), derivative(p + dlt)
             gaps.append(max(abs(lo - d0), abs(hi - d0)))
         scale = abs(d0) + gaps[0]
         derivative_continuous = all(math.isfinite(g) for g in gaps) and (

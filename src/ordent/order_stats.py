@@ -86,10 +86,9 @@ def order_stat_pdf(parent: ParentDistribution, spec: OrderStatSpec, x):
     F = np.asarray(parent.cdf(arr), dtype=float)
     logf = np.asarray(parent.log_pdf(arr), dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        logpdf = beta_log_density(law.alpha, law.beta, F) + logf
-        # densities beyond float range (the unbounded parent near its origin)
-        # surface as inf, which is the honest linear-space answer
-        out = np.where(np.isfinite(logpdf), np.exp(logpdf), 0.0)
+        # 0 where the log density is -inf and NaN where x is; densities beyond
+        # float range (the unbounded parent near its origin) surface as inf
+        out = np.exp(beta_log_density(law.alpha, law.beta, F) + logf)
     if np.ndim(x) == 0:
         return float(out)
     return out

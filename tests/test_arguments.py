@@ -1,7 +1,8 @@
 """The argument rule: n and k are whole numbers with 1 <= k <= n, and p lies
 strictly inside (0, 1).  ``OrderStatSpec`` states the rule once; every public
 entry point that takes n, k or p applies it, so they all accept and reject the
-same values with the same messages.  Also the rule for a quadrature ``tol``."""
+same values with the same messages.  Also the rule for a quadrature ``tol``,
+and the order rule of the parents' moments and norms."""
 
 import math
 import re
@@ -19,7 +20,7 @@ from ordent.bounds import (
     quantile_mse_bound,
 )
 from ordent.cli import EXIT_USAGE, cli_main
-from ordent.distributions import Gaussian
+from ordent.distributions import Cauchy, Gaussian
 from ordent.entropy_kl import (
     entropy_expansion_linear_coefficient,
     gaussian_reference,
@@ -151,3 +152,29 @@ def test_tolerance_must_be_finite_and_non_negative(tol, capsys):
 def test_zero_tolerance_is_a_tolerance():
     d = kl_decompose(GAUSS, 100, 0.3, tol=0.0)
     assert math.isfinite(d.total_decomposed) and not d.message
+
+
+@pytest.mark.parametrize("parent", [GAUSS, Cauchy()], ids=["gaussian", "cauchy"])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, -math.inf], ids=["0", "-1", "nan", "-inf"])
+def test_moment_order_must_be_positive(parent, r):
+    # E|X|^-1 diverges at 0 even where every positive moment is finite
+    for call in (parent.abs_moment_finite, parent.abs_moment):
+        with pytest.raises(ValueError, match=re.escape("abs_moment requires r > 0")):
+            call(r)
+
+
+@pytest.mark.parametrize("parent", [GAUSS, Cauchy()], ids=["gaussian", "cauchy"])
+@pytest.mark.parametrize("m", [0.5, 0.0, -1.0, math.nan, -math.inf], ids=["0.5", "0", "-1", "nan", "-inf"])
+def test_norm_order_must_be_at_least_one(parent, m):
+    # the Cauchy's int f^(1/2) dx diverges, as f^(1/2) ~ 1/(sqrt(pi) |x|)
+    for call in (parent.norm_m_finite, parent.norm_m):
+        with pytest.raises(ValueError, match=re.escape("norm_m requires m >= 1")):
+            call(m)
+
+
+@pytest.mark.parametrize("m, r", [(0.5, 2.0), (2.0, -1.0), (0.5, -1.0), (math.nan, 2.0), (2.0, math.nan)],
+                         ids=["m=0.5", "r=-1", "both", "m=nan", "r=nan"])
+def test_condition_check_takes_the_orders_of_the_methods(m, r):
+    # the Cauchy's norm at m = 0.5 and moment at r = -1 both diverge: no verdict at such orders
+    with pytest.raises(ValueError, match="requires"):
+        condition_check(Cauchy(), 0.3, m=m, r=r)

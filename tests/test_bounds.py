@@ -171,6 +171,22 @@ class TestK3Bound:
             k3_bound(Gaussian(), 100, 0.5, q=2.0, epsilon=0.004)
 
 
+@pytest.mark.parametrize("bound, parent, n, p, kwargs, name, want", [
+    (quantile_mse_bound, Gaussian(), 200, 0.3, {}, "curvature_const", 19.065046326985563),
+    (quantile_mse_bound, Exponential(), 2000, 0.7, {}, "curvature_const", 44.44444444444443),
+    (quantile_mse_bound, Uniform(), 200, 0.3, {}, "curvature_const", 0.0),
+    (k3_bound, Gaussian(), 200, 0.3, {"q": 2.0}, "slope_const", 4.4451828517546685),
+    (k3_bound, Exponential(), 2000, 0.5, {"q": 4.0}, "slope_const", 4.0),
+    (k3_bound, Uniform(), 200, 0.3, {"q": 2.0}, "slope_const", 0.0),
+], ids=["mse-gaussian", "mse-exponential", "mse-uniform", "k3-gaussian", "k3-exponential",
+        "k3-uniform"])
+def test_constants_read_along_the_quantile_flow(bound, parent, n, p, kwargs, name, want):
+    # max |L'| f^(2 - power) over the central window, on the benchmark's verify
+    # inputs, against values from the x-space form f'(x) at x = F^-1(t)
+    got = bound(parent, n, p, **kwargs).params[name]
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
 @pytest.mark.parametrize("call", [
     lambda: moment_bound_constant(100, 30, math.nan, 2),
     lambda: moment_bound_constant(100, 30, 2, math.nan),

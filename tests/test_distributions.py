@@ -1,13 +1,16 @@
-"""Parent-family contracts: normalization, quantile round-trips, derivative
-consistency, the edges the base class owns, moment/norm finiteness flags,
-Beta moments and seeded sampling."""
+"""Parent-family contracts: normalization, quantile round-trips, the slope of
+log f along the quantile flow, the edges the base class owns, moment/norm
+finiteness flags, Beta moments and seeded sampling."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.special import betaincinv, logit
@@ -173,28 +176,33 @@ class TestTail:
     @pytest.mark.parametrize("s", [0.0, 0.6, -1.0, math.nan, [0.25, math.nan]],
                              ids=["0", "0.6", "-1", "nan", "array-nan"])
     def test_tail_mass_outside_raises(self, parent, s):
-        with pytest.raises(ValueError, match="tail mass"):
-            parent.tail(s, False)
+        # slope shares tail's check
+        for method in (parent.tail, parent.slope):
+            with pytest.raises(ValueError, match="tail mass"):
+                method(s, False)
 
     def test_mixed_sides_match_each_side_alone(self):
+        # tail and slope share one split by side
         s = np.array([0.5, 1e-300, 0.25, 2.0**-40])
         upper = np.array([True, False, True, True])
         for parent in ALL_PARENTS:
             x, log_f = parent.tail(s, upper)
+            slope = parent.slope(s, upper)
             for i in range(s.size):
                 assert (x[i], log_f[i]) == parent.tail(s[i], bool(upper[i])), parent.name
-        with pytest.raises(ValueError, match="shape"):
-            Gaussian().tail(s, upper[:2])
+                assert slope[i] == parent.slope(s[i], bool(upper[i])), parent.name
+        for method in (Gaussian().tail, Gaussian().slope):
+            with pytest.raises(ValueError, match="shape"):
+                method(s, upper[:2])
 
 
 class TestFamiliesAreFormulas:
     """``ParentDistribution`` owns the arguments, the support and the clamp."""
 
-    PUBLIC = ("pdf", "log_pdf", "cdf", "pdf_derivative", "tail", "quantile",
+    PUBLIC = ("pdf", "log_pdf", "cdf", "tail", "slope", "quantile",
               "log_pdf_at_quantile", "abs_moment", "norm_m")
     # (outside below the support, outside above it) for each x-space method
-    EDGES = {"pdf": (0.0, 0.0), "log_pdf": (-math.inf, -math.inf), "cdf": (0.0, 1.0),
-             "pdf_derivative": (0.0, 0.0)}
+    EDGES = {"pdf": (0.0, 0.0), "log_pdf": (-math.inf, -math.inf), "cdf": (0.0, 1.0)}
 
     def test_no_family_overrides_a_public_method(self):
         for parent in ALL_PARENTS:
@@ -233,8 +241,8 @@ class TestFamiliesAreFormulas:
 
 
 def _mp_formulas(parent):
-    """(pdf, log_pdf, cdf, pdf_derivative) in mpmath, for the families whose
-    support reaches huge |x|: gaussian, exponential, Cauchy and f1."""
+    """(pdf, log_pdf, cdf) in mpmath, for the families whose support reaches
+    huge |x|: gaussian, exponential, Cauchy and f1."""
     if isinstance(parent, Gaussian):
         s = mp.mpf(parent.sigma)
         z = lambda x: (x - mp.mpf(parent.mu)) / s  # noqa: E731
@@ -242,24 +250,21 @@ def _mp_formulas(parent):
         # mpmath's ncdf fails far out; below z = -40 the Mills ratio phi(z)/|z|
         # is within 1e-3 of the cdf, which underflows there anyway
         return (pdf, lambda x: -z(x) ** 2 / 2 - mp.log(s * mp.sqrt(2 * mp.pi)),
-                lambda x: mp.ncdf(z(x)) if z(x) > -40 else mp.npdf(z(x)) / -z(x),
-                lambda x: -z(x) / s * pdf(x))
+                lambda x: mp.ncdf(z(x)) if z(x) > -40 else mp.npdf(z(x)) / -z(x))
     if isinstance(parent, Exponential):
         r = mp.mpf(parent.rate)
         return (lambda x: r * mp.exp(-r * x), lambda x: mp.log(r) - r * x,
-                lambda x: -mp.expm1(-r * x), lambda x: -r * r * mp.exp(-r * x))
+                lambda x: -mp.expm1(-r * x))
     if isinstance(parent, Cauchy):
         s = mp.mpf(parent.scale)
         z = lambda x: (x - mp.mpf(parent.loc)) / s  # noqa: E731
         return (lambda x: 1 / (mp.pi * s * (1 + z(x) ** 2)),
                 lambda x: -mp.log(mp.pi * s * (1 + z(x) ** 2)),
-                lambda x: mp.mpf(1) / 2 + mp.atan(z(x)) / mp.pi,
-                lambda x: -2 * z(x) / (mp.pi * s * s * (1 + z(x) ** 2) ** 2))
+                lambda x: mp.mpf(1) / 2 + mp.atan(z(x)) / mp.pi)
     assert isinstance(parent, F1), parent
     return (lambda x: 2 / (x * mp.log(x) ** 3),
             lambda x: mp.log(2) - mp.log(x) - 3 * mp.log(mp.log(x)),
-            lambda x: 1 - 1 / mp.log(x) ** 2,
-            lambda x: -2 * (mp.log(x) + 3) / (x**2 * mp.log(x) ** 4))
+            lambda x: 1 - 1 / mp.log(x) ** 2)
 
 
 class TestHugeArguments:
@@ -267,14 +272,13 @@ class TestHugeArguments:
 
     PARENTS = [Uniform(), Uniform(0.0, 1e-10), Gaussian(), Gaussian(sigma=1e-10),
                Exponential(), Exponential(rate=1e10), Cauchy(), Cauchy(scale=1e-10), F1(), F2()]
-    METHODS = ("pdf", "log_pdf", "cdf", "pdf_derivative")
+    METHODS = ("pdf", "log_pdf", "cdf")
     EDGES = TestFamiliesAreFormulas.EDGES
 
     @pytest.mark.parametrize("parent", PARENTS, ids=repr)
     @pytest.mark.parametrize("x", [1e100, -1e100, 1e200, -1e200, 1e300, -1e300])
     def test_against_mpmath(self, parent, x):
-        # 1e100 lies where the Cauchy derivative's (1 + z^2)^2 overflows but
-        # the derivative does not underflow
+        # 1e100 lies where z^2 is finite but pdf = exp(log pdf) is far from 1
         lo, hi = parent.support
         with mp.workdps(50):
             for i, name in enumerate(self.METHODS):
@@ -294,8 +298,8 @@ class TestHugeArguments:
 
 
 @pytest.mark.parametrize("parent, method, x", [
-    (Cauchy(), "pdf", 1e155), (Cauchy(), "pdf", -1e155), (Cauchy(scale=1e-10), "pdf", 1e150),
-    (Cauchy(), "pdf_derivative", 1e103), (F1(), "pdf_derivative", 1.4e154)], ids=str)
+    (Cauchy(), "pdf", 1e155), (Cauchy(), "pdf", -1e155), (Cauchy(scale=1e-10), "pdf", 1e150)],
+    ids=str)
 def test_subnormal_values_underflow_gradually(parent, method, x):
     # the true values are subnormal, not 0: within a few subnormal spacings of mpmath
     with mp.workdps(50):
@@ -304,18 +308,63 @@ def test_subnormal_values_underflow_gradually(parent, method, x):
     assert abs(getattr(parent, method)(x) - want) <= 2 * math.ulp(0.0)
 
 
-class TestPdfDerivative:
+def _mp_log_f_along_the_flow(name, u):
+    """L(u) = log f(F^{-1}(u)) in mpmath, for the default parameters of each family."""
+    if name == "uniform":
+        return 0 * u
+    if name == "gaussian":
+        z = mp.sqrt(2) * mp.erfinv(2 * u - 1)
+        return -z**2 / 2 - mp.log(2 * mp.pi) / 2
+    if name == "exponential":
+        return mp.log1p(-u)
+    if name == "cauchy":
+        return 2 * mp.log(mp.sin(mp.pi * u)) - mp.log(mp.pi)
+    if name == "f1":
+        t = (1 - u) ** mp.mpf(-0.5)
+        return mp.log(2) - t - 3 * mp.log(t)
+    return 1 / u + 2 * mp.log(u)  # f2
+
+
+class TestSlope:
+    """``slope(s, upper)``: L'(u) = d log f(F^{-1}(u)) / du at tail mass s."""
+
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
-    def test_matches_central_differences(self, parent):
-        # f2 compresses all mass into a sliver near zero; step sizes only make
-        # sense on its well-scaled right portion
-        lo = 0.15 if parent.name == "f2" else 2e-3
-        xs = central_grid(parent, lo, 1 - 2e-3, 40)
-        for x in xs:
-            h = 1e-6 * max(1.0, abs(x)) if parent.name != "f2" else 1e-7 * abs(x)
-            fd = (parent.pdf(x + h) - parent.pdf(x - h)) / (2 * h)
-            d = parent.pdf_derivative(x)
-            assert abs(d - fd) <= max(1e-6, 1e-4 * abs(d))
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("s", [1e-12, 1e-3, 0.1, 0.3, 0.5])
+    def test_against_mpmath(self, parent, upper, s):
+        with mp.workdps(40):
+            u = 1 - mp.mpf(s) if upper else mp.mpf(s)
+            want = float(mp.diff(lambda v: _mp_log_f_along_the_flow(parent.name, v), u))
+        got = parent.slope(s, upper)
+        # 1e-15 absolute where L' = 0: the uniform, and the gaussian and
+        # Cauchy medians, where the Cauchy's cot(pi / 2) is 6e-17
+        assert abs(got - want) <= (1e-13 * abs(want) if want else 1e-15), (got, want)
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(s=st.floats(min_value=-6.0, max_value=math.log10(0.49)).map(lambda e: 10.0**e),
+           upper=st.booleans())
+    def test_matches_central_differences(self, parent, s, upper):
+        # log f at tail mass s is L(s) on the lower side and L(1 - s) on the
+        # upper one, so its derivative in s is L' and -L'.  Where a family
+        # reads u = 1 - s, rounding u moves the difference by up to eps/h
+        # relative
+        h = 1e-4 * s
+        log_f = [parent.tail(t, upper)[1] for t in (s - h, s + h)]
+        fd = (log_f[1] - log_f[0]) / (2 * h) * (-1.0 if upper else 1.0)
+        tol = (1e-6 + 4.0 * np.finfo(float).eps / h) * abs(fd) + 1e-9
+        assert abs(parent.slope(s, upper) - fd) <= tol, (fd, parent.slope(s, upper))
+
+    def test_overflows_to_infinity_without_a_warning(self):
+        s = 5e-324
+        want = {"uniform": (0.0, 0.0), "gaussian": (math.inf, -math.inf),
+                "exponential": (-1.0, -math.inf), "cauchy": (math.inf, -math.inf),
+                "f1": (-2.0, -math.inf), "f2": (-math.inf, 1.0)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for parent in ALL_PARENTS:
+                got = (parent.slope(s, False), parent.slope(s, True))
+                assert got == want[parent.name], (parent, got)
 
 
 class TestEndpointGrowth:
@@ -351,6 +400,8 @@ class TestEndpointGrowth:
                     assert np.all(np.abs((size[1:] - size[:-1]) / run - a) <= 0.05), where
 
     def test_flags_keep_the_answers_of_the_per_family_rules(self):
+        # the flags take the orders their methods take: r > 0 and m >= 1
+        # (test_arguments checks that the others raise)
         moment = {"uniform": lambda r: True, "gaussian": lambda r: True,
                   "exponential": lambda r: True, "cauchy": lambda r: r < 1.0,
                   "f1": lambda r: False, "f2": lambda r: True}
@@ -359,6 +410,7 @@ class TestEndpointGrowth:
         for parent in ALL_PARENTS:
             for v in (0.5, 0.99, 1.0, 1.5, 2.0, 4.0, math.inf):
                 assert parent.abs_moment_finite(v) == moment[parent.name](v), (parent, v)
+            for v in (1.0, 1.5, 2.0, 4.0, math.inf):
                 assert parent.norm_m_finite(v) == norm[parent.name](v), (parent, v)
 
     def test_predicate_boundaries(self):
@@ -724,4 +776,5 @@ class TestSpecGrammar:
         # b - a overflows although a and b are finite
         with pytest.raises(DistributionSpecError, match="finite width"):
             make_parent("uniform", a=-1e308, b=1e308)
-        assert Uniform(-1e307, 1e307).pdf(0.0) == 1.0 / 2e307
+        # the density is exp(log density): within a few ulp of 1 / width
+        assert Uniform(-1e307, 1e307).pdf(0.0) == pytest.approx(1.0 / 2e307, rel=1e-13)

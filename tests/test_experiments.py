@@ -164,6 +164,15 @@ class TestConditionCheck:
         assert chk.density_positive and chk.derivative_continuous
         assert len(chk.details["probe_gaps"]) == 4
 
+    @pytest.mark.parametrize("parent, p, want", [
+        (Gaussian(), 0.3, 0.1823301851513177), (Exponential(), 0.7, -0.30000000000000004),
+        (Exponential(), 0.5, -0.5), (Uniform(), 0.3, 0.0), (Cauchy(), 0.3, 0.19813980991756336),
+        (F1(), 0.3, -0.37654711810537395), (F2(), 0.3, -28.287791792187026)], ids=repr)
+    def test_derivative_at_p(self, parent, p, want):
+        # f'(F^-1(p)) = L'(p) f^2, against values from the x-space form f'(x)
+        got = condition_check(parent, p).details["derivative_at_p"]
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
     def test_serializable(self):
         chk = condition_check(Gaussian(), 0.3)
         d = chk.to_dict()

@@ -68,6 +68,19 @@ class TestOrderStatPdf:
         assert order_stat_pdf(Exponential(), spec, -1.0) == 0.0
         assert order_stat_pdf(F2(), spec, 0.9) == 0.0
 
+    def test_nan_infinities_and_overflow(self):
+        # NaN stays NaN, as in the parent's pdf and the order statistic's cdf;
+        # +-inf lie outside every support; f2's density at the smallest
+        # subnormal passes the float range
+        spec = OrderStatSpec(n=10, k=1)
+        assert math.isnan(order_stat_pdf(Gaussian(), spec, math.nan))
+        assert math.isnan(order_stat_cdf(Gaussian(), spec, math.nan))
+        assert math.isnan(Gaussian().pdf(math.nan))
+        got = order_stat_pdf(Gaussian(), spec, np.array([-math.inf, math.nan, 0.0, math.inf]))
+        assert got[0] == 0.0 and math.isnan(got[1]) and got[2] > 0.0 and got[3] == 0.0
+        assert order_stat_pdf(F2(), spec, 5e-324) == math.inf
+        assert order_stat_pdf(F2(), spec, np.array([5e-324, math.nan]))[0] == math.inf
+
     def test_gaussian_median_statistic(self):
         parent = Gaussian()
         spec = OrderStatSpec(n=101, k=51)
