@@ -136,7 +136,8 @@ def _grid_max(fn, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
 
 def _density_ratio_max(parent: ParentDistribution, p: float, eps: float, power: int) -> float:
     """max over t in [p-eps, p+eps] of |f'/f^power| at F^{-1}(t), read along
-    the quantile flow as |L'(t)| f^(2-power), L' = ``parent.slope``.
+    the quantile flow as |L'(t)| f^(2-power), L' = ``parent.slope``, with
+    L' and log f from one call per grid.
 
     ``power`` 3 is the quantile curvature |(F^{-1})''| = |L'|/f; 2 is the
     slope |L'| of log f(F^{-1}(t)).
@@ -145,9 +146,8 @@ def _density_ratio_max(parent: ParentDistribution, p: float, eps: float, power: 
     hi = min(p + eps, 1.0 - 1e-12)
 
     def fn(t):
-        s, upper = np.minimum(t, 1.0 - t), t >= 0.5
-        slope = np.abs(parent.slope(s, upper))
-        return slope if power == 2 else slope * np.exp((2 - power) * parent.tail(s, upper)[1])
+        _, log_f, slope = parent._at(np.minimum(t, 1.0 - t), t >= 0.5)
+        return np.abs(slope) if power == 2 else np.abs(slope) * np.exp((2 - power) * log_f)
 
     return _grid_max(fn, lo, hi)
 
@@ -253,8 +253,9 @@ def k3_bound(
     n, k, law = spec.n, spec.k, spec.beta_law
     log_fp = ref.log_f_p
 
-    r = math.inf if q == 1.0 else q / (q - 1.0)
-    norm_order = 2.0 if math.isinf(q) else r + 1.0
+    # the conjugate order, 1/q + 1/r = 1: inf at q = 1 and 1 at q = inf
+    r = math.inf if q == 1.0 else 1.0 if math.isinf(q) else q / (q - 1.0)
+    norm_order = r + 1.0
     norm = parent.norm_m(norm_order)
 
     empirical, stderr, _, quad_message = _term_detail("k3", res["k3"], ref)
@@ -268,12 +269,8 @@ def k3_bound(
         mean_u, var_u = beta_mean_var(law)
         first = 2.0 * abs(log_fp) * math.exp(-2.0 * (n + 2.0) * (eps - p / (n + 1.0)) ** 2)
         middle = c_eps2 * math.sqrt(var_u + (mean_u - p) ** 2)
-        if math.isinf(q):
-            growth = math.sqrt(n)
-            norm_power = norm * norm  # (r+1)/r = 2 at r = 1
-        else:
-            growth = n ** (0.5 * (1.0 - 1.0 / q))
-            norm_power = norm ** ((r + 1.0) / r)
+        growth = n ** (0.5 * (1.0 - 1.0 / q))
+        norm_power = norm ** ((r + 1.0) / r) if r < math.inf else norm  # the limit at q = 1
         third = (2.0 * holder_constant(q) * norm_power * growth
                  * math.exp(-2.0 * (n + 2.0) * (eps - win.log_mode_floor(q)) ** 2))
         analytic, reason = first + middle + third, ""

@@ -11,13 +11,13 @@ mass) with its views quantile and log density at a quantile, ``slope`` (the
 derivative of log f(F^{-1}(u)) in u at a tail mass), the absolute moment
 E|X|^r and the L_m norm of the density.  ``ParentDistribution`` defines those
 public methods once, with the argument checks, the support and the scalar
-returns; a family supplies only its formulas, two of them (``_tail`` and
-``_slope``) in quantile space.  Each family declares how fast its quantile,
-log density and density grow at the ends of quantile space
-(``EndpointGrowth``), and ``power_moment_finite`` turns that into the
-finiteness of every expectation in the package (quadrature cannot certify
-divergence); finite values are computed by quadrature in quantile space
-unless a closed form is trivial.
+returns; a family supplies only its formulas, one of them (``_tail``: x,
+log f and the slope, both sides in one pass) in quantile space.  Each family
+declares how fast its quantile, log density and density grow at the ends of
+quantile space (``EndpointGrowth``), and ``power_moment_finite`` turns that
+into the finiteness of every expectation in the package (quadrature cannot
+certify divergence); finite values are computed by quadrature in quantile
+space unless a closed form is trivial.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ class ParentDistribution:
     - in x, the points outside the open ``support`` get log density -inf,
       and cdf 0 below the support and 1 above it; NaN stays NaN.  The
       density is exp(log density), +inf where that passes the float range;
-    - ``tail`` and ``slope`` raise ``ValueError`` outside (0, 1/2] (NaN
-      included), and ``slope`` overflows to +-inf without a warning;
+    - ``tail`` and ``slope``, views of one checked call of the family's
+      ``_tail``, raise ``ValueError`` outside (0, 1/2] (NaN included), and
+      ``slope`` overflows to +-inf without a warning;
     - ``quantile`` and ``log_pdf_at_quantile``, views of ``tail``, raise
       ``ValueError`` outside [0, 1] (NaN included) and clamp into
       [PROB_CLAMP, 1 - PROB_CLAMP] with a ``ClampedProbabilityWarning``;
@@ -141,8 +142,8 @@ class ParentDistribution:
 
     - ``_log_pdf`` and ``_cdf``, valid inside the open support, where they
       may overflow (without a warning) only to the right limit;
-    - in quantile space, ``_tail(s, upper)`` and ``_slope(s, upper)``:
-      ``tail`` and ``slope`` for an array s and a plain bool ``upper``,
+    - in quantile space, ``_tail(s, upper)``: x, log f(x) and L'(u) for an
+      array s and a bool or bool array ``upper``, both sides in one pass,
       without rounding 1 - s where that would cost digits;
     - ``_sup_pdf`` where the density is bounded, and closed-form
       ``_abs_moment`` and ``_norm_m`` where they exist;
@@ -203,14 +204,18 @@ class ParentDistribution:
             )
         return clipped
 
-    @staticmethod
-    def _tail_masses(s) -> np.ndarray:
-        """``s`` as an array; raises ``ValueError`` outside (0, 1/2]."""
-        arr = np.asarray(s, dtype=float)
+    def _at(self, s, upper):
+        """(x, log f(x), L'(u)) at s and ``upper`` as ``tail`` takes them,
+        checked, from one call of the family's ``_tail`` for both sides."""
+        s = np.asarray(s, dtype=float)
         # two reductions clear the common case, every s inside; NaN fails them
-        if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) <= 0.5):
+        if not (s.min(initial=0.5) > 0.0 and s.max(initial=0.5) <= 0.5):
             raise ValueError("tail mass s must lie in (0, 1/2]")
-        return arr
+        side = np.asarray(upper, dtype=bool)
+        if side.ndim and side.shape != s.shape:
+            raise ValueError(f"upper has shape {side.shape}, s has shape {s.shape}")
+        with np.errstate(over="ignore", divide="ignore"):
+            return self._tail(s, side)
 
     def tail(self, s, upper):
         """(x, log f(x)) at tail mass s: x = F^{-1}(s) where ``upper`` is
@@ -219,7 +224,7 @@ class ParentDistribution:
         s lies in (0, 1/2]; a value outside, or NaN, raises ``ValueError``.
         ``upper`` is a bool, or a bool array shaped like s.
         """
-        x, log_f = self._sides(self._tail, self._tail_masses(s), upper)
+        x, log_f, _ = self._at(s, upper)
         return _ret(s, x), _ret(s, log_f)
 
     def slope(self, s, upper):
@@ -229,31 +234,13 @@ class ParentDistribution:
         Along the quantile flow f'(F^{-1}(u)) = L'(u) f^2 and
         (F^{-1})''(u) = -L'(u) / f.  Overflows to +-inf without a warning.
         """
-        with np.errstate(over="ignore", divide="ignore"):
-            (dlog_f,) = self._sides(lambda t, flag: (self._slope(t, flag),),
-                                    self._tail_masses(s), upper)
-        return _ret(s, dlog_f)
-
-    def _sides(self, formula, s: np.ndarray, upper):
-        """``formula(s, upper)``, a tuple of arrays shaped like s, once per
-        side present, for tail masses s known to lie in (0, 1/2]."""
-        side = np.asarray(upper, dtype=bool)
-        if side.ndim and side.shape != s.shape:
-            raise ValueError(f"upper has shape {side.shape}, s has shape {s.shape}")
-        count = np.count_nonzero(side)
-        if count in (0, side.size):  # one side: no split
-            return formula(s, bool(count))
-        low, high = formula(s[~side], False), formula(s[side], True)
-        out = tuple(np.empty_like(s) for _ in low)
-        for column, below, above in zip(out, low, high):
-            column[~side], column[side] = below, above
-        return out
+        return _ret(s, self._at(s, upper)[2])
 
     def _tail_at(self, u):
         """``tail`` at u in [0, 1], checked and clamped: the tail mass
         min(u, 1 - u), on the side u >= 1/2, where 1 - u is exact."""
         arr = self._probabilities(u)
-        x, log_f = self._sides(self._tail, np.minimum(arr, 1.0 - arr), arr >= 0.5)
+        x, log_f, _ = self._at(np.minimum(arr, 1.0 - arr), arr >= 0.5)
         return _ret(u, x), _ret(u, log_f)
 
     def quantile(self, u):
@@ -283,7 +270,7 @@ class ParentDistribution:
         when the moment exists) into a bounded integrand.
         """
         def side(t, upper):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 return np.abs(self._tail(0.5 * t**8, upper)[0]) ** r * 4.0 * t**7
 
         # geometric levels toward t = 0 only: toward t = 1 both sides are smooth.
@@ -313,10 +300,16 @@ class ParentDistribution:
         return 1.0 if m == 1 else self._norm_m(m)
 
     def _norm_m(self, m: float) -> float:
-        """A finite ||f||_m, 1 < m < inf, by quadrature in quantile coordinates."""
-        # int f^m dx = E[f(F^{-1}(U))^{m-1}], U uniform
-        res = beta_expectation(lambda u: np.exp((m - 1.0) * self.log_pdf_at_quantile(u)), 1.0, 1.0)
-        return res.check() ** (1.0 / m)
+        """A finite ||f||_m, 1 < m < inf, by quadrature in quantile coordinates.
+
+        int f^m dx = E[f(F^{-1}(U))^{m-1}], U uniform, is integrated as
+        E[(f / sup f)^{m-1}] and scaled by sup f^{m-1}, so that it does not
+        underflow at large m.
+        """
+        log_sup = math.log(self._sup_pdf())
+        res = beta_expectation(
+            lambda u: np.exp((m - 1.0) * (self.log_pdf_at_quantile(u) - log_sup)), 1.0, 1.0)
+        return math.exp(log_sup * (1.0 - 1.0 / m)) * res.check() ** (1.0 / m)
 
     def spec_string(self) -> str:
         return f"{self.name}()"
@@ -347,11 +340,8 @@ class Uniform(ParentDistribution):
         return (x - self.a) / self._w
 
     def _tail(self, s, upper):
-        x = self.b - s * self._w if upper else self.a + s * self._w
-        return x, np.full_like(s, -math.log(self._w))
-
-    def _slope(self, s, upper):
-        return np.zeros_like(s)
+        return (np.where(upper, self.b - s * self._w, self.a + s * self._w),
+                np.full_like(s, -math.log(self._w)), np.zeros_like(s))
 
     def _norm_m(self, m):
         return self._w ** (1.0 / m - 1.0)
@@ -387,14 +377,14 @@ class Gaussian(ParentDistribution):
         return ndtr(self._z(x))
 
     def _tail(self, s, upper):
-        z = ndtri(s)  # <= 0; AS241 is odd about 1/2 to the bit: -z is the quantile at 1 - s
-        x = self.mu - self.sigma * z if upper else self.mu + self.sigma * z
-        return x, -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
-
-    def _slope(self, s, upper):
-        # -z / phi(z) at the quantile's z, which is ndtri(s) below and -ndtri(s) above
+        # the quantile's z: AS241 is odd about 1/2 to the bit, so -ndtri(s) is
+        # the z at 1 - s, and sigma (-z) rounds as -(sigma z); L' = -z / phi(z)
         z = ndtri(s)
-        return (z if upper else -z) * math.sqrt(2 * math.pi) / np.exp(-0.5 * z * z)
+        z = np.where(upper, -z, z)
+        log_phi = -0.5 * z * z
+        return (self.mu + self.sigma * z,
+                log_phi - math.log(self.sigma) - 0.5 * math.log(2 * math.pi),
+                -z * math.sqrt(2 * math.pi) / np.exp(log_phi))
 
     def _abs_moment(self, r):
         if self.mu != 0.0:
@@ -404,8 +394,9 @@ class Gaussian(ParentDistribution):
                         + math.lgamma(0.5 * (r + 1.0)) - 0.5 * math.log(math.pi))
 
     def _norm_m(self, m):
-        # int f^m dx = (2 pi sigma^2)^((1 - m)/2) / sqrt(m)
-        return ((2 * math.pi * self.sigma**2) ** ((1.0 - m) / 2.0) / math.sqrt(m)) ** (1.0 / m)
+        # int f^m dx = (2 pi sigma^2)^((1 - m)/2) / sqrt(m), in log space: it underflows from m ~ 1000
+        log_two_pi_var = math.log(2 * math.pi) + 2.0 * math.log(self.sigma)
+        return math.exp(((1.0 - m) * log_two_pi_var - math.log(m)) / (2.0 * m))
 
     def _sup_pdf(self):
         return 1.0 / (self.sigma * math.sqrt(2 * math.pi))
@@ -433,11 +424,9 @@ class Exponential(ParentDistribution):
         return -np.expm1(-self.rate * x)
 
     def _tail(self, s, upper):
-        log_sf = np.log(s) if upper else np.log1p(-s)  # log(1 - F(x))
-        return -log_sf / self.rate, math.log(self.rate) + log_sf
-
-    def _slope(self, s, upper):
-        return -1.0 / (s if upper else 1.0 - s)  # -1 / (1 - u)
+        log_sf = np.where(upper, np.log(s), np.log1p(-s))  # log(1 - F(x))
+        return (-log_sf / self.rate, math.log(self.rate) + log_sf,
+                -1.0 / np.where(upper, s, 1.0 - s))  # L' = -1 / (1 - u)
 
     def _sup_pdf(self):
         return self.rate
@@ -473,17 +462,14 @@ class Cauchy(ParentDistribution):
         return 0.5 + np.arctan(self._z(x)) / math.pi
 
     def _tail(self, s, upper):
-        # x = loc -+ scale cot(pi s), f(x) = sin^2(pi s) / (pi scale): tan(pi (u - 1/2))
-        # would lose every digit against the pole, and sin(pi u) above the median
-        with np.errstate(over="ignore"):
-            t = self.scale / np.tan(math.pi * s)
-        return (self.loc + t if upper else self.loc - t,
-                2.0 * np.log(np.sin(math.pi * s)) - math.log(math.pi * self.scale))
-
-    def _slope(self, s, upper):
-        # 2 pi cot(pi u), odd about 1/2
-        c = 2.0 * math.pi / np.tan(math.pi * s)
-        return -c if upper else c
+        # x = loc -+ scale cot(pi s), f(x) = sin^2(pi s) / (pi scale) and L' =
+        # 2 pi cot(pi u), odd about 1/2: tan(pi (u - 1/2)) would lose every
+        # digit against the pole, and sin(pi u) above the median
+        tan = np.tan(math.pi * s)
+        t, c = self.scale / tan, 2.0 * math.pi / tan
+        return (self.loc + np.where(upper, t, -t),
+                2.0 * np.log(np.sin(math.pi * s)) - math.log(math.pi * self.scale),
+                np.where(upper, -c, c))
 
     def _sup_pdf(self):
         return 1.0 / (math.pi * self.scale)
@@ -512,15 +498,10 @@ class F1(ParentDistribution):
         return 1.0 - 1.0 / np.log(x) ** 2
 
     def _tail(self, s, upper):
-        # x = exp(t), t = (1 - F(x))^-1/2: log f stays finite where x overflows
-        t = 1.0 / np.sqrt(s if upper else 1.0 - s)
-        with np.errstate(over="ignore"):
-            x = np.exp(t)
-        return x, math.log(2.0) - t - 3.0 * np.log(t)
-
-    def _slope(self, s, upper):
-        t = 1.0 / np.sqrt(s if upper else 1.0 - s)  # dt/du = t^3 / 2
-        return -0.5 * t**3 - 1.5 * t**2
+        # x = exp(t), t = (1 - F(x))^-1/2: log f stays finite where x overflows;
+        # dt/du = t^3 / 2
+        t = 1.0 / np.sqrt(np.where(upper, s, 1.0 - s))
+        return np.exp(t), math.log(2.0) - t - 3.0 * np.log(t), -0.5 * t**3 - 1.5 * t**2
 
     def _sup_pdf(self):
         return 2.0 / math.e
@@ -546,13 +527,9 @@ class F2(ParentDistribution):
         return -1.0 / np.log(x)
 
     def _tail(self, s, upper):
-        # x = exp(-1/u) at u = F(x); rounding u = 1 - s costs no digit of either
-        u = 1.0 - s if upper else s
-        return np.exp(-1.0 / u), 1.0 / u + 2.0 * np.log(u)
-
-    def _slope(self, s, upper):
-        u = 1.0 - s if upper else s
-        return (2.0 * u - 1.0) / (u * u)
+        # x = exp(-1/u) at u = F(x); rounding u = 1 - s costs no digit of any
+        u = np.where(upper, 1.0 - s, s)
+        return np.exp(-1.0 / u), 1.0 / u + 2.0 * np.log(u), (2.0 * u - 1.0) / (u * u)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ reported outcome, decided from that growth before any quadrature or sampling.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -118,22 +119,38 @@ class GaussianReference:
 
 def gaussian_reference(parent: ParentDistribution, n: int, p: float) -> GaussianReference:
     """The limiting Gaussian of X_(np), for n and p that pass ``OrderStatSpec``;
-    ``ConditionViolation`` unless f(F^{-1}(p)) is positive and finite."""
+    ``ConditionViolation`` unless f(F^{-1}(p)) is positive and finite, and
+    ``ValueError`` unless v_np is a normal float with 2 pi v_np finite."""
     return _references(parent, [OrderStatSpec.from_fraction(n, p)])[0]
+
+
+#: the range of log v_np: v_np, 2 v_np and 2 pi v_np are normal floats
+_LOG_V_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max / (2.0 * math.pi)))
 
 
 def _references(parent: ParentDistribution, specs) -> list[GaussianReference]:
     """``gaussian_reference`` at each of ``specs``, which share one p, from
-    one ``tail`` call at p."""
+    one ``tail`` call at p.  The range is decided from log f and log v_np =
+    log(p(1 - p)/n) - 2 log f, before f or v_np is formed."""
     p = specs[0].p
     mu, log_fq = parent.tail(min(p, 1.0 - p), p >= 0.5)
-    fq = math.exp(log_fq)
-    if not (fq > 0.0 and math.isfinite(fq)):
+    if not math.isfinite(log_fq):
         raise ConditionViolation(
-            f"{parent.spec_string()} has density {fq:g} at its {p:g}-quantile; "
+            f"{parent.spec_string()} has density {math.exp(log_fq):g} at its {p:g}-quantile; "
             "the Gaussian limit needs a positive finite density there")
-    return [GaussianReference(mu_p=mu, v_np=p * (1.0 - p) / (spec.n * fq * fq), n=spec.n,
-                              p=float(p), log_f_p=log_fq) for spec in specs]
+    refs = []
+    for spec in specs:
+        log_v = math.log(p * (1.0 - p) / spec.n) - 2.0 * log_fq
+        if not _LOG_V_RANGE[0] < log_v < _LOG_V_RANGE[1]:
+            raise ValueError(
+                f"{parent.spec_string()} at n = {spec.n}, p = {p:g}: the reference variance "
+                f"v_np = p(1-p)/(n f^2) = exp({log_v:.6g}) is outside the float range "
+                f"(log f(F^-1(p)) = {log_fq:.6g})")
+        fq = math.exp(log_fq)
+        den = spec.n * fq * fq  # below the normal range only at p ~ 1e-16 and n ~ 1e16
+        v = p * (1.0 - p) / den if den >= sys.float_info.min else math.exp(log_v)
+        refs.append(GaussianReference(mu_p=mu, v_np=v, n=spec.n, p=float(p), log_f_p=log_fq))
+    return refs
 
 
 # ---------------------------------------------------------------------------

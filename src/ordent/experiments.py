@@ -282,21 +282,28 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
     """Evaluate the three sufficient conditions at (p, m, r).
 
     Condition 1: ||f||_m finite.  Condition 2: positive density at the
-    p-quantile and a numerically continuous t -> f'(F^{-1}(t)) near p.
-    Condition 3: E|X|^r finite.
+    p-quantile (a finite log density) and a numerically continuous
+    t -> f'(F^{-1}(t)) near p; a probe whose values leave the float range
+    reads not continuous, and ``details["reason"]`` says so.  Condition 3:
+    E|X|^r finite.
     """
     _check_fraction(p)
     norm_finite = parent.norm_m_finite(m)
     moment_finite = parent.abs_moment_finite(r)
 
-    def derivative(t):
-        """f'(F^{-1}(t)) = L'(t) f(F^{-1}(t))^2, read along the quantile flow."""
-        s, upper = min(t, 1.0 - t), t >= 0.5
-        with np.errstate(over="ignore"):
-            return float(parent.slope(s, upper) * np.exp(2.0 * parent.tail(s, upper)[1]))
+    def probe_at(t):
+        """log f and f'(F^{-1}(t)) = L'(t) f^2 at F^{-1}(t), from one reading
+        of the quantile flow."""
+        _, log_f, slope = parent._at(min(t, 1.0 - t), t >= 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(log_f), float(slope * np.exp(2.0 * log_f))
 
-    fq = math.exp(parent.tail(min(p, 1.0 - p), p >= 0.5)[1])
-    density_positive = fq > 0.0 and math.isfinite(fq)
+    log_fq, d0 = probe_at(p)
+    density_positive = math.isfinite(log_fq)
+    try:
+        fq = math.exp(log_fq)
+    except OverflowError:  # positive, beyond the float range (f2 near 0)
+        fq = math.inf
 
     derivative_continuous = False
     probe = {}
@@ -305,18 +312,18 @@ def condition_check(parent: ParentDistribution, p: float, m: float = 2.0,
         # continuous composition the gaps scale down with the probe width,
         # while a jump leaves them pinned at the jump size; the widest probe
         # keeps p - h and p + h inside (0, 1)
-        d0 = derivative(p)
         h = min(1e-2, min(p, 1.0 - p) / 2.0)
         deltas = [h / 10**j for j in range(4)]
-        gaps = []
-        for dlt in deltas:
-            lo, hi = derivative(p - dlt), derivative(p + dlt)
-            gaps.append(max(abs(lo - d0), abs(hi - d0)))
+        values = [probe_at(p + side * dlt)[1] for dlt in deltas for side in (-1.0, 1.0)]
+        gaps = [max(abs(lo - d0), abs(hi - d0)) for lo, hi in zip(values[::2], values[1::2])]
         scale = abs(d0) + gaps[0]
-        derivative_continuous = all(math.isfinite(g) for g in gaps) and (
+        finite = all(map(math.isfinite, [d0, *values, *gaps]))
+        derivative_continuous = finite and (
             gaps[0] <= 1e-9 * max(scale, 1e-12) or gaps[-1] <= 0.01 * gaps[0]
         )
         probe = {"derivative_at_p": d0, "probe_gaps": gaps}
+        if not finite:
+            probe["reason"] = "f'(F^-1(t)) leaves the float range near p"
 
     return ConditionCheck(
         parent_spec=parent.spec_string(),

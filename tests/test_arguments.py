@@ -2,12 +2,14 @@
 strictly inside (0, 1).  ``OrderStatSpec`` states the rule once; every public
 entry point that takes n, k or p applies it, so they all accept and reject the
 same values with the same messages.  Also the rule for a quadrature ``tol``,
-and the order rule of the parents' moments and norms."""
+the order rule of the parents' moments and norms, and the float range of the
+reference Gaussian and of the density at the p-quantile."""
 
 import math
 import re
 from typing import Callable, NamedTuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ordent.bounds import (
     quantile_mse_bound,
 )
 from ordent.cli import EXIT_USAGE, cli_main
-from ordent.distributions import Cauchy, Gaussian
+from ordent.distributions import F2, Cauchy, Exponential, Gaussian, Uniform
 from ordent.entropy_kl import (
     entropy_expansion_linear_coefficient,
     gaussian_reference,
@@ -178,3 +180,46 @@ def test_condition_check_takes_the_orders_of_the_methods(m, r):
     # the Cauchy's norm at m = 0.5 and moment at r = -1 both diverge: no verdict at such orders
     with pytest.raises(ValueError, match="requires"):
         condition_check(Cauchy(), 0.3, m=m, r=r)
+
+
+#: (parent, p) where f(F^-1(p)) or v_np = p(1-p)/(n f^2) leaves the float
+#: range at n = 100: f2 near 0, where f = e^(1/p) p^2, and scales far from 1
+RANGE_CASES = [(F2(), 0.0013), (F2(), 0.001), (F2(), 0.0014), (F2(), 0.002),
+               (Gaussian(sigma=1e200), 0.3), (Gaussian(sigma=1e-200), 0.3),
+               (Exponential(rate=1e300), 0.3), (Uniform(a=0, b=1e-310), 0.3),
+               (Cauchy(scale=1e-320), 0.3)]
+
+
+@pytest.mark.parametrize("parent, p", RANGE_CASES, ids=lambda v: repr(v))
+def test_reference_outside_the_float_range_raises(parent, p):
+    # one ValueError naming v_np: never an OverflowError, a ZeroDivisionError
+    # or "math domain error"
+    for call in (gaussian_reference, k2_term, kl_decompose):
+        with pytest.raises(ValueError, match=r"v_np = .* is outside the float range"):
+            call(parent, 100, p)
+
+
+def test_cli_reports_a_reference_outside_the_float_range(capsys):
+    code = cli_main(["kl", "--parent", "f2()", "--n", "100", "--p", "0.001"])
+    assert code == EXIT_USAGE
+    assert "outside the float range" in capsys.readouterr().err
+
+
+def test_reference_variance_where_n_f_squared_underflows():
+    # v_np ~ 1.6e298 is a normal float while n f(F^-1(p))^2 ~ 2e-314 is subnormal
+    ref = gaussian_reference(Gaussian(sigma=1e150), 2**53, 1e-16)
+    p = mp.mpf(1e-16)
+    with mp.workdps(30):
+        want = float(p * (1 - p) / (2**53 * mp.exp(2 * mp.mpf(ref.log_f_p))))
+    assert abs(ref.v_np - want) <= 1e-12 * want, (ref.v_np, want)
+
+
+@pytest.mark.parametrize("parent, p", [(F2(), 0.001), (F2(), 0.0014), (Uniform(a=0, b=1e-310), 0.3)],
+                         ids=lambda v: repr(v))
+def test_condition_check_where_the_density_leaves_the_float_range(parent, p):
+    # the density is positive (log f is finite), and f'(F^-1(t)) = L' f^2 overflows:
+    # not continuous, with the reason, and no OverflowError
+    chk = condition_check(parent, p)
+    assert chk.density_positive and not chk.derivative_continuous
+    assert "float range" in chk.details["reason"]
+    assert chk.details["density_at_quantile"] > 1e300

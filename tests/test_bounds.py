@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+import ordent.bounds as bounds_module
 from ordent.bounds import (
     EpsilonWindow,
     beta_tail_bound,
@@ -165,6 +166,17 @@ class TestK3Bound:
         assert rep.verdict == "vacuous"
         assert "condition" in rep.message
 
+    def test_hoelder_end(self):
+        # at q = 1 the conjugate r is inf and the third term's norm^((r+1)/r)
+        # is the norm itself, sup f; just above, ||f||_(r+1) at r + 1 ~ 1e7
+        # must not underflow to 0
+        at_one = k3_bound(Gaussian(), 100, 0.5, q=1.0)
+        near = k3_bound(Gaussian(), 100, 0.5, q=1.0 + 1e-7)
+        assert at_one.verdict == near.verdict == "pass"
+        third = at_one.params["terms"][2], near.params["terms"][2]
+        assert third[0] > 0.0 and abs(third[0] - third[1]) <= 1e-5 * third[0], third
+        assert abs(at_one.analytic_value - near.analytic_value) <= 1e-8 * at_one.analytic_value
+
     def test_window_validation(self):
         # below the tail-mode floor p/(n+1) ~ 0.00495
         with pytest.raises(ValueError):
@@ -185,6 +197,31 @@ def test_constants_read_along_the_quantile_flow(bound, parent, n, p, kwargs, nam
     # inputs, against values from the x-space form f'(x) at x = F^-1(t)
     got = bound(parent, n, p, **kwargs).params[name]
     assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_one_formula_call_per_grid_level(monkeypatch):
+    # the MSE curvature |L'|/f of each grid level reads L' and log f from one
+    # pass of the family's formula; at p = 1/2 every level straddles 1/2
+    levels, calls = [], []
+
+    def grid_max(fn, lo, hi, _real=bounds_module._grid_max):
+        def level(t):
+            before = len(calls)
+            out = fn(t)
+            levels.append(len(calls) - before)
+            return out
+
+        return _real(level, lo, hi)
+
+    def formula(self, s, upper, _real=Gaussian._tail):
+        calls.append(np.size(s))
+        return _real(self, s, upper)
+
+    monkeypatch.setattr(bounds_module, "_grid_max", grid_max)
+    monkeypatch.setattr(Gaussian, "_tail", formula)
+    rep = quantile_mse_bound(Gaussian(), 200, 0.5)
+    assert rep.verdict == "pass" and len(levels) >= 2
+    assert levels == [1] * len(levels)
 
 
 @pytest.mark.parametrize("call", [

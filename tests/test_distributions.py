@@ -182,7 +182,7 @@ class TestTail:
                 method(s, False)
 
     def test_mixed_sides_match_each_side_alone(self):
-        # tail and slope share one split by side
+        # tail and slope read one formula call, for both sides at once
         s = np.array([0.5, 1e-300, 0.25, 2.0**-40])
         upper = np.array([True, False, True, True])
         for parent in ALL_PARENTS:
@@ -194,6 +194,25 @@ class TestTail:
         for method in (Gaussian().tail, Gaussian().slope):
             with pytest.raises(ValueError, match="shape"):
                 method(s, upper[:2])
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    def test_one_formula_call_per_view_on_mixed_sides(self, parent, monkeypatch):
+        calls = []
+
+        def formula(self, s, upper, _real=type(parent)._tail):
+            calls.append(np.shape(s))
+            return _real(self, s, upper)
+
+        monkeypatch.setattr(type(parent), "_tail", formula)
+        s, upper = np.array([0.5, 1e-300, 0.25, 2.0**-40]), np.array([True, False, True, False])
+        u = np.array([0.1, 0.5, 0.9, 2.0**-40])
+        views = {"tail": lambda: parent.tail(s, upper), "slope": lambda: parent.slope(s, upper),
+                 "quantile": lambda: parent.quantile(u),
+                 "log_pdf_at_quantile": lambda: parent.log_pdf_at_quantile(u)}
+        for name, view in views.items():
+            calls.clear()
+            view()
+            assert calls == [(4,)], name
 
 
 class TestFamiliesAreFormulas:
@@ -489,6 +508,29 @@ class TestMomentAndNormFlags:
             assert abs(Gaussian(mu=3.0, sigma=2.0).norm_m(m) - oracle * 2.0 ** (1 / m - 1)) <= 1e-15
             assert abs(ParentDistribution._norm_m(g, m) - oracle) <= 1e-9
         assert abs(g.norm_m(math.inf) - 1 / math.sqrt(2 * math.pi)) <= 1e-15
+
+    @staticmethod
+    def _mp_norm(name, m):
+        """||f||_m of the standard family in 40-digit mpmath."""
+        m = mp.mpf(m)
+        if name == "gaussian":
+            return ((2 * mp.pi) ** ((1 - m) / 2) / mp.sqrt(m)) ** (1 / m)
+        if name == "cauchy":  # int (1 + z^2)^-m dz = sqrt(pi) Gamma(m - 1/2) / Gamma(m)
+            return (mp.pi ** (-m) * mp.sqrt(mp.pi) * mp.gamma(m - 0.5) / mp.gamma(m)) ** (1 / m)
+        if name == "exponential":
+            return m ** (-1 / m)
+        # f1: E[f(F^-1(U))^(m-1)] in t = (1 - u)^-1/2, peaked within ~1/m of t = 1
+        g = lambda t: (2 * mp.exp(-t) / t**3) ** (m - 1) * 2 / t**3
+        return mp.quad(g, [1] + [1 + mp.mpf(2) ** j / m for j in range(-6, 12)] + [mp.inf]) ** (1 / m)
+
+    @pytest.mark.parametrize("parent", [Gaussian(), Cauchy(), Exponential(), F1()], ids=lambda p: p.name)
+    @pytest.mark.parametrize("m", [2.0, 100.0, 1e3, 1e4])
+    def test_norms_against_mpmath(self, parent, m):
+        # int f^m dx underflows from m ~ 1000 while ||f||_m tends to sup f:
+        # the closed form works in log space, the quadrature on f / sup f
+        with mp.workdps(40):
+            want = float(self._mp_norm(parent.name, m))
+        assert abs(parent.norm_m(m) - want) <= 1e-13 * want, (parent.norm_m(m), want)
 
     def test_uniform_moment(self):
         u = Uniform()

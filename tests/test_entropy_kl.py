@@ -176,8 +176,8 @@ class TestGaussianReference:
     def test_zero_density_raises(self):
         class Flat(Uniform):
             def _tail(self, s, upper):
-                x, log_f = super()._tail(s, upper)
-                return x, np.full_like(log_f, -math.inf)
+                x, log_f, slope = super()._tail(s, upper)
+                return x, np.full_like(log_f, -math.inf), slope
 
         with pytest.raises(ConditionViolation):
             gaussian_reference(Flat(), 100, 0.5)
@@ -314,14 +314,16 @@ class TestMpmathOracle:
 
 class TestParentCalls:
     """One node record per integrand call: x and log f come from one ``tail``
-    call, whichever terms are requested (k2 reads log f too, unused), and the
-    reference at p is one scalar call."""
+    call, which runs the family's formula once for both sides, whichever
+    terms are requested (k2 reads log f too, unused), and the reference at p
+    is one scalar call."""
 
     @staticmethod
     def _count(monkeypatch):
-        """Count the ``tail`` calls inside the quadrature's integrand calls,
-        and list the dimension of s of each call made outside them."""
-        log = {"integrand_calls": 0, "tail": 0, "outside": []}
+        """Count the ``tail`` calls and the gaussian formula calls inside the
+        quadrature's integrand calls, and list the dimension of s of each
+        ``tail`` call made outside them."""
+        log = {"integrand_calls": 0, "tail": 0, "formula": 0, "outside": []}
         inside = []
         real = ordent.entropy_kl.beta_expectation
 
@@ -343,8 +345,13 @@ class TestParentCalls:
                 log["outside"].append(np.ndim(s))
             return _real(self, s, upper)
 
+        def formula(self, s, upper, _real=Gaussian._tail):
+            log["formula"] += bool(inside)
+            return _real(self, s, upper)
+
         monkeypatch.setattr(ordent.entropy_kl, "beta_expectation", expectation)
         monkeypatch.setattr(ParentDistribution, "tail", tail)
+        monkeypatch.setattr(Gaussian, "_tail", formula)
         return log
 
     @pytest.mark.parametrize("view", [k2_term, k3_term, kl_direct, k3_bound],
@@ -352,11 +359,25 @@ class TestParentCalls:
     def test_one_tail_call_per_integrand_call(self, monkeypatch, view):
         log = self._count(monkeypatch)
         view(Gaussian(), 200, 0.3)
-        assert log["tail"] == log["integrand_calls"] > 0
+        assert log["tail"] == log["formula"] == log["integrand_calls"] > 0
         # the scalar call at p first; k3_bound's density-ratio grid then
         # reads the parent outside the quadrature
         assert log["outside"][:1] == [0]
         assert len(log["outside"]) == 1 or view is k3_bound
+
+    def test_one_ndtri_pass_per_parent_call(self, monkeypatch):
+        # the reference at p, then one integrand call whose nodes straddle 1/2:
+        # one pass of AS241 each, where a split by side ran it once per side
+        sizes = []
+
+        def ndtri(s, _real=ordent.distributions.ndtri):
+            sizes.append(np.size(s))
+            return _real(s)
+
+        monkeypatch.setattr(ordent.distributions, "ndtri", ndtri)
+        d = kl_decompose(Gaussian(), 1000, 0.3)
+        assert math.isfinite(d.total_decomposed)
+        assert len(sizes) == 2 and sizes[0] == 1
 
 
 class TestKlDirect:

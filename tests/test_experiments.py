@@ -173,6 +173,20 @@ class TestConditionCheck:
         got = condition_check(parent, p).details["derivative_at_p"]
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
+    def test_one_formula_call_per_probe_point(self, monkeypatch):
+        # log f at p and each f'(F^-1(t)) = L' f^2 come from one pass of the
+        # family's formula: p itself, then p -+ four widths
+        calls = []
+
+        def formula(self, s, upper, _real=Gaussian._tail):
+            calls.append(float(s))
+            return _real(self, s, upper)
+
+        monkeypatch.setattr(Gaussian, "_tail", formula)
+        chk = condition_check(Gaussian(), 0.3)
+        assert chk.derivative_continuous
+        assert len(calls) == 1 + 2 * len(chk.details["probe_gaps"]) == 9
+
     def test_serializable(self):
         chk = condition_check(Gaussian(), 0.3)
         d = chk.to_dict()
