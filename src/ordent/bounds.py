@@ -179,7 +179,8 @@ def quantile_mse_bound(
     win.validate_tail_mode()
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
-    (spec,), (ref,), (res,), _ = _term_grid(("k2",), parent, [n], p, _TERMS["k2"].view_tol)
+    spec = OrderStatSpec.from_fraction(n, p)
+    (ref,), (res,), _ = _term_grid(("k2",), parent, [spec], _TERMS["k2"].view_tol)
     n, k, law = spec.n, spec.k, spec.beta_law
     g1 = 1.0 / math.exp(ref.log_f_p)
     mu = ref.mu_p
@@ -249,7 +250,8 @@ def k3_bound(
     win.validate_log_mode(q)
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
-    (spec,), (ref,), (res,), _ = _term_grid(("k3",), parent, [n], p, _TERMS["k3"].view_tol)
+    spec = OrderStatSpec.from_fraction(n, p)
+    (ref,), (res,), _ = _term_grid(("k3",), parent, [spec], _TERMS["k3"].view_tol)
     n, k, law = spec.n, spec.k, spec.beta_law
     log_fp = ref.log_f_p
 
@@ -317,7 +319,8 @@ def corollary1_check(parent: ParentDistribution, p: float, r: float, n_grid) -> 
     ``message`` names each n whose k2 did not converge.  ``r`` is recorded in
     ``params`` and not used by the check.
     """
-    n_grid = [OrderStatSpec.from_fraction(n, p).n for n in n_grid]
+    specs = [OrderStatSpec.from_fraction(n, p) for n in n_grid]
+    n_grid = [spec.n for spec in specs]
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be increasing with at least 3 points")
     top = [n for n in n_grid if n >= n_grid[-1] / 10.0]
@@ -325,7 +328,7 @@ def corollary1_check(parent: ParentDistribution, p: float, r: float, n_grid) -> 
         raise ValueError(f"n_grid needs at least 2 distinct points in its top decade "
                          f"n >= {n_grid[-1] / 10.0:g}, got {top}")
     values, unconverged = [], []
-    _, refs, results, _ = _term_grid(("k2",), parent, n_grid, p, _TERMS["k2"].view_tol)
+    refs, results, _ = _term_grid(("k2",), parent, specs, _TERMS["k2"].view_tol)
     for n, ref, res in zip(n_grid, refs, results):
         value, _, diverged, message = _term_detail("k2", res["k2"], ref)
         values.append(value)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quadrature import _CHUNK_NODES, QuadResult, QuadResults, adaptive_quad, beta_expectation
-from .special import beta_log_density, ndtri
+from .special import beta_log_density, beta_logit_quantile, ndtr, ndtri
 
 __all__ = [
     "DistributionSpecError",
@@ -372,8 +372,6 @@ class Gaussian(ParentDistribution):
         return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
 
     def _cdf(self, x):
-        from scipy.special import ndtr  # scipy loads only where it is needed
-
         return ndtr(self._z(x))
 
     def _tail(self, s, upper):
@@ -582,32 +580,26 @@ _TABLE_W = 37.5
 _TABLE_STEPS = 2048
 
 
-def _logit_quantile(a: float, b: float, w: np.ndarray) -> np.ndarray:
-    """Rows y, dy/dw and d2y/dw2 of y = logit(x), x the Beta(a, b) quantile at u = expit(w).
+def _logit_rows(a: float, b: float, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows y, dy/dw and d2y/dw2 of y = logit(x), x <= 1/2 the Beta(a, b)
+    quantile at u = expit(w), from w and y.
 
-    The smaller of u and 1 - u is e / (1 + e) with e = exp(-|w|); x is
-    ``betaincinv`` at u where w <= 0 and ``betainccinv`` at 1 - u beyond, so
-    1 - u is never rounded near 1.  With log u + log(1 - u) = -|w| -
-    2 log(1 + e) and f the Beta density,
+    x and log x, log(1 - x) come from y = logit(x); with log u + log(1 - u)
+    = -|w| - 2 log(1 + e^-|w|) and f the Beta density,
 
         dy/dw = u (1 - u) / (f(x) x (1 - x)),
         d2y/dw2 = dy/dw ((1 - 2u) + dy/dw (b x - a (1 - x))).
 
-    x keeps its precision where x <= 1/2; the caller mirrors the law beyond.
+    The caller mirrors the law where x > 1/2.
     """
-    from scipy.special import betainccinv, betaincinv
-
-    e = np.exp(-np.abs(w))
-    small = e / (1.0 + e)
-    low = w <= 0.0
-    x = np.empty_like(w)
-    x[low] = betaincinv(a, b, small[low])
-    x[~low] = betainccinv(a, b, small[~low])
+    e = np.exp(y)
+    log_1mx = -np.log1p(e)
+    x = e / (1.0 + e)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_x, log_1mx = np.log(x), np.log1p(-x)
-        slope = np.exp(-np.abs(w) - 2.0 * np.log1p(e) - beta_log_density(a, b, x) - log_x - log_1mx)
+        slope = np.exp(-np.abs(w) - 2.0 * np.log1p(np.exp(-np.abs(w))) - beta_log_density(a, b, x)
+                       - y - 2.0 * log_1mx)
         curvature = slope * (np.tanh(-0.5 * w) + slope * (b * x - a * (1.0 - x)))
-    return np.array([log_x - log_1mx, slope, curvature])
+    return np.array([y, slope, curvature])
 
 
 def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -620,29 +612,23 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
     interpolated in w = logit(u) on a uniform grid of 2049 nodes over
     |w| <= 37.5: one quintic Hermite per cell, from y and its first two
     derivatives at both ends.  A first pass over the draws marks the cells
-    they land in, and ``betaincinv`` runs only at those cells' nodes; a
-    cell's quintic depends only on its two nodes, so the draws do not
-    depend on ``count``.  Nodes where u > 1/2 take x from the complementary
-    inverse ``betainccinv`` at 1 - u, and nodes where x > 1/2 take 1 - x
-    from the mirrored law, so that neither 1 - u nor 1 - x is rounded.  A
-    draw at u = 0, or in a cell where x rounds to 0 or 1, is ``betaincinv``
-    itself.
+    they land in, and the inverse ``special.beta_logit_quantile`` runs only
+    at those cells' nodes; a cell's quintic depends only on its two nodes,
+    so the draws do not depend on ``count``.  The inverse maps w to y, so
+    neither 1 - u nor 1 - x is rounded, and nodes where x > 1/2 take their
+    derivatives from the mirrored law.  A draw at u = 0, or in a cell where
+    x rounds to 0 or 1, is that inverse itself.
 
     Accuracy contract: each draw lies within 1e-12 min(x, 1 - x) + 2^-52
-    of ``betaincinv(alpha, beta, u)`` when alpha, beta >= 1 (1e-10 for the
-    tested laws with a parameter down to 0.1; the error grows as a
-    parameter shrinks further), and draws are nondecreasing in u; the tests
-    check this from Beta(0.1, 0.1) to Beta(3e6, 7e6 + 1).  For skewed laws
-    with parameters above ~1e5, ``betaincinv`` itself can be ~2e-12
-    relative off; the nodes inherit that, and a draw can then miss the
-    bound by up to ~2x.
+    of the true quantile x of u when alpha, beta >= 1 (1e-10 for the tested
+    laws with a parameter down to 0.1; the error grows as a parameter
+    shrinks further), and draws are nondecreasing in u; the tests check the
+    draws from Beta(0.1, 0.1) to Beta(6.96e6, 1.17e6), and the nodes
+    against 40-digit mpmath roots.
     Draws are clipped to [1e-300, 1 - 1e-16].
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    # scipy loads only where it is needed
-    from scipy.special import betainc, betaincc, betaincinv
-
     a, b = law.alpha, law.beta
     steps = _TABLE_STEPS
     h = 2.0 * _TABLE_W / steps
@@ -666,15 +652,14 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
     reached[1:] |= reached[:-1]  # the right-hand node of each cell
     nodes = np.flatnonzero(reached)
 
-    # y, h y' and h^2 y'' at the nodes; nodes where x > 1/2, beyond w =
-    # logit(F(1/2)), take y(w) = -y_m(-w), y'(w) = y_m'(-w), y''(w) = -y_m''(-w)
-    # from the mirrored law
+    # y, h y' and h^2 y'' at the nodes; nodes where x > 1/2 take y(w) =
+    # -y_m(-w), y'(w) = y_m'(-w), y''(w) = -y_m''(-w) from the mirrored law
     w = nodes * h - _TABLE_W
-    with np.errstate(divide="ignore"):
-        low = w <= np.log(betainc(a, b, 0.5)) - np.log(betaincc(a, b, 0.5))
+    y = beta_logit_quantile(a, b, w)
+    low = y <= 0.0
     table = np.full((3, steps + 1), np.nan)
-    table[:, nodes[low]] = _logit_quantile(a, b, w[low])
-    table[:, nodes[~low]] = _logit_quantile(b, a, -w[~low]) * [[-1.0], [1.0], [-1.0]]
+    table[:, nodes[low]] = _logit_rows(a, b, w[low], y[low])
+    table[:, nodes[~low]] = _logit_rows(b, a, -w[~low], -y[~low]) * [[-1.0], [1.0], [-1.0]]
     table *= [[1.0], [h], [h * h]]
     # quintic Hermite coefficients of each reached cell in powers of its
     # offset t in [0, 1), one row per cell; NaN where x rounds to 0 or 1 at
@@ -698,15 +683,17 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
             y += c[:, k]
             y *= pos
         y += c[:, 0]
+        far = np.isnan(y)
+        if far.any():
+            part = u[s:s + _CHUNK_NODES][far]
+            with np.errstate(divide="ignore"):
+                y[far] = beta_logit_quantile(a, b, np.log(part) - np.log1p(-part))
         # the smaller of x and 1 - x from the logistic, the other by one subtraction
         np.abs(y, out=pos)
         np.negative(pos, out=pos)
         np.exp(pos, out=pos)
         np.divide(pos, 1.0 + pos, out=pos)
         np.subtract(1.0, pos, out=pos, where=y > 0.0)
-        far = np.isnan(y)
-        if far.any():
-            pos[far] = betaincinv(a, b, u[s:s + _CHUNK_NODES][far])
     return np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
 
 

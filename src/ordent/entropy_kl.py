@@ -159,7 +159,12 @@ def _references(parent: ParentDistribution, specs) -> list[GaussianReference]:
 
 def k1_term(n: int, p: float) -> float:
     """Entropy gap 1/2 log(2 pi e p(1-p)/n) - h(U_(np)); parent-free."""
-    spec = OrderStatSpec.from_fraction(n, p)
+    return _k1(OrderStatSpec.from_fraction(n, p))
+
+
+def _k1(spec: OrderStatSpec) -> float:
+    """``k1_term`` of a spec that carries its p."""
+    p = float(spec.p)
     base = 0.5 * math.log(2.0 * math.pi * math.e * p * (1.0 - p) / spec.n)
     return base - special.order_stat_entropy(spec.n, spec.k)
 
@@ -291,24 +296,24 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
     return results, cost
 
 
-def _term_grid(terms, parent, ns, p, tol, method="quadrature", budget=0,
-               seed=0) -> tuple[list, list, list, dict]:
-    """(specs, refs, results, cost) at each n of ``ns``: the order statistic,
-    the Gaussian reference and ``_term_results`` of every point, in one batch."""
-    specs = [OrderStatSpec.from_fraction(n, p) for n in ns]
+def _term_grid(terms, parent, specs, tol, method="quadrature", budget=0,
+               seed=0) -> tuple[list, list, dict]:
+    """(refs, results, cost) at each of ``specs``, which share one p: the
+    Gaussian reference and ``_term_results`` of every point, in one batch."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     refs = _references(parent, specs)
     results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs, tol,
                                   method, budget, seed)
-    return specs, refs, results, cost
+    return refs, results, cost
 
 
 def _term_at(term, parent, n, p) -> tuple:
     """``_term_detail`` of one term at (n, p) alone, by quadrature: the value
     ``kl_decompose`` reports for it, with its error, divergence flag and
     message."""
-    _, (ref,), (res,), _ = _term_grid((term,), parent, [n], p, _TERMS[term].view_tol)
+    (ref,), (res,), _ = _term_grid((term,), parent, [OrderStatSpec.from_fraction(n, p)],
+                                   _TERMS[term].view_tol)
     return _term_detail(term, res[term], ref)
 
 
@@ -412,11 +417,10 @@ def kl_decompose(
     quadrature pass, whose cost the list reports.
     """
     single = np.ndim(n) == 0
-    ns = [OrderStatSpec.from_fraction(m, p).n for m in ([n] if single else n)]
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+    specs = [OrderStatSpec.from_fraction(m, p) for m in ([n] if single else n)]
+    if not specs or any(b.n <= a.n for a, b in zip(specs, specs[1:])):
         raise ValueError("n must be an int or a nonempty increasing sequence")
-    specs, refs, results, cost = _term_grid(tuple(_TERMS), parent, ns, p, tol, method,
-                                            budget, seed)
+    refs, results, cost = _term_grid(tuple(_TERMS), parent, specs, tol, method, budget, seed)
     out = []
     for spec, ref, res in zip(specs, refs, results):
         details = [_term_detail(t, res[t], ref) for t in _TERMS]
@@ -424,7 +428,7 @@ def kl_decompose(
         diverged = k2_div or k3_div
         # a diverged k2 or k3 carries an infinite error, and so does quad_error
         out.append(KlDecomposition(
-            n=spec.n, p=float(ref.p), k=spec.k, k1=k1_term(spec.n, ref.p), k2=k2, k3=k3,
+            n=spec.n, p=float(ref.p), k=spec.k, k1=_k1(spec), k2=k2, k3=k3,
             total_direct=math.inf if diverged else direct,
             quad_error=k2_err + k3_err + (0.0 if direct_div else err),
             diverged=diverged, message="; ".join(d[3] for d in details if d[3])))

@@ -21,7 +21,6 @@ import numpy as np
 
 from .distributions import ParentDistribution
 from .entropy_kl import KlDecomposition, kl_decompose
-from .order_stats import OrderStatSpec
 from .special import _check_fraction
 
 __all__ = [
@@ -182,32 +181,18 @@ class ExperimentReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for d in self.decompositions:
-            rows.append({
-                "schema_version": CSV_SCHEMA_VERSION,
-                "parent": self.parent_spec,
-                "p": self.p,
-                "n": d.n,
-                "k": d.k,
-                "k1": repr(d.k1),
-                "k2": repr(d.k2),
-                "k3": repr(d.k3),
-                "total_decomposed": repr(d.total_decomposed),
-                "total_direct": repr(d.total_direct),
-                "quad_error": repr(d.quad_error),
-                "diverged": int(d.diverged),
-            })
-        return rows
-
     def write_csv(self, fh) -> None:
+        """The per-n table, one row per decomposition in ``CSV_COLUMNS`` order;
+        floats as their repr, so they read back bit for bit."""
         import csv
 
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        for row in self.csv_rows():
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(
+            [CSV_SCHEMA_VERSION, self.parent_spec, self.p, d.n, d.k, repr(d.k1), repr(d.k2),
+             repr(d.k3), repr(d.total_decomposed), repr(d.total_direct), repr(d.quad_error),
+             int(d.diverged)]
+            for d in self.decompositions)
 
 
 def rate_sweep(
@@ -224,12 +209,12 @@ def rate_sweep(
     recorded per n and excluded from the fit; when any point diverges the fit
     carries that flag via the report.
     """
-    n_grid = [OrderStatSpec.from_fraction(n, p).n for n in n_grid]
-    if min(n_grid, default=0) < 10:
-        raise ValueError("n_grid minimum must be >= 10")
     t0 = time.monotonic()
-    # kl_decompose checks that the grid is strictly increasing
-    decomps = kl_decompose(parent, n_grid, p, tol=tol)
+    # kl_decompose checks n, p and that the grid is strictly increasing
+    decomps = kl_decompose(parent, list(n_grid), p, tol=tol)
+    n_grid = [d.n for d in decomps]
+    if n_grid[0] < 10:
+        raise ValueError("n_grid minimum must be >= 10")
 
     fit = fit_rate(n_grid, [d.total_decomposed for d in decomps])
     wall = time.monotonic() - t0

@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import (BetaLaw, ParentDistribution, beta_sample, beta_sample_mean,
                             power_moment_finite)
 from .reports import BoundReport
-from .special import _check_fraction, _check_integer, beta_log_density, log_gamma_ratio
+from .special import _check_fraction, _check_integer, beta_log_density, betainc, log_gamma_ratio
 
 __all__ = [
     "OrderStatSpec",
@@ -95,9 +95,7 @@ def order_stat_pdf(parent: ParentDistribution, spec: OrderStatSpec, x):
 
 
 def order_stat_cdf(parent: ParentDistribution, spec: OrderStatSpec, x):
-    """P(X_(k) <= x) = I_{F(x)}(k, n+1-k)."""
-    from scipy.special import betainc  # scipy loads only where it is needed
-
+    """P(X_(k) <= x) = I_{F(x)}(k, n+1-k), from ``special.betainc``."""
     F = np.asarray(parent.cdf(np.asarray(x, dtype=float)), dtype=float)
     out = betainc(float(spec.k), float(spec.n + 1 - spec.k), F)
     if np.ndim(x) == 0:

@@ -11,8 +11,15 @@ that a naive evaluation would suffer are taken out analytically:
   Accurate Computation of Binomial Probabilities", 2000): a constant made of
   Stirling remainders, minus a deviance term on each side of the mode.
 
-Below r = 16 the sums run term by term.  The normal quantile ``ndtri`` is
-Wichura's AS241, so the package needs no scipy to start.
+Below r = 16 the sums run term by term.
+
+The normal quantile ``ndtri`` is Wichura's AS241 and the normal CDF ``ndtr``
+Cody's rational approximations.  The regularized incomplete Beta ``betainc``
+(either tail, each to a relative accuracy) is the continued fraction of
+DiDonato and Morris ("Algorithm 708", ACM TOMS 18, 1992) times the prefactor
+x^a (1 - x)^b / B(a, b) = x (1 - x) f(x), with f Loader's Beta density; its
+inverse ``beta_logit_quantile`` is a safeguarded Halley iteration on the log
+tail in y = logit(x).  The package uses no scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +30,10 @@ import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
+    "beta_logit_quantile",
+    "betainc",
     "harmonic",
+    "ndtr",
     "ndtri",
     "t_sequence",
 ]
@@ -474,4 +484,327 @@ def ndtri(p):
     out = np.empty(flat.size)
     for s in range(0, flat.size, _NDTRI_CHUNK):
         _ndtri_chunk(flat[s:s + _NDTRI_CHUNK], out[s:s + _NDTRI_CHUNK])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+# Cody's rational approximations to the normal CDF (W. J. Cody, "Rational
+# Chebyshev approximations for the error function", Math. Comp. 23, 1969; as
+# in his ANORM): numerator and denominator coefficients of each branch, in
+# x^2 where |x| <= 0.67448975, in |x| where |x| <= sqrt(32), and in 1/x^2
+# beyond.
+_CODY_CENTRAL = (
+    (2.2352520354606839287e+00, 1.6102823106855587881e+02, 1.0676894854603709582e+03,
+     1.8154981253343561249e+04, 6.5682337918207449113e-02),
+    (4.7202581904688241870e+01, 9.7609855173777669322e+02, 1.0260932208618978205e+04,
+     4.5507789335026729956e+04))
+_CODY_MIDDLE = (
+    (3.9894151208813466764e-01, 8.8831497943883759412e+00, 9.3506656132177855979e+01,
+     5.9727027639480026226e+02, 2.4945375852903726711e+03, 6.8481904505362823326e+03,
+     1.1602651437647350124e+04, 9.8427148383839780218e+03, 1.0765576773720192317e-08),
+    (2.2266688044328115691e+01, 2.3538790178262499861e+02, 1.5193775994075548050e+03,
+     6.4855582982667607550e+03, 1.8615571640885098091e+04, 3.4900952721145977266e+04,
+     3.8912003286093271411e+04, 1.9685429676859990727e+04))
+_CODY_FAR = (
+    (2.1589853405795699e-01, 1.274011611602473639e-01, 2.2235277870649807e-02,
+     1.421619193227893466e-03, 2.9112874951168792e-05, 2.307344176494017303e-02),
+    (1.28426009614491121e+00, 4.68238212480865118e-01, 6.59881378689285515e-02,
+     3.78239633202758244e-03, 7.29751555083966205e-05))
+
+
+def _cody(coef, t: np.ndarray) -> np.ndarray:
+    """Cody's ratio of numerator and denominator in t, summed in the order of
+    his ANORM."""
+    num, den = coef
+    xnum, xden = num[-1] * t, t.copy()
+    for cn, cd in zip(num[:-2], den[:-1]):
+        xnum += cn
+        xnum *= t
+        xden += cd
+        xden *= t
+    return (xnum + num[-2]) / (xden + den[-1])
+
+
+def ndtr(x):
+    """Standard normal CDF Phi(x), elementwise in float64.
+
+    Cody's three rational approximations: Phi(x) = 1/2 + x R(x^2) for
+    |x| <= 0.67448975; beyond, the smaller tail is exp(-x^2/2) R(|x|) up to
+    sqrt(32) and exp(-x^2/2) (1/sqrt(2 pi) - R(1/x^2)/x^2)/|x| further out,
+    and the larger is one minus it.  x^2/2 is split at |x| rounded down to a
+    multiple of 1/16, whose square is exact, so the Gaussian factor carries
+    no error that grows with |x|: within 4 ulp of the true value over
+    +-[0, 38], subnormal tails included.  -inf, inf and NaN give 0, 1 and
+    NaN.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    out = np.empty(flat.size)
+    central = np.abs(flat) <= 0.67448975
+    xc = flat[central]
+    out[central] = 0.5 + xc * _cody(_CODY_CENTRAL, xc * xc)
+    y = np.abs(flat[~central])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = 1.0 / (y * y)
+        ratio = np.where(y <= math.sqrt(32.0), _cody(_CODY_MIDDLE, y),
+                         (1.0 / math.sqrt(2.0 * math.pi) - t * _cody(_CODY_FAR, t)) / y)
+        whole = np.trunc(y * 16.0) / 16.0
+        tail = np.exp(-0.5 * whole * whole) * np.exp(-0.5 * (y - whole) * (y + whole)) * ratio
+    tail[np.isinf(y)] = 0.0
+    out[~central] = np.where(flat[~central] > 0.0, 1.0 - tail, tail)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+# The continued fraction of I_x(a, b) (DiDonato and Morris's BFRAC, in the
+# even/odd form of Numerical Recipes' betacf):
+#   I_x(a, b) = P / (a (1 + d_1 / (1 + d_2 / (1 + ...)))),  P = x^a (1 - x)^b / B(a, b),
+#   d_1 = -(a + b) x / (a + 1),  d_2m = m (b - m) x / ((a + 2m - 1)(a + 2m)),
+#   d_2m+1 = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)),
+# used below the split x = (a + 1) / (a + b + 2), where it converges
+# fastest; beyond, the same fraction of the mirrored law at 1 - x gives
+# 1 - I_x(a, b).  Each side's fraction converges slowest at the split, so
+# Lentz's scalar pass there, stopped once a double step changes the value by
+# a factor within _CF_TOL of 1 (or after _CF_MAX double steps), gives the
+# length of every node's fraction on that side, evaluated bottom-up.
+_CF_TOL = 2.0**-53
+_CF_MAX = 10**6
+_CF_BLOCK = 64  # levels per block of coefficient rows, so the block stays small
+_TINY = 1e-300
+
+
+def _fraction_length(a: float, b: float, x: float, x1: float) -> int:
+    """The number m of double steps that Lentz's method takes on the
+    fraction 1 / (1 + d_1 / (1 + ...)) at a scalar x, given x1 = 1 - x.
+
+    Where x > 1/2 each odd level's 1 + d_2j+1 is e_j + c_j x1, as in
+    ``_reciprocal``, and Lentz's D and C enter it as 1 - D and C - 1, which
+    the even level before gives without cancellation: otherwise the
+    rounding of x makes the steps stall at ~1e-11 on skewed laws and stop
+    at a chance exact step."""
+    near = x > 0.5
+
+    def odd(j: int) -> float:  # 1 + d_2j+1
+        den = (a + 2 * j) * (a + 2 * j + 1.0)
+        c = (a + j) * (a + b + j) / den
+        return (a * (2 * j + 1.0 - b) + j * (3 * j + 2.0 - b)) / den + c * x1 if near else 1.0 - c * x
+
+    v = odd(0)
+    d_odd, c_odd = 1.0 / (v if abs(v) > _TINY else _TINY), 1.0
+    m = 0
+    while m < _CF_MAX:
+        m += 1
+        dj = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        v = 1.0 + dj * d_odd
+        d_even = 1.0 / (v if abs(v) > _TINY else _TINY)
+        d_even_1 = dj * d_odd * d_even  # 1 - D
+        c_even_1 = dj / c_odd  # C - 1
+        c_even = 1.0 + c_even_1
+        c_even = c_even if abs(c_even) > _TINY else _TINY
+        v = odd(m)
+        d_odd = d_even_1 + d_even * v
+        d_odd = 1.0 / (d_odd if abs(d_odd) > _TINY else _TINY)
+        c_odd = (c_even_1 + v) / c_even
+        c_odd = c_odd if abs(c_odd) > _TINY else _TINY
+        if not abs(d_even * c_even * d_odd * c_odd - 1.0) >= _CF_TOL:  # NaN stops too
+            break
+    return m
+
+
+def _coefficients(a: float, b: float, m: int) -> tuple:
+    """(c, e, g), j = 0..m: the fraction after m double steps has d_2j+1 =
+    -c_j x and d_2j = g_j x (g_0 = 0, unused), and e_j = 1 - c_j, formed
+    from its numerator a (2j + 1 - b) + j (3j + 2 - b) without cancellation."""
+    j = np.arange(m + 1.0)
+    den = (a + 2.0 * j) * (a + 2.0 * j + 1.0)
+    g = np.zeros_like(j)
+    g[1:] = j[1:] * (b - j[1:]) / ((a + 2.0 * j[1:] - 1.0) * (a + 2.0 * j[1:]))
+    return ((a + j) * (a + b + j) / den, (a * (2.0 * j + 1.0 - b) + j * (3.0 * j + 2.0 - b)) / den, g)
+
+
+def _fractions(a: float, b: float) -> tuple:
+    """(split, ((a, coefficients), (b, coefficients))): the split and, below
+    and above it, the first parameter and the coefficients of the fraction
+    run there."""
+    split = (a + 1.0) / (a + b + 2.0)
+    return split, ((a, _coefficients(a, b, _fraction_length(a, b, split, 1.0 - split))),
+                   (b, _coefficients(b, a, _fraction_length(b, a, 1.0 - split, split))))
+
+
+def _reciprocal(coefficients: tuple, x: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """1 + d_1 / (1 + d_2 / (... / (1 + d_2m+1))) at each of x, given x1 = 1 -
+    x: the reciprocal of the fraction, bottom-up.
+
+    Each odd level is (1 + d_2j+1 + s) / (1 + s), with s = d_2j+2 over the
+    level below.  Where x > 1/2, 1 + d_2j+1 = 1 - c_j x is taken as e_j +
+    c_j x1: c_j x is then near 1 on skewed laws, and the rounding of x
+    would cancel to a relative error ~2^-53 / (1 - x) in the tail."""
+    c, e, g = coefficients
+    near = x > 0.5
+    s, t = np.zeros_like(x), np.empty_like(x)
+    for end in range(c.size, 0, -_CF_BLOCK):
+        rows = slice(max(0, end - _CF_BLOCK), end)
+        odd = np.where(near, np.multiply.outer(c[rows], x1) + e[rows, None],
+                       1.0 - np.multiply.outer(c[rows], x))
+        even = np.multiply.outer(g[rows], x)
+        for odd_j, even_j in zip(odd[::-1], even[::-1]):
+            np.add(odd_j, s, out=t)
+            s += 1.0
+            t /= s
+            np.divide(even_j, t, out=s)
+    return t
+
+
+def _log_tail(x: np.ndarray, x1: np.ndarray, log_p: np.ndarray, upper: np.ndarray,
+              fractions: tuple) -> np.ndarray:
+    """log T at each of x in (0, 1), given 1 - x and log P, P = x^a (1 -
+    x)^b / B(a, b): T is the upper tail 1 - I_x(a, b) where ``upper`` and
+    the lower tail I_x(a, b) elsewhere.  The fraction runs on the side of
+    the split that x lies on, and the other tail is one minus that side's.
+    """
+    split, sides = fractions
+    below = x < split
+    log_t = np.empty_like(x)
+    for at, v, v1, flip, (p, c) in zip((below, ~below), (x, x1), (x1, x), (False, True),
+                                         sides):
+        if not at.any():
+            continue
+        t = log_p[at] - math.log(p) - np.log(_reciprocal(c, v[at], v1[at]))
+        log_t[at] = np.where(upper[at] != flip, np.log(-np.expm1(t)), t)
+    return log_t
+
+
+def betainc(a: float, b: float, x, upper: bool = False):
+    """The regularized incomplete Beta I_x(a, b), or 1 - I_x(a, b) if
+    ``upper``, elementwise in x, for positive finite a and b.
+
+    Each tail is accurate relative to itself: the continued fraction runs on
+    the side of the mean where it converges, so a small tail is never one
+    minus a rounded larger one.  Its prefactor is exp(log x + log(1 - x) +
+    log f(x)) with f Loader's Beta density, so for moderate a and b the
+    relative error grows like eps |log T| in a tail T; near the mean of laws
+    with a + b ~ 1e7 the fraction's own rounding reaches ~1.5e-13, skewed
+    laws such as Beta(2, 1e7) included.  x = 0 and x = 1 give the exact
+    ends; x outside [0, 1] or NaN gives NaN.
+    """
+    _law(a, b)
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    out = np.where(flat == 0.0, float(upper), np.where(flat == 1.0, float(not upper), np.nan))
+    inside = (flat > 0.0) & (flat < 1.0)
+    if inside.any():
+        xi = flat[inside]
+        log_p = np.log(xi) + np.log1p(-xi) + beta_log_density(a, b, xi)
+        out[inside] = np.exp(_log_tail(xi, 1.0 - xi, log_p, np.full(xi.shape, bool(upper)),
+                                       _fractions(a, b)))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+# Halley's step ends a node once the log tail is within _HALLEY_DONE of its
+# target: the step then leaves an error of order _HALLEY_DONE^3.  Every node
+# is bracketed in |y| <= _Y_LIMIT, where min(x, 1 - x) = 5e-324.
+_HALLEY_DONE = 2.0**-20
+_Y_LIMIT = 745.0
+_MAX_STEPS = 100
+
+
+def _start(a: float, b: float, log_t: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A start y for ``_logit_quantile``: the normal approximation of
+    Abramowitz and Stegun 26.5.22 where a, b >= 1, the power tails of
+    Numerical Recipes' ``invbetai`` otherwise, and where a tail is small,
+    its power tail I_x ~ x^a / (a B(a, b)) or 1 - I_x ~ (1 - x)^b / (b B(a, b))."""
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a >= 1.0 and b >= 1.0:
+            z = ndtri(np.exp(log_t))
+            z = np.where(upper, z, -z)
+            lam = (z * z - 3.0) / 6.0
+            h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+            w = (z * np.sqrt(h + lam) / h
+                 - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+            y = math.log(a / b) - 2.0 * w
+        else:
+            log_a_mass = a * math.log(a / (a + b)) - math.log(a)
+            log_mass = np.logaddexp(log_a_mass, b * math.log(b / (a + b)) - math.log(b))
+            log_lower = np.where(upper, np.log(-np.expm1(log_t)), log_t)
+            log_upper = np.where(upper, log_t, np.log(-np.expm1(log_t)))
+            log_x = (log_mass + math.log(a) + log_lower) / a
+            log_1mx = (log_mass + math.log(b) + log_upper) / b
+            y = np.where(log_lower < log_a_mass - log_mass, log_x - np.log(-np.expm1(log_x)),
+                         np.log(-np.expm1(log_1mx)) - log_1mx)
+        log_x = (log_t + math.log(a) + log_beta) / a
+        log_1mx = (log_t + math.log(b) + log_beta) / b
+        y = np.where(~upper & (log_x < math.log(0.1 / (b + 1.0))), log_x - np.log1p(-np.exp(log_x)), y)
+        y = np.where(upper & (log_1mx < math.log(0.1 / (a + 1.0))), np.log1p(-np.exp(log_1mx)) - log_1mx, y)
+    return np.clip(np.nan_to_num(y, nan=0.0), -_Y_LIMIT, _Y_LIMIT)
+
+
+def _at_logit(a: float, b: float, y: np.ndarray) -> tuple:
+    """(x, 1 - x, log P) at y = logit(x): each of x and 1 - x from the smaller
+    one, and the density of the mirrored law at 1 - x where x > 1/2."""
+    e = np.exp(-np.abs(y))
+    small = e / (1.0 + e)
+    log_p = -2.0 * np.log1p(e) - np.abs(y)  # log x + log(1 - x)
+    low = y <= 0.0
+    if low.all():
+        log_p += beta_log_density(a, b, small)
+        return small, 1.0 - small, log_p
+    log_p[low] += beta_log_density(a, b, small[low])
+    log_p[~low] += beta_log_density(b, a, small[~low])
+    return np.where(low, small, 1.0 - small), np.where(low, 1.0 - small, small), log_p
+
+
+def _logit_quantile(a: float, b: float, w: np.ndarray) -> np.ndarray:
+    """y = logit(x) of the Beta(a, b) quantile x at u = expit(w), for finite w.
+
+    The target is the smaller of u and 1 - u, log expit(-|w|), exact from w;
+    it is the lower tail where w <= 0 and the upper beyond.  In y the log
+    tail is concave (the Beta law in logit coordinates is log-concave), with
+    derivative D = +-P / T and second derivative D (a (1 - x) - b x - D), so
+    Newton steps from any start converge; each node takes Halley's step
+    once it is close, and a step that leaves the node's bracket bisects it.
+    """
+    upper = w > 0.0
+    log_t = -np.abs(w) - np.log1p(np.exp(-np.abs(w)))
+    y = _start(a, b, log_t, upper)
+    fractions = _fractions(a, b)
+    # the nodes still iterating: their indices, iterates, brackets, targets and tails
+    at, ya, up, target = np.arange(y.size), y.copy(), upper, log_t
+    lo, hi = np.full_like(y, -_Y_LIMIT), np.full_like(y, _Y_LIMIT)
+    for _ in range(_MAX_STEPS):
+        x, x1, log_p = _at_logit(a, b, ya)
+        tail = _log_tail(x, x1, log_p, up, fractions)
+        g = tail - target
+        d = np.exp(log_p - tail)
+        d = np.where(up, -d, d)
+        # the root lies above y where the tail is below its target on the rising (lower) tail
+        rising = (g < 0.0) == (d > 0.0)
+        lo, hi = np.where(rising, ya, lo), np.where(rising, hi, ya)
+        ratio = 0.5 * g * (a * x1 - b * x - d) / d
+        halley = np.abs(ratio) < 0.5
+        new = ya - g / (d * np.where(halley, 1.0 - ratio, 1.0))
+        done = halley & (np.abs(g) <= _HALLEY_DONE)
+        ya = np.where(done | ((new >= lo) & (new <= hi)), new, 0.5 * (lo + hi))
+        y[at] = ya
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            at, ya, up, target, lo, hi = at[keep], ya[keep], up[keep], target[keep], lo[keep], hi[keep]
+    return y
+
+
+def beta_logit_quantile(a: float, b: float, w):
+    """logit of the Beta(a, b) quantile at u = expit(w), elementwise in w.
+
+    Working in w = logit(u) and y = logit(x) keeps both tails of u and of x
+    exact: beyond x = 1/2 the iteration reads 1 - x and the density from
+    the mirrored law Beta(b, a); see ``_logit_quantile``.  w = -inf and inf
+    give -inf and inf, NaN gives NaN; a and b must be positive and finite.
+    """
+    _law(a, b)
+    arr = np.asarray(w, dtype=float)
+    flat = arr.ravel()
+    out = np.where(np.isinf(flat), flat, np.nan)
+    finite = np.isfinite(flat)
+    if finite.any():
+        out[finite] = _logit_quantile(a, b, flat[finite])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

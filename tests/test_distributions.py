@@ -38,6 +38,7 @@ from ordent.distributions import (
     power_moment_finite,
     random_stream,
 )
+from ordent import special
 
 ALL_PARENTS = [Uniform(), Gaussian(), Exponential(), Cauchy(), F1(), F2()]
 
@@ -696,44 +697,51 @@ class TestBetaSampling:
         ref = betaincinv(alpha, beta, random_stream(seed, 0).random(count))
         assert np.all(np.abs(x - ref) <= 1e-12 * np.minimum(ref, 1.0 - ref) + 2.0**-52)
 
+    @pytest.mark.parametrize("alpha, beta", [(6.96e6, 1.17e6), (7.66e5, 1.82e5)])
+    def test_contract_against_the_true_quantile(self, alpha, beta):
+        # skewed laws above 1e5, where scipy's betaincinv is itself up to
+        # 2.3e-12 relative off: the draws against the in-house inverse at
+        # every u, whose nodes tests/test_special.py holds to 40-digit
+        # mpmath roots on these laws
+        count, seed, stream = 20_000, 4242687944, 46
+        x = beta_sample(BetaLaw(alpha, beta), count, seed, stream)
+        u = random_stream(seed, stream).random(count)
+        y = special.beta_logit_quantile(alpha, beta, np.log(u) - np.log1p(-u))
+        ref = 1.0 / (1.0 + np.exp(-y))
+        small = 1.0 / (1.0 + np.exp(np.abs(y)))
+        assert np.all(np.abs(x - ref) <= 1e-12 * small + 2.0**-52)
+
     @pytest.mark.parametrize("count", [1_000, 100_000])
     def test_inverts_only_at_table_nodes(self, monkeypatch, count):
-        # betaincinv runs at the table's nodes and at draws beyond |logit(u)| < 37.5
-        import scipy.special
-
-        from ordent.distributions import _TABLE_STEPS, _TABLE_W
+        # the inverse runs at the table's nodes and at draws beyond |logit(u)| < 37.5
+        import ordent.distributions as dist
 
         inverted = []
-        real = scipy.special.betaincinv
+        real = dist.beta_logit_quantile
 
-        def spy(a, b, u):
-            inverted.append(np.size(u))
-            return real(a, b, u)
+        def spy(a, b, w):
+            inverted.append(np.size(w))
+            return real(a, b, w)
 
-        monkeypatch.setattr(scipy.special, "betaincinv", spy)
+        monkeypatch.setattr(dist, "beta_logit_quantile", spy)
         beta_sample(BetaLaw(30, 71), count, seed=3, stream=1)
-        beyond = int(np.sum(~(np.abs(logit(random_stream(3, 1).random(count))) < _TABLE_W)))
-        assert sum(inverted) <= _TABLE_STEPS + 1 + beyond
+        beyond = int(np.sum(~(np.abs(logit(random_stream(3, 1).random(count))) < dist._TABLE_W)))
+        assert sum(inverted) <= dist._TABLE_STEPS + 1 + beyond
 
     def test_inverts_only_where_draws_land(self, monkeypatch):
-        # 100 draws reach at most 100 cells, so at most 200 nodes are inverted,
-        # by betaincinv or by the complementary betainccinv
-        import scipy.special
-
-        from ordent.distributions import _TABLE_W
+        # 100 draws reach at most 100 cells, so at most 200 nodes are inverted
+        import ordent.distributions as dist
 
         count, inverted = 100, []
+        real = dist.beta_logit_quantile
 
-        def spy(real):
-            def inverse(a, b, u):
-                inverted.append(np.size(u))
-                return real(a, b, u)
-            return inverse
+        def spy(a, b, w):
+            inverted.append(np.size(w))
+            return real(a, b, w)
 
-        for name in ("betaincinv", "betainccinv"):
-            monkeypatch.setattr(scipy.special, name, spy(getattr(scipy.special, name)))
+        monkeypatch.setattr(dist, "beta_logit_quantile", spy)
         beta_sample(BetaLaw(30, 71), count, seed=3, stream=1)
-        beyond = int(np.sum(~(np.abs(logit(random_stream(3, 1).random(count))) < _TABLE_W)))
+        beyond = int(np.sum(~(np.abs(logit(random_stream(3, 1).random(count))) < dist._TABLE_W)))
         assert 0 < sum(inverted) <= 2 * count + beyond
 
     def test_sample_mean_is_the_mean_of_one_draw(self):

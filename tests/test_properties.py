@@ -112,10 +112,11 @@ log_uniform_parameters = st.floats(min_value=0.0, max_value=7.0).map(lambda e: 1
 @given(alpha=log_uniform_parameters, beta=log_uniform_parameters,
        seed=st.integers(min_value=0, max_value=2**32 - 1), stream=st.integers(min_value=0, max_value=1000))
 def test_beta_sample_contract(alpha, beta, seed, stream):
-    # within 1e-12 min(x, 1 - x) + 2^-52 of the exact inversion, nondecreasing
-    # in u, and prefix-stable, for laws with alpha, beta in [1, 1e7]; rare
-    # skewed laws above ~1e5, where betaincinv itself errs by ~2e-12
-    # relative, can miss the first (see the beta_sample docstring)
+    # within 1e-12 min(x, 1 - x) + 2^-52 of the true quantile, nondecreasing
+    # in u, and prefix-stable, for laws with alpha, beta in [1, 1e7]; the
+    # oracle is scipy's betaincinv, itself up to ~2e-12 relative off on rare
+    # skewed laws above ~1e5, which test_distributions checks against the
+    # in-house inverse instead
     law, count = BetaLaw(alpha, beta), 20_000
     x = beta_sample(law, count, seed, stream)
     u = random_stream(seed, stream).random(count)

@@ -223,3 +223,156 @@ def test_beta_log_densities_match_each_law():
         assert np.array_equal(got[at], special.beta_log_density(a[i], b[i], u[at]))
     assert np.array_equal(special.beta_log_densities(a, b)(u, 3),
                           special.beta_log_density(a[3], b[3], u))
+
+
+EPS = 2.0**-52
+
+
+def _ulp_error(got: float, ref) -> float:
+    """|got - ref| in ulps of ref, the ulp of a subnormal being 2^-1074."""
+    return float(abs(mp.mpf(got) - ref) / np.spacing(float(ref)))
+
+
+class TestNdtr:
+    def test_against_mpmath(self):
+        # x in +-[0, 38]: within 4 ulp (3.7 at x = -3.5), down to the
+        # subnormal lower tail
+        x = np.concatenate([np.linspace(0.0, 38.0, 381), np.geomspace(1e-8, 38.0, 60)])
+        x = np.concatenate([x, -x])
+        got = special.ndtr(x)
+        worst = max(_ulp_error(g, mp.ncdf(v)) for v, g in zip(x.tolist(), got.tolist()))
+        assert worst <= 4.0
+
+    def test_edges_and_scalars(self):
+        got = special.ndtr(np.array([-np.inf, np.inf, np.nan, 0.0]))
+        assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2]) and got[3] == 0.5
+        assert special.ndtr(-1.5) == special.ndtr([-1.5])[0] and isinstance(special.ndtr(0.3), float)
+
+    def test_gaussian_cdf(self):
+        x = np.linspace(-4.0, 4.0, 17)
+        assert np.array_equal(Gaussian(1.0, 2.0).cdf(1.0 + 2.0 * x), special.ndtr(x))
+
+
+def _mp_tail(a, b, x, upper):
+    """I_x(a, b), or 1 - I_x(a, b) if upper, from the positive series x^a (1 -
+    x)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x) on the side of x below the
+    mean (mpmath's betainc does not converge for parameters near 1e7)."""
+    a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+    if x > a / (a + b):
+        a, b, x, upper = b, a, 1 - x, not upper
+    v = mp.exp(a * mp.log(x) + b * mp.log1p(-x) - mp.log(a) - mp.log(mp.beta(a, b))) \
+        * mp.hyp2f1(a + b, 1, a + 1, x, maxterms=10**7)
+    return 1 - v if upper else v
+
+
+def _points(a, b, sds):
+    mean = a / (a + b)
+    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+    x = np.clip(mean + sd * np.asarray(sds, dtype=float), 1e-300, 1.0 - 2.0**-53)
+    return np.unique(np.concatenate([x, np.geomspace(1e-200, 0.49, 5)]))
+
+
+class TestBetainc:
+    @pytest.mark.parametrize("a, b", [(30, 71), (60, 141), (2, 19), (0.5, 3), (0.1, 0.1), (1, 1)])
+    def test_both_tails_against_mpmath(self, a, b):
+        # each tail relative to itself, within 8 eps (1 + |log T|): the
+        # prefactor is exp of a log density
+        x = _points(a, b, np.linspace(-12.0, 12.0, 9))
+        for upper in (False, True):
+            got = special.betainc(a, b, x, upper)
+            for v, g in zip(x.tolist(), got.tolist()):
+                ref = _mp_tail(a, b, v, upper)
+                if ref < mp.mpf("1e-300"):
+                    continue
+                assert abs(g - ref) / ref <= 8 * EPS * (1 + abs(mp.log(ref))), (v, upper)
+
+    @pytest.mark.parametrize("a, b", [(3e6, 7e6 + 1), (1e5, 2), (7.69572e6, 1.04527),
+                                      (4.47656, 5.52423e6), (0.2845737908030374, 9181069.509543553)])
+    def test_large_parameters(self, a, b):
+        # near the mean the fraction's own rounding reaches ~1.5e-13 relative;
+        # on the skewed laws the fraction's argument is within ~1e-6 of 1,
+        # where its rounding would cost up to ~6e-10
+        x = _points(a, b, [-8.0, -1.0, 0.0, 1.0, 8.0])
+        for upper in (False, True):
+            got = special.betainc(a, b, x, upper)
+            for v, g in zip(x.tolist(), got.tolist()):
+                ref = _mp_tail(a, b, v, upper)
+                if ref < mp.mpf("1e-300"):
+                    continue
+                assert abs(g - ref) / ref <= 5e-13, (v, upper)
+
+    def test_ends_and_scalars(self):
+        got = special.betainc(2.0, 3.0, np.array([0.0, 1.0, np.nan, -0.5, 1.5]))
+        assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2:]).all()
+        assert special.betainc(2.0, 3.0, 0.0, upper=True) == 1.0
+        assert special.betainc(2.0, 3.0, 0.25) == special.betainc(2.0, 3.0, [0.25])[0]
+        with pytest.raises(ValueError):
+            special.betainc(0.0, 1.0, 0.5)
+
+    def test_tails_add_to_one(self):
+        x = np.linspace(0.01, 0.99, 99)
+        total = special.betainc(30, 71, x) + special.betainc(30, 71, x, upper=True)
+        assert np.max(np.abs(total - 1.0)) <= 4 * EPS
+
+
+# y = logit(x) of the Beta quantile at u = expit(w), 40-digit mpmath roots
+# (Newton in y on the series of ``_mp_tail``, summed term by term, on the side
+# x <= 1/2 of the law or of its mirror), at these nodes of the sampler's table
+_QUANTILE_W = [-35.99853515625, -7.9833984375, -0.98876953125, 0.0, 0.98876953125,
+               7.9833984375, 35.99853515625]
+_QUANTILE_Y = {
+    (30, 71): ['-2.996076516490006369050518', '-1.65712267314028659568002',
+               '-1.002343187022740150876991', '-0.8679294700776515292451161',
+               '-0.7359243470988829793378435', '-0.1545439882757551036079343',
+               '0.8016522428392899233872567'],
+    (60, 141): ['-2.26487604417023640151736', '-1.403920533693837358066685',
+                '-0.9523163680644994908455699', '-0.8576144794203953339234257',
+                '-0.7641040795048507881460584', '-0.3485749082147170743853047',
+                '0.3301493146317832708918618'],
+    (2, 19): ['-20.62277960646528428317291', '-6.6059314988948400718249',
+              '-2.925104594580970196964055', '-2.408726673826053703051376',
+              '-1.954843784694472661541367', '-0.3458634692481416127391359',
+              '1.90694463860857218473061'],
+    (0.1, 0.1): ['-353.1975876820641656230712', '-73.04963069619748426323445',
+                 '-6.262529470764743583562782', '9.183549615799121156005754e-41',
+                 '6.262529470764743583562782', '73.04963069619748426323445',
+                 '353.1975876820641656230712'],
+    (1e5, 2): ['7.831257751575771539111483', '9.169245404038246865920854',
+               '10.56489866376180374332853', '10.99511269871355480335066',
+               '11.49430433882476465153491', '15.1494548746223763489794',
+               '29.16562444560540659382048'],
+    (3e6, 7e6 + 1): ['-0.8529037841483206636304762', '-0.8496424102861391285342348',
+                     '-0.8477185513382326677564197', '-0.847298066736409620820884',
+                     '-0.846877605707575989764438', '-0.8449544557506624016997796',
+                     '-0.8416965360697166542715851'],
+    # two skewed laws on which scipy's betaincinv is up to 2.3e-12 relative off
+    (6.96e6, 1.17e6): ['1.775069930210889102247894', '1.779783337374513690259137',
+                       '1.782567177539616981189661', '1.783175962544252673090577',
+                       '1.783784835543774201336224', '1.786571322279870804486342',
+                       '1.791297623461988102453672'],
+    (7.66e5, 1.82e5): ['1.416047242789653527547247', '1.428327292016445215985736',
+                       '1.435588218524492514124629', '1.437176879005594078520812',
+                       '1.438766057913255224063935', '1.446042576860414898730813',
+                       '1.458398592700164709848137'],
+}
+
+
+class TestBetaLogitQuantile:
+    @pytest.mark.parametrize("law", list(_QUANTILE_Y))
+    def test_against_mpmath_roots(self, law):
+        # within 1e-14 relative of min(x, 1 - x) on the laws behind the
+        # verify benchmark, and within the sampler's contract 1e-12 min(x,
+        # 1 - x) + 2^-52 on every law
+        y = special.beta_logit_quantile(*law, np.array(_QUANTILE_W))
+        for got, ref in zip(y.tolist(), _QUANTILE_Y[law]):
+            ref = mp.mpf(ref)
+            small = 1 / (1 + mp.exp(abs(ref)))
+            err = float(small * (1 - small) * abs(got - ref))  # |x - x_ref| to first order
+            assert err <= 1e-12 * float(small) + 2.0**-52
+            if law in ((30, 71), (60, 141)):
+                assert err <= 1e-14 * float(small)
+
+    def test_edges_and_scalars(self):
+        got = special.beta_logit_quantile(2.0, 3.0, np.array([-np.inf, np.inf, np.nan]))
+        assert got[0] == -np.inf and got[1] == np.inf and np.isnan(got[2])
+        assert special.beta_logit_quantile(2.0, 3.0, -1.0) == special.beta_logit_quantile(2.0, 3.0, [-1.0])[0]

@@ -1,21 +1,24 @@
-"""Start-up: ordent and its quadrature path load no scipy.
+"""Run time: ordent loads no scipy, whatever it runs.
 
-scipy is imported only by the functions that need it (Monte Carlo Beta
-sampling, the order-statistic CDF and the Gaussian CDF); a fresh interpreter
-shows which modules a run has loaded.
+scipy stays a test-only oracle.  A fresh interpreter runs every public entry
+point that once imported it (Monte Carlo Beta sampling and what draws
+through it, the order-statistic CDF, the Gaussian CDF and the CLI's
+``sample``) and shows which modules the run has loaded; a scan of the
+sources shows that no file of the package imports it.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
-from scipy.special import betainc, betaincinv, ndtr
 
 import ordent
-from ordent.distributions import BetaLaw, Gaussian, beta_sample, random_stream
+from ordent.distributions import BetaLaw, Gaussian, beta_sample
 from ordent.order_stats import OrderStatSpec, order_stat_cdf
 
 SCRIPT = """
@@ -40,12 +43,19 @@ for p, k in ((0.005, 1), (0.02, 2)):
 loaded["small ranks"] = scipy_modules()
 
 from ordent.distributions import BetaLaw, Gaussian, beta_sample
-from ordent.order_stats import OrderStatSpec, order_stat_cdf
+from ordent.order_stats import (OrderStatSpec, order_stat_cdf, sample_order_stat,
+                                verify_moment_bound)
 values = {
     "beta_sample": beta_sample(BetaLaw(30.0, 71.0), 64, seed=11, stream=3).tolist(),
     "order_stat_cdf": order_stat_cdf(Gaussian(), OrderStatSpec(n=100, k=30), X).tolist(),
     "gaussian_cdf": Gaussian().cdf(X).tolist(),
 }
+sample_order_stat(Gaussian(), OrderStatSpec(n=100, k=30), 1000, seed=3)
+verify_moment_bound(Gaussian(), OrderStatSpec(n=100, k=30), 2.0, 4.0, mc_count=1000, seed=3)
+ordent.kl_decompose(ordent.make_parent("exponential"), 200, 0.3, method="monte_carlo", budget=1000)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli_main(["sample", "--parent", "gaussian()", "--n", "100", "--k", "30", "--count", "1000"])
+loaded["monte carlo, cdf and sample"] = scipy_modules()
 print(json.dumps({"loaded": loaded, "values": values}))
 """
 
@@ -62,19 +72,44 @@ def _fresh_run() -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_no_scipy_until_a_function_needs_it():
+def _ulps(got, ref) -> float:
+    return float(abs(mp.mpf(got) - ref) / np.spacing(float(ref)))
+
+
+def _log_relative(got, ref) -> float:
+    """The relative error of got in units of eps (1 + |log ref|)."""
+    return float(abs(mp.mpf(got) - ref) / ref / (2.0**-52 * (1 + abs(mp.log(ref)))))
+
+
+def test_no_scipy_at_run_time():
     run = _fresh_run()
     assert run["loaded"] == {step: [] for step in
-                             ("import", "cli entropy", "kl_decompose", "small ranks")}
-    # the lazily imported functions give the values that scipy gives directly
+                             ("import", "cli entropy", "kl_decompose", "small ranks",
+                              "monte carlo, cdf and sample")}
     got = run["values"]
-    u = random_stream(11, 3).random(64)
-    ref = betaincinv(30.0, 71.0, u)  # beta_sample's accuracy contract
-    assert np.all(np.abs(np.array(got["beta_sample"]) - ref)
-                  <= 1e-12 * np.minimum(ref, 1.0 - ref) + 2.0**-52)
-    assert got["order_stat_cdf"] == betainc(30.0, 71.0, ndtr(np.array(X))).tolist()
-    assert got["gaussian_cdf"] == ndtr(np.array(X)).tolist()
-    # and the same in this process, where scipy is already loaded
+    # the CDFs against 40-digit mpmath: Phi within 4 ulp, and I_F(30, 71) at
+    # the float F = Phi(x) that ordent passes within 8 eps (1 + |log I|)
+    # relative: its prefactor is exp of a log density, and its lower tail at
+    # x = -3 is 2e-61
+    with mp.workdps(40):
+        for x, phi, cdf in zip(X, got["gaussian_cdf"], got["order_stat_cdf"]):
+            assert _ulps(phi, mp.ncdf(x)) <= 4.0
+            assert _log_relative(cdf, mp.betainc(30, 71, 0, mp.mpf(phi), regularized=True)) <= 8.0
+    # the same values in this process, where scipy may be loaded
     assert beta_sample(BetaLaw(30.0, 71.0), 64, seed=11, stream=3).tolist() == got["beta_sample"]
     assert order_stat_cdf(Gaussian(), OrderStatSpec(n=100, k=30), X).tolist() == got["order_stat_cdf"]
     assert Gaussian().cdf(X).tolist() == got["gaussian_cdf"]
+
+
+def test_no_source_file_imports_scipy():
+    package = Path(ordent.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"
