@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import _CHUNK_NODES, QuadResult, QuadResults, adaptive_quad, beta_expectation
+from .quadrature import _CHUNK_NODES, QuadResult, QuadResults, adaptive_quad
 from .special import beta_log_density, beta_logit_quantile, ndtr, ndtri
 
 __all__ = [
@@ -146,7 +146,8 @@ class ParentDistribution:
       array s and a bool or bool array ``upper``, both sides in one pass,
       without rounding 1 - s where that would cost digits;
     - ``_sup_pdf`` where the density is bounded, and closed-form
-      ``_abs_moment`` and ``_norm_m`` where they exist;
+      ``_abs_moment`` and ``_norm_m`` where they exist; otherwise both are
+      one quantile-space integral, ``_quantile_expectation``, over ``_tail``;
     - its ``growth``, and ``spec_string`` when it has parameters.
     """
 
@@ -263,26 +264,32 @@ class ParentDistribution:
         return self._abs_moment(r) if self.abs_moment_finite(r) else math.inf
 
     def _abs_moment(self, r: float) -> float:
-        """A finite E|X|^r by quadrature in quantile coordinates.
+        """A finite E|X|^r by quadrature in quantile coordinates."""
+        return self._quantile_expectation(lambda x, log_f: np.abs(x) ** r)
+
+    def _quantile_expectation(self, g) -> float:
+        """E[g(x, log f(x))] at x = F^{-1}(U), U uniform, by quadrature in
+        quantile coordinates; ``g`` maps node arrays to one value per node.
 
         The endpoints are reached through tail mass s = t^8 / 2 on each side,
         which turns the s^{-a} blow-up of heavy-tail quantile powers (a < 1
-        when the moment exists) into a bounded integrand.
+        when the moment exists) into a bounded integrand.  The two sides are
+        one batch of two problems, the lower side and the upper, each with
+        its own tolerance; a side that does not converge raises
+        ``NotConvergedError``.
         """
-        def side(t, upper):
+        def side(t, problem):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                return np.abs(self._tail(0.5 * t**8, upper)[0]) ** r * 4.0 * t**7
+                x, log_f, _ = self._tail(0.5 * t**8, problem == 1)
+                return g(x, log_f) * 4.0 * t**7
 
         # geometric levels toward t = 0 only: toward t = 1 both sides are smooth.
         # The sides start at t = 0 itself (no Gauss node lies on it): a cut at
         # t0 would drop a tail of order t0^(8(1-a)), which near a = 1 is not small
-        levels = 2.0 ** -np.arange(1, 47)
-        total = 0.0
-        for upper in (False, True):
-            res = adaptive_quad(lambda t: side(t, upper), 0.0, 1.0, tol_abs=1e-11,
-                                tol_rel=1e-10, breakpoints=levels)
-            total += res.check()
-        return total
+        levels = np.tile(2.0 ** -np.arange(1, 47), (2, 1))
+        lower, upper = adaptive_quad(side, [0.0, 0.0], [1.0, 1.0], tol_abs=1e-11,
+                                     tol_rel=1e-10, breakpoints=levels)
+        return lower.check() + upper.check()
 
     def norm_m_finite(self, m: float) -> bool:
         """Whether ||f||_m is finite, m >= 1: int f^m dx = E[f(F^{-1}(U))^(m-1)],
@@ -307,9 +314,8 @@ class ParentDistribution:
         underflow at large m.
         """
         log_sup = math.log(self._sup_pdf())
-        res = beta_expectation(
-            lambda u: np.exp((m - 1.0) * (self.log_pdf_at_quantile(u) - log_sup)), 1.0, 1.0)
-        return math.exp(log_sup * (1.0 - 1.0 / m)) * res.check() ** (1.0 / m)
+        mean = self._quantile_expectation(lambda x, log_f: np.exp((m - 1.0) * (log_f - log_sup)))
+        return math.exp(log_sup * (1.0 - 1.0 / m)) * mean ** (1.0 / m)
 
     def spec_string(self) -> str:
         return f"{self.name}()"

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _direct, _direct_constant, beta_log_densities
+from .special import beta_log_densities
 
 __all__ = ["NotConvergedError", "QuadResult", "QuadResults", "adaptive_quad", "beta_expectation"]
 
@@ -54,9 +54,6 @@ _RULES[31:, 1] = _WEIGHTS_LO[_NODES_LO != 0.0]
 _PANEL_NEVAL = _NODES.size
 # nodes per integrand call: bounds the temporaries of one call to a few MB
 _CHUNK_NODES = 8192
-# exp(x) rounds to 0 in float64 below about x = log(2^-1075)
-_EXP_UNDERFLOW = -745.13
-_EPS = float(np.finfo(float).eps)
 # beta_expectation's bulk breakpoints: mean + s sd for these s
 _BULK_SCALES = np.array([-1.0, 1.0, -2.0, 2.0, -4.0, 4.0, -8.0, 8.0, -16.0, 16.0,
                          -32.0, 32.0, -64.0, 64.0, 0.0])
@@ -428,7 +425,10 @@ def beta_expectation(
     before integrating (``distributions.power_moment_finite``).  On each side
     of the mode, the initial panels beyond the innermost edge that weighs
     exactly 0 in float64 are never evaluated: the weight is 0 at every node
-    there.  Parameters that are not positive and finite raise ``ValueError``.
+    there.  The weights of the edges come from the same log density as the
+    nodes', in one call over every law's edges, so a panel is dropped only
+    where the integrand's own weight is 0.  Parameters that are not
+    positive and finite raise ``ValueError``.
     """
     batch = _is_batch(alpha)
     if not batch:
@@ -459,62 +459,39 @@ def beta_expectation(
     np.multiply(mean_sd[:, 1:], _BULK_SCALES, out=bulk)
     bulk += mean_sd[:, :1]
     np.clip(bulk, _TRIM_EDGES[0], _TRIM_EDGES[-1], out=bulk)
-    lows, highs = _zero_weight_bounds(edges, alphas, betas)
+    lows, highs = _zero_weight_bounds(edges, log_density, alphas, betas)
     if not batch:
         lows, highs = lows[0], highs[0]
     return adaptive_quad(integrand, lows, highs, tol_abs=tol_abs, tol_rel=tol_rel,
                          breakpoints=edges)
 
 
-def _trim_constants(a: float, b: float) -> tuple:
-    """Beta(a, b)'s direct form (x, y, c), its thresholds (below, above)
-    and its bounds (lower, upper) for ``_zero_weight_bounds``.
-
-    An edge whose direct form is below ``below`` weighs 0, and one up to
-    ``above`` is checked against Loader's form.  The direct form is within
-    eps (a + b) (2 log(a + b) + 40) of Loader's on the trimmed domain (at
-    most 0.83 of it, measured for a + b from 1e2 to 2^53); the slack on
-    either side of the underflow is four times that, plus 1.  Edges up to
-    ``lower`` and from ``upper`` on lie beyond the mode, on a side where
-    the density is monotone: -inf and inf where there is no such side.
-    """
-    slack = 1.0 + 4.0 * _EPS * (a + b) * (2.0 * math.log(a + b) + 40.0)
-    if a > 1.0 and b > 1.0:
-        mode = (a - 1.0) / (a + b - 2.0)
-    else:
-        mode = 1.0 if a > 1.0 else 0.0
-    return (a - 1.0, b - 1.0, _direct_constant(a, b), _EXP_UNDERFLOW - slack,
-            _EXP_UNDERFLOW + slack, mode if a > 1.0 else -math.inf, mode if b > 1.0 else math.inf)
-
-
-def _zero_weight_bounds(edges: np.ndarray, alpha, beta) -> tuple:
+def _zero_weight_bounds(edges: np.ndarray, log_density, alpha, beta) -> tuple:
     """(lows, highs): per law of the sequences ``alpha`` and ``beta``, the
     innermost of its edges ``edges[i]`` (one unsorted row per law, within
     the trimmed domain) that lies beyond the mode and has a float64 weight
     of exactly 0, below the mode and above it; else the domain's own ends.
 
-    The density rises from 0 to the mode when alpha > 1 and falls from the
-    mode to 1 when beta > 1, so every node beyond such an edge weighs 0 as
-    well: the panels there add exactly 0 to any finite integrand.
+    The weights are those of the integrand, ``log_density`` from
+    ``special.beta_log_densities`` for these laws, at every edge of every
+    law in one call.  The density rises from 0 to the mode when alpha > 1
+    and falls from the mode to 1 when beta > 1, so every node beyond such
+    an edge weighs 0 as well: the panels there add exactly 0 to any finite
+    integrand.
     """
-    # Loader's form has a fixed cost of ~60 numpy calls against ~10 for the
-    # direct form, so the direct form screens the edges of every law in one
-    # pass and Loader decides only those near the float64 underflow of exp,
-    # in one gathered call
-    # each quantity as a column of per-law values
-    x, y, c, below, above, lower, upper = np.array(
-        [_trim_constants(a, b) for a, b in zip(alpha, beta)]).T[..., None]
-    direct = _direct(x, y, c, edges)
-    zero = direct < below
-    near = direct <= above
-    near ^= zero
-    if np.count_nonzero(near):
-        # Loader's form over the laws with such edges, each edge indexed among them
-        laws = near.any(axis=1)
-        at = np.flatnonzero(laws).tolist()
-        exact = beta_log_densities([alpha[i] for i in at], [beta[i] for i in at])
-        with np.errstate(under="ignore"):
-            zero[near] = np.exp(exact(edges[near], (laws.cumsum() - 1)[near.nonzero()[0]])) == 0.0
+    laws, size = edges.shape
+    problem = np.repeat(np.arange(laws), size) if laws > 1 else 0
+    with np.errstate(under="ignore"):
+        zero = np.exp(log_density(edges.ravel(), problem)).reshape(edges.shape) == 0.0
+    lower, upper = np.array([_monotone_sides(a, b) for a, b in zip(alpha, beta)]).T[..., None]
     lows = np.where(zero & (edges <= lower), edges, _TRIM_EDGES[0]).max(axis=1)
     highs = np.where(zero & (edges >= upper), edges, _TRIM_EDGES[-1]).min(axis=1)
     return lows.tolist(), highs.tolist()
+
+
+def _monotone_sides(a: float, b: float) -> tuple:
+    """(lower, upper): edges up to lower and from upper on lie beyond the
+    mode of Beta(a, b), on a side where the density is monotone; -inf and
+    inf where there is no such side."""
+    mode = (a - 1.0) / (a + b - 2.0) if a > 1.0 and b > 1.0 else float(a > 1.0)
+    return mode if a > 1.0 else -math.inf, mode if b > 1.0 else math.inf

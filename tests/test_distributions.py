@@ -471,6 +471,23 @@ class TestMomentAndNormFlags:
         for r in (0.5, 1.0, 3.0):
             assert math.isfinite(f2.abs_moment(r))
 
+    # (parent, method, order, closed form): E|X|^r of the exponential,
+    # Gamma(r + 1) / rate^r, and of uniform(-1, 1), 1 / (r + 1); ||f||_m of
+    # the exponential, rate^(1 - 1/m) m^(-1/m); all by the quantile-space
+    # integral, whose tol_rel is 1e-10
+    CLOSED_FORMS = [
+        *[(Exponential(rate), "abs_moment", r, math.gamma(r + 1.0) / rate**r)
+          for rate in (1.0, 2.0) for r in (0.5, 1.0, 2.0)],
+        *[(Uniform(-1.0, 1.0), "abs_moment", r, 1.0 / (r + 1.0)) for r in (0.5, 1.0, 2.0)],
+        *[(Exponential(2.0), "norm_m", m, 2.0 ** (1.0 - 1.0 / m) * m ** (-1.0 / m))
+          for m in (1.5, 2.0, 3.0)],
+    ]
+
+    @pytest.mark.parametrize("parent,method,order,exact", CLOSED_FORMS,
+                             ids=lambda v: v.spec_string() if isinstance(v, ParentDistribution) else None)
+    def test_integrated_moments_match_closed_forms(self, parent, method, order, exact):
+        assert abs(getattr(parent, method)(order) - exact) <= 1e-10 * exact
+
     def test_cauchy_moment_split(self):
         c = Cauchy()
         assert math.isfinite(c.abs_moment(0.5))
@@ -543,19 +560,22 @@ class TestMomentAndNormFlags:
                              ids=lambda v: getattr(v, "name", v))
     def test_abs_moment_refines_toward_zero_only(self, monkeypatch, parent, r, most):
         # geometric levels toward t = 1 of u = t^8 / 2 would double the nodes
-        # (4140 per side) where every integrand is smooth
+        # (4140 per side) where every integrand is smooth; both sides are one
+        # batched call, each side under the cap
         import ordent.distributions as dist
 
-        nevals = []
+        results = []
 
         def spy(*args, **kwargs):
             res = engine(*args, **kwargs)
-            nevals.append(res.neval)
+            results.append(res)
             return res
 
         engine = dist.adaptive_quad
         monkeypatch.setattr(dist, "adaptive_quad", spy)
         assert math.isfinite(ParentDistribution.abs_moment(parent, r))
+        (sides,) = results
+        nevals = [side.neval for side in sides]
         assert len(nevals) == 2 and max(nevals) <= most, nevals
 
 

@@ -280,8 +280,8 @@ class TestOneBatchPerSweep:
 
     def test_loader_runs_per_level(self, monkeypatch):
         # one run of Loader's form per integrand call, whatever the number
-        # of laws in it, plus at most one for the edges near the underflow
-        # of exp that the zero-weight bounds of the partitions check
+        # of laws in it, plus exactly one over every law's partition edges,
+        # whose weights decide the zero-weight bounds
         runs, trimming = [], []
         real_loader = special._loader
         real_bounds = quadrature._zero_weight_bounds
@@ -299,9 +299,9 @@ class TestOneBatchPerSweep:
         monkeypatch.setattr(special, "_loader", loader)
         monkeypatch.setattr(quadrature, "_zero_weight_bounds", bounds)
         cost = rate_sweep(Gaussian(), 0.5, parse_n_grid("104:99652:12log")).quadrature_cost
-        assert len(trimming) == 1 and trimming[0] <= 1
-        assert len(runs) - trimming[0] == cost["integrand_calls"] == 2
-        assert sum(runs[trimming[0]:]) == cost["nodes"]
+        assert trimming == [1]
+        assert len(runs) - 1 == cost["integrand_calls"] == 2
+        assert sum(runs[1:]) == cost["nodes"]
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,13 @@ runs the same cases every time.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from ordent.distributions import PROB_CLAMP, BetaLaw, beta_sample, make_parent, random_stream
 from ordent.entropy_kl import kl_decompose
+from ordent.special import beta_logit_quantile
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -111,16 +112,24 @@ log_uniform_parameters = st.floats(min_value=0.0, max_value=7.0).map(lambda e: 1
 @PROPERTY_SETTINGS
 @given(alpha=log_uniform_parameters, beta=log_uniform_parameters,
        seed=st.integers(min_value=0, max_value=2**32 - 1), stream=st.integers(min_value=0, max_value=1000))
+@example(alpha=6.96e6, beta=1.17e6, seed=4242687944, stream=46)
 def test_beta_sample_contract(alpha, beta, seed, stream):
     # within 1e-12 min(x, 1 - x) + 2^-52 of the true quantile, nondecreasing
-    # in u, and prefix-stable, for laws with alpha, beta in [1, 1e7]; the
-    # oracle is scipy's betaincinv, itself up to ~2e-12 relative off on rare
-    # skewed laws above ~1e5, which test_distributions checks against the
-    # in-house inverse instead
+    # in u, and prefix-stable, for laws with alpha, beta in [1, 1e7].  scipy's
+    # betaincinv is the fast oracle, but on rare skewed laws above ~1e5 it is
+    # itself up to ~3x the bound off (101 of the example's 20000 draws), so a
+    # draw that misses it is checked against the in-house logit quantile at
+    # its u, whose min(x, 1 - x) is exact in both tails
     law, count = BetaLaw(alpha, beta), 20_000
     x = beta_sample(law, count, seed, stream)
     u = random_stream(seed, stream).random(count)
     ref = betaincinv(alpha, beta, u)
-    assert np.all(np.abs(x - ref) <= 1e-12 * np.minimum(ref, 1.0 - ref) + 2.0**-52)
+    small = np.minimum(ref, 1.0 - ref)
+    miss = np.abs(x - ref) > 1e-12 * small + 2.0**-52
+    if miss.any():
+        y = beta_logit_quantile(alpha, beta, np.log(u[miss]) - np.log1p(-u[miss]))
+        ref[miss] = 1.0 / (1.0 + np.exp(-y))
+        small[miss] = 1.0 / (1.0 + np.exp(np.abs(y)))
+    assert np.all(np.abs(x - ref) <= 1e-12 * small + 2.0**-52)
     assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
     assert np.array_equal(beta_sample(law, 100, seed, stream), x[:100])

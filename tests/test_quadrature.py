@@ -11,7 +11,7 @@ from scipy.special import betaln, digamma
 from ordent import entropy_kl, quadrature
 from ordent.distributions import make_parent
 from ordent.quadrature import QuadResults, adaptive_quad, beta_expectation
-from ordent.special import beta_log_density
+from ordent.special import beta_log_densities, beta_log_density
 
 
 class TestAdaptiveQuad:
@@ -148,14 +148,21 @@ class TestZeroWeightPanels:
     LARGE = [(3e8, 7e8 + 1), (5e12, 5e12 + 1), (9e14, 1e14 + 1),
              (2.0 ** 52, 2.0 ** 52), (0.3 * 2.0 ** 53, 0.7 * 2.0 ** 53)]
 
+    # laws the direct form weighs (min(a, b) <= 2), a k = n law among them
+    DIRECT = [(1.0, 100.0), (2.0, 99.0), (100.0, 1.0)]
+
     def test_same_panels_as_loader_alone(self):
-        # edges placed where the log weight crosses the float64 underflow,
-        # the band in which the direct form defers to Loader's; the bounds
-        # end the leading and trailing zero-weight runs of Loader's form
+        # edges placed where the log weight crosses the float64 underflow;
+        # the bounds end the leading and trailing zero-weight runs of the one
+        # Beta log density that also weights the nodes (Loader's form for
+        # a, b > 2, the direct form below)
         rng = np.random.default_rng(7)
-        for a, b in self.LAWS[:6] + self.LARGE:
+        for a, b in self.LAWS[:6] + self.DIRECT + self.LARGE:
             mean, sd = a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-            u = np.linspace(max(mean - 60 * sd, 1e-15), min(mean + 60 * sd, 1 - 1e-15), 200_001)
+            tails = np.geomspace(1e-15, 0.5, 20_001)
+            u = np.concatenate([np.linspace(max(mean - 60 * sd, 1e-15),
+                                            min(mean + 60 * sd, 1 - 1e-15), 200_001),
+                                tails, 1.0 - tails])
             logw = beta_log_density(a, b, u)
             band = u[(logw > -745.6) & (logw < -744.6)]
             edges = np.concatenate([quadrature._TRIM_EDGES, [mean], band])
@@ -166,8 +173,30 @@ class TestZeroWeightPanels:
             start = np.argmin(below) - 1 if a > 1.0 and below[0] else 0
             stop = grid.size - (np.argmin(above[::-1]) - 1 if b > 1.0 and above[-1] else 0)
             # the helper takes the edges unsorted
-            (low,), (high,) = quadrature._zero_weight_bounds(rng.permutation(edges)[None], [a], [b])
+            (low,), (high,) = quadrature._zero_weight_bounds(
+                rng.permutation(edges)[None], beta_log_densities([a], [b]), [a], [b])
             assert (low, high) == (grid[max(start, 0)], grid[stop - 1]), (a, b)
+
+    def test_batch_bounds_are_each_laws_alone(self):
+        # one log density call over every law's edges, Loader's and direct
+        # laws mixed, decides each law's bounds as its own call does
+        laws = self.LAWS + self.DIRECT
+        assert len(laws) == 12
+        rows = []
+        for a, b in laws:
+            mean, sd = a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+            rows.append(np.concatenate([quadrature._TRIM_EDGES, np.clip(
+                mean + sd * np.linspace(-64.0, 64.0, 33), 1e-15, 1.0 - 1e-15)]))
+        rows = np.array(rows)
+        alphas, betas = [a for a, _ in laws], [b for _, b in laws]
+        lows, highs = quadrature._zero_weight_bounds(
+            rows, beta_log_densities(alphas, betas), alphas, betas)
+        for i, (a, b) in enumerate(laws):
+            alone = quadrature._zero_weight_bounds(rows[i:i + 1], beta_log_densities([a], [b]),
+                                                   [a], [b])
+            assert alone == ([lows[i]], [highs[i]]), (a, b)
+        # and some law of each side lost an endpoint level to a zero weight
+        assert max(lows) > 1e-15 and min(highs) < 1.0 - 1e-15
 
     def test_one_partition_pass_per_call(self, monkeypatch):
         # the initial partitions are sorted, de-duplicated and clipped once,

@@ -1,10 +1,13 @@
-"""Run time: ordent loads no scipy, whatever it runs.
+"""Run time: ordent loads no scipy, whatever it runs, and no numpy.random
+until it samples.
 
 scipy stays a test-only oracle.  A fresh interpreter runs every public entry
 point that once imported it (Monte Carlo Beta sampling and what draws
 through it, the order-statistic CDF, the Gaussian CDF and the CLI's
 ``sample``) and shows which modules the run has loaded; a scan of the
-sources shows that no file of the package imports it.
+sources shows that no file of the package imports it.  The same run shows
+that the paths that never sample (the KL terms, a ``rate-fit`` sweep and
+the bound verifiers) leave numpy.random unloaded: it costs ~6 MB resident.
 """
 
 import ast
@@ -24,23 +27,37 @@ from ordent.order_stats import OrderStatSpec, order_stat_cdf
 SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 
-loaded = {}
+def scipy_modules():
+    return modules("scipy")
+
+loaded, sampler = {}, {}
 import ordent
 loaded["import"] = scipy_modules()
+sampler["import"] = modules("numpy.random")
 from ordent.cli import cli_main
 with contextlib.redirect_stdout(io.StringIO()):
     cli_main(["entropy", "--n", "1000", "--k", "300"])
 loaded["cli entropy"] = scipy_modules()
-for family in ("gaussian", "exponential", "uniform", "cauchy", "f2"):
+for family in ("gaussian", "exponential", "uniform", "cauchy", "f1", "f2"):
     ordent.kl_decompose(ordent.make_parent(family), 1000, 0.3)
 loaded["kl_decompose"] = scipy_modules()
+sampler["kl_decompose"] = modules("numpy.random")
 # k = 1 and k = 2: Beta(1, 100) and Beta(2, 99) take the small-parameter density
 for p, k in ((0.005, 1), (0.02, 2)):
     assert ordent.kl_decompose(ordent.make_parent("gaussian"), 100, p).k == k
 loaded["small ranks"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_main(["rate-fit", "--parent", "gaussian()", "--p", "0.5",
+                     "--n-grid", "104:1262:5log"]) == 0
+sampler["rate-fit"] = modules("numpy.random")
+ordent.quantile_mse_bound(ordent.make_parent("exponential"), 2000, 0.7)
+ordent.k3_bound(ordent.make_parent("exponential"), 2000, 0.5, q=4.0)
+ordent.corollary1_check(ordent.make_parent("uniform"), 0.7, 2.0, (1000, 3162, 10000))
+ordent.stirling_constant_check(50.0, 51.0, 2.0)
+sampler["bound verifiers"] = modules("numpy.random")
 
 from ordent.distributions import BetaLaw, Gaussian, beta_sample
 from ordent.order_stats import (OrderStatSpec, order_stat_cdf, sample_order_stat,
@@ -56,7 +73,7 @@ ordent.kl_decompose(ordent.make_parent("exponential"), 200, 0.3, method="monte_c
 with contextlib.redirect_stdout(io.StringIO()):
     cli_main(["sample", "--parent", "gaussian()", "--n", "100", "--k", "30", "--count", "1000"])
 loaded["monte carlo, cdf and sample"] = scipy_modules()
-print(json.dumps({"loaded": loaded, "values": values}))
+print(json.dumps({"loaded": loaded, "sampler": sampler, "values": values}))
 """
 
 X = [-3.0, -0.5, 0.0, 0.25, 2.0]
@@ -86,6 +103,8 @@ def test_no_scipy_at_run_time():
     assert run["loaded"] == {step: [] for step in
                              ("import", "cli entropy", "kl_decompose", "small ranks",
                               "monte carlo, cdf and sample")}
+    assert run["sampler"] == {step: [] for step in
+                              ("import", "kl_decompose", "rate-fit", "bound verifiers")}
     got = run["values"]
     # the CDFs against 40-digit mpmath: Phi within 4 ulp, and I_F(30, 71) at
     # the float F = Phi(x) that ordent passes within 8 eps (1 + |log I|)
