@@ -17,7 +17,7 @@ print(f"n grid: {grid}\n")
 
 print(f"{'parent':28s} {'slope':>8s} {'r^2':>8s}   totals (first -> last)")
 for parent in (Uniform(), Gaussian(), Exponential(), Cauchy()):
-    report = rate_sweep(parent, 0.5, grid, tol=1e-9)
+    report = rate_sweep(parent, 0.5, grid)
     fit = report.rate_fit
     first = report.decompositions[0].total_decomposed
     last = report.decompositions[-1].total_decomposed

@@ -18,7 +18,7 @@ n, p = 400, 0.3
 
 for parent in (Uniform(), Gaussian(), Exponential()):
     ref = gaussian_reference(parent, n, p)
-    d = kl_decompose(parent, n, p, tol=1e-10)
+    d = kl_decompose(parent, n, p)
     print(f"{parent.spec_string()}  (reference mean {ref.mu_p:+.4f}, "
           f"variance {ref.v_np:.3e})")
     print(f"  k1 = {d.k1:+.6e}   (same for every parent)")
@@ -33,6 +33,6 @@ for parent in (Uniform(), Gaussian(), Exponential()):
 # tracks the true quantile, and k3 charges the local density variation.
 print("k1 decays like 1/n, k2 and k3 carry all parent dependence:")
 for n in (100, 1_000, 10_000):
-    d = kl_decompose(Exponential(), n, p, tol=1e-10)
+    d = kl_decompose(Exponential(), n, p)
     print(f"  n={n:>6}: k1={d.k1:+.2e} k2={d.k2:+.2e} k3={d.k3:+.2e} "
           f"total={d.total_decomposed:+.2e}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaLaw, ParentDistribution, beta_fourth_central_moment, beta_mean_var
-from .entropy_kl import _TERMS, _term_detail, _term_grid
+from .entropy_kl import _term_detail, _term_grid
 from .experiments import fit_rate
 from .order_stats import OrderStatSpec, moment_bound_constant
 from .reports import BoundReport
@@ -180,7 +180,7 @@ def quantile_mse_bound(
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
     spec = OrderStatSpec.from_fraction(n, p)
-    (ref,), (res,), _ = _term_grid(("k2",), parent, [spec], _TERMS["k2"].view_tol)
+    (ref,), (res,), _ = _term_grid(("k2",), parent, [spec])
     n, k, law = spec.n, spec.k, spec.beta_law
     g1 = 1.0 / math.exp(ref.log_f_p)
     mu = ref.mu_p
@@ -251,7 +251,7 @@ def k3_bound(
     eps = win.epsilon
     # raises ConditionViolation if the density vanishes at the quantile
     spec = OrderStatSpec.from_fraction(n, p)
-    (ref,), (res,), _ = _term_grid(("k3",), parent, [spec], _TERMS["k3"].view_tol)
+    (ref,), (res,), _ = _term_grid(("k3",), parent, [spec])
     n, k, law = spec.n, spec.k, spec.beta_law
     log_fp = ref.log_f_p
 
@@ -328,7 +328,7 @@ def corollary1_check(parent: ParentDistribution, p: float, r: float, n_grid) -> 
         raise ValueError(f"n_grid needs at least 2 distinct points in its top decade "
                          f"n >= {n_grid[-1] / 10.0:g}, got {top}")
     values, unconverged = [], []
-    refs, results, _ = _term_grid(("k2",), parent, specs, _TERMS["k2"].view_tol)
+    refs, results, _ = _term_grid(("k2",), parent, specs)
     for n, ref, res in zip(n_grid, refs, results):
         value, _, diverged, message = _term_detail("k2", res["k2"], ref)
         values.append(value)

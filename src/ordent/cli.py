@@ -62,13 +62,11 @@ def _build_parser() -> _Parser:
     p_kl.add_argument("--parent", required=True, help='e.g. "gaussian(mu=0,sigma=1)"')
     p_kl.add_argument("--n", type=int, required=True)
     p_kl.add_argument("--p", type=float, required=True)
-    p_kl.add_argument("--tol", type=float, default=1e-9)
 
     p_rate = sub.add_parser("rate-fit", help="KL sweep over an n grid with a rate fit")
     p_rate.add_argument("--parent", required=True)
     p_rate.add_argument("--p", type=float, required=True)
     p_rate.add_argument("--n-grid", required=True, help="LO:HI:POINTS[log]")
-    p_rate.add_argument("--tol", type=float, default=1e-9)
     p_rate.add_argument("--jobs", type=int, default=None,
                         help="no effect: sweeps run in the calling thread "
                              "(kept for scripts that pass it; to be removed)")
@@ -113,7 +111,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_kl(args) -> int:
     parent = parse_distribution(args.parent)
-    dec = kl_decompose(parent, args.n, args.p, tol=args.tol)
+    dec = kl_decompose(parent, args.n, args.p)
     print(json.dumps(dec.to_dict(), default=str, indent=2))
     return EXIT_DIVERGENCE if dec.diverged else EXIT_OK
 
@@ -121,7 +119,7 @@ def _cmd_kl(args) -> int:
 def _cmd_rate_fit(args) -> int:
     parent = parse_distribution(args.parent)
     grid = parse_n_grid(args.n_grid)
-    report = rate_sweep(parent, args.p, grid, tol=args.tol)
+    report = rate_sweep(parent, args.p, grid)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             report.write_csv(fh)

@@ -12,7 +12,7 @@ Gaussian splits exactly into three parts:
 ``kl_direct`` integrates the same divergence in one piece as a cross-check.
 k2, k3 and the direct KL are Beta expectations E[g(U)], one ``_TERMS`` record
 each: its integrand on a node record, its endpoint growth, exact part and
-tolerances.  Divergence (the heavy-tail parent makes k2 infinite) is a
+tolerance.  Divergence (the heavy-tail parent makes k2 infinite) is a
 reported outcome, decided from that growth before any quadrature or sampling.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .distributions import PROB_CLAMP, ParentDistribution, beta_sample_mean, power_moment_finite
+from .distributions import ParentDistribution, beta_sample_mean, power_moment_finite
 from .order_stats import OrderStatSpec
 from .quadrature import QuadResult, beta_expectation
 
@@ -178,10 +178,9 @@ class _Term:
     column: Callable  # g(q, r, i) on node record q, reference arrays r, problem indices i
     growth: tuple  # (EndpointGrowth field, power) of each expectation that makes it infinite
     name: str  # the expectation its divergence message names; "" when another's says why
-    sign: Callable | None  # sign(parent, u): a divergent term takes its sign; None when >= 0
+    signed: bool  # whether a divergent term is -inf where log f falls; else it is +inf
     exact: Callable  # exact(value, error, ref): the term and its error from the expectation's
-    tols: Callable  # tols(tol): the quadrature's (tol_abs, tol_rel) for a caller's tol
-    view_tol: float  # the tol of the term's single-term view
+    tol: tuple  # the quadrature's (tol_abs, tol_rel), in every pass that integrates it
 
 
 #: k2: the quantile MSE over 2v, minus 1/2; k3: the log density ratio; direct:
@@ -189,38 +188,37 @@ class _Term:
 _TERMS = {
     "k2": _Term(
         logw=False, column=lambda q, r, i: q["dx"] ** 2,
-        growth=(("quantile", 2.0),), name="E[(F^-1(U) - F^-1(p))^2]", sign=None,
+        growth=(("quantile", 2.0),), name="E[(F^-1(U) - F^-1(p))^2]", signed=False,
         exact=lambda value, error, ref: (value / (2 * ref.v_np) - 0.5, error / (2 * ref.v_np)),
         # relative only: the quantile MSE scales with the parent
-        tols=lambda tol: (1e-300, max(tol, 1e-11)), view_tol=1e-10),
+        tol=(1e-300, 1e-10)),
     "k3": _Term(
         logw=False, column=lambda q, r, i: q["logf"],
-        growth=(("log_pdf", 1.0),), name="E[log f(F^-1(U))]", view_tol=1e-10,
-        sign=lambda parent, u: parent.log_pdf_at_quantile(u), tols=lambda tol: (tol, 1e-10),
-        exact=lambda value, error, ref: (value - ref.log_f_p, error)),
+        growth=(("log_pdf", 1.0),), name="E[log f(F^-1(U))]", signed=True,
+        exact=lambda value, error, ref: (value - ref.log_f_p, error), tol=(1e-10, 1e-10)),
     "direct": _Term(
-        logw=True, view_tol=1e-9,
+        logw=True,
         column=lambda q, r, i: (q["logw"] + q["logf"] + r["log_norm"][i]
                                 + q["dx"] ** 2 / r["two_v"][i]),
-        growth=(("quantile", 2.0), ("log_pdf", 1.0)), name="", sign=None,
-        exact=lambda value, error, ref: (value, error), tols=lambda tol: (tol, 1e-10)),
+        growth=(("quantile", 2.0), ("log_pdf", 1.0)), name="", signed=False,
+        exact=lambda value, error, ref: (value, error), tol=(1e-10, 1e-10)),
 }
 
 
 def _term_divergence(term: str, parent: ParentDistribution, law) -> QuadResult | None:
     """The diverged result of a term that is infinite under ``law``, from the
-    parent's endpoint growth, else None; a signed term takes its sign at the
-    diverging end, the lower one if both diverge."""
+    parent's endpoint growth, else None; a signed term takes the sign of log f
+    at the diverging end (the lower one if both diverge): +inf where the
+    declared ``growth.pdf`` exponent there is positive, -inf otherwise."""
     rec = _TERMS[term]
     for field, power in rec.growth:
         a0, a1 = getattr(parent.growth, field)
         if power_moment_finite((a0, a1), power, law.alpha, law.beta):
             continue
         value = math.inf
-        if rec.sign is not None:
+        if rec.signed:
             lower = not power_moment_finite((a0, 0.0), power, law.alpha, law.beta)
-            end = PROB_CLAMP if lower else 1.0 - PROB_CLAMP
-            value = math.copysign(value, float(rec.sign(parent, end)))
+            value = math.inf if parent.growth.pdf[0 if lower else 1] > 0.0 else -math.inf
         message = rec.name and f"{rec.name} is infinite under Beta({law.alpha:g}, {law.beta:g})"
         return QuadResult(value, math.inf, 0, diverged=True, converged=False, message=message)
     return None
@@ -250,24 +248,23 @@ def _term_detail(term: str, res: QuadResult, ref: GaussianReference) -> tuple:
     term is +inf, or if signed the result's value, NaN after a non-finite node."""
     rec = _TERMS[term]
     if res.diverged:
-        return res.value if rec.sign is not None else math.inf, math.inf, True, res.message
+        return res.value if rec.signed else math.inf, math.inf, True, res.message
     message = "" if res.converged else f"{term} did not converge: {res.message}"
     return (*rec.exact(res.value, res.error, ref), False, message)
 
 
-def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
+def _term_results(terms, parent, laws, refs, method="quadrature", budget=0,
                   seed=0) -> tuple[list, dict]:
     """The Beta expectation behind each of ``terms`` at each point of a
     batch, point i with law ``laws[i]`` and reference ``refs[i]``: one
-    {term: result} dict per point, and the quadrature pass's cost (its
-    integrand nodes, integrand calls and refinement levels).
+    {term: result} dict per point, and the passes' cost (summed integrand
+    nodes and calls, the deepest pass's refinement levels).
 
-    By quadrature, every point's terms are one batched multi-column pass.
-    By Monte Carlo, each point's sampled terms are the mean over one
-    ``budget``-draw sample from (``seed``, stream 1) that they share, and
-    the others are integrated.  A term ``_term_divergence`` finds infinite is
-    neither integrated nor sampled.  A column that only other points need is
-    integrated to an infinite tolerance and dropped.
+    A term ``_term_divergence`` finds infinite is neither integrated nor
+    sampled.  By Monte Carlo, each point's sampled terms are the mean over
+    one ``budget``-draw sample from (``seed``, stream 1) that they share.
+    The points that still need the same terms are one batched quadrature
+    pass over exactly those columns, each to its record's tolerance.
     """
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
@@ -279,41 +276,40 @@ def _term_results(terms, parent, laws, refs, tol, method="quadrature", budget=0,
         if todo:
             res.update(zip(todo, beta_sample_mean(_term_columns(parent, [ref], todo), law,
                                                   budget, seed, stream=1)))
-    points = [i for i, res in enumerate(results) if any(t not in res for t in terms)]
+    groups = {}
+    for i, res in enumerate(results):
+        todo = tuple(t for t in terms if t not in res)
+        if todo:
+            groups.setdefault(todo, []).append(i)
     cost = {"nodes": 0, "integrand_calls": 0, "levels": 0}
-    if points:
-        integrated = tuple(t for t in terms if any(t not in results[i] for i in points))
-        tols = [[_TERMS[t].tols(tol) if t not in results[i] else (math.inf, 0.0)
-                 for t in integrated] for i in points]
-        batch = beta_expectation(_term_columns(parent, [refs[i] for i in points], integrated),
+    for todo, points in groups.items():
+        tol_abs, tol_rel = zip(*(_TERMS[t].tol for t in todo))
+        batch = beta_expectation(_term_columns(parent, [refs[i] for i in points], todo),
                                  [laws[i].alpha for i in points], [laws[i].beta for i in points],
-                                 tol_abs=[[t[0] for t in row] for row in tols],
-                                 tol_rel=[[t[1] for t in row] for row in tols],
-                                 log_weight=True)
+                                 tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True)
         for i, res in zip(points, batch):
-            results[i].update((t, r) for t, r in zip(integrated, res) if t not in results[i])
-        cost = {"nodes": batch.neval, "integrand_calls": batch.calls, "levels": batch.levels}
+            results[i].update(zip(todo, res))
+        cost = {"nodes": cost["nodes"] + batch.neval,
+                "integrand_calls": cost["integrand_calls"] + batch.calls,
+                "levels": max(cost["levels"], batch.levels)}
     return results, cost
 
 
-def _term_grid(terms, parent, specs, tol, method="quadrature", budget=0,
+def _term_grid(terms, parent, specs, method="quadrature", budget=0,
                seed=0) -> tuple[list, list, dict]:
     """(refs, results, cost) at each of ``specs``, which share one p: the
-    Gaussian reference and ``_term_results`` of every point, in one batch."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    Gaussian reference and ``_term_results`` of every point."""
     refs = _references(parent, specs)
-    results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs, tol,
+    results, cost = _term_results(terms, parent, [spec.beta_law for spec in specs], refs,
                                   method, budget, seed)
     return refs, results, cost
 
 
 def _term_at(term, parent, n, p) -> tuple:
-    """``_term_detail`` of one term at (n, p) alone, by quadrature: the value
-    ``kl_decompose`` reports for it, with its error, divergence flag and
-    message."""
-    (ref,), (res,), _ = _term_grid((term,), parent, [OrderStatSpec.from_fraction(n, p)],
-                                   _TERMS[term].view_tol)
+    """``_term_detail`` of one term at (n, p) alone, by quadrature of its
+    column only: the value ``kl_decompose`` reports for it, with its error,
+    divergence flag and message."""
+    (ref,), (res,), _ = _term_grid((term,), parent, [OrderStatSpec.from_fraction(n, p)])
     return _term_detail(term, res[term], ref)
 
 
@@ -346,9 +342,9 @@ def kl_direct(parent: ParentDistribution, n: int, p: float) -> float:
 class KlDecomposition:
     """The three-term split of D(X_(np) || G_{n,p}) plus its direct value.
 
-    ``quad_error`` sums the terms' errors, standard errors for Monte Carlo
-    terms.  Slotted, and the total is derived rather than stored: sweeps and
-    benchmarks keep thousands of these.
+    ``quad_error`` sums the terms' errors (standard errors for Monte Carlo
+    terms) and ``_roundoff``'s floor.  Slotted, and the total is derived
+    rather than stored: sweeps and benchmarks keep thousands of these.
     """
 
     n: int
@@ -379,11 +375,27 @@ class KlDecomposition:
         }
 
 
+#: ulps of ``_roundoff``'s magnitudes; the largest gap between the two
+#: totals on the benchmark's 60 decompositions is 2.9 of them
+_ROUNDOFF_ULPS = 8.0
+
+
+def _roundoff(ref: GaussianReference, k1: float) -> float:
+    """A floor for the round-off of k1 + k2 + k3 against the direct KL, from
+    the magnitudes that cancel to O(1/n): per node the direct column adds
+    log w (about -h, h = h(U_(k))) to log f and 1/2 log(2 pi v); k1 is
+    1/2 log(2 pi v) + 1/2 + log f(mu) - h; k3 subtracts log f(mu)."""
+    log_norm = 0.5 * math.log(2.0 * math.pi * ref.v_np)
+    base = log_norm + 0.5 + ref.log_f_p
+    return _ROUNDOFF_ULPS * sys.float_info.epsilon * (
+        abs(log_norm) + abs(ref.log_f_p) + abs(base) + 2.0 * abs(base - k1))
+
+
 class KlDecompositions(list):
     """``kl_decompose``'s result for a sequence of n: one ``KlDecomposition``
-    per n, and ``cost``, the machine-independent cost of the quadrature pass
-    that integrated them: its integrand nodes, integrand calls and
-    refinement levels."""
+    per n, and ``cost``, the machine-independent cost of the quadrature
+    passes that integrated them: their summed integrand nodes and integrand
+    calls, and the deepest pass's refinement levels."""
 
     def __init__(self, decompositions, cost: dict):
         super().__init__(decompositions)
@@ -398,38 +410,39 @@ def kl_decompose(
     method: str = "quadrature",
     budget: int = 100_000,
     seed: int = 0,
-    tol: float = 1e-9,
 ):
     """Bundle k1, k2, k3, their sum, and the directly integrated divergence.
 
     Component divergence, decided before any quadrature or sampling, is
     retained as an infinite entry with a message rather than aborting, so
     parameter sweeps can report it per point.  By quadrature, the finite
-    terms come from one multi-column pass; a term whose integral ends
-    unconverged keeps its value and is named in ``message``.  By Monte Carlo,
-    k2 and k3 average the same integrand over one ``budget``-draw sample
-    (``budget`` >= 2, from ``seed``'s stream 1); the direct KL is integrated.
+    terms come from one multi-column pass, each to its term's fixed
+    tolerance; a term whose integral ends unconverged keeps its value and is
+    named in ``message``.  By Monte Carlo, k2 and k3 average the same
+    integrand over one ``budget``-draw sample (``budget`` >= 2, from
+    ``seed``'s stream 1); the direct KL is integrated.
 
     ``n`` may be an increasing sequence: the result is then a
     ``KlDecompositions`` list with one ``KlDecomposition`` per n, each equal
     to the one that n gives alone.  The reference quantile and density at p
-    are evaluated once, and the integrals of all points share one batched
-    quadrature pass, whose cost the list reports.
+    are evaluated once, and the points that need the same terms share one
+    batched quadrature pass; the list reports the passes' cost.
     """
     single = np.ndim(n) == 0
     specs = [OrderStatSpec.from_fraction(m, p) for m in ([n] if single else n)]
     if not specs or any(b.n <= a.n for a, b in zip(specs, specs[1:])):
         raise ValueError("n must be an int or a nonempty increasing sequence")
-    refs, results, cost = _term_grid(tuple(_TERMS), parent, specs, tol, method, budget, seed)
+    refs, results, cost = _term_grid(tuple(_TERMS), parent, specs, method, budget, seed)
     out = []
     for spec, ref, res in zip(specs, refs, results):
         details = [_term_detail(t, res[t], ref) for t in _TERMS]
         (k2, k2_err, k2_div, _), (k3, k3_err, k3_div, _), (direct, err, direct_div, _) = details
         diverged = k2_div or k3_div
+        k1 = _k1(spec)
         # a diverged k2 or k3 carries an infinite error, and so does quad_error
         out.append(KlDecomposition(
-            n=spec.n, p=float(ref.p), k=spec.k, k1=_k1(spec), k2=k2, k3=k3,
+            n=spec.n, p=float(ref.p), k=spec.k, k1=k1, k2=k2, k3=k3,
             total_direct=math.inf if diverged else direct,
-            quad_error=k2_err + k3_err + (0.0 if direct_div else err),
+            quad_error=k2_err + k3_err + (0.0 if direct_div else err) + _roundoff(ref, k1),
             diverged=diverged, message="; ".join(d[3] for d in details if d[3])))
     return out[0] if single else KlDecompositions(out, cost)

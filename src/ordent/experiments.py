@@ -6,8 +6,8 @@ fits a power-law decay rate on the finite totals over the top half of the
 grid (asymptotic claims must not be biased by small-n transients), and
 packages everything into a reproducible report, with the pass's
 machine-independent cost.  Every point is the decomposition its n gives
-alone: the batch shares integrand calls, not sums or tolerances, so every n
-gets the same numbers whatever else is on the grid.
+alone: the batch shares integrand calls and tolerances, not sums, so every
+n gets the same numbers whatever else is on the grid.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ class ExperimentReport:
     n_grid: list[int]
     decompositions: list[KlDecomposition]
     rate_fit: RateFit | None
-    tol: float = 1e-9
     wall_time: float = 0.0
     #: integrand nodes, integrand calls and refinement levels of the sweep's
     #: quadrature pass; unlike ``wall_time``, they do not depend on the machine
@@ -173,7 +172,6 @@ class ExperimentReport:
             "n_grid": list(self.n_grid),
             "decompositions": [d.to_dict() for d in self.decompositions],
             "rate_fit": self.rate_fit.to_dict() if self.rate_fit else None,
-            "tol": self.tol,
             "wall_time": self.wall_time,
             "quadrature_cost": dict(self.quadrature_cost),
         }
@@ -199,19 +197,17 @@ def rate_sweep(
     parent: ParentDistribution,
     p: float,
     n_grid,
-    *,
-    tol: float = 1e-9,
 ) -> ExperimentReport:
     """KL decomposition across an n grid plus a decay-rate fit on the totals.
 
     One ``kl_decompose`` call covers the grid, so each row equals
-    ``kl_decompose(parent, n, p, tol=tol)`` alone.  Divergent points are
-    recorded per n and excluded from the fit; when any point diverges the fit
-    carries that flag via the report.
+    ``kl_decompose(parent, n, p)`` alone.  Divergent points are recorded per
+    n and excluded from the fit; when any point diverges the fit carries
+    that flag via the report.
     """
     t0 = time.monotonic()
     # kl_decompose checks n, p and that the grid is strictly increasing
-    decomps = kl_decompose(parent, list(n_grid), p, tol=tol)
+    decomps = kl_decompose(parent, list(n_grid), p)
     n_grid = [d.n for d in decomps]
     if n_grid[0] < 10:
         raise ValueError("n_grid minimum must be >= 10")
@@ -225,7 +221,6 @@ def rate_sweep(
         n_grid=n_grid,
         decompositions=decomps,
         rate_fit=fit,
-        tol=tol,
         wall_time=wall,
         quadrature_cost=decomps.cost,
     )

@@ -18,11 +18,11 @@ features drive the design:
   ``QuadResult``;
 * it also integrates a batch of independent problems (intervals, or Beta
   laws for ``beta_expectation``) in shared integrand calls of at most
-  ``_CHUNK_NODES`` nodes.  Panels carry their problem's index, and every
-  (problem, column) pair keeps its own sums, tolerance, panel budget,
-  depths and stop reason, summed in the order a lone run keeps them, so
-  each result is bit-identical to integrating its problem alone.  One
-  problem is a batch of one.
+  ``_CHUNK_NODES`` nodes.  Panels carry their problem's index, every
+  problem shares the columns' tolerances, and every (problem, column) pair
+  keeps its own sums, panel budget, depths and stop reason, summed in the
+  order a lone run keeps them, so each result is bit-identical to
+  integrating its problem alone.  One problem is a batch of one.
 """
 
 from __future__ import annotations
@@ -212,17 +212,6 @@ _TRIM_EDGES = _initial_grid(1e-15, 1.0 - 1e-15, _geometric_levels(1e-15, 1.0 - 1
 _TRIM_EDGES = _TRIM_EDGES[_TRIM_EDGES == _TRIM_EDGES]  # its one row, without NaN padding
 
 
-def _spread(x, shape: tuple) -> list:
-    """``x`` broadcast to a 2-d ``shape``, as nested lists; raises
-    ``ValueError`` when its shape does not broadcast to ``shape``."""
-    if isinstance(x, (int, float)):
-        return [[x] * shape[1] for _ in range(shape[0])]
-    out = np.zeros(shape, dtype=int) + x
-    if out.shape != shape:
-        raise ValueError(f"shape {np.shape(x)} does not broadcast to {shape}")
-    return out.tolist()
-
-
 def _panels_to_split(err: np.ndarray, excess: float) -> np.ndarray:
     """Indices of the worst panels whose errors together reach ``excess``."""
     order = np.argsort(-err, kind="stable")
@@ -292,22 +281,18 @@ def adaptive_quad(
     ``f`` takes a 1-d array of nodes and returns either one value per node
     (one column: the result is a ``QuadResult``) or an array of shape
     (columns, nodes) (the result is a ``QuadResults`` with one
-    ``QuadResult`` per column; ``tol_abs`` and ``tol_rel`` may then be
-    per-column sequences).
+    ``QuadResult`` per column).  ``tol_abs`` and ``tol_rel`` are each one
+    value or one value per column; any other length raises ``ValueError``.
 
     For a batch of problems, ``a`` and ``b`` are equal-length sequences (one
     interval per problem), ``breakpoints`` is empty or a 2-d array with one
     NaN-padded row per problem, and ``f`` is called as ``f(x, problem)``,
     where ``problem`` gives each node's problem index.  The result is then
     a ``QuadResults`` of the per-problem results, whose ``neval`` is the
-    batch total.  The tolerances broadcast against (problems, columns), as
-    numpy broadcasts: a 1-d tolerance holds one value per column,
-    per-problem tolerances have shape (problems, 1), and a shape that does
-    not broadcast raises ``ValueError``.  Each (problem, column) pair keeps
-    its own sums, tolerance, panel budget, depths and stop reason, and its
-    result is bit-identical to integrating that problem alone: only the
-    integrand calls are shared.  An infinite tolerance accepts a column's
-    first sums, for a column that some problems of a batch do not need.
+    batch total.  Every problem shares the columns' tolerances.  Each
+    (problem, column) pair keeps its own sums, panel budget, depths and stop
+    reason, and its result is bit-identical to integrating that problem
+    alone: only the integrand calls are shared.
 
     Without breakpoints, the initial panels lie between a, b and
     ``_ENDPOINT_LEVELS`` geometric levels toward each endpoint (the
@@ -365,15 +350,17 @@ def adaptive_quad(
                 err[i] = np.concatenate([err[i], c_err], axis=1)
         if results is None:
             m = value[0].shape[0]
-            tol_abs = _spread(tol_abs, (count, m))
-            tol_rel = _spread(tol_rel, (count, m))
+            try:
+                tol_abs, tol_rel = (np.broadcast_to(t, m).tolist() for t in (tol_abs, tol_rel))
+            except ValueError:
+                raise ValueError(f"a tolerance is one value or one per column ({m})") from None
             results = [[None] * m for _ in range(count)]
         new = []
         for i in range(count):
             if all(r is not None for r in results[i]):
                 continue
-            idx = _refine(value[i], err[i], lo[i], depth[i], tol_abs[i], tol_rel[i],
-                          results[i], neval[i])
+            idx = _refine(value[i], err[i], lo[i], depth[i], tol_abs, tol_rel, results[i],
+                          neval[i])
             if idx is None:
                 continue
             mid = 0.5 * (lo[i][idx] + hi[i][idx])

@@ -108,7 +108,7 @@ def test_criterion_3_decomposition_identity():
     for parent in (Uniform(), Gaussian(), Exponential()):
         for n in (10, 100, 1_000):
             for p in (0.3, 0.5):
-                d = kl_decompose(parent, n, p, tol=1e-10)
+                d = kl_decompose(parent, n, p)
                 gap = abs(d.total_decomposed - d.total_direct)
                 worst = max(worst, gap)
                 cells += 1
@@ -123,7 +123,7 @@ def test_criterion_4_convergence_rate_upper_bound():
     grid = log_grid(100, 100_000, 12, multiple_of=2)
     slopes = {}
     for parent in (Uniform(), Gaussian(), Exponential(), Cauchy()):
-        totals = [kl_decompose(parent, n, 0.5, tol=1e-9).total_decomposed for n in grid]
+        totals = [kl_decompose(parent, n, 0.5).total_decomposed for n in grid]
         fit = fit_rate(grid, totals)
         slopes[parent.name] = fit.slope
     elapsed = time.monotonic() - t0
@@ -139,7 +139,7 @@ def test_criterion_5_unbounded_density_counterexample():
     totals = []
     worst_k3_gap = 0.0
     for n in grid:
-        d = kl_decompose(parent, n, 0.5, tol=1e-9)
+        d = kl_decompose(parent, n, 0.5)
         totals.append(d.total_decomposed)
         k = round(n * 0.5)
         closed = (2.0 * (digamma(k) - digamma(n + 1)) + n / (k - 1.0)

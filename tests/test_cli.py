@@ -165,3 +165,12 @@ class TestUsage:
 
     def test_no_command_exits_3(self, capsys):
         assert cli_main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["kl", "--parent", "gaussian()", "--n", "1000", "--p", "0.3"],
+        ["rate-fit", "--parent", "gaussian()", "--p", "0.5", "--n-grid", "100:1000:3log"],
+    ], ids=["kl", "rate-fit"])
+    def test_no_tolerance_option(self, argv, capsys):
+        # each term is integrated to its own fixed tolerance
+        assert cli_main([*argv, "--tol", "1e-9"]) == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
