@@ -21,7 +21,6 @@ from .bounds import (
 from .distributions import (
     BetaLaw,
     Cauchy,
-    ClampedProbabilityWarning,
     DistributionSpecError,
     Exponential,
     F1,

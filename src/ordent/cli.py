@@ -71,8 +71,6 @@ def _build_parser() -> _Parser:
                         help="no effect: sweeps run in the calling thread "
                              "(kept for scripts that pass it; to be removed)")
     p_rate.add_argument("--out", default=None, help="write the per-n table as CSV")
-    p_rate.add_argument("--plot-data", default=None,
-                        help="write two columns (n, total) for plotting")
 
     p_bound = sub.add_parser("bound-check", help="evaluate one analytic bound")
     p_bound.add_argument("--which", required=True,
@@ -129,10 +127,6 @@ def _cmd_rate_fit(args) -> int:
         buf = io.StringIO()
         report.write_csv(buf)
         sys.stdout.write(buf.getvalue())
-    if args.plot_data:
-        with open(args.plot_data, "w") as fh:
-            for d in report.decompositions:
-                fh.write(f"{d.n} {d.total_decomposed!r}\n")
     fit = report.rate_fit
     if fit is not None and math.isfinite(fit.slope):
         print(f"# fitted slope {fit.slope:.4f} (r^2 {fit.r_squared:.4f}) "

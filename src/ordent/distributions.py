@@ -12,7 +12,10 @@ derivative of log f(F^{-1}(u)) in u at a tail mass), the absolute moment
 E|X|^r and the L_m norm of the density.  ``ParentDistribution`` defines those
 public methods once, with the argument checks, the support and the scalar
 returns; a family supplies only its formulas, one of them (``_tail``: x,
-log f and the slope, both sides in one pass) in quantile space.  Each family
+log f and the slope, both sides in one pass) in quantile space.  Quantile
+space is closed: at u = 0 and u = 1 (tail mass 0) the views return the
+exact limits, the support's ends (infinite where it is unbounded), not a
+value at a clamped u.  Each family
 declares how fast its quantile, log density and density grow at the ends of
 quantile space (``EndpointGrowth``), and ``power_moment_finite`` turns that
 into the finiteness of every expectation in the package (quadrature cannot
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +37,6 @@ from .special import beta_log_density, beta_logit_quantile, ndtr, ndtri
 
 __all__ = [
     "DistributionSpecError",
-    "ClampedProbabilityWarning",
     "EndpointGrowth",
     "power_moment_finite",
     "ParentDistribution",
@@ -54,20 +55,11 @@ __all__ = [
     "random_stream",
     "make_parent",
     "parse_distribution",
-    "PROB_CLAMP",
 ]
-
-#: Probabilities fed to quantile functions are clamped into
-#: [PROB_CLAMP, 1 - PROB_CLAMP]; heavy-tail quantiles explode at the ends.
-PROB_CLAMP = 1e-15
 
 
 class DistributionSpecError(ValueError):
     """Unknown family name or invalid parameters."""
-
-
-class ClampedProbabilityWarning(UserWarning):
-    """A quantile argument was clamped away from 0 or 1."""
 
 
 def _finite(family: str, *params) -> list[float]:
@@ -129,11 +121,12 @@ class ParentDistribution:
       and cdf 0 below the support and 1 above it; NaN stays NaN.  The
       density is exp(log density), +inf where that passes the float range;
     - ``tail`` and ``slope``, views of one checked call of the family's
-      ``_tail``, raise ``ValueError`` outside (0, 1/2] (NaN included), and
-      ``slope`` overflows to +-inf without a warning;
-    - ``quantile`` and ``log_pdf_at_quantile``, views of ``tail``, raise
-      ``ValueError`` outside [0, 1] (NaN included) and clamp into
-      [PROB_CLAMP, 1 - PROB_CLAMP] with a ``ClampedProbabilityWarning``;
+      ``_tail``, raise ``ValueError`` outside [0, 1/2] (NaN included); at
+      s = 0 they return the exact limits (the support's end, +-inf where it
+      is unbounded), and ``slope`` overflows to +-inf without a warning;
+    - ``quantile`` and ``log_pdf_at_quantile``, views of ``tail``, take u in
+      [0, 1] as given, with the exact limits at 0 and 1, and raise
+      ``ValueError`` outside it (NaN included);
     - ``abs_moment_finite`` and ``norm_m_finite`` check their order, and
       ``abs_moment`` and ``norm_m`` return +inf where ``growth`` says the
       value diverges.
@@ -144,7 +137,8 @@ class ParentDistribution:
       may overflow (without a warning) only to the right limit;
     - in quantile space, ``_tail(s, upper)``: x, log f(x) and L'(u) for an
       array s and a bool or bool array ``upper``, both sides in one pass,
-      without rounding 1 - s where that would cost digits;
+      without rounding 1 - s where that would cost digits, and with the
+      limits at s = 0 (where it may divide by zero without a warning);
     - ``_sup_pdf`` where the density is bounded, and closed-form
       ``_abs_moment`` and ``_norm_m`` where they exist; otherwise both are
       one quantile-space integral, ``_quantile_expectation``, over ``_tail``;
@@ -186,32 +180,13 @@ class ParentDistribution:
         return self._on_support(x, self._cdf, 0.0, 1.0)
 
     # -- quantile space -----------------------------------------------------
-    @staticmethod
-    def _probabilities(u) -> np.ndarray:
-        """``u`` as an array clamped into [PROB_CLAMP, 1 - PROB_CLAMP]."""
-        arr = np.asarray(u, dtype=float)
-        # two reductions clear the common case, every point already inside
-        # the clamp (quadrature nodes always are); NaN fails them
-        if arr.min(initial=0.5) >= PROB_CLAMP and arr.max(initial=0.5) <= 1.0 - PROB_CLAMP:
-            return arr
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
-            raise ValueError("quantile argument must lie in [0, 1]")
-        clipped = np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        if np.any(clipped != arr):
-            warnings.warn(
-                f"quantile argument clamped to [{PROB_CLAMP:g}, 1-{PROB_CLAMP:g}]",
-                ClampedProbabilityWarning,
-                stacklevel=4,
-            )
-        return clipped
-
     def _at(self, s, upper):
         """(x, log f(x), L'(u)) at s and ``upper`` as ``tail`` takes them,
         checked, from one call of the family's ``_tail`` for both sides."""
         s = np.asarray(s, dtype=float)
         # two reductions clear the common case, every s inside; NaN fails them
-        if not (s.min(initial=0.5) > 0.0 and s.max(initial=0.5) <= 0.5):
-            raise ValueError("tail mass s must lie in (0, 1/2]")
+        if not (s.min(initial=0.5) >= 0.0 and s.max(initial=0.5) <= 0.5):
+            raise ValueError("tail mass s must lie in [0, 1/2]")
         side = np.asarray(upper, dtype=bool)
         if side.ndim and side.shape != s.shape:
             raise ValueError(f"upper has shape {side.shape}, s has shape {s.shape}")
@@ -222,7 +197,7 @@ class ParentDistribution:
         """(x, log f(x)) at tail mass s: x = F^{-1}(s) where ``upper`` is
         false and x = F^{-1}(1 - s) where it is true.
 
-        s lies in (0, 1/2]; a value outside, or NaN, raises ``ValueError``.
+        s lies in [0, 1/2]; a value outside, or NaN, raises ``ValueError``.
         ``upper`` is a bool, or a bool array shaped like s.
         """
         x, log_f, _ = self._at(s, upper)
@@ -238,9 +213,12 @@ class ParentDistribution:
         return _ret(s, self._at(s, upper)[2])
 
     def _tail_at(self, u):
-        """``tail`` at u in [0, 1], checked and clamped: the tail mass
-        min(u, 1 - u), on the side u >= 1/2, where 1 - u is exact."""
-        arr = self._probabilities(u)
+        """``tail`` at u in [0, 1], checked: the tail mass min(u, 1 - u), on
+        the side u >= 1/2, where 1 - u is exact."""
+        arr = np.asarray(u, dtype=float)
+        # two reductions clear the common case, every point inside; NaN fails them
+        if not (arr.min(initial=0.5) >= 0.0 and arr.max(initial=0.5) <= 1.0):
+            raise ValueError("quantile argument must lie in [0, 1]")
         x, log_f, _ = self._at(np.minimum(arr, 1.0 - arr), arr >= 0.5)
         return _ret(u, x), _ret(u, log_f)
 
@@ -281,7 +259,7 @@ class ParentDistribution:
         def side(t, problem):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 x, log_f, _ = self._tail(0.5 * t**8, problem == 1)
-                return g(x, log_f) * 4.0 * t**7
+                return (g(x, log_f) * 4.0 * t**7)[None]
 
         # geometric levels toward t = 0 only: toward t = 1 both sides are smooth.
         # The sides start at t = 0 itself (no Gauss node lies on it): a cut at
@@ -289,7 +267,7 @@ class ParentDistribution:
         levels = np.tile(2.0 ** -np.arange(1, 47), (2, 1))
         lower, upper = adaptive_quad(side, [0.0, 0.0], [1.0, 1.0], tol_abs=1e-11,
                                      tol_rel=1e-10, breakpoints=levels)
-        return lower.check() + upper.check()
+        return lower[0].check() + upper[0].check()
 
     def norm_m_finite(self, m: float) -> bool:
         """Whether ||f||_m is finite, m >= 1: int f^m dx = E[f(F^{-1}(U))^(m-1)],
@@ -531,9 +509,12 @@ class F2(ParentDistribution):
         return -1.0 / np.log(x)
 
     def _tail(self, s, upper):
-        # x = exp(-1/u) at u = F(x); rounding u = 1 - s costs no digit of any
+        # x = exp(-1/u) at u = F(x); rounding u = 1 - s costs no digit of any.
+        # At u = 0 log f is 1/u = +inf: log of 5e-324, the smallest positive
+        # float, in place of log 0 keeps inf - inf out and leaves every u > 0
         u = np.where(upper, 1.0 - s, s)
-        return np.exp(-1.0 / u), 1.0 / u + 2.0 * np.log(u), (2.0 * u - 1.0) / (u * u)
+        log_u = np.log(np.maximum(u, 5e-324))
+        return np.exp(-1.0 / u), 1.0 / u + 2.0 * log_u, (2.0 * u - 1.0) / (u * u)
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +687,11 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
 def beta_sample_mean(g, law: BetaLaw, count: int, seed: int, stream: int = 0):
     """E[g(U)] for U ~ ``law`` as the mean over one ``beta_sample`` draw.
 
-    The Monte Carlo twin of ``quadrature.beta_expectation``, with the same
-    integrands and results: ``g`` returns one value per draw or stacked
-    columns, and is called on chunks of the draw.  ``error`` is the standard
-    error of the mean, which needs two draws, and ``neval`` is ``count``.
+    The Monte Carlo twin of ``quadrature.beta_expectation`` for one law:
+    ``g(u)`` returns one value per draw (the result is a ``QuadResult``) or
+    stacked columns (a ``QuadResults``), and is called on chunks of the
+    draw.  ``error`` is the standard error of the mean, which needs two
+    draws, and ``neval`` is ``count``.
     """
     if count < 2:
         raise ValueError("beta_sample_mean needs count >= 2 for a standard error")

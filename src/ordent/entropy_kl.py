@@ -286,7 +286,7 @@ def _term_results(terms, parent, laws, refs, method="quadrature", budget=0,
         tol_abs, tol_rel = zip(*(_TERMS[t].tol for t in todo))
         batch = beta_expectation(_term_columns(parent, [refs[i] for i in points], todo),
                                  [laws[i].alpha for i in points], [laws[i].beta for i in points],
-                                 tol_abs=tol_abs, tol_rel=tol_rel, log_weight=True)
+                                 tol_abs=tol_abs, tol_rel=tol_rel)
         for i, res in zip(points, batch):
             results[i].update(zip(todo, res))
         cost = {"nodes": cost["nodes"] + batch.neval,

@@ -4,25 +4,24 @@ The integrators here serve expectations against sharply concentrated Beta
 densities and KL integrands with integrable endpoint singularities.  Four
 features drive the design:
 
-* the initial partition is geometrically refined toward both endpoints, or
-  is the caller's own breakpoints (such as the Beta bulk and endpoint
-  levels), so that spikes and endpoint singularities are never invisible
-  to the error estimator;
+* the initial partition is the caller's own breakpoints (such as the Beta
+  bulk and endpoint levels), so that spikes and endpoint singularities are
+  never invisible to the error estimator;
 * the engine does not decide whether an integral is finite: callers decide
   that before integrating (see ``distributions.power_moment_finite``).  A
   column that cannot reach its tolerance ends ``converged=False`` with the
   reason, and only a non-finite node value ends it ``diverged=True``;
 * the engine is batched: every panel of a refinement level is evaluated in
-  one (chunked) integrand call, and the integrand may return stacked columns
+  one (chunked) integrand call, and the integrand returns stacked columns
   that share the nodes, each column with its own tolerances and its own
   ``QuadResult``;
-* it also integrates a batch of independent problems (intervals, or Beta
+* every call integrates a batch of independent problems (intervals, or Beta
   laws for ``beta_expectation``) in shared integrand calls of at most
   ``_CHUNK_NODES`` nodes.  Panels carry their problem's index, every
   problem shares the columns' tolerances, and every (problem, column) pair
   keeps its own sums, panel budget, depths and stop reason, summed in the
-  order a lone run keeps them, so each result is bit-identical to
-  integrating its problem alone.  One problem is a batch of one.
+  order a batch of that problem alone keeps them, so each result is
+  bit-identical to integrating its problem alone.
 """
 
 from __future__ import annotations
@@ -84,8 +83,9 @@ class QuadResult:
 
 
 class QuadResults(tuple):
-    """Per-column ``QuadResult``s of one multi-column integration, or the
-    per-problem results of one batch.
+    """The results of one integration: per problem of a batch (each problem
+    a ``QuadResults`` of its columns' ``QuadResult``s, as ``adaptive_quad``
+    returns them), or per column of one problem.
 
     ``neval`` counts the shared nodes evaluated (a batch's total);
     ``diverged`` is true when any result diverged and ``converged`` when
@@ -110,9 +110,12 @@ class QuadResults(tuple):
         return all(r.converged for r in self)
 
 
-def _is_batch(x) -> bool:
-    """Whether ``x`` holds one value per problem rather than one value."""
-    return isinstance(x, (list, tuple)) or (not isinstance(x, (float, int)) and np.ndim(x) > 0)
+def _per_problem(**named) -> None:
+    """Raise ``ValueError`` unless each named argument is a sequence, one
+    value per problem."""
+    for name, x in named.items():
+        if np.ndim(x) == 0:
+            raise ValueError(f"{name} is a sequence with one value per problem, not a scalar")
 
 
 def _eval_panels(f, los, his, problems):
@@ -127,10 +130,11 @@ def _eval_panels(f, los, his, problems):
     problem would make, so every value is bit-identical to evaluating the
     problem alone (a BLAS product of a row depends on the rows around it).
 
-    Returns (parts, stacked, calls): per problem, the G31 value and
-    |G31 - G15|, each of shape (columns, panels); whether ``f`` returned
-    columns; and the number of calls made.  A non-finite node value makes
-    its panel's error non-finite.
+    Returns (parts, calls): per problem, the G31 value and |G31 - G15|,
+    each of shape (columns, panels), and the number of calls made.  ``f``
+    returns an array of shape (columns, nodes); any other shape raises
+    ``ValueError``.  A non-finite node value makes its panel's error
+    non-finite.
     """
     step = max(1, _CHUNK_NODES // _PANEL_NEVAL)
     starts = [0, *itertools.accumulate(lo.size for lo in los)]
@@ -142,7 +146,6 @@ def _eval_panels(f, los, his, problems):
     cuts = [c for s, e in zip(starts, starts[1:]) for c in range(s, e, step)] + [total]
     owner = None
     value = err = carry = None
-    stacked = False
     run = 0
     for s in range(0, total, step):
         e = min(s + step, total)
@@ -155,11 +158,9 @@ def _eval_panels(f, los, his, problems):
                 owner = np.repeat(problems, np.diff(starts))
             problem = np.repeat(owner[s:e], _PANEL_NEVAL)
         y = np.asarray(f(x, problem), dtype=float)
-        stacked = y.ndim == 2
-        if y.ndim not in (1, 2) or y.shape[-1] != x.size:
-            raise ValueError(
-                f"integrand returned shape {y.shape} for {x.size} nodes; "
-                "expected (nodes,) or (columns, nodes)")
+        if y.ndim != 2 or y.shape[1] != x.size:
+            raise ValueError(f"the integrand returns a 2-d array (columns, nodes); it returned "
+                             f"shape {y.shape} for {x.size} nodes")
         y = y.reshape(-1, e - s, _PANEL_NEVAL)
         if value is None:
             value = np.empty((y.shape[0], total))
@@ -178,7 +179,7 @@ def _eval_panels(f, los, his, problems):
                 value[:, a:b] = pair[..., 0]
                 run += 1
     parts = [(value[:, s:e], err[:, s:e]) for s, e in zip(starts, starts[1:])]
-    return parts, stacked, -(-total // step)
+    return parts, -(-total // step)
 
 
 def _geometric_levels(a, b) -> np.ndarray:
@@ -267,39 +268,29 @@ def _refine(value, err, lo, depth, tol_abs, tol_rel, results, neval):
     return idx
 
 
-def adaptive_quad(
-    f,
-    a,
-    b,
-    *,
-    tol_abs=1e-9,
-    tol_rel=0.0,
-    breakpoints=(),
-):
-    """Globally adaptive Gauss-Legendre integration of ``f`` over (a, b).
+def adaptive_quad(f, a, b, *, tol_abs, tol_rel, breakpoints):
+    """Globally adaptive Gauss-Legendre integration of ``f`` over each
+    interval (a[i], b[i]) of a batch of problems.
 
-    ``f`` takes a 1-d array of nodes and returns either one value per node
-    (one column: the result is a ``QuadResult``) or an array of shape
-    (columns, nodes) (the result is a ``QuadResults`` with one
-    ``QuadResult`` per column).  ``tol_abs`` and ``tol_rel`` are each one
-    value or one value per column; any other length raises ``ValueError``.
+    ``a`` and ``b`` are equal-length sequences, one interval per problem,
+    and ``breakpoints`` is a 2-d array with one NaN-padded row per problem.
+    ``f`` is called as ``f(x, problem)`` on a 1-d array of nodes, where
+    ``problem`` gives each node's problem index, and returns an array of
+    shape (columns, nodes).  ``tol_abs`` and ``tol_rel`` are each one value
+    or one value per column, shared by every problem; any other length
+    raises ``ValueError``, as do a scalar ``a`` or ``b``, breakpoints that
+    are not one row per problem, and an integrand result that is not 2-d.
 
-    For a batch of problems, ``a`` and ``b`` are equal-length sequences (one
-    interval per problem), ``breakpoints`` is empty or a 2-d array with one
-    NaN-padded row per problem, and ``f`` is called as ``f(x, problem)``,
-    where ``problem`` gives each node's problem index.  The result is then
-    a ``QuadResults`` of the per-problem results, whose ``neval`` is the
-    batch total.  Every problem shares the columns' tolerances.  Each
-    (problem, column) pair keeps its own sums, panel budget, depths and stop
-    reason, and its result is bit-identical to integrating that problem
-    alone: only the integrand calls are shared.
+    The result is a ``QuadResults`` of per-problem ``QuadResults``, each
+    with one ``QuadResult`` per column; the outer one's ``neval`` is the
+    batch total.  Each (problem, column) pair keeps its own sums, panel
+    budget, depths and stop reason, and its result is bit-identical to
+    integrating that problem alone: only the integrand calls are shared.
 
-    Without breakpoints, the initial panels lie between a, b and
-    ``_ENDPOINT_LEVELS`` geometric levels toward each endpoint (the
-    innermost panels 2^-46 of the span wide).  With breakpoints, they lie
-    between a, b and the breakpoints inside (a, b), which are then the
-    whole partition; NaN breakpoints are ignored.  The partitions of all
-    problems are built in one padded pass.
+    The initial panels of problem i lie between a[i], b[i] and the
+    breakpoints of row i inside (a[i], b[i]), which are the whole
+    partition; NaN breakpoints are ignored.  The partitions of all problems
+    are built in one padded pass.
     Each refinement level evaluates the panels of all problems at once.  A
     column stops when its summed error estimate drops below max(tol_abs,
     tol_rel * |integral|).  It ends unconverged, keeping its sums, when a
@@ -308,23 +299,14 @@ def adaptive_quad(
     non-finite node value.  Otherwise the worst panels that together carry
     a column's excess error are split; the remaining columns keep refining.
     """
-    batch = _is_batch(a)
-    if not batch:
-        # one problem is a batch of one
-        one, a, b = f, [a], [b]
-        breakpoints = np.reshape(breakpoints, (1, -1))
-
-        def f(x, problem):
-            return one(x)
+    _per_problem(a=a, b=b)
     if not len(a) == len(b) > 0:
         raise ValueError("a batch needs one a and one b per problem")
     if not all(bi > ai for ai, bi in zip(a, b)):
         raise ValueError("adaptive_quad requires b > a")
     breakpoints = np.asarray(breakpoints, dtype=float)
-    if breakpoints.size == 0:
-        breakpoints = _geometric_levels(a, b)
-    elif breakpoints.ndim != 2 or len(breakpoints) != len(a):
-        raise ValueError("a batch needs one row of breakpoints per problem")
+    if breakpoints.ndim != 2 or len(breakpoints) != len(a):
+        raise ValueError("breakpoints is a 2-d array with one row per problem")
     count = len(a)
     grid = _initial_grid(a, b, breakpoints)
     edges = (grid == grid).sum(axis=1).tolist()
@@ -338,7 +320,7 @@ def adaptive_quad(
     new = list(zip(range(count), lo, hi))  # (problem, panels to evaluate)
     while new:
         problems, new_lo, new_hi = zip(*new)
-        parts, stacked, made = _eval_panels(f, new_lo, new_hi, problems)
+        parts, made = _eval_panels(f, new_lo, new_hi, problems)
         calls += made
         levels += 1
         for i, (c_value, c_err) in zip(problems, parts):
@@ -372,37 +354,25 @@ def adaptive_quad(
             depth[i] = np.concatenate([depth[i][keep], np.tile(depth[i][idx] + 1, 2)])
             value[i], err[i] = value[i][:, keep], err[i][:, keep]
 
-    per_problem = [QuadResults(r, n) if stacked else r[0] for r, n in zip(results, neval)]
-    return QuadResults(per_problem, sum(neval), calls, levels) if batch else per_problem[0]
+    return QuadResults([QuadResults(r, n) for r, n in zip(results, neval)], sum(neval), calls,
+                       levels)
 
 
-def beta_expectation(
-    g,
-    alpha,
-    beta,
-    *,
-    tol_abs=1e-12,
-    tol_rel=1e-10,
-    log_weight: bool = False,
-):
-    """E[g(U)] for U ~ Beta(alpha, beta) by adaptive quadrature on (0, 1).
+def beta_expectation(g, alpha, beta, *, tol_abs, tol_rel):
+    """E[g(U)] for each U ~ Beta(alpha[i], beta[i]) of a batch of laws, by
+    adaptive quadrature on (0, 1).
 
-    ``g`` returns one value per node or stacked columns, as in
-    ``adaptive_quad``; with ``log_weight=True`` it is called as
-    ``g(u, logw)``, where ``logw`` is the log Beta density at the nodes (the
-    same values that weight them).
-
-    A batch of expectations: ``alpha`` and ``beta`` are equal-length
-    sequences, one law per problem, and ``g`` gets each node's problem index
-    as its last argument, ``g(u, problem)`` or ``g(u, logw, problem)``.  The
-    result is ``adaptive_quad``'s batch result: every expectation is
-    integrated as if alone, in shared integrand calls.  Each law's initial
-    partition is the trimmed domain's endpoint levels and its bulk
-    breakpoints, passed as ``adaptive_quad``'s breakpoints: one (laws x
-    edges) array, which ``adaptive_quad`` sorts, de-duplicates and clips to
-    each law's bounds in one pass.  Each integrand call evaluates the log
-    weights of all its laws in one pass (``special.beta_log_densities``);
-    one law is a batch of one.
+    ``alpha`` and ``beta`` are equal-length sequences, one law per problem.
+    ``g`` is called as ``g(u, logw, problem)``, where ``logw`` is the log
+    Beta density at the nodes (the same values that weight them) and
+    ``problem`` each node's problem index, and returns stacked columns, as
+    in ``adaptive_quad``.  The result is ``adaptive_quad``'s: every
+    expectation is integrated as if alone, in shared integrand calls.  Each
+    law's initial partition is the trimmed domain's endpoint levels and its
+    bulk breakpoints, passed as ``adaptive_quad``'s breakpoints: one (laws
+    x edges) array, which ``adaptive_quad`` sorts, de-duplicates and clips
+    to each law's bounds in one pass.  Each integrand call evaluates the
+    log weights of all its laws in one pass (``special.beta_log_densities``).
 
     The weight is evaluated in log space, and breakpoints at mean +- 2^j
     standard deviations keep the concentrated bulk resolved at any parameter
@@ -414,27 +384,23 @@ def beta_expectation(
     exactly 0 in float64 are never evaluated: the weight is 0 at every node
     there.  The weights of the edges come from the same log density as the
     nodes', in one call over every law's edges, so a panel is dropped only
-    where the integrand's own weight is 0.  Parameters that are not
-    positive and finite raise ``ValueError``.
+    where the integrand's own weight is 0.  A scalar ``alpha`` or ``beta``,
+    and parameters that are not positive and finite, raise ``ValueError``.
     """
-    batch = _is_batch(alpha)
-    if not batch:
-        alpha, beta = [alpha], [beta]
+    _per_problem(alpha=alpha, beta=beta)
     alphas, betas = [float(a) for a in alpha], [float(b) for b in beta]
     if not len(alphas) == len(betas) > 0:
         raise ValueError("a batch needs one alpha and one beta per problem")
     log_density = beta_log_densities(alphas, betas)
 
-    def integrand(u, problem=0):
+    def integrand(u, problem):
         # inf * 0 products surface as NaN, which ends the column diverged
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             # Loader's form keeps the log normalizer free of the (a+b) log(a+b)
             # cancellation that biases float64 log-gamma weights by ~1e-10
             # at parameters near 1e5
             logw = log_density(u, problem)
-            args = (u, logw, problem) if log_weight else (u, problem)
-            y = g(*args) if batch else g(*args[:-1])
-            return np.exp(logw) * np.asarray(y, dtype=float)
+            return np.exp(logw) * np.asarray(g(u, logw, problem), dtype=float)
 
     # each law's initial edges, in one row: the trimmed domain and its
     # endpoint levels, and the bulk breakpoints mean + s sd clipped to it
@@ -447,8 +413,6 @@ def beta_expectation(
     bulk += mean_sd[:, :1]
     np.clip(bulk, _TRIM_EDGES[0], _TRIM_EDGES[-1], out=bulk)
     lows, highs = _zero_weight_bounds(edges, log_density, alphas, betas)
-    if not batch:
-        lows, highs = lows[0], highs[0]
     return adaptive_quad(integrand, lows, highs, tol_abs=tol_abs, tol_rel=tol_rel,
                          breakpoints=edges)
 

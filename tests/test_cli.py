@@ -72,16 +72,13 @@ class TestRateFit:
         header = first.splitlines()[0]
         assert header.startswith("schema_version,parent,p,n,k,")
 
-    def test_out_and_plot_data(self, tmp_path, capsys):
+    def test_out(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        plot = tmp_path / "plot.dat"
         code = cli_main(["rate-fit", "--parent", "gaussian(mu=0,sigma=1)",
-                         "--p", "0.5", "--n-grid", "100:400:3log",
-                         "--out", str(out), "--plot-data", str(plot)])
+                         "--p", "0.5", "--n-grid", "100:400:3log", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().count("\n") == 4
-        rows = [line.split() for line in plot.read_text().strip().splitlines()]
-        assert len(rows) == 3 and all(len(r) == 2 for r in rows)
+        assert capsys.readouterr().out == ""
 
     def test_jobs_flag_is_a_no_op(self, capsys, tmp_path):
         args = ["rate-fit", "--parent", "gaussian()", "--p", "0.5", "--n-grid", "100:1000:4log"]
@@ -174,3 +171,10 @@ class TestUsage:
         # each term is integrated to its own fixed tolerance
         assert cli_main([*argv, "--tol", "1e-9"]) == EXIT_USAGE
         assert "--tol" in capsys.readouterr().err
+
+    def test_no_plot_data_option(self, tmp_path, capsys):
+        # the CSV of --out already carries n and total_decomposed
+        argv = ["rate-fit", "--parent", "gaussian()", "--p", "0.5", "--n-grid", "100:1000:3log"]
+        assert cli_main([*argv, "--plot-data", str(tmp_path / "plot.dat")]) == EXIT_USAGE
+        assert "--plot-data" in capsys.readouterr().err
+        assert not (tmp_path / "plot.dat").exists()

@@ -20,11 +20,9 @@ from ordent.distributions import (
     F2,
     BetaLaw,
     Cauchy,
-    ClampedProbabilityWarning,
     DistributionSpecError,
     EndpointGrowth,
     Exponential,
-    PROB_CLAMP,
     Gaussian,
     ParentDistribution,
     Uniform,
@@ -98,17 +96,19 @@ class TestQuantileCdfRoundTrip:
         composed = np.asarray([parent.log_pdf_at_quantile(u) for u in us])
         assert np.max(np.abs(direct - composed)) <= 1e-9
 
-    def test_clamping_warns(self):
-        g = Gaussian()
-        with pytest.warns(ClampedProbabilityWarning):
-            v = g.quantile(0.0)
-        assert math.isfinite(v)
+    def test_infinite_quantiles_are_exact(self):
+        # u = 0 and 1 are taken as given: an unbounded support's quantile
+        # there is infinite, not a finite number at a clamped u
+        g, c = Gaussian(), Cauchy()
+        assert (g.quantile(0.0), g.quantile(1.0)) == (-math.inf, math.inf)
+        assert (c.quantile(0.0), c.quantile(1.0)) == (-math.inf, math.inf)
+        assert np.array_equal(g.quantile(np.array([0.0, 0.5, 1.0])), [-math.inf, 0.0, math.inf])
         with pytest.raises(ValueError):
             g.quantile(1.5)
 
     @pytest.mark.parametrize("u", [math.nan, [0.3, math.nan]], ids=["scalar", "array"])
     def test_nan_argument_raises(self, u):
-        # NaN is outside [0, 1], not a point to clamp
+        # NaN is outside [0, 1], not one of its ends
         with pytest.raises(ValueError):
             Gaussian().quantile(u)
 
@@ -174,13 +174,34 @@ class TestTail:
         assert math.isfinite(log_f) and _agrees(log_f, want_log_f), (log_f, want_log_f)
 
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
-    @pytest.mark.parametrize("s", [0.0, 0.6, -1.0, math.nan, [0.25, math.nan]],
-                             ids=["0", "0.6", "-1", "nan", "array-nan"])
+    @pytest.mark.parametrize("s", [0.6, -1.0, math.nan, [0.25, math.nan]],
+                             ids=["0.6", "-1", "nan", "array-nan"])
     def test_tail_mass_outside_raises(self, parent, s):
         # slope shares tail's check
         for method in (parent.tail, parent.slope):
             with pytest.raises(ValueError, match="tail mass"):
                 method(s, False)
+
+    #: (x, log f, L') at s = 0: the limits at the lower end, then the upper
+    LIMITS = {
+        "uniform": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        "gaussian": ((-math.inf, -math.inf, math.inf), (math.inf, -math.inf, -math.inf)),
+        "exponential": ((0.0, 0.0, -1.0), (math.inf, -math.inf, -math.inf)),
+        "cauchy": ((-math.inf, -math.inf, math.inf), (math.inf, -math.inf, -math.inf)),
+        "f1": ((math.e, math.log(2.0) - 1.0, -2.0), (math.inf, -math.inf, -math.inf)),
+        "f2": ((0.0, math.inf, -math.inf), (1.0 / math.e, 1.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
+    def test_tail_mass_zero_is_the_limit(self, parent):
+        # s = 0 gives the support's ends and the limits of log f and L',
+        # without a warning (the suite makes every warning an error)
+        for upper, limits in zip((False, True), self.LIMITS[parent.name]):
+            x, log_f = parent.tail(0.0, upper)
+            assert (x, log_f, parent.slope(0.0, upper)) == limits, (parent.name, upper)
+            assert x == parent.support[upper]
+        x, log_f = parent.tail(np.zeros(2), np.array([False, True]))
+        assert np.array_equal(x, parent.support)
 
     def test_mixed_sides_match_each_side_alone(self):
         # tail and slope read one formula call, for both sides at once
@@ -217,7 +238,7 @@ class TestTail:
 
 
 class TestFamiliesAreFormulas:
-    """``ParentDistribution`` owns the arguments, the support and the clamp."""
+    """``ParentDistribution`` owns the arguments, the support and the ends."""
 
     PUBLIC = ("pdf", "log_pdf", "cdf", "tail", "slope", "quantile",
               "log_pdf_at_quantile", "abs_moment", "norm_m")
@@ -237,11 +258,11 @@ class TestFamiliesAreFormulas:
             parent.log_pdf_at_quantile(u)
 
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
-    def test_log_pdf_at_quantile_clamps_as_quantile_does(self, parent):
-        for u, clamped in ((0.0, PROB_CLAMP), (1.0, 1.0 - PROB_CLAMP)):
-            with pytest.warns(ClampedProbabilityWarning):
-                got = parent.log_pdf_at_quantile(u)
-            assert got == parent.log_pdf_at_quantile(clamped)
+    def test_log_pdf_at_quantile_ends_are_exact(self, parent):
+        # u = 0 and u = 1 read tail at s = 0, as quantile does: the limits
+        for u, upper in ((0.0, False), (1.0, True)):
+            assert parent.log_pdf_at_quantile(u) == parent.tail(0.0, upper)[1]
+            assert parent.quantile(u) == parent.tail(0.0, upper)[0] == parent.support[upper]
 
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
     def test_nan_and_infinite_points(self, parent):

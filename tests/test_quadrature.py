@@ -14,26 +14,42 @@ from ordent.quadrature import QuadResults, adaptive_quad, beta_expectation
 from ordent.special import beta_log_densities, beta_log_density
 
 
+def lone(f, a, b, *, tol_abs=1e-9, tol_rel=0.0, breakpoints=None):
+    """The per-column results of ``f(x)`` over (a, b), integrated as a batch
+    of one problem; the initial partition is the geometric endpoint levels
+    unless ``breakpoints`` (one row) are given."""
+    levels = quadrature._geometric_levels([a], [b]) if breakpoints is None else [breakpoints]
+    return adaptive_quad(lambda x, problem: f(x), [a], [b], tol_abs=tol_abs, tol_rel=tol_rel,
+                         breakpoints=levels)[0]
+
+
+def lone_beta(g, a, b, *, tol_abs=1e-12, tol_rel=1e-10):
+    """The per-column results of E[g(U, log w)], U ~ Beta(a, b), as a batch
+    of one law."""
+    return beta_expectation(lambda u, logw, problem: g(u, logw), [a], [b], tol_abs=tol_abs,
+                            tol_rel=tol_rel)[0]
+
+
 class TestAdaptiveQuad:
     def test_polynomial_exact(self):
-        res = adaptive_quad(lambda x: 3.0 * x**2, 0.0, 1.0)
+        (res,) = lone(lambda x: [3.0 * x**2], 0.0, 1.0)
         assert res.converged and not res.diverged
         assert abs(res.value - 1.0) <= 1e-12
 
     def test_log_endpoint_singularity(self):
         # int_0^1 log(x) dx = -1, integrable endpoint blow-up
-        res = adaptive_quad(lambda x: np.log(x), 1e-300, 1.0, tol_abs=1e-10)
+        (res,) = lone(lambda x: [np.log(x)], 1e-300, 1.0, tol_abs=1e-10)
         assert abs(res.value + 1.0) <= 1e-9
 
     def test_inverse_sqrt_singularity(self):
-        res = adaptive_quad(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, tol_abs=1e-9)
+        (res,) = lone(lambda x: [1.0 / np.sqrt(x)], 1e-300, 1.0, tol_abs=1e-9)
         assert abs(res.value - 2.0) <= 1e-7
 
     def test_slow_divergence_hits_depth_rule(self):
         # 1/x over (1e-300, 1) carries ~690 nats of mass spread down to the
         # left edge; the depth cap ends the column unconverged, and the engine
         # does not call that a divergence
-        res = adaptive_quad(lambda x: 1.0 / x, 1e-300, 1.0)
+        (res,) = lone(lambda x: [1.0 / x], 1e-300, 1.0)
         assert not res.converged and not res.diverged
         assert "depth" in res.message and math.isfinite(res.value)
 
@@ -41,13 +57,13 @@ class TestAdaptiveQuad:
         def f(x):
             out = np.zeros_like(x)
             out[x > 0.5] = np.inf
-            return out
+            return [out]
 
-        res = adaptive_quad(f, 0.0, 1.0)
+        (res,) = lone(f, 0.0, 1.0)
         assert res.diverged
 
     def test_check_raises_on_divergence(self):
-        res = adaptive_quad(lambda x: 1.0 / x, 1e-300, 1.0)
+        (res,) = lone(lambda x: [1.0 / x], 1e-300, 1.0)
         with pytest.raises(ArithmeticError):
             res.check()
 
@@ -60,24 +76,24 @@ class TestAdaptiveQuad:
         mass = (sigma * math.sqrt(2 * math.pi) * 0.5
                 * (math.erf((1 - center) / (root2 * sigma)) - math.erf(-center / (root2 * sigma))))
         hints = [center + s * c * sigma for s in (-1, 1) for c in (1, 2, 4, 8, 16)]
-        res = adaptive_quad(f, 0.0, 1.0, breakpoints=hints)
+        (res,) = lone(lambda x: [f(x)], 0.0, 1.0, breakpoints=hints)
         assert abs(res.value - mass) <= 1e-12
 
     def test_breakpoints_are_the_whole_partition(self):
         # no endpoint levels join the breakpoints: G15 is exact on the cubic,
         # so the two panels (0, 0.3) and (0.3, 1) are all that is evaluated
-        res = adaptive_quad(lambda x: x**3, 0.0, 1.0, breakpoints=[0.3])
+        res = lone(lambda x: [x**3], 0.0, 1.0, breakpoints=[0.3])
         assert res.neval == 2 * quadrature._PANEL_NEVAL
-        assert abs(res.value - 0.25) <= 1e-15
-        # without breakpoints, 46 geometric levels toward each end, which
-        # share the midpoint: 92 panels
-        assert adaptive_quad(lambda x: x**3, 0.0, 1.0).neval == 92 * quadrature._PANEL_NEVAL
+        assert abs(res[0].value - 0.25) <= 1e-15
+        # the 46 geometric levels toward each end as breakpoints, which share
+        # the midpoint: 92 panels
+        assert lone(lambda x: [x**3], 0.0, 1.0).neval == 92 * quadrature._PANEL_NEVAL
 
 
 class TestBetaExpectation:
     def test_mean_small_and_large(self):
         for a, b in [(2.0, 3.0), (500.0, 501.0), (50_000.0, 50_001.0)]:
-            res = beta_expectation(lambda u: u, a, b)
+            (res,) = lone_beta(lambda u, logw: [u], a, b)
             assert res.converged
             assert abs(res.value - a / (a + b)) <= 1e-12
 
@@ -85,23 +101,23 @@ class TestBetaExpectation:
         a, b = 30_000.0, 70_001.0
         mean = a / (a + b)
         var = a * b / ((a + b) ** 2 * (a + b + 1.0))
-        res = beta_expectation(lambda u: (u - mean) ** 2, a, b)
+        (res,) = lone_beta(lambda u, logw: [(u - mean) ** 2], a, b)
         assert abs(res.value - var) <= 1e-9 * var
 
     def test_integrable_inverse_moment(self):
         # E[1/U] = (a+b-1)/(a-1) for a > 1
         a, b = 50.0, 51.0
-        res = beta_expectation(lambda u: 1.0 / u, a, b)
+        (res,) = lone_beta(lambda u, logw: [1.0 / u], a, b)
         assert abs(res.value - (a + b - 1.0) / (a - 1.0)) <= 1e-9
 
     def test_divergent_expectation_flagged(self):
         # E[exp(2/sqrt(1-U))] diverges for any Beta law; its nodes overflow to
         # inf, and a non-finite node leaves no value to report
-        def explosive(u):
+        def explosive(u, logw):
             with np.errstate(over="ignore"):
-                return np.exp(2.0 / np.sqrt(1.0 - u))
+                return [np.exp(2.0 / np.sqrt(1.0 - u))]
 
-        res = beta_expectation(explosive, 50.0, 51.0)
+        (res,) = lone_beta(explosive, 50.0, 51.0)
         assert res.diverged and not res.converged
         assert math.isnan(res.value) and res.error == math.inf
 
@@ -130,7 +146,7 @@ class TestZeroWeightPanels:
     def test_no_zero_weight_panel_beyond_the_mode(self, monkeypatch):
         grids = self.evaluated_grids(monkeypatch)
         for a, b in self.LAWS:
-            res = beta_expectation(lambda u: u, a, b)
+            (res,) = lone_beta(lambda u, logw: [u], a, b)
             # the trim to (1e-15, 1 - 1e-15) drops up to ~(a + b) 1e-15 of mass
             assert res.converged and abs(res.value - a / (a + b)) <= 1e-12 + (a + b) * 1e-15
             w = np.exp(beta_log_density(a, b, grids[-1]))
@@ -200,7 +216,7 @@ class TestZeroWeightPanels:
 
     def test_one_partition_pass_per_call(self, monkeypatch):
         # the initial partitions are sorted, de-duplicated and clipped once,
-        # inside adaptive_quad, for a lone law and for a batch of laws
+        # inside adaptive_quad, for a batch of one law and for a batch of laws
         calls = []
         real = quadrature._initial_grid
 
@@ -209,11 +225,12 @@ class TestZeroWeightPanels:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "_initial_grid", counting)
-        beta_expectation(lambda u: u, 30.0, 71.0)
+        lone_beta(lambda u, logw: [u], 30.0, 71.0)
         assert len(calls) == 1
         calls.clear()
         laws = self.LAWS + [(181.0, 182.0)]
-        beta_expectation(lambda u, problem: u, [a for a, _ in laws], [b for _, b in laws])
+        beta_expectation(lambda u, logw, problem: [u], [a for a, _ in laws],
+                         [b for _, b in laws], tol_abs=1e-12, tol_rel=1e-10)
         assert len(calls) == 1
 
     def test_kl_decompose_evaluations(self, monkeypatch):
@@ -244,17 +261,17 @@ class TestMultiColumn:
         return np.stack([np.log(x), 1.0 / np.sqrt(x), 3.0 * x**2])
 
     def test_columns_match_one_column_calls(self):
-        res = adaptive_quad(self.columns, 1e-300, 1.0, tol_abs=1e-10)
+        res = lone(self.columns, 1e-300, 1.0, tol_abs=1e-10)
         assert isinstance(res, QuadResults) and len(res) == 3
         for j, col in enumerate(res):
-            alone = adaptive_quad(lambda x: self.columns(x)[j], 1e-300, 1.0, tol_abs=1e-10)
+            (alone,) = lone(lambda x: [self.columns(x)[j]], 1e-300, 1.0, tol_abs=1e-10)
             assert col.converged and alone.converged
             assert abs(col.value - alone.value) <= col.error + alone.error + 1e-15
         assert abs(res[0].value + 1.0) <= 1e-9
         assert abs(res[2].value - 1.0) <= 1e-12
 
     def test_per_column_tolerances(self):
-        res = adaptive_quad(self.columns, 1e-300, 1.0, tol_abs=[1e-6, 1e-12, 1e-12])
+        res = lone(self.columns, 1e-300, 1.0, tol_abs=[1e-6, 1e-12, 1e-12])
         assert res.converged
         assert res[0].error <= 1e-6 and res[1].error <= 1e-12
 
@@ -263,7 +280,7 @@ class TestMultiColumn:
             blow = np.where(x > 0.5, -np.inf, 0.0)
             return np.stack([np.exp(x), blow, -blow])
 
-        res = adaptive_quad(f, 0.0, 1.0)
+        res = lone(f, 0.0, 1.0)
         assert res[0].converged and not res[0].diverged
         assert abs(res[0].value - (math.e - 1.0)) <= 1e-12
         for col in res[1:]:
@@ -272,19 +289,19 @@ class TestMultiColumn:
         assert res.diverged and not res.converged
 
     def test_depth_rule_in_one_column(self):
-        res = adaptive_quad(lambda x: np.stack([1.0 / x, x]), 1e-300, 1.0)
+        res = lone(lambda x: np.stack([1.0 / x, x]), 1e-300, 1.0)
         assert not res[0].converged and not res[0].diverged
         assert "depth" in res[0].message
         assert res[1].converged and abs(res[1].value - 0.5) <= 1e-12
 
     def test_large_constant_column_converges(self):
         # a large value is a value: the engine has no divergence threshold
-        res = adaptive_quad(lambda x: np.stack([-1e20 * np.ones_like(x), x]), 0.0, 1.0)
+        res = lone(lambda x: np.stack([-1e20 * np.ones_like(x), x]), 0.0, 1.0)
         assert res[0].converged and res[0].value == -1e20
         assert res[1].converged
 
     def test_panel_budget_flags_unconverged(self):
-        res = adaptive_quad(lambda x: np.sin(1.0 / x), 1e-6, 1.0, tol_abs=1e-14)
+        (res,) = lone(lambda x: [np.sin(1.0 / x)], 1e-6, 1.0, tol_abs=1e-14)
         assert not res.converged and not res.diverged
         assert "budget" in res.message and math.isfinite(res.value)
 
@@ -292,9 +309,9 @@ class TestMultiColumn:
         def f(x):
             return np.stack([np.log(x), np.sin(1.0 / x)])
 
-        first = adaptive_quad(f, 1e-6, 1.0, tol_abs=1e-12)
+        first = lone(f, 1e-6, 1.0, tol_abs=1e-12)
         for _ in range(3):
-            again = adaptive_quad(f, 1e-6, 1.0, tol_abs=1e-12)
+            again = lone(f, 1e-6, 1.0, tol_abs=1e-12)
             assert again.neval == first.neval
             assert [r.neval for r in again] == [r.neval for r in first]
             assert [r.value for r in again] == [r.value for r in first]
@@ -319,9 +336,9 @@ class TestMultiColumn:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = adaptive_quad(f, 0.0, 1.0)
-            mixed = adaptive_quad(g, 0.0, 1.0)
-            beta_expectation(lambda u: np.stack([u, 1.0 / (1.0 - u) ** 3]), 3.0, 2.0)
+            res = lone(f, 0.0, 1.0)
+            mixed = lone(g, 0.0, 1.0)
+            lone_beta(lambda u, logw: np.stack([u, 1.0 / (1.0 - u) ** 3]), 3.0, 2.0)
         assert res[0].diverged and res[1].converged
         assert mixed[0].diverged and mixed[1].converged
 
@@ -331,7 +348,7 @@ class TestMultiColumn:
         def g(u, logw):
             return np.stack([u, logw])
 
-        res = beta_expectation(g, a, b, log_weight=True)
+        res = lone_beta(g, a, b)
         assert abs(res[0].value - a / (a + b)) <= 1e-12
         # E[log density] = -entropy of Beta(a, b)
         entropy = (betaln(a, b) - (a - 1.0) * digamma(a) - (b - 1.0) * digamma(b)
@@ -344,7 +361,7 @@ class TestBatch:
 
     @staticmethod
     def lone_and_batch(funcs, intervals, **kwargs):
-        lone = [adaptive_quad(f, a, b, **kwargs) for f, (a, b) in zip(funcs, intervals)]
+        alone = [lone(f, a, b, **kwargs) for f, (a, b) in zip(funcs, intervals)]
         calls = []
 
         def batched(x, problem):
@@ -357,9 +374,10 @@ class TestBatch:
                     out[:, at] = f(x[at])
             return out
 
-        batch = adaptive_quad(batched, [a for a, _ in intervals], [b for _, b in intervals],
-                              **kwargs)
-        return lone, batch, calls
+        a, b = [a for a, _ in intervals], [b for _, b in intervals]
+        batch = adaptive_quad(batched, a, b, tol_rel=0.0,
+                              breakpoints=quadrature._geometric_levels(a, b), **kwargs)
+        return alone, batch, calls
 
     def test_bit_identical_to_lone_problems(self):
         # problems that stop on the first level, refine for several levels
@@ -374,54 +392,59 @@ class TestBatch:
             lambda x: np.stack([np.sin(1.0 / x), x]),
         ]
         intervals = [(0.0, 1.0), (1e-4, 1.0), (1e-300, 1.0), (0.0, 1.0), (1e-3, 2.0), (1e-6, 1.0)]
-        lone, batch, calls = self.lone_and_batch(funcs, intervals, tol_abs=1e-13)
+        alone, batch, calls = self.lone_and_batch(funcs, intervals, tol_abs=1e-13)
         assert isinstance(batch, QuadResults) and len(batch) == len(funcs)
-        assert batch.neval == sum(r.neval for r in lone)
+        assert batch.neval == sum(r.neval for r in alone)
         assert batch.levels > 3 and batch.calls == len(calls) > batch.levels
-        for alone, res in zip(lone, batch):
-            assert res.neval == alone.neval
-            assert list(res) == list(alone)
-        assert not lone[5].converged and "budget" in lone[5][0].message
-        assert lone[3][0].diverged and lone[3][1].converged
+        for one, res in zip(alone, batch):
+            assert res.neval == one.neval
+            assert list(res) == list(one)
+        assert not alone[5].converged and "budget" in alone[5][0].message
+        assert alone[3][0].diverged and alone[3][1].converged
 
     def test_problem_tolerances_and_budgets(self):
-        f = lambda x, problem: np.sin(1.0 / x)  # noqa: E731
+        f = lambda x, problem: [np.sin(1.0 / x)]  # noqa: E731
         # every problem shares one tolerance; the third spends its own panel
         # budget, and the others keep theirs
-        intervals = [(1e-3, 1.0), (1e-3, 1.0), (1e-6, 1.0)]
-        batch = adaptive_quad(f, [a for a, _ in intervals], [b for _, b in intervals],
-                              tol_abs=1e-13)
-        for res, (a, b) in zip(batch, intervals):
-            alone = adaptive_quad(lambda x: np.sin(1.0 / x), a, b, tol_abs=1e-13)
+        a, b = [1e-3, 1e-3, 1e-6], [1.0, 1.0, 1.0]
+        batch = adaptive_quad(f, a, b, tol_abs=1e-13, tol_rel=0.0,
+                              breakpoints=quadrature._geometric_levels(a, b))
+        batch = [res[0] for res in batch]
+        for res, ai, bi in zip(batch, a, b):
+            (alone,) = lone(lambda x: [np.sin(1.0 / x)], ai, bi, tol_abs=1e-13)
             assert res == alone
         assert batch[0] == batch[1] and batch[1].converged
         assert not batch[2].converged and "budget" in batch[2].message
 
     def test_tolerance_shape_must_broadcast(self):
         # a tolerance is one value or one per column, shared by every problem
-        f = lambda x, problem: np.sin(1.0 / x)  # noqa: E731
+        f = lambda x, problem: [np.sin(1.0 / x)]  # noqa: E731
+        levels = quadrature._geometric_levels([1e-3] * 3, [1.0] * 3)
         with pytest.raises(ValueError, match="one per column"):  # two for one column
-            adaptive_quad(lambda x: np.sin(1.0 / x), 1e-3, 1.0, tol_abs=[1e-3, 1e-9])
+            lone(lambda x: [np.sin(1.0 / x)], 1e-3, 1.0, tol_abs=[1e-3, 1e-9])
         with pytest.raises(ValueError, match="one per column"):  # one per problem
-            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, tol_abs=[1e-4, 1e-12, 1e-12])
+            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, tol_abs=[1e-4, 1e-12, 1e-12], tol_rel=0.0,
+                          breakpoints=levels)
         with pytest.raises(ValueError, match="one per column"):  # a (problems, 1) column
-            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, tol_abs=[[1e-4], [1e-12], [1e-12]])
+            adaptive_quad(f, [1e-3] * 3, [1.0] * 3, tol_abs=[[1e-4], [1e-12], [1e-12]],
+                          tol_rel=0.0, breakpoints=levels)
 
     def test_one_problem_per_call_gets_its_index(self):
         seen = []
 
         def f(x, problem):
             seen.append(problem)
-            return x
+            return [x]
 
         # 10 levels toward each end of each problem (one shared at the
         # midpoint): 20 initial panels each, so one call holds both problems
         levels = 2.0 ** -np.arange(1, 11)
-        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0],
+        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0], tol_abs=1e-9, tol_rel=0.0,
                       breakpoints=np.array([[*(a + levels), *(a + 1.0 - levels)] for a in (0.0, 1.0)]))
         assert len(seen) == 1 and np.array_equal(seen[0], np.repeat([0, 1], 20 * 45))
         seen.clear()
-        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0])
+        adaptive_quad(f, [0.0, 1.0], [1.0, 2.0], tol_abs=1e-9, tol_rel=0.0,
+                      breakpoints=quadrature._geometric_levels([0.0, 1.0], [1.0, 2.0]))
         # 93 each: the first call holds all of problem 0 and some of problem 1,
         # the second only problem 1
         assert len(seen) == 2 and seen[0][0] == 0 and seen[1] == 1
@@ -434,29 +457,31 @@ class TestBatch:
         def g(u, logw):
             return np.stack([u, logw, np.log(u)])
 
-        lone = [beta_expectation(g, a, b, log_weight=True) for a, b in laws]
+        alone = [lone_beta(g, a, b) for a, b in laws]
         batch = beta_expectation(lambda u, logw, problem: g(u, logw), [a for a, _ in laws],
-                                 [b for _, b in laws], log_weight=True)
-        for alone, res in zip(lone, batch):
-            assert res.neval == alone.neval and list(res) == list(alone)
+                                 [b for _, b in laws], tol_abs=1e-12, tol_rel=1e-10)
+        for one, res in zip(alone, batch):
+            assert res.neval == one.neval and list(res) == list(one)
 
     def test_batch_validation(self):
+        f = lambda x, problem: [x]  # noqa: E731
         with pytest.raises(ValueError):
-            adaptive_quad(lambda x, problem: x, [0.0, 0.0], [1.0])
-        with pytest.raises(ValueError):  # one row of breakpoints for two problems
-            adaptive_quad(lambda x, problem: x, [0.0, 0.0], [1.0, 1.0], breakpoints=[[0.5]])
+            adaptive_quad(f, [0.0, 0.0], [1.0], tol_abs=1e-9, tol_rel=0.0,
+                          breakpoints=[[0.5], [0.5]])
         with pytest.raises(ValueError):
-            beta_expectation(lambda u, problem: u, [1.0, -1.0], [1.0, 1.0])
+            beta_expectation(lambda u, logw, problem: [u], [1.0, -1.0], [1.0, 1.0],
+                             tol_abs=1e-12, tol_rel=1e-10)
         # a non-finite parameter is an invalid law, not a divergent expectation
         for a, b in [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)]:
             with pytest.raises(ValueError):
-                beta_expectation(lambda u: u, a, b)
+                lone_beta(lambda u, logw: [u], a, b)
             with pytest.raises(ValueError):
-                beta_expectation(lambda u, problem: u, [3.0, a], [4.0, b])
+                beta_expectation(lambda u, logw, problem: [u], [3.0, a], [4.0, b],
+                                 tol_abs=1e-12, tol_rel=1e-10)
 
     def test_beta_expectation_batch_partitions(self, monkeypatch):
         # the initial partition of each law of a batch, built in one pass
-        # over all laws, equals that of its lone call
+        # over all laws, equals that of its batch of one
         laws = [(3.0, 98.0), (1.0, 1e5), (0.5, 3.0), (30_000.0, 70_001.0), (2.0, 2.0),
                 (1e5, 1.0), (0.7, 1.0), (2.0, 2.5), (2.0**52, 2.0**52), (181.0, 182.0)]
         grids = []
@@ -464,16 +489,52 @@ class TestBatch:
 
         def spy(f, a, b, **kwargs):
             # each law's partition as adaptive_quad builds it from its raw edges
-            rows = np.reshape(kwargs["breakpoints"], (np.size(a), -1))
-            grids.extend(row[row == row] for row in quadrature._initial_grid(a, b, rows))
+            grids.extend(row[row == row]
+                         for row in quadrature._initial_grid(a, b, kwargs["breakpoints"]))
             return real(f, a, b, **kwargs)
 
         monkeypatch.setattr(quadrature, "adaptive_quad", spy)
         for a, b in laws:
-            beta_expectation(lambda u: u, a, b)
-        lone = grids[:]
+            lone_beta(lambda u, logw: [u], a, b)
+        alone = grids[:]
         grids.clear()
-        beta_expectation(lambda u, problem: u, [a for a, _ in laws], [b for _, b in laws])
-        assert len(grids) == len(lone) == len(laws)
-        for alone, got in zip(lone, grids):
-            assert np.array_equal(got, alone)
+        beta_expectation(lambda u, logw, problem: [u], [a for a, _ in laws],
+                         [b for _, b in laws], tol_abs=1e-12, tol_rel=1e-10)
+        assert len(grids) == len(alone) == len(laws)
+        for one, got in zip(alone, grids):
+            assert np.array_equal(got, one)
+
+
+class TestOneConvention:
+    """Every call is a batch; each rule of the convention raises ``ValueError``."""
+
+    def test_scalar_interval_raises(self):
+        f = lambda x, problem: [x]  # noqa: E731
+        for a, b in [(0.0, [1.0]), ([0.0], 1.0), (0.0, 1.0), (np.float64(0.0), [1.0])]:
+            with pytest.raises(ValueError, match="one value per problem"):
+                adaptive_quad(f, a, b, tol_abs=1e-9, tol_rel=0.0, breakpoints=[[0.5]])
+
+    def test_scalar_law_raises(self):
+        g = lambda u, logw, problem: [u]  # noqa: E731
+        for a, b in [(3.0, [4.0]), ([3.0], 4.0), (3.0, 4.0), (np.float64(3.0), [4.0])]:
+            with pytest.raises(ValueError, match="one value per problem"):
+                beta_expectation(g, a, b, tol_abs=1e-12, tol_rel=1e-10)
+
+    def test_breakpoints_are_one_row_per_problem(self):
+        f = lambda x, problem: [x]  # noqa: E731
+        # one row for two problems, a flat row, and no breakpoints at all
+        for breakpoints in ([[0.5]], [0.5, 0.5], [], np.empty((0, 3))):
+            with pytest.raises(ValueError, match="one row per problem"):
+                adaptive_quad(f, [0.0, 0.0], [1.0, 1.0], tol_abs=1e-9, tol_rel=0.0,
+                              breakpoints=breakpoints)
+
+    def test_integrand_returns_columns(self):
+        # one value per node, a scalar and a 3-d array are not (columns, nodes)
+        for out in (lambda x: x, lambda x: 1.0, lambda x: x[None, None]):
+            with pytest.raises(ValueError, match="2-d array"):
+                lone(out, 0.0, 1.0)
+            with pytest.raises(ValueError, match="2-d array"):
+                lone_beta(lambda u, logw: out(u), 3.0, 4.0)
+        # a column of the wrong length
+        with pytest.raises(ValueError, match="2-d array"):
+            lone(lambda x: [x[1:]], 0.0, 1.0)
