@@ -21,11 +21,16 @@ quantile space (``EndpointGrowth``), and ``power_moment_finite`` turns that
 into the finiteness of every expectation in the package (quadrature cannot
 certify divergence); finite values are computed by quadrature in quantile
 space unless a closed form is trivial.
+
+Monte Carlo draws (``beta_sample`` and what averages over it) take their
+uniforms from ``random_stream``, a counter-based SplitMix64 stream keyed by
+(seed, stream) and computed with numpy's integer ufuncs alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,14 +106,76 @@ def power_moment_finite(growth: tuple[float, float], r: float,
                for a, w in zip(growth, (alpha, beta)))
 
 
-def random_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream).
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the odd integer nearest 2^64 / phi
+_MASK64 = 2**64 - 1
 
-    Philox streams keyed this way are independent, so parallel experiment
-    shards can draw reproducibly without coordinating.
+
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on the uint64 array z (arithmetic
+    mod 2^64); ``tmp`` is scratch of z's shape."""
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z)
+        np.multiply(z, multiplier, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, 31, out=tmp), out=z)
+
+
+def _uint64(name: str, value) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
+class UniformStream:
+    """SplitMix64 counter stream: draw i is 2^-53 (mix64(K + (i + 1) gamma) >> 11).
+
+    mix64 is SplitMix64's finalizer, gamma its increment and K the key of
+    (seed, stream).  Draw i depends on K and i alone, so successive
+    ``random`` calls continue one sequence and any prefix of a draw is the
+    same bit for bit.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return np.random.Generator(np.random.Philox(ss))
+
+    def __init__(self, key: int):
+        self._key = key
+        self._drawn = 0
+
+    def random(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms: multiples of 2^-53 in [0, 1)."""
+        count = int(count)
+        out = np.empty(count)
+        steps = np.arange(1, min(count, _CHUNK_NODES) + 1, dtype=np.uint64)
+        steps *= _GAMMA  # (j + 1) gamma mod 2^64, j within a chunk
+        z, tmp = np.empty_like(steps), np.empty_like(steps)
+        for s in range(0, count, _CHUNK_NODES):
+            m = min(_CHUNK_NODES, count - s)
+            np.add(steps[:m], (self._key + (self._drawn + s) * _GAMMA) & _MASK64, out=z[:m])
+            _mix64(z[:m], tmp[:m])
+            out[s:s + m] = np.right_shift(z[:m], 11, out=z[:m])  # exact: < 2^53
+        self._drawn += count
+        out *= 2.0**-53
+        return out
+
+
+def random_stream(seed: int, stream: int = 0) -> UniformStream:
+    """The uniform stream keyed by (seed, stream), integers in [0, 2^64).
+
+    A counter-based generator (Salmon et al., SC 2011) on SplitMix64 (Steele,
+    Lea and Flood, OOPSLA 2014) with key K = mix64(mix64(seed) + (stream + 1)
+    gamma): parallel experiment shards draw reproducibly without
+    coordinating, from numpy's integer ufuncs alone.  Two streams with
+    different keys traverse one Weyl sequence from different starts, so they
+    overlap within N draws each with probability about 2N / 2^64, about
+    1e-14 for N = 1e5.  A seed or stream that is not an integer in
+    [0, 2^64) raises ``ValueError``.
+    """
+    seed, stream = _uint64("seed", seed), _uint64("stream", stream)
+    z, tmp = np.array([seed], dtype=np.uint64), np.empty(1, dtype=np.uint64)
+    _mix64(z, tmp)
+    z += ((stream + 1) * _GAMMA) & _MASK64
+    return UniformStream(int(_mix64(z, tmp)[0]))
 
 
 class ParentDistribution:
@@ -446,9 +513,14 @@ class Cauchy(ParentDistribution):
     def _tail(self, s, upper):
         # x = loc -+ scale cot(pi s), f(x) = sin^2(pi s) / (pi scale) and L' =
         # 2 pi cot(pi u), odd about 1/2: tan(pi (u - 1/2)) would lose every
-        # digit against the pole, and sin(pi u) above the median
-        tan = np.tan(math.pi * s)
-        t, c = self.scale / tan, 2.0 * math.pi / tan
+        # digit against the pole, and sin(pi u) above the median.  cot(pi s)
+        # is 1 / tan(pi s) below s = 1/4 and tan(pi (1/2 - s)) from 1/4 on,
+        # where 1/2 - s is exact: 1 / tan(pi s) would lose the digits of the
+        # zero at the median, rounding pi s against pi / 2
+        low = s < 0.25
+        tan = np.tan(math.pi * np.where(low, s, 0.5 - s))
+        t = np.where(low, self.scale / tan, self.scale * tan)
+        c = np.where(low, 2.0 * math.pi / tan, 2.0 * math.pi * tan)
         return (self.loc + np.where(upper, t, -t),
                 2.0 * np.log(np.sin(math.pi * s)) - math.log(math.pi * self.scale),
                 np.where(upper, -c, c))
@@ -562,7 +634,7 @@ def beta_log_pdf(law: BetaLaw, u):
 #: ``beta_sample``'s inverse-CDF table: nodes w = -_TABLE_W + j h in w = logit(u),
 #: h = 2 _TABLE_W / _TABLE_STEPS = 75 / 2048 (so every node is exact), j =
 #: 0.._TABLE_STEPS.  |w| <= 53 log 2 < _TABLE_W for every nonzero u that
-#: ``Generator.random`` returns.
+#: ``random_stream`` returns.
 _TABLE_W = 37.5
 _TABLE_STEPS = 2048
 
@@ -592,13 +664,13 @@ def _logit_rows(a: float, b: float, w: np.ndarray, y: np.ndarray) -> np.ndarray:
 def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
     """Deterministic Beta draws by the quantile method, through one table per call.
 
-    Exactly one uniform u is consumed per variate, so the mapping from
-    (seed, stream) to output does not depend on the Beta parameters, and
-    draw i depends only on u_i and the law: any prefix of a draw is the
-    same bit for bit.  A draw is y = logit(x) of the Beta quantile x,
-    interpolated in w = logit(u) on a uniform grid of 2049 nodes over
-    |w| <= 37.5: one quintic Hermite per cell, from y and its first two
-    derivatives at both ends.  A first pass over the draws marks the cells
+    Exactly one uniform u of ``random_stream(seed, stream)`` is consumed
+    per variate, so the mapping from (seed, stream) to output does not
+    depend on the Beta parameters, and draw i depends only on u_i and the
+    law: any prefix of a draw is the same bit for bit.  A draw is y =
+    logit(x) of the Beta quantile x, interpolated in w = logit(u) on a
+    uniform grid of 2049 nodes over |w| <= 37.5: one quintic Hermite per
+    cell, from y and its first two derivatives at both ends.  A first pass over the draws marks the cells
     they land in, and the inverse ``special.beta_logit_quantile`` runs only
     at those cells' nodes; a cell's quintic depends only on its two nodes,
     so the draws do not depend on ``count``.  The inverse maps w to y, so

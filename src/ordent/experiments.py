@@ -112,7 +112,8 @@ def fit_rate(n_grid, values, window: str = "top_half") -> RateFit:
 
     Zero and non-finite values are excluded (with reasons) before the
     window is applied, and negative values are fitted by their magnitude;
-    ``window`` is "top_half" or "all".
+    ``window`` is "top_half" or "all".  The fit is least squares in closed
+    form; fewer than two distinct n in the window give NaN.
     """
     n_grid = [int(n) for n in n_grid]
     values = [float(v) for v in values]
@@ -132,16 +133,18 @@ def fit_rate(n_grid, values, window: str = "top_half") -> RateFit:
         usable = trimmed if len(trimmed) >= 2 else usable
     elif window != "all":
         raise ValueError("window must be 'top_half' or 'all'")
-    if len(usable) < 2:
+    if len({n for n, _ in usable}) < 2:
         return RateFit(n_grid, values, math.nan, math.nan, math.nan,
                        [n for n, _ in usable], excluded)
     x = np.log([n for n, _ in usable])
     y = np.log([v for _, v in usable])
-    slope, intercept = np.polyfit(x, y, 1)
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_tot = float(np.sum(dy**2))
     r_sq = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(n_grid, values, float(slope), float(intercept), r_sq,
+    return RateFit(n_grid, values, slope, intercept, r_sq,
                    [n for n, _ in usable], excluded)
 
 

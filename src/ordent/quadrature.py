@@ -41,8 +41,38 @@ MAX_DEPTH = 60
 MAX_PANELS = 8192  # the panel budget of each problem
 _ENDPOINT_LEVELS = 46  # innermost panel width 2^-46 of the span
 
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(15)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(31)
+# The Gauss-Legendre rules G15 and G31 on [-1, 1], as (nodes, weights) of
+# their half x >= 0 in increasing x: numpy's leggauss(15) and leggauss(31)
+# to the bit, which are symmetric to the bit, so the other half mirrors them.
+# They keep every result as it was; leggauss's G31 weights are up to 2426
+# ulp off the exact ones at the end nodes (tests/test_quadrature.py).
+_HALF_G15 = (
+    [0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+     0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854],
+    [0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+     0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203],
+)
+_HALF_G31 = (
+    [0.0, 0.09955531215234152, 0.19812119933557062, 0.29471806998170164,
+     0.38838590160823294, 0.4781937820449025, 0.5632491614071492, 0.6427067229242603,
+     0.7157767845868533, 0.781733148416625, 0.8399203201462674, 0.8897600299482711,
+     0.9307569978966481, 0.9625039250929497, 0.9846859096651525, 0.997087481819477],
+    [0.0997205447934261, 0.09922501122667202, 0.09774333538632848, 0.09529024291231925,
+     0.09189011389364123, 0.08757674060847759, 0.08239299176158914, 0.07639038659877635,
+     0.06962858323541009, 0.06217478656102821, 0.05410308242491654, 0.04549370752720094,
+     0.03643227391238576, 0.027009019184978878, 0.017318620790311608, 0.00747083157925088],
+)
+
+
+def _full_rule(half):
+    """The (nodes, weights) of a symmetric rule from those of its half x >= 0."""
+    nodes, weights = np.array(half[0]), np.array(half[1])
+    return (np.concatenate([-nodes[:0:-1], nodes]),
+            np.concatenate([weights[:0:-1], weights]))
+
+
+_NODES_LO, _WEIGHTS_LO = _full_rule(_HALF_G15)
+_NODES_HI, _WEIGHTS_HI = _full_rule(_HALF_G31)
 # The G31/G15 pair shares its midpoint node (exactly 0 in both rules), so a
 # panel costs 45 evaluations.  Column 0 of _RULES is G31, column 1 is G15.
 _NODES = np.concatenate([_NODES_HI, _NODES_LO[_NODES_LO != 0.0]])

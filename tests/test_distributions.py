@@ -122,6 +122,23 @@ class TestQuantileCdfRoundTrip:
             assert abs(c.log_pdf_at_quantile(u) - float(want)) <= 1e-14, j
             assert c.quantile(u) == -c.quantile(2.0**-j)
 
+    def test_cauchy_quantile_near_the_median(self):
+        # F^{-1}(s) = -cot(pi s) against 40-digit mpmath over (0, 1/2], the
+        # switch at s = 1/4 included: rounding pi s against the zero of
+        # cot(pi / 2) once cost up to 62% of the quantile above s = 0.2, and
+        # the median was 6e-17 and its slope 4e-16
+        c = Cauchy()
+        assert c.quantile(0.5) == 0.0 and c.slope(0.5, False) == 0.0 == c.slope(0.5, True)
+        s = np.concatenate([np.linspace(0.0, 0.5, 1001)[1:-1],
+                            [1e-300, 1e-9, 0.2, np.nextafter(0.25, 0.0), 0.25, 0.3,
+                             np.nextafter(0.5, 0.0)]])
+        x, slope = c.tail(s, False)[0], c.slope(s, False)
+        with mp.workdps(40):
+            for si, xi, li in zip(s, x, slope):
+                cot = mp.cot(mp.pi * mp.mpf(si))
+                assert abs(xi + cot) <= 4e-16 * abs(cot), si
+                assert abs(li - 2 * mp.pi * cot) <= 4e-16 * abs(2 * mp.pi * cot), si
+
 
 def _mp_tail(parent, s, upper):
     """(x, log f(x)) at tail mass s in 40-digit mpmath, for the default
@@ -378,7 +395,7 @@ class TestSlope:
             want = float(mp.diff(lambda v: _mp_log_f_along_the_flow(parent.name, v), u))
         got = parent.slope(s, upper)
         # 1e-15 absolute where L' = 0: the uniform, and the gaussian and
-        # Cauchy medians, where the Cauchy's cot(pi / 2) is 6e-17
+        # Cauchy medians
         assert abs(got - want) <= (1e-13 * abs(want) if want else 1e-15), (got, want)
 
     @pytest.mark.parametrize("parent", ALL_PARENTS, ids=lambda p: p.name)
@@ -815,6 +832,110 @@ class TestBetaSampling:
         g1 = random_stream(3, 5).random(4)
         g2 = random_stream(3, 5).random(4)
         assert np.array_equal(g1, g2)
+
+
+_M64 = 2**64 - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+class _SplitMix64:
+    """Vigna's splitmix64.c in Python integers: next() adds gamma to the
+    state and returns the finalizer of the new state."""
+
+    def __init__(self, state):
+        self.state = state & _M64
+
+    def next(self):
+        self.state = (self.state + _GOLDEN_GAMMA) & _M64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31)
+
+
+def _mix64(z):
+    """The finalizer alone: the output of a SplitMix64 at state z - gamma."""
+    return _SplitMix64(z - _GOLDEN_GAMMA).next()
+
+
+def _reference_stream(seed, stream, count):
+    """random_stream(seed, stream).random(count): the key is output stream + 1
+    of a SplitMix64 started at mix64(seed), and draw i is output i + 1 of a
+    SplitMix64 started at the key, its top 53 bits times 2^-53."""
+    keys = _SplitMix64(_mix64(seed))
+    for _ in range(stream + 1):
+        key = keys.next()
+    draws = _SplitMix64(key)
+    return [(draws.next() >> 11) * 2.0**-53 for _ in range(count)]
+
+
+class TestRandomStream:
+    """The SplitMix64 counter stream that every Monte Carlo draw takes."""
+
+    def test_reference_splitmix64(self):
+        # the reference itself, against splitmix64.c's published first outputs for seed 1234567
+        g = _SplitMix64(1234567)
+        assert [g.next() for _ in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (0, 1), (1, 0), (3, 5), (29, 4),
+                                              (1234567, 46), (2**63, 3), (2**64 - 1, 9)])
+    def test_matches_reference(self, seed, stream):
+        assert random_stream(seed, stream).random(300).tolist() == _reference_stream(seed, stream, 300)
+
+    def test_far_stream_key(self):
+        # the key in closed form for a stream too far to step to
+        seed, stream = 7, 2**64 - 1
+        key = _mix64((_mix64(seed) + (stream + 1) * _GOLDEN_GAMMA) & _M64)
+        want = [(_mix64((key + i * _GOLDEN_GAMMA) & _M64) >> 11) * 2.0**-53 for i in range(1, 17)]
+        assert random_stream(seed, stream).random(16).tolist() == want
+
+    def test_continues_across_chunks_and_calls(self):
+        # one call of 20000 spans three chunks of 8192; the same draws come
+        # from calls that cut the chunk boundaries elsewhere
+        whole = random_stream(11, 2).random(20_000)
+        g = random_stream(11, 2)
+        parts = [g.random(m) for m in (8191, 2, 0, 1, 11_000, 806)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert whole[8190:8194].tolist() == _reference_stream(11, 2, 8194)[8190:]
+
+    def test_range_and_granularity(self):
+        u = random_stream(5, 0).random(100_000)
+        assert u.dtype == np.float64 and u.shape == (100_000,)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        scaled = u * 2.0**53
+        assert np.array_equal(scaled, np.floor(scaled))
+        # the low bits are used: a 53-bit multiple is odd half the time
+        assert 0.45 < float(np.mean(scaled % 2.0)) < 0.55
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
+                                              (1.0, 0), (0, 0.5), ("3", 0), (None, 0)])
+    def test_rejects_seeds_outside_uint64(self, seed, stream):
+        with pytest.raises(ValueError):
+            random_stream(seed, stream)
+
+    def test_numpy_integers_are_seeds(self):
+        assert np.array_equal(random_stream(np.int64(3), np.uint64(5)).random(8),
+                              random_stream(3, 5).random(8))
+
+    def test_fixed_seed_statistics(self):
+        # 2^20 draws: chi-square over 1024 equal bins within 6 sd of its
+        # 1023 degrees of freedom, and correlations within 6 / sqrt(N) of 0
+        # at lag 1, between streams 0 and 1 of a seed and between seeds 8 and 9
+        count, bins = 2**20, 1024
+        u = random_stream(8, 0).random(count)
+        counts = np.bincount((u * bins).astype(np.intp), minlength=bins)
+        chi2 = float(np.sum((counts - count / bins) ** 2) / (count / bins))
+        assert abs(chi2 - (bins - 1)) <= 6.0 * math.sqrt(2.0 * (bins - 1)), chi2
+        limit = 6.0 / math.sqrt(count)
+
+        def corr(a, b):
+            return float(np.corrcoef(a, b)[0, 1])
+
+        assert abs(corr(u[:-1], u[1:])) <= limit
+        assert abs(corr(u, random_stream(8, 1).random(count))) <= limit
+        assert abs(corr(u, random_stream(9, 0).random(count))) <= limit
 
 
 class TestBetaLogPdf:

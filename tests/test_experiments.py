@@ -1,5 +1,6 @@
 """Experiment drivers: rate fitting, sweeps, condition checks, grids, reports."""
 
+import csv
 import io
 import json
 import math
@@ -66,6 +67,36 @@ class TestFitRate:
     def test_too_few_points_gives_nan(self):
         fit = fit_rate([10, 100], [math.inf, math.inf])
         assert math.isnan(fit.slope)
+
+    def test_one_distinct_n_gives_nan(self):
+        fit = fit_rate([100, 100, 100], [1e-2, 2e-2, 3e-2], window="all")
+        assert math.isnan(fit.slope) and math.isnan(fit.intercept)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_closed_form_matches_polyfit(self, a):
+        # the synthetic power laws above, and a noisy grid
+        ns = log_grid(100, 100_000, 12)
+        noise = np.random.default_rng(17).normal(0.0, 0.3, len(ns))
+        for values in ([3.7 / n**a for n in ns], [3.7 / n**a * math.exp(e) for e, n in zip(noise, ns)]):
+            fit = fit_rate(ns, values, window="all")
+            slope, intercept = np.polyfit(np.log(ns), np.log(values), 1)
+            assert abs(fit.slope - slope) <= 1e-12 * abs(slope)
+            assert abs(fit.intercept - intercept) <= 1e-12 * abs(intercept)
+
+    @pytest.mark.parametrize("parent", ["gaussian()", "f2()"])
+    @pytest.mark.parametrize("grid", ["104:99652:12log", "106:99782:12log"])
+    def test_rate_fit_prints_the_polyfit_slope(self, tmp_path, capsys, parent, grid):
+        # the CLI's 4-decimal slope over the top half of the CSV's totals
+        from ordent.cli import cli_main
+
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["rate-fit", "--parent", parent, "--p", "0.5", "--n-grid", grid,
+                         "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        window = rows[len(rows) // 2:]
+        slope, _ = np.polyfit(np.log([float(r["n"]) for r in window]),
+                              np.log([float(r["total_decomposed"]) for r in window]), 1)
+        assert f"# fitted slope {slope:.4f} " in capsys.readouterr().err
 
 
 class TestRateSweep:
