@@ -24,11 +24,15 @@ space unless a closed form is trivial.
 
 Monte Carlo draws (``beta_sample`` and what averages over it) take their
 uniforms from ``random_stream``, a counter-based SplitMix64 stream keyed by
-(seed, stream) and computed with numpy's integer ufuncs alone.
+(seed, stream) and computed with numpy's integer ufuncs alone.  Because any
+stretch of the stream can be read again exactly, the draws come in chunks of
+``_CHUNK_NODES`` from two passes over it (``_beta_chunks``), and no sample
+mean holds an array the size of its draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -38,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quadrature import _CHUNK_NODES, QuadResult, QuadResults, adaptive_quad
-from .special import beta_log_density, beta_logit_quantile, ndtr, ndtri
+from .special import _check_count, beta_log_density, beta_logit_quantile, ndtr, ndtri
 
 __all__ = [
     "DistributionSpecError",
@@ -110,6 +114,15 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the odd integer nearest 2
 _MASK64 = 2**64 - 1
 
 
+@functools.cache
+def _weyl() -> np.ndarray:
+    """(j + 1) gamma mod 2^64 for j within a chunk; built on first use, so
+    that importing ordent builds no array."""
+    steps = np.arange(1, _CHUNK_NODES + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    steps.flags.writeable = False
+    return steps
+
+
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place on the uint64 array z (arithmetic
     mod 2^64); ``tmp`` is scratch of z's shape."""
@@ -134,8 +147,9 @@ class UniformStream:
 
     mix64 is SplitMix64's finalizer, gamma its increment and K the key of
     (seed, stream).  Draw i depends on K and i alone, so successive
-    ``random`` calls continue one sequence and any prefix of a draw is the
-    same bit for bit.
+    ``random`` calls continue one sequence, any prefix of a draw is the same
+    bit for bit, and a new stream of the same key reads the same draws
+    again.
     """
 
     def __init__(self, key: int):
@@ -146,12 +160,11 @@ class UniformStream:
         """The next ``count`` uniforms: multiples of 2^-53 in [0, 1)."""
         count = int(count)
         out = np.empty(count)
-        steps = np.arange(1, min(count, _CHUNK_NODES) + 1, dtype=np.uint64)
-        steps *= _GAMMA  # (j + 1) gamma mod 2^64, j within a chunk
-        z, tmp = np.empty_like(steps), np.empty_like(steps)
+        z, tmp = np.empty((2, min(count, _CHUNK_NODES)), dtype=np.uint64)
+        weyl = _weyl()
         for s in range(0, count, _CHUNK_NODES):
             m = min(_CHUNK_NODES, count - s)
-            np.add(steps[:m], (self._key + (self._drawn + s) * _GAMMA) & _MASK64, out=z[:m])
+            np.add(weyl[:m], (self._key + (self._drawn + s) * _GAMMA) & _MASK64, out=z[:m])
             _mix64(z[:m], tmp[:m])
             out[s:s + m] = np.right_shift(z[:m], 11, out=z[:m])  # exact: < 2^53
         self._drawn += count
@@ -632,11 +645,23 @@ def beta_log_pdf(law: BetaLaw, u):
 
 
 #: ``beta_sample``'s inverse-CDF table: nodes w = -_TABLE_W + j h in w = logit(u),
-#: h = 2 _TABLE_W / _TABLE_STEPS = 75 / 2048 (so every node is exact), j =
+#: h = _TABLE_H = 2 _TABLE_W / _TABLE_STEPS = 75 / 2048 (so every node is exact), j =
 #: 0.._TABLE_STEPS.  |w| <= 53 log 2 < _TABLE_W for every nonzero u that
 #: ``random_stream`` returns.
 _TABLE_W = 37.5
 _TABLE_STEPS = 2048
+_TABLE_H = 2.0 * _TABLE_W / _TABLE_STEPS
+#: ``_beta_chunks`` marks a cell as reached without locating its draws where
+#: it expects this many: no draw lands in it with probability about e^-20
+_SURE_CELL_DRAWS = 20.0
+
+
+@functools.cache
+def _table_u() -> np.ndarray:
+    """u = expit(w) at each node of the table, built on first use."""
+    u = 1.0 / (1.0 + np.exp(_TABLE_W - np.arange(_TABLE_STEPS + 1) * _TABLE_H))
+    u.flags.writeable = False
+    return u
 
 
 def _logit_rows(a: float, b: float, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -661,51 +686,27 @@ def _logit_rows(a: float, b: float, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([y, slope, curvature])
 
 
-def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Deterministic Beta draws by the quantile method, through one table per call.
-
-    Exactly one uniform u of ``random_stream(seed, stream)`` is consumed
-    per variate, so the mapping from (seed, stream) to output does not
-    depend on the Beta parameters, and draw i depends only on u_i and the
-    law: any prefix of a draw is the same bit for bit.  A draw is y =
-    logit(x) of the Beta quantile x, interpolated in w = logit(u) on a
-    uniform grid of 2049 nodes over |w| <= 37.5: one quintic Hermite per
-    cell, from y and its first two derivatives at both ends.  A first pass over the draws marks the cells
-    they land in, and the inverse ``special.beta_logit_quantile`` runs only
-    at those cells' nodes; a cell's quintic depends only on its two nodes,
-    so the draws do not depend on ``count``.  The inverse maps w to y, so
-    neither 1 - u nor 1 - x is rounded, and nodes where x > 1/2 take their
-    derivatives from the mirrored law.  A draw at u = 0, or in a cell where
-    x rounds to 0 or 1, is that inverse itself.
-
-    Accuracy contract: each draw lies within 1e-12 min(x, 1 - x) + 2^-52
-    of the true quantile x of u when alpha, beta >= 1 (1e-10 for the tested
-    laws with a parameter down to 0.1; the error grows as a parameter
-    shrinks further), and draws are nondecreasing in u; the tests check the
-    draws from Beta(0.1, 0.1) to Beta(6.96e6, 1.17e6), and the nodes
-    against 40-digit mpmath roots.
-    Draws are clipped to [1e-300, 1 - 1e-16].
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    a, b = law.alpha, law.beta
-    steps = _TABLE_STEPS
-    h = 2.0 * _TABLE_W / steps
-    u = random_stream(seed, stream).random(int(count))
-    # first pass: x holds each draw's position (w + _TABLE_W) / h; a draw
-    # beyond the table goes to position `steps`, whose row of `coef` is NaN
-    x = np.empty_like(u)
-    reached = np.zeros(steps + 1, dtype=bool)
+def _table_positions(u: np.ndarray) -> np.ndarray:
+    """Each draw's table position (logit(u) + _TABLE_W) / h; a draw beyond
+    the table (u = 0) goes to position _TABLE_STEPS, whose column of
+    ``_beta_table``'s coefficients is NaN."""
     with np.errstate(divide="ignore"):
-        for s in range(0, u.size, _CHUNK_NODES):
-            part, pos = u[s:s + _CHUNK_NODES], x[s:s + _CHUNK_NODES]
-            np.subtract(1.0, part, out=pos)  # exact: u is a multiple of 2^-53
-            np.divide(part, pos, out=pos)
-            np.log(pos, out=pos)
-            pos += _TABLE_W
-            pos /= h
-            pos[~((pos >= 0.0) & (pos < steps))] = steps
-            reached[pos.astype(np.intp)] = True
+        pos = np.subtract(1.0, u)  # exact: u is a multiple of 2^-53
+        np.divide(u, pos, out=pos)
+        np.log(pos, out=pos)
+    pos += _TABLE_W
+    pos /= _TABLE_H
+    pos[u == 0.0] = _TABLE_STEPS
+    return pos
+
+
+def _beta_table(a: float, b: float, reached: np.ndarray) -> np.ndarray:
+    """Quintic Hermite coefficients of the ``reached`` cells of Beta(a, b)'s
+    table in powers of the offset t in [0, 1), one column per cell; NaN
+    where x rounds to 0 or 1 at either node, and in the columns of the
+    other cells."""
+    steps, h = _TABLE_STEPS, _TABLE_H
+    reached = reached.copy()
     reached[steps] = False
     cells = np.flatnonzero(reached)
     reached[1:] |= reached[:-1]  # the right-hand node of each cell
@@ -720,40 +721,112 @@ def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndar
     table[:, nodes[low]] = _logit_rows(a, b, w[low], y[low])
     table[:, nodes[~low]] = _logit_rows(b, a, -w[~low], -y[~low]) * [[-1.0], [1.0], [-1.0]]
     table *= [[1.0], [h], [h * h]]
-    # quintic Hermite coefficients of each reached cell in powers of its
-    # offset t in [0, 1), one row per cell; NaN where x rounds to 0 or 1 at
-    # either node, and in the rows of cells no draw reached
     (y0, d0, s0), (y1, d1, s1) = table[:, cells], table[:, cells + 1]
-    coef = np.full((steps + 1, 6), np.nan)
+    coef = np.full((6, steps + 1), np.nan)
     with np.errstate(invalid="ignore"):
         dy, dd, ds = y1 - y0 - d0 - 0.5 * s0, d1 - d0 - s0, s1 - s0
-        coef[cells] = np.stack([y0, d0, 0.5 * s0, 10.0 * dy - 4.0 * dd + 0.5 * ds,
-                                7.0 * dd - 15.0 * dy - ds, 6.0 * dy - 3.0 * dd + 0.5 * ds], axis=1)
-    coef[~np.isfinite(coef).all(axis=1)] = np.nan
+        coef[:, cells] = [y0, d0, 0.5 * s0, 10.0 * dy - 4.0 * dd + 0.5 * ds,
+                          7.0 * dd - 15.0 * dy - ds, 6.0 * dy - 3.0 * dd + 0.5 * ds]
+    coef[:, ~np.isfinite(coef).all(axis=0)] = np.nan
+    return coef
 
-    # second pass: each draw from its cell's quintic, in place of its position
-    for s in range(0, u.size, _CHUNK_NODES):
-        pos = x[s:s + _CHUNK_NODES]
-        cell = np.floor(pos)
-        np.subtract(pos, cell, out=pos)
-        c = np.take(coef, cell.astype(np.intp), axis=0)
-        y = c[:, 5] * pos
-        for k in (4, 3, 2, 1):
-            y += c[:, k]
-            y *= pos
-        y += c[:, 0]
-        far = np.isnan(y)
-        if far.any():
-            part = u[s:s + _CHUNK_NODES][far]
-            with np.errstate(divide="ignore"):
-                y[far] = beta_logit_quantile(a, b, np.log(part) - np.log1p(-part))
-        # the smaller of x and 1 - x from the logistic, the other by one subtraction
-        np.abs(y, out=pos)
-        np.negative(pos, out=pos)
-        np.exp(pos, out=pos)
-        np.divide(pos, 1.0 + pos, out=pos)
-        np.subtract(1.0, pos, out=pos, where=y > 0.0)
+
+def _table_draws(a: float, b: float, coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Beta(a, b) draws at the uniforms ``u`` from ``_beta_table``'s ``coef``."""
+    # each draw from its cell's quintic at its offset t in the cell
+    t = _table_positions(u)
+    y = np.floor(t)
+    np.subtract(t, y, out=t)
+    cell = y.astype(np.intp)
+    scratch = np.empty_like(t)
+    np.multiply(np.take(coef[5], cell, out=y), t, out=y)
+    for k in (4, 3, 2, 1):
+        y += np.take(coef[k], cell, out=scratch)
+        y *= t
+    y += np.take(coef[0], cell, out=scratch)
+    far = np.isnan(y)
+    if far.any():
+        with np.errstate(divide="ignore"):
+            y[far] = beta_logit_quantile(a, b, np.log(u[far]) - np.log1p(-u[far]))
+    # the smaller of x and 1 - x from the logistic, the other by one subtraction
+    x = np.abs(y)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.divide(x, np.add(1.0, x, out=scratch), out=x)
+    np.subtract(1.0, x, out=x, where=y > 0.0)
     return np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
+
+
+def _beta_chunks(law: BetaLaw, count: int, seed: int, stream: int = 0):
+    """``beta_sample``'s draws in order, in chunks of at most ``_CHUNK_NODES``.
+
+    Two passes over the counter stream of (seed, stream): the first marks
+    the table cells the draws reach, the second reads the same uniforms
+    again and yields each chunk's draws, a new array.  No array grows with
+    ``count``.
+    """
+    def uniforms():
+        source = random_stream(seed, stream)
+        for s in range(0, count, _CHUNK_NODES):
+            yield source.random(min(_CHUNK_NODES, count - s))
+
+    # pass 1: mark the cells the draws reach.  The central cells, which
+    # expect _SURE_CELL_DRAWS or more draws, are marked outright: marking one
+    # that no draw reaches costs only its nodes' inversion.  Only the draws
+    # outside [lo, hi], a cell inside them, are located
+    nodes_u = _table_u()
+    central = np.flatnonzero(count * np.diff(nodes_u) >= _SURE_CELL_DRAWS)
+    lo, hi = (nodes_u[central[0] + 1], nodes_u[central[-1]]) if central.size else (1.0, 0.0)
+    reached = np.zeros(_TABLE_STEPS + 1, dtype=bool)
+    reached[central] = True
+    for part in uniforms():
+        reached[_table_positions(part[(part < lo) | (part > hi)]).astype(np.intp)] = True
+    coef = _beta_table(law.alpha, law.beta, reached)
+
+    # pass 2: the same uniforms again, through the table; no chunk's
+    # uniforms outlive its draws
+    yield from map(functools.partial(_table_draws, law.alpha, law.beta, coef), uniforms())
+
+
+def beta_sample(law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Deterministic Beta draws by the quantile method, through one table per call.
+
+    Exactly one uniform u of ``random_stream(seed, stream)`` is consumed
+    per variate, so the mapping from (seed, stream) to output does not
+    depend on the Beta parameters, and draw i depends only on u_i and the
+    law: any prefix of a draw is the same bit for bit.  A draw is y =
+    logit(x) of the Beta quantile x, interpolated in w = logit(u) on a
+    uniform grid of 2049 nodes over |w| <= 37.5: one quintic Hermite per
+    cell, from y and its first two derivatives at both ends.  The draws come
+    from ``_beta_chunks``: a first pass over the stream marks the cells the
+    draws land in, and the inverse ``special.beta_logit_quantile`` runs only
+    at those cells' nodes; a second pass reads the same uniforms again and
+    maps each through its cell's quintic.  A cell's quintic depends only on
+    its two nodes, so the draws do not depend on ``count``.  The inverse
+    maps w to y, so neither 1 - u nor 1 - x is rounded, and nodes where x >
+    1/2 take their derivatives from the mirrored law.  A draw at u = 0, or
+    in a cell where x rounds to 0 or 1, is that inverse itself.
+
+    Accuracy contract: each draw lies within 1e-12 min(x, 1 - x) + 2^-52
+    of the true quantile x of u when alpha, beta >= 1 (1e-10 for the tested
+    laws with a parameter down to 0.1; the error grows as a parameter
+    shrinks further), and draws are nondecreasing in u; the tests check the
+    draws from Beta(0.1, 0.1) to Beta(6.96e6, 1.17e6), and the nodes
+    against 40-digit mpmath roots.
+    Draws are clipped to [1e-300, 1 - 1e-16].  ``count`` is a whole number
+    >= 1; anything else raises ``ValueError``.
+    """
+    return _beta_map(lambda x: x, law, _check_count(count, "count", 1), seed, stream)
+
+
+def _beta_map(f, law: BetaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
+    """``f`` of each chunk of ``beta_sample``'s draws, into one array of ``count``."""
+    out = np.empty(count)
+    s = 0
+    for x in _beta_chunks(law, count, seed, stream):
+        out[s:s + x.size] = f(x)
+        s += x.size
+    return out
 
 
 def beta_sample_mean(g, law: BetaLaw, count: int, seed: int, stream: int = 0):
@@ -761,27 +834,38 @@ def beta_sample_mean(g, law: BetaLaw, count: int, seed: int, stream: int = 0):
 
     The Monte Carlo twin of ``quadrature.beta_expectation`` for one law:
     ``g(u)`` returns one value per draw (the result is a ``QuadResult``) or
-    stacked columns (a ``QuadResults``), and is called on chunks of the
-    draw.  ``error`` is the standard error of the mean, which needs two
-    draws, and ``neval`` is ``count``.
+    stacked columns (a ``QuadResults``), and is called on the draw's chunks
+    from ``_beta_chunks``, so memory stays constant in ``count``.  Each
+    row's count, mean and sum of squared deviations are merged chunk by
+    chunk (Chan, Golub and LeVeque, 1979); the mean and the standard error
+    (the sample standard deviation, ddof = 1, over sqrt(count)) may differ
+    from those of the whole draw in memory in the last digits, by the order
+    of summation.  ``neval`` is ``count``, a whole number >= 2: a standard
+    error needs two draws.
     """
-    if count < 2:
-        raise ValueError("beta_sample_mean needs count >= 2 for a standard error")
-    u = beta_sample(law, count, seed, stream)
-    y = None
-    for s in range(0, count, _CHUNK_NODES):
-        part = np.asarray(g(u[s:s + _CHUNK_NODES]), dtype=float)
-        size = min(_CHUNK_NODES, count - s)
-        if part.ndim not in (1, 2) or part.shape[-1] != size:
+    count = _check_count(count, "count", 2)
+    total = m2 = 0.0
+    rows, done = None, 0
+    for u in _beta_chunks(law, count, seed, stream):
+        part, size = np.asarray(g(u), dtype=float), u.size
+        if part.ndim not in (1, 2) or part.shape[-1] != size or rows not in (None, part.shape[:-1]):
             raise ValueError(f"g returned shape {part.shape} for {size} draws")
-        if y is None:
-            y = np.empty(part.shape[:-1] + (count,))
-        y[..., s:s + size] = part
-    # row by row, without the draw: the statistics' temporaries stay one row
-    del u, part
-    results = [QuadResult(float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(count)), count)
-               for row in np.atleast_2d(y)]
-    return results[0] if y.ndim == 1 else QuadResults(results, count)
+        rows = part.shape[:-1]
+        # the chunk's sum and squared deviations, merged into the running
+        # ones; an infinite value leaves the sum infinite and M2 NaN
+        with np.errstate(invalid="ignore"):
+            chunk_sum = part.sum(axis=-1)
+            dev = part - (chunk_sum / size)[..., None]
+            delta = chunk_sum / size - total / max(done, 1)
+            m2 = (m2 + np.einsum("...i,...i->...", dev, dev)
+                  + delta * delta * (done * size / (done + size)))
+        total = total + chunk_sum
+        done += size
+        del u, part, dev  # before the next chunk is drawn
+    mean, error = total / count, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
+    results = [QuadResult(float(v), float(e), count)
+               for v, e in zip(np.atleast_1d(mean), np.atleast_1d(error))]
+    return QuadResults(results, count) if rows else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,8 @@ def _term_results(terms, parent, laws, refs, method="quadrature", budget=0,
     """
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
+    if method == "monte_carlo":
+        budget = special._check_count(budget, "budget", 2)
     results = [{t: hit for t in terms if (hit := _term_divergence(t, parent, law))}
                for law in laws]
     sampled = tuple(t for t in terms if not _TERMS[t].logw and method == "monte_carlo")
@@ -419,8 +421,8 @@ def kl_decompose(
     terms come from one multi-column pass, each to its term's fixed
     tolerance; a term whose integral ends unconverged keeps its value and is
     named in ``message``.  By Monte Carlo, k2 and k3 average the same
-    integrand over one ``budget``-draw sample (``budget`` >= 2, from
-    ``seed``'s stream 1); the direct KL is integrated.
+    integrand over one ``budget``-draw sample (``budget`` a whole number
+    >= 2, from ``seed``'s stream 1); the direct KL is integrated.
 
     ``n`` may be an increasing sequence: the result is then a
     ``KlDecompositions`` list with one ``KlDecomposition`` per n, each equal

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (BetaLaw, ParentDistribution, beta_sample, beta_sample_mean,
+from .distributions import (BetaLaw, ParentDistribution, _beta_map, beta_sample_mean,
                             power_moment_finite)
 from .reports import BoundReport
-from .special import _check_fraction, _check_integer, beta_log_density, betainc, log_gamma_ratio
+from .special import (_check_count, _check_fraction, _check_integer, beta_log_density, betainc,
+                      log_gamma_ratio)
 
 __all__ = [
     "OrderStatSpec",
@@ -106,9 +107,11 @@ def order_stat_cdf(parent: ParentDistribution, spec: OrderStatSpec, x):
 def sample_order_stat(parent: ParentDistribution, spec: OrderStatSpec, count: int,
                       seed: int) -> np.ndarray:
     """Draw the order statistic as F^{-1} of one Beta variate per draw, from
-    ``seed``'s stream 0: the draws ``verify_moment_bound`` averages."""
-    u = beta_sample(spec.beta_law, count, seed)
-    return np.asarray(parent.quantile(u), dtype=float)
+    ``seed``'s stream 0: the draws ``verify_moment_bound`` averages.  Each
+    chunk of ``beta_sample``'s draws goes through ``parent.quantile`` into
+    the output, so the ``count`` Beta variates are never held at once;
+    ``count`` is a whole number >= 1."""
+    return _beta_map(parent.quantile, spec.beta_law, _check_count(count, "count", 1), seed)
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,12 @@ def verify_moment_bound(parent: ParentDistribution, spec: OrderStatSpec, q: floa
                         mc_count: int = 100_000, seed: int = 0) -> BoundReport:
     """Monte Carlo check of E|X_(k)|^q <= C_{n,k,q,r} (E|X|^r)^{q/r}.
 
-    E|X_(k)|^q is the mean of |x|^q over the ``mc_count`` >= 2 draws of
-    ``sample_order_stat(parent, spec, mc_count, seed)``, with 3 standard errors of slack.
+    E|X_(k)|^q is the mean of |x|^q over the ``mc_count`` draws (a whole
+    number >= 2) of ``sample_order_stat(parent, spec, mc_count, seed)``,
+    streamed in chunks, with 3 standard errors of slack.
     An infinite parent moment or constant makes the bound vacuous, not an error.
     """
+    mc_count = _check_count(mc_count, "mc_count", 2)
     params = {"n": spec.n, "k": spec.k, "q": q, "r": r,
               "mc_count": mc_count, "seed": seed, "parent": parent.spec_string()}
     const = moment_bound_constant(spec.n, spec.k, q, r)

@@ -79,6 +79,15 @@ def _check_integer(r, name: str) -> int:
     return int(r)
 
 
+def _check_count(count, name: str, least: int) -> int:
+    """``count`` as an int by ``_check_integer`` (1e5 is 100000), if it is at
+    least ``least``; else ``ValueError``."""
+    count = _check_integer(count, name)
+    if count < least:
+        raise ValueError(f"need {name} >= {least}, got {count}")
+    return count
+
+
 def _check_fraction(p) -> None:
     """Raises ``ValueError`` unless p lies strictly inside (0, 1) (NaN does not)."""
     if not 0.0 < p < 1.0:

@@ -2,8 +2,9 @@
 strictly inside (0, 1).  ``OrderStatSpec`` states the rule once; every public
 entry point that takes n, k or p applies it, so they all accept and reject the
 same values with the same messages.  Also the rule for a quadrature ``tol``,
-the order rule of the parents' moments and norms, and the float range of the
-reference Gaussian and of the density at the p-quantile."""
+the order rule of the parents' moments and norms, the float range of the
+reference Gaussian and of the density at the p-quantile, and the count rule
+of the samplers: every draw count is a whole number, as n and k are."""
 
 import math
 import re
@@ -22,7 +23,8 @@ from ordent.bounds import (
     quantile_mse_bound,
 )
 from ordent.cli import EXIT_USAGE, cli_main
-from ordent.distributions import F2, Cauchy, Exponential, Gaussian, Uniform
+from ordent.distributions import (F2, BetaLaw, Cauchy, Exponential, Gaussian, Uniform, beta_sample,
+                                  beta_sample_mean)
 from ordent.entropy_kl import (
     entropy_expansion_linear_coefficient,
     gaussian_reference,
@@ -35,7 +37,8 @@ from ordent.entropy_kl import (
     uniform_order_stat_entropy_expansion,
 )
 from ordent.experiments import condition_check, rate_sweep
-from ordent.order_stats import OrderStatSpec, moment_bound_constant
+from ordent.order_stats import (OrderStatSpec, moment_bound_constant, sample_order_stat,
+                                 verify_moment_bound)
 
 GAUSS = Gaussian()
 VALID = {"n": 100, "k": 30, "p": 0.3}
@@ -205,3 +208,32 @@ def test_condition_check_where_the_density_leaves_the_float_range(parent, p):
     assert chk.density_positive and not chk.derivative_continuous
     assert "float range" in chk.details["reason"]
     assert chk.details["density_at_quantile"] > 1e300
+
+
+# (entry, the name of its count, call(count)) for every entry point that draws
+LAW, SPEC = BetaLaw(30.0, 71.0), OrderStatSpec(100, 30)
+SAMPLERS = [
+    ("beta_sample", "count", lambda c: beta_sample(LAW, c, seed=1).tolist()),
+    ("beta_sample_mean", "count", lambda c: beta_sample_mean(lambda u: u, LAW, c, seed=1)),
+    ("sample_order_stat", "count", lambda c: sample_order_stat(GAUSS, SPEC, c, seed=1).tolist()),
+    ("kl_decompose[monte_carlo]", "budget",
+     lambda c: kl_decompose(Exponential(), 200, 0.3, method="monte_carlo", budget=c, seed=1).to_dict()),
+    ("verify_moment_bound", "mc_count",
+     lambda c: verify_moment_bound(GAUSS, SPEC, 2.0, 4.0, mc_count=c, seed=1).to_dict()),
+]
+
+
+@pytest.mark.parametrize("name, arg, call", SAMPLERS, ids=[s[0] for s in SAMPLERS])
+@pytest.mark.parametrize("whole", [float, np.int64], ids=["float", "int64"])
+def test_whole_counts_are_integers(name, arg, call, whole):
+    # 1e3 draws the same 1000 variates as 1000, and reports the count as an int
+    assert repr(call(whole(1000))) == repr(call(1000))
+
+
+@pytest.mark.parametrize("name, arg, call", SAMPLERS, ids=[s[0] for s in SAMPLERS])
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf],
+                         ids=["fraction", "nan", "inf", "-inf"])
+def test_non_integer_counts_raise(name, arg, call, bad):
+    # never a silent int(2.5) = 2 draws, nor a TypeError from range()
+    with pytest.raises(ValueError, match=f"{arg} must be an integer"):
+        call(bad)

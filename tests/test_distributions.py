@@ -26,6 +26,7 @@ from ordent.distributions import (
     Gaussian,
     ParentDistribution,
     Uniform,
+    _beta_chunks,
     beta_fourth_central_moment,
     beta_log_pdf,
     beta_mean_var,
@@ -43,6 +44,20 @@ ALL_PARENTS = [Uniform(), Gaussian(), Exponential(), Cauchy(), F1(), F2()]
 # f2's quantile e^{-1/u} underflows below u ~ 1.4e-3 and its density overflows
 # there too; test bands stay inside float range
 _GRID_LO = {"f2": 2e-3}
+
+# beta_sample_mean merges chunk statistics, so its mean and standard error
+# differ from np.mean and np.std of the whole draw by the order of summation
+# alone.  For columns whose |mean| is at most about ten standard deviations
+# that is a few eps (the scale of the mean is mean |x|, of the error the
+# error itself); 64 eps leaves room.
+MC_RTOL = 64 * np.finfo(float).eps
+
+
+def assert_sample_stats(res, col):
+    """``res`` is the mean and standard error of ``col`` within ``MC_RTOL``."""
+    se = float(np.std(col, ddof=1) / math.sqrt(col.size))
+    assert abs(res.value - float(np.mean(col))) <= MC_RTOL * float(np.mean(np.abs(col)))
+    assert abs(res.error - se) <= MC_RTOL * se
 
 
 def central_grid(parent, lo=None, hi=1.0 - 1e-3, m=60):
@@ -816,10 +831,32 @@ class TestBetaSampling:
         assert max(calls) <= 8192 and sum(calls) == count
         assert len(res) == 2 and res.neval == count
         for r, col in zip(res, (u, np.log(u))):
-            assert r.value == float(np.mean(col)) and r.neval == count
-            assert r.error == float(np.std(col, ddof=1) / math.sqrt(count))
+            assert r.neval == count
+            assert_sample_stats(r, col)
         one = beta_sample_mean(lambda u: u, law, count, seed=5, stream=3)
         assert (one.value, one.error) == (res[0].value, res[0].error)
+
+    @pytest.mark.parametrize("count", [2, 8191, 8192, 8193, 3 * 8192 + 5])
+    def test_chunks_at_every_boundary(self, count):
+        # the chunk source's draws are beta_sample's bit for bit, in chunks of
+        # 8192, and a prefix of a longer draw; the merged mean and standard
+        # error are the whole draw's
+        law = BetaLaw(30.0, 71.0)
+        chunks = list(_beta_chunks(law, count, 13, 2))
+        x = beta_sample(law, count, 13, 2)
+        assert [c.size for c in chunks] == [min(8192, count - s) for s in range(0, count, 8192)]
+        assert np.array_equal(np.concatenate(chunks), x)
+        assert np.array_equal(beta_sample(law, 3 * 8192 + 5, 13, 2)[:count], x)
+        res = beta_sample_mean(lambda u: np.stack([u, np.log(u)]), law, count, 13, 2)
+        for r, col in zip(res, (x, np.log(x))):
+            assert_sample_stats(r, col)
+
+    def test_sample_mean_keeps_an_infinite_mean(self):
+        # an infinite value in one chunk makes the mean +inf, as np.mean of
+        # the whole draw does, and the standard error NaN, as np.std does
+        res = beta_sample_mean(lambda u: np.where(u == u.max(), np.inf, u), BetaLaw(2, 2),
+                               3 * 8192, seed=1)
+        assert res.value == math.inf and math.isnan(res.error)
 
     def test_sample_mean_needs_two_draws(self):
         for count in (0, 1):

@@ -228,12 +228,14 @@ class TestVerifyMomentBound:
         assert report.analytic_value == math.inf
 
     def test_mean_and_stderr_of_the_sampled_order_statistic(self):
-        # bit-equal to the mean and standard error of |X_(k)|^q drawn directly
+        # the mean and standard error of |X_(k)|^q drawn directly, up to the
+        # order of summation: 64 eps of the scale (see tests/test_distributions.py)
         parent, spec, count = Gaussian(), OrderStatSpec(n=100, k=30), 20_000
         report = verify_moment_bound(parent, spec, q=3.0, r=4.0, mc_count=count, seed=5)
         draws = np.abs(sample_order_stat(parent, spec, count, seed=5)) ** 3.0
-        assert report.empirical_value == float(np.mean(draws))
-        assert report.stderr == float(np.std(draws, ddof=1) / math.sqrt(count))
+        tol, se = 64 * np.finfo(float).eps, float(np.std(draws, ddof=1) / math.sqrt(count))
+        assert abs(report.empirical_value - float(np.mean(draws))) <= tol * float(np.mean(draws))
+        assert abs(report.stderr - se) <= tol * se
 
     def test_one_draw_is_rejected(self):
         # one draw has no standard error (NaN, and a false "fail")
